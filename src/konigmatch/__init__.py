@@ -7,11 +7,9 @@ brute-force oracles on exhaustive small-graph corpora.
 
 from .graph import (
     BipartiteGraph,
-    ComponentDecomposition,
     build_graph,
     connected_components,
     induced_subgraph,
-    neighbors,
     procedure_sides,
 )
 from .matching import (
@@ -22,6 +20,7 @@ from .matching import (
     greedy_maximal_matching,
     is_disjoint_cycle_union,
     is_maximal,
+    matching_number,
     maximum_matching,
     symmetric_difference,
 )
@@ -57,6 +56,7 @@ from .stars import (
     StarStuddedGraph,
     is_enumeratively_konig_egervary,
     lift_cover,
+    reached_minimum_covers,
     restrict_cover,
     star_stud,
 )

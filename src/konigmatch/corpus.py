@@ -5,16 +5,20 @@ deduplicated by a canonical form: the minimum edge bitmask over all
 side-preserving vertex permutations (plus the side swap for balanced
 bipartitions).  The canonicalization is exact for the sizes handled
 here; permutation tables are vectorized with numpy to keep it fast.
+numpy is imported only when a corpus is generated, so commands that
+never build one do not load it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .graph import BipartiteGraph, build_graph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @lru_cache(maxsize=None)
@@ -24,6 +28,8 @@ def _perm_table(nl: int, nr: int) -> np.ndarray:
     Edge ``(i, j)`` has index ``i * nr + j``; each table row maps old edge
     indices to new ones under one (row-perm, col-perm) pair.
     """
+    import numpy as np
+
     rows = []
     for pl in permutations(range(nl)):
         for pr in permutations(range(nr)):
@@ -34,12 +40,16 @@ def _perm_table(nl: int, nr: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _transpose_index(n: int) -> np.ndarray:
+    import numpy as np
+
     return np.array([j * n + i for i in range(n) for j in range(n)],
                     dtype=np.int64)
 
 
 def _canonical_key(nl: int, nr: int, bits: np.ndarray) -> int:
     """Minimum bitmask over all relabelings (and side swap when nl == nr)."""
+    import numpy as np
+
     weights = 1 << np.arange(nl * nr, dtype=np.int64)
     table = _perm_table(nl, nr)
     best = int(bits[table].dot(weights).min())
@@ -74,6 +84,8 @@ def _is_connected(nl: int, nr: int, edge_list: list[tuple[int, int]]) -> bool:
 def connected_bipartite_graphs(max_vertices: int) -> list[BipartiteGraph]:
     """All connected bipartite graphs with 2..max_vertices vertices, one
     representative per isomorphism class (bipartition swap included)."""
+    import numpy as np
+
     out: list[BipartiteGraph] = []
     for nl in range(1, max_vertices):
         for nr in range(nl, max_vertices - nl + 1):

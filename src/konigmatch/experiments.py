@@ -16,13 +16,13 @@ from typing import IO
 
 from .graph import BipartiteGraph, build_graph
 from .konig import konig_cover
-from .matching import Matching, greedy_maximal_matching, maximum_matching
+from .matching import Matching, greedy_maximal_matching, matching_number
 
 CSV_COLUMNS = ["seed", "n_left", "n_right", "p", "trial_index",
                "matching_size", "cover_size", "min_cover_size", "is_minimum"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialConfig:
     n_left: int
     n_right: int
@@ -39,7 +39,7 @@ class TrialConfig:
             raise ValueError("side sizes must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class TrialReport:
     config: TrialConfig
     trials_run: int = 0
@@ -89,7 +89,7 @@ def run_trials(cfg: TrialConfig, csv_out: IO[str] | None = None) -> TrialReport:
         g = random_bipartite(cfg, rng)
         m = random_maximal_matching(g, rng)
         cover = konig_cover(g, m)
-        min_size = len(maximum_matching(g))
+        min_size = matching_number(g)
         excess = len(cover.vertices) - min_size
         hit = cover.is_cover and excess == 0
         report.trials_run += 1

@@ -5,6 +5,10 @@ designated *left* side (the set searched from by Kőnig's procedure) and a
 *right* side.  ``build_graph`` normalizes inputs so that the left side is
 never larger than the right side; induced subgraphs keep their parent's
 vertex ids and side designation.
+
+A graph never changes after construction, so data derived from it (the
+procedure sides, the matching number ν, the label index) is computed on
+first use and kept in the graph's own slots.
 """
 
 from __future__ import annotations
@@ -28,10 +32,14 @@ class BipartiteGraph:
     Edges are stored as ``(u, v)`` pairs with ``u`` on the left side.
     Equality and hashing consider only the structure (sides and edges),
     not the labels.
+
+    ``_sides``, ``_nu`` and ``_by_label`` are memo slots, left unset by
+    ``__init__`` and filled on first use by ``procedure_sides``,
+    ``matching.maximum_matching`` (unseeded) and ``vertex_by_label``.
     """
 
     __slots__ = ("left", "right", "edges", "labels", "sides_swapped",
-                 "left_is_smaller", "_adjacency", "_hash")
+                 "_adjacency", "_hash", "_sides", "_nu", "_by_label")
 
     def __init__(
         self,
@@ -65,7 +73,6 @@ class BipartiteGraph:
         else:
             self.labels = {v: labels[v] for v in left_set | right_set}
         self.sides_swapped = sides_swapped
-        self.left_is_smaller = len(left_set) <= len(right_set)
         adjacency: dict[int, set[int]] = {v: set() for v in left_set | right_set}
         for u, v in self.edges:
             adjacency[u].add(v)
@@ -105,14 +112,18 @@ class BipartiteGraph:
     def has_edge(self, a: int, b: int) -> bool:
         return self.edge_key(a, b) in self.edges
 
-    def label_of(self, v: int) -> str:
-        return self.labels[v]
-
     def vertex_by_label(self, label: str) -> int:
-        for v, lab in self.labels.items():
-            if lab == label:
-                return v
-        raise UnknownVertex(f"no vertex labeled {label!r}")
+        try:
+            by_label = self._by_label
+        except AttributeError:
+            by_label = {}
+            for v, lab in self.labels.items():
+                by_label.setdefault(lab, v)  # the first vertex wins
+            self._by_label = by_label
+        try:
+            return by_label[label]
+        except (KeyError, TypeError):  # unhashable labels name no vertex
+            raise UnknownVertex(f"no vertex labeled {label!r}") from None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BipartiteGraph):
@@ -126,28 +137,6 @@ class BipartiteGraph:
     def __repr__(self) -> str:
         return (f"BipartiteGraph(|left|={len(self.left)}, "
                 f"|right|={len(self.right)}, |edges|={len(self.edges)})")
-
-
-class ComponentDecomposition:
-    """Connected components of a graph, each keeping the parent's vertex ids.
-
-    ``to_parent`` maps each component vertex back to the parent graph;
-    because ids are preserved the maps are identities, kept so callers can
-    relabel uniformly.
-    """
-
-    def __init__(self, parent: BipartiteGraph,
-                 components: Sequence[BipartiteGraph]):
-        self.parent = parent
-        self.components = list(components)
-        self.to_parent = [{v: v for v in comp.vertices}
-                          for comp in self.components]
-
-    def __len__(self) -> int:
-        return len(self.components)
-
-    def __iter__(self):
-        return iter(self.components)
 
 
 def build_graph(
@@ -192,10 +181,6 @@ def build_graph(
     return BipartiteGraph(left_ids, right_ids, edge_ids, labels)
 
 
-def neighbors(g: BipartiteGraph, v: int) -> frozenset[int]:
-    return g.neighbors(v)
-
-
 def induced_subgraph(g: BipartiteGraph,
                      vertices: Iterable[int]) -> BipartiteGraph:
     """Subgraph induced by ``vertices``, preserving parent ids and sides."""
@@ -224,7 +209,7 @@ def subgraph_from_edges(g: BipartiteGraph, vertices: Iterable[int],
     return BipartiteGraph(g.left & vset, g.right & vset, eset, g.labels)
 
 
-def connected_components(g: BipartiteGraph) -> ComponentDecomposition:
+def connected_components(g: BipartiteGraph) -> list[BipartiteGraph]:
     """Partition ``g`` into connected components (BFS)."""
     seen: set[int] = set()
     comps = []
@@ -242,22 +227,41 @@ def connected_components(g: BipartiteGraph) -> ComponentDecomposition:
                     seen.add(y)
                     queue.append(y)
         comps.append(induced_subgraph(g, comp))
-    return ComponentDecomposition(g, comps)
+    return comps
 
 
 def procedure_sides(g: BipartiteGraph) -> tuple[frozenset[int], frozenset[int]]:
     """Effective (U, V) sides for Kőnig's procedure, chosen per component.
 
     Within each connected component the smaller of the two sides plays the
-    role of U; ties keep the graph's designated left side.
+    role of U; ties keep the graph's designated left side.  Computed once
+    per graph by a search over the adjacency sets.
     """
-    u_side: set[int] = set()
-    v_side: set[int] = set()
-    for comp in connected_components(g):
-        if len(comp.left) <= len(comp.right):
-            u_side |= comp.left
-            v_side |= comp.right
+    try:
+        return g._sides
+    except AttributeError:
+        pass
+    adjacency = g._adjacency
+    u_side: list[int] = []
+    v_side: list[int] = []
+    seen: set[int] = set()
+    for start in adjacency:
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = [start]
+        for x in comp:  # the list grows while it is walked: a BFS
+            for y in adjacency[x]:
+                if y not in seen:
+                    seen.add(y)
+                    comp.append(y)
+        left = [v for v in comp if v in g.left]
+        right = [v for v in comp if v not in g.left]
+        if len(left) <= len(right):
+            u_side += left
+            v_side += right
         else:
-            u_side |= comp.right
-            v_side |= comp.left
-    return frozenset(u_side), frozenset(v_side)
+            u_side += right
+            v_side += left
+    g._sides = (frozenset(u_side), frozenset(v_side))
+    return g._sides

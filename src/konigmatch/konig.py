@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import NotACover, UnknownVertex
 from .graph import BipartiteGraph, procedure_sides
-from .matching import Matching, _require_same_graph, maximum_matching
+from .matching import Matching, _require_same_graph, matching_number
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def is_minimum_cover(g: BipartiteGraph, s: Iterable[int]) -> bool:
     sset = set(s)
     if not is_vertex_cover(g, sset):
         return False
-    return len(sset) == len(maximum_matching(g))
+    return len(sset) == matching_number(g)
 
 
 def konig_cover(g: BipartiteGraph, m: Matching) -> VertexCover:
@@ -120,5 +120,5 @@ def konig_cover(g: BipartiteGraph, m: Matching) -> VertexCover:
     k = frozenset((u_side - z) | (v_side & z))
     cover = is_vertex_cover(g, k)
     minimal = cover and is_minimal_cover(g, k)
-    minimum = cover and len(k) == len(maximum_matching(g))
+    minimum = cover and len(k) == matching_number(g)
     return VertexCover(k, cover, minimal, minimum)

@@ -126,7 +126,7 @@ class AlternatingPath:
 
 
 def _require_same_graph(g: BipartiteGraph, m: Matching) -> None:
-    if m.graph != g:
+    if m.graph is not g and m.graph != g:
         raise ForeignMatching("matching belongs to a different graph")
 
 
@@ -202,7 +202,8 @@ def maximum_matching(g: BipartiteGraph,
     """Grow ``seed`` (default empty) to a maximum-cardinality matching.
 
     Augments from unsaturated left vertices in ascending id order until
-    no augmenting path remains (Berge's condition).
+    no augmenting path remains (Berge's condition).  Without a seed the
+    result's size is also kept as the graph's ``matching_number``.
     """
     m = seed if seed is not None else Matching(g, ())
     _require_same_graph(g, m)
@@ -214,7 +215,17 @@ def maximum_matching(g: BipartiteGraph,
             if path is not None:
                 m = augment(m, path)
                 improved = True
+    if seed is None:
+        g._nu = len(m)
     return m
+
+
+def matching_number(g: BipartiteGraph) -> int:
+    """ν(G), the size of a maximum matching, computed once per graph."""
+    try:
+        return g._nu
+    except AttributeError:
+        return len(maximum_matching(g))
 
 
 def symmetric_difference(m1: Matching, m2: Matching) -> frozenset[Edge]:

@@ -35,21 +35,6 @@ DEFAULT_PATH_LIMIT = 10 ** 6
 
 
 @dataclass(frozen=True)
-class PathOrder:
-    """Vertex positions along a path, from its first vertex to its last."""
-
-    path: AlternatingPath
-    rank: dict[int, int]
-
-    def __contains__(self, v: int) -> bool:
-        return v in self.rank
-
-
-def path_order(p: AlternatingPath) -> PathOrder:
-    return PathOrder(p, {v: i for i, v in enumerate(p.vertices)})
-
-
-@dataclass(frozen=True)
 class PathStructure:
     """The union of all augmenting paths vertex-wise intersecting a base path.
 

@@ -4,7 +4,7 @@ The cover splits the graph into an *up* part (cover vertices on the V
 side together with the uncovered U vertices), a *down* part (cover
 vertices on the U side together with the uncovered V vertices), and the
 cut edges with both endpoints in the cover.  A saturating matching is
-found on the down part; on the up part a recursive procedure grows a
+found on the down part; on the up part a depth-first procedure grows a
 matching while keeping each visited root unsaturated.  Applying Kőnig's
 procedure to the union reproduces the input cover; this is asserted and
 a violation raises ``RoundTripFailed``.
@@ -99,8 +99,8 @@ def reverse_procedure_up(split: CoverSplit,
     Roots (the uncovered U vertices) are visited in ``visit_order``
     (default ascending id).  From a root ``u``, each unsaturated neighbor
     ``v`` is matched to one of its own unsaturated neighbors ``w`` other
-    than the root, and the walk recurses from ``w``.  Saturation is
-    re-checked immediately before every insertion.
+    than the root, and the walk continues depth-first from ``w``.
+    Saturation is re-checked immediately before every insertion.
     """
     up = split.up
     roots = split.up_roots
@@ -112,23 +112,26 @@ def reverse_procedure_up(split: CoverSplit,
             raise NotMinimumCover(
                 "visit_order must be a permutation of the uncovered U side")
     partner: dict[int, int] = {}
-
-    def extend(u: int, root: int) -> None:
-        for v in sorted(up.neighbors(u)):
-            if v in partner:
-                continue
-            for w in sorted(up.neighbors(v)):
+    for root in order:
+        if root in partner:
+            continue
+        # one iterator over sorted neighbors per vertex on the walk; the
+        # walk resumes a vertex's scan once everything below it is done
+        stack = [iter(sorted(up.neighbors(root)))]
+        while stack:
+            for v in stack[-1]:
                 if v in partner:
-                    break
-                if w == root or w in partner:
+                    continue
+                w = next((w for w in sorted(up.neighbors(v))
+                          if w != root and w not in partner), None)
+                if w is None:
                     continue
                 partner[v] = w
                 partner[w] = v
-                extend(w, root)
-
-    for root in order:
-        if root not in partner:
-            extend(root, root)
+                stack.append(iter(sorted(up.neighbors(w))))
+                break
+            else:
+                stack.pop()
     edges = {(min(a, b), max(a, b)) for a, b in partner.items()}
     return Matching(up, {tuple(up.edge_key(a, b)) for a, b in edges})
 

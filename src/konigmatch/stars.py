@@ -93,6 +93,20 @@ def restrict_cover(ssg: StarStuddedGraph, c) -> frozenset[int]:
     return cset & ssg.base.vertices
 
 
+def reached_minimum_covers(
+    g: BipartiteGraph,
+    budget: OracleBudget | None = None,
+) -> set[frozenset[int]]:
+    """The minimum vertex covers Kőnig's procedure yields from the maximal
+    matchings of ``g``."""
+    reached = set()
+    for m in all_maximal_matchings(g, budget):
+        cover = konig_cover(g, m)
+        if cover.is_minimum:
+            reached.add(cover.vertices)
+    return reached
+
+
 def is_enumeratively_konig_egervary(
     g: BipartiteGraph,
     budget: OracleBudget | None = None,
@@ -100,12 +114,4 @@ def is_enumeratively_konig_egervary(
     """True iff every minimum vertex cover of ``g`` arises from Kőnig's
     procedure applied to some maximal matching."""
     budget = budget or OracleBudget()
-    wanted = all_minimum_covers(g, budget)
-    reached = set()
-    for m in all_maximal_matchings(g, budget):
-        cover = konig_cover(g, m)
-        if cover.is_minimum:
-            reached.add(cover.vertices)
-        if wanted <= reached:
-            return True
-    return wanted <= reached
+    return all_minimum_covers(g, budget) <= reached_minimum_covers(g, budget)

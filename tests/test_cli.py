@@ -1,5 +1,7 @@
 import csv
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -147,3 +149,18 @@ def test_missing_file_is_an_input_error(capsys):
 def test_non_bipartite_input_is_an_input_error(capsys):
     assert run(["match", "--graph", str(FIXTURES / "triangle.edges")]) == 2
     capsys.readouterr()
+
+
+def test_unhashable_label_is_an_input_error(tmp_path, capsys):
+    matching = tmp_path / "matching.json"
+    matching.write_text(json.dumps([[["b1"], "c1"]]))
+    assert run(["cover", "--graph", FORK, "--matching", str(matching)]) == 2
+    assert "no vertex labeled" in capsys.readouterr().err
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    # numpy is needed only to generate the corpus
+    code = "import sys, konigmatch.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout.strip() == "False"

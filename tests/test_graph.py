@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from konigmatch import (
     BipartiteGraph,
@@ -79,6 +80,8 @@ def test_neighbors_and_has_edge(p4):
         p4.side(99)
     with pytest.raises(UnknownVertex):
         p4.vertex_by_label("nope")
+    with pytest.raises(UnknownVertex):
+        p4.vertex_by_label(["1"])  # unhashable, so it names no vertex
 
 
 def test_equality_ignores_labels(p4):
@@ -121,3 +124,29 @@ def test_procedure_sides_chosen_per_component():
     u_side, v_side = procedure_sides(g)
     assert u_side == {0, 4}
     assert v_side == {3, 1, 2}
+
+
+@st.composite
+def graphs(draw):
+    """Small graphs, possibly disconnected, with isolated vertices and
+    with either side the larger."""
+    nl = draw(st.integers(1, 5))
+    nr = draw(st.integers(1, 5))
+    possible = [(i, j) for i in range(nl) for j in range(nr)]
+    edges = draw(st.sets(st.sampled_from(possible)))
+    return build_graph(nl, nr, sorted(edges))
+
+
+@given(graphs())
+def test_procedure_sides_match_the_per_component_definition(g):
+    u_side: set[int] = set()
+    v_side: set[int] = set()
+    for comp in connected_components(g):
+        if len(comp.left) <= len(comp.right):
+            u_side |= comp.left
+            v_side |= comp.right
+        else:
+            u_side |= comp.right
+            v_side |= comp.left
+    assert procedure_sides(g) == (u_side, v_side)
+    assert procedure_sides(g) is procedure_sides(g)  # computed once

@@ -10,6 +10,7 @@ from konigmatch import (
     greedy_maximal_matching,
     is_disjoint_cycle_union,
     is_maximal,
+    matching_number,
     maximum_matching,
     symmetric_difference,
 )
@@ -18,6 +19,7 @@ from konigmatch.errors import (
     InvalidMatching,
     SaturatedStart,
 )
+from konigmatch.oracle import maximum_matching_size_brute_force
 
 from conftest import matching_by_labels
 
@@ -140,3 +142,10 @@ def test_greedy_never_beats_maximum(g, rng):
     assert len(greedy) <= len(maximum_matching(g))
     # a maximal matching is at least half the maximum
     assert 2 * len(greedy) >= len(maximum_matching(g))
+
+
+@given(graphs())
+def test_cached_matching_number_is_the_maximum_matching_size(g):
+    nu = matching_number(g)  # fresh graph: computed here, then cached
+    assert nu == maximum_matching_size_brute_force(g)
+    assert nu == len(maximum_matching(g)) == matching_number(g)

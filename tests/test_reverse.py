@@ -1,6 +1,7 @@
 import pytest
 
 from konigmatch import (
+    build_graph,
     konig_cover,
     maximum_matching,
     reverse_konig,
@@ -83,3 +84,16 @@ def test_round_trip_over_the_small_corpus():
         for cover in all_minimum_covers(g):
             result = reverse_konig(g, cover)
             assert konig_cover(g, result.combined).vertices == cover
+
+
+def test_reverse_walks_a_long_path_without_recursion():
+    # path p0 - p1 - ... - p4999, even positions on the left; with the
+    # right side as the cover, one root's walk runs along the whole path
+    half = 2500
+    edges = [(i, i) for i in range(half)] + \
+        [(i + 1, i) for i in range(half - 1)]
+    g = build_graph(half, half, edges)
+    cover = g.right
+    result = reverse_konig(g, cover)
+    assert len(result.m_up) == half - 1
+    assert konig_cover(g, result.combined).vertices == cover

@@ -9,6 +9,8 @@ from konigmatch import (
     restrict_cover,
     star_stud,
 )
+from konigmatch import oracle, stars, verify
+from konigmatch.corpus import cached_corpus
 from konigmatch.errors import EmptyGraph, NotMinimumCover
 from konigmatch.oracle import (
     OracleBudget,
@@ -84,3 +86,17 @@ def test_path_graph_is_not_enumeratively_reachable(p4):
 
 def test_studded_path_graph_is_enumeratively_reachable(p4):
     assert is_enumeratively_konig_egervary(star_stud(p4).full, BUDGET)
+
+
+def test_star_sweep_enumerates_each_studded_graph_once(monkeypatch):
+    calls = []
+
+    def counting(g, b=None):
+        calls.append(g)
+        return oracle.all_maximal_matchings(g, b)
+
+    for module in (stars, verify):
+        monkeypatch.setattr(module, "all_maximal_matchings", counting)
+    result = verify.sweep_star_studded(3)
+    assert result.ok
+    assert calls == [star_stud(h).full for h in cached_corpus(3)]
