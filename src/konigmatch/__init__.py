@@ -26,7 +26,6 @@ from .matching import (
 )
 from .konig import (
     VertexCover,
-    ZSet,
     is_minimal_cover,
     is_minimum_cover,
     is_vertex_cover,

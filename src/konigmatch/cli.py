@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 
 from . import io as gio
 from .errors import DomainError, InputError
-from .experiments import TrialConfig, run_trials
-from .graph import procedure_sides
-from .konig import is_minimum_cover, konig_cover
-from .matching import greedy_maximal_matching, maximum_matching
+from .experiments import TrialConfig, random_maximal_matching, run_trials
+from .konig import konig_cover
+from .matching import maximum_matching
 from .oracle import (
     OracleBudget,
     all_matchings,
@@ -29,8 +29,6 @@ from .reverse import reverse_konig
 from .stars import star_stud
 from .verify import corpus_verify
 
-import random
-
 
 def _emit(data) -> None:
     json.dump(data, sys.stdout, indent=2, sort_keys=True)
@@ -40,9 +38,7 @@ def _emit(data) -> None:
 def _cmd_match(args) -> int:
     g = gio.load_graph(args.graph)
     if args.maximal:
-        order = sorted(g.edges)
-        random.Random(args.seed).shuffle(order)
-        m = greedy_maximal_matching(g, order)
+        m = random_maximal_matching(g, random.Random(args.seed))
     else:
         m = maximum_matching(g)
     _emit({"matching": gio.matching_to_json(m), "size": len(m)})
@@ -69,8 +65,8 @@ def _cmd_reverse(args) -> int:
     _emit({
         "matching": gio.matching_to_json(result.combined),
         "visit_order": [g.labels[v] for v in result.visit_order],
-        "round_trip_cover": gio.vertex_set_to_json(
-            g, konig_cover(g, result.combined).vertices),
+        # reverse_konig has checked that the procedure gives back ``cover``
+        "round_trip_cover": gio.vertex_set_to_json(g, cover),
         "round_trip_ok": True,
     })
     return 0
@@ -127,9 +123,12 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    cfg = TrialConfig(n_left=args.nl, n_right=args.nr,
-                      edge_probability=args.p, trials=args.trials,
-                      rng_seed=args.seed)
+    try:
+        cfg = TrialConfig(n_left=args.nl, n_right=args.nr,
+                          edge_probability=args.p, trials=args.trials,
+                          rng_seed=args.seed)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     if args.out == "-":
         report = run_trials(cfg, sys.stdout)
     else:
@@ -224,10 +223,7 @@ def run(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

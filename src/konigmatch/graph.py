@@ -35,7 +35,7 @@ class BipartiteGraph:
 
     ``_sides``, ``_nu`` and ``_by_label`` are memo slots, left unset by
     ``__init__`` and filled on first use by ``procedure_sides``,
-    ``matching.maximum_matching`` (unseeded) and ``vertex_by_label``.
+    ``matching.maximum_matching`` and ``vertex_by_label``.
     """
 
     __slots__ = ("left", "right", "edges", "labels", "sides_swapped",

@@ -16,7 +16,7 @@ import json
 from collections import deque
 from collections.abc import Iterable
 
-from .errors import InputError, NotBipartite, UnknownVertex
+from .errors import InputError, NotBipartite
 from .graph import BipartiteGraph, build_graph
 from .matching import Matching
 
@@ -29,18 +29,27 @@ def graph_from_json_dict(data: dict) -> BipartiteGraph:
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed graph JSON: {exc}") from exc
     label_to_index = {}
-    for idx, lab in enumerate(left):
-        label_to_index[lab] = ("left", idx)
-    for idx, lab in enumerate(right):
-        label_to_index[lab] = ("right", idx)
+    try:
+        for idx, lab in enumerate(left):
+            label_to_index[lab] = ("left", idx)
+        for idx, lab in enumerate(right):
+            label_to_index[lab] = ("right", idx)
+    except TypeError:  # a list or object used as a label
+        raise InputError(f"vertex label {lab!r} is not a string or number") \
+            from None
     if len(label_to_index) != len(left) + len(right):
         raise InputError("duplicate vertex labels in graph JSON")
     index_edges = []
-    for a, b in edges:
-        if a not in label_to_index or b not in label_to_index:
-            raise InputError(f"edge ({a!r}, {b!r}) uses unknown labels")
-        sa, ia = label_to_index[a]
-        sb, ib = label_to_index[b]
+    for edge in edges:
+        if len(edge) != 2:
+            raise InputError(f"edge {list(edge)!r} is not a pair of labels")
+        a, b = edge
+        try:
+            sa, ia = label_to_index[a]
+            sb, ib = label_to_index[b]
+        except (KeyError, TypeError):
+            raise InputError(f"edge ({a!r}, {b!r}) uses unknown labels") \
+                from None
         if sa == sb:
             raise InputError(f"edge ({a!r}, {b!r}) joins one side to itself")
         if sa == "left":
@@ -94,14 +103,23 @@ def graph_from_edge_list(text: str) -> BipartiteGraph:
                        left_labels=left, right_labels=right)
 
 
+def _read_text(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def load_graph(path: str) -> BipartiteGraph:
     """Load a graph file, trying JSON first, then the edge-list format."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     try:
         data = json.loads(text)
     except json.JSONDecodeError:
         return graph_from_edge_list(text)
+    except RecursionError:
+        raise InputError("graph JSON is nested too deeply") from None
     if not isinstance(data, dict):
         raise InputError("graph JSON must be an object")
     return graph_from_json_dict(data)
@@ -120,24 +138,23 @@ def matching_from_json(g: BipartiteGraph, data: list) -> Matching:
     for pair in data:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise InputError(f"matching entry {pair!r} is not a pair")
-        try:
-            a = g.vertex_by_label(pair[0])
-            b = g.vertex_by_label(pair[1])
-        except UnknownVertex as exc:
-            raise InputError(str(exc)) from exc
-        edges.append((a, b))
+        edges.append((g.vertex_by_label(pair[0]), g.vertex_by_label(pair[1])))
     return Matching(g, edges)
 
 
-def load_matching(g: BipartiteGraph, path: str) -> Matching:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"malformed matching JSON: {exc}") from exc
+def _load_json_array(path: str, what: str) -> list:
+    """The JSON array in ``path``; ``what`` names the document in errors."""
+    try:
+        data = json.loads(_read_text(path))
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InputError(f"malformed {what} JSON: {exc}") from exc
     if not isinstance(data, list):
-        raise InputError("matching JSON must be an array of edge pairs")
-    return matching_from_json(g, data)
+        raise InputError(f"{what} JSON must be an array")
+    return data
+
+
+def load_matching(g: BipartiteGraph, path: str) -> Matching:
+    return matching_from_json(g, _load_json_array(path, "matching"))
 
 
 def matching_to_json(m: Matching) -> list:
@@ -146,17 +163,8 @@ def matching_to_json(m: Matching) -> list:
 
 
 def load_vertex_set(g: BipartiteGraph, path: str) -> frozenset[int]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"malformed vertex-set JSON: {exc}") from exc
-    if not isinstance(data, list):
-        raise InputError("vertex-set JSON must be an array of labels")
-    try:
-        return frozenset(g.vertex_by_label(lab) for lab in data)
-    except UnknownVertex as exc:
-        raise InputError(str(exc)) from exc
+    data = _load_json_array(path, "vertex-set")
+    return frozenset(g.vertex_by_label(lab) for lab in data)
 
 
 def vertex_set_to_json(g: BipartiteGraph, vertices: Iterable[int]) -> list:

@@ -18,19 +18,6 @@ from .matching import Matching, _require_same_graph, matching_number
 
 
 @dataclass(frozen=True)
-class ZSet:
-    """Vertices reachable by alternating paths from unsaturated U-vertices."""
-
-    vertices: frozenset[int]
-
-    def __contains__(self, v: int) -> bool:
-        return v in self.vertices
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-
-@dataclass(frozen=True)
 class VertexCover:
     """A vertex set with its cover verdicts.
 
@@ -49,8 +36,16 @@ class VertexCover:
         return len(self.vertices)
 
 
-def z_set(g: BipartiteGraph, m: Matching) -> ZSet:
-    """Closure of the unsaturated U-vertices under alternating reachability.
+def _cover_vertices(c: VertexCover | Iterable[int]) -> frozenset[int]:
+    """The vertex set of a ``VertexCover`` or of any iterable of ids."""
+    if isinstance(c, VertexCover):
+        return c.vertices
+    return frozenset(c)
+
+
+def z_set(g: BipartiteGraph, m: Matching) -> frozenset[int]:
+    """Z: the closure of the unsaturated U-vertices under alternating
+    reachability.
 
     From a U-vertex every non-matching edge is followed; from a V-vertex
     only the matching edge (if any).  The result is the fixed point of
@@ -72,7 +67,7 @@ def z_set(g: BipartiteGraph, m: Matching) -> ZSet:
             if p is not None and p not in z:
                 z.add(p)
                 stack.append(p)
-    return ZSet(frozenset(z))
+    return frozenset(z)
 
 
 def is_vertex_cover(g: BipartiteGraph, s: Iterable[int]) -> bool:
@@ -116,7 +111,7 @@ def konig_cover(g: BipartiteGraph, m: Matching) -> VertexCover:
     """
     _require_same_graph(g, m)
     u_side, v_side = procedure_sides(g)
-    z = z_set(g, m).vertices
+    z = z_set(g, m)
     k = frozenset((u_side - z) | (v_side & z))
     cover = is_vertex_cover(g, k)
     minimal = cover and is_minimal_cover(g, k)

@@ -197,16 +197,14 @@ def augment(m: Matching, path: AlternatingPath) -> Matching:
     return Matching(m.graph, m.edges ^ path.edges)
 
 
-def maximum_matching(g: BipartiteGraph,
-                     seed: Matching | None = None) -> Matching:
-    """Grow ``seed`` (default empty) to a maximum-cardinality matching.
+def maximum_matching(g: BipartiteGraph) -> Matching:
+    """Grow the empty matching to a maximum-cardinality matching.
 
     Augments from unsaturated left vertices in ascending id order until
-    no augmenting path remains (Berge's condition).  Without a seed the
-    result's size is also kept as the graph's ``matching_number``.
+    no augmenting path remains (Berge's condition).  The result's size is
+    also kept as the graph's ``matching_number``.
     """
-    m = seed if seed is not None else Matching(g, ())
-    _require_same_graph(g, m)
+    m = Matching(g, ())
     improved = True
     while improved:
         improved = False
@@ -215,8 +213,7 @@ def maximum_matching(g: BipartiteGraph,
             if path is not None:
                 m = augment(m, path)
                 improved = True
-    if seed is None:
-        g._nu = len(m)
+    g._nu = len(m)
     return m
 
 

@@ -22,12 +22,19 @@ from .errors import (
     NotMaximal,
     PathExplosion,
 )
-from .graph import BipartiteGraph, Edge, procedure_sides, subgraph_from_edges
+from .graph import (
+    BipartiteGraph,
+    Edge,
+    induced_subgraph,
+    procedure_sides,
+    subgraph_from_edges,
+)
 from .konig import konig_cover, z_set
 from .matching import (
     AlternatingPath,
     Matching,
     _require_same_graph,
+    augment,
     is_maximal,
 )
 
@@ -193,8 +200,7 @@ def _check_vertices(g: BipartiteGraph, m: Matching, p: AlternatingPath,
                     structure_vertices: set[int]) -> frozenset[int]:
     """The surviving region: structure vertices still reachable by
     alternating paths from unsaturated U-vertices after augmenting p."""
-    augmented = Matching(g, m.edges ^ p.edges)
-    return frozenset(structure_vertices & z_set(g, augmented).vertices)
+    return z_set(g, augment(m, p)) & structure_vertices
 
 
 def _check_cut_vertex(m: Matching, p: AlternatingPath,
@@ -230,10 +236,7 @@ def hat_subgraph(ps: PathStructure) -> BipartiteGraph:
         if bound in q.vertices:
             cut = q.vertices.index(bound)
             selected.update(q.vertices[:cut + 1])
-    vertices = set(ps.subgraph.vertices) - selected
-    edges = {(u, v) for u, v in ps.subgraph.edges
-             if u in vertices and v in vertices}
-    return subgraph_from_edges(ps.subgraph, vertices, edges)
+    return induced_subgraph(ps.subgraph, ps.subgraph.vertices - selected)
 
 
 def check_subgraph(ps: PathStructure) -> BipartiteGraph:
@@ -243,10 +246,7 @@ def check_subgraph(ps: PathStructure) -> BipartiteGraph:
     Everything outside it is consumed by the augmentation; counting the
     unsaturated V-vertices left outside drives the classification.
     """
-    vertices = set(ps.check_vertices)
-    edges = {(u, v) for u, v in ps.subgraph.edges
-             if u in vertices and v in vertices}
-    return subgraph_from_edges(ps.subgraph, vertices, edges)
+    return induced_subgraph(ps.subgraph, ps.check_vertices)
 
 
 def classify_matching(
@@ -284,5 +284,5 @@ def cover_delta_under_augment(
     if not p.augmenting or p.matching != m:
         raise NotAugmenting("path is not augmenting for this matching")
     before = konig_cover(g, m)
-    after = konig_cover(g, Matching(g, m.edges ^ p.edges))
+    after = konig_cover(g, augment(m, p))
     return len(before.vertices) - len(after.vertices)

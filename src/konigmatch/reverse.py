@@ -21,7 +21,7 @@ from .errors import (
     SaturationImpossible,
 )
 from .graph import BipartiteGraph, Edge, induced_subgraph, procedure_sides
-from .konig import VertexCover, is_minimum_cover, konig_cover
+from .konig import VertexCover, _cover_vertices, is_minimum_cover, konig_cover
 from .matching import Matching, maximum_matching
 
 
@@ -29,7 +29,6 @@ from .matching import Matching, maximum_matching
 class CoverSplit:
     """The up/down/cut decomposition induced by a minimum cover."""
 
-    parent: BipartiteGraph
     up: BipartiteGraph
     down: BipartiteGraph
     cut_edges: frozenset[Edge]
@@ -47,12 +46,6 @@ class ReverseResult:
     visit_order: tuple[int, ...]
 
 
-def _cover_vertices(c: VertexCover | Iterable[int]) -> frozenset[int]:
-    if isinstance(c, VertexCover):
-        return c.vertices
-    return frozenset(c)
-
-
 def split_by_cover(g: BipartiteGraph,
                    c: VertexCover | Iterable[int]) -> CoverSplit:
     """Split ``g`` along a minimum cover.
@@ -67,22 +60,19 @@ def split_by_cover(g: BipartiteGraph,
     up = induced_subgraph(g, (v_side & cset) | (u_side - cset))
     down = induced_subgraph(g, (u_side & cset) | (v_side - cset))
     cut = frozenset((u, v) for u, v in g.edges if u in cset and v in cset)
-    return CoverSplit(g, up, down, cut,
-                      up_roots=frozenset(u_side - cset),
-                      down_cover_side=frozenset(u_side & cset))
+    return CoverSplit(up, down, cut,
+                      up_roots=u_side - cset,
+                      down_cover_side=u_side & cset)
 
 
-def saturating_matching_down(split: CoverSplit,
-                             c: VertexCover | Iterable[int]) -> Matching:
+def saturating_matching_down(split: CoverSplit) -> Matching:
     """Matching on the down part saturating every cover vertex of U.
 
     Existence follows from Hall's condition when the cover is minimum;
     failure therefore signals a non-minimum input.
     """
-    cset = _cover_vertices(c)
     m = maximum_matching(split.down)
-    must_saturate = split.down_cover_side & cset
-    missed = [v for v in must_saturate if not m.saturates(v)]
+    missed = [v for v in split.down_cover_side if not m.saturates(v)]
     if missed:
         raise SaturationImpossible(
             f"down part cannot saturate {sorted(missed)}; "
@@ -91,7 +81,6 @@ def saturating_matching_down(split: CoverSplit,
 
 
 def reverse_procedure_up(split: CoverSplit,
-                         c: VertexCover | Iterable[int],
                          visit_order: Sequence[int] | None = None,
                          ) -> Matching:
     """Grow a matching on the up part, keeping each visited root unsaturated.
@@ -132,8 +121,7 @@ def reverse_procedure_up(split: CoverSplit,
                 break
             else:
                 stack.pop()
-    edges = {(min(a, b), max(a, b)) for a, b in partner.items()}
-    return Matching(up, {tuple(up.edge_key(a, b)) for a, b in edges})
+    return Matching(up, partner.items())
 
 
 def reverse_konig(g: BipartiteGraph,
@@ -146,8 +134,8 @@ def reverse_konig(g: BipartiteGraph,
     """
     cset = _cover_vertices(c)
     split = split_by_cover(g, cset)
-    m_down = saturating_matching_down(split, cset)
-    m_up = reverse_procedure_up(split, cset, visit_order)
+    m_down = saturating_matching_down(split)
+    m_up = reverse_procedure_up(split, visit_order)
     combined = Matching(g, m_up.edges | m_down.edges)
     produced = konig_cover(g, combined)
     if produced.vertices != cset:

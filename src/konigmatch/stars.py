@@ -9,11 +9,13 @@ procedure.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import EmptyGraph, NotMinimumCover
 from .graph import BipartiteGraph
-from .konig import is_minimum_cover, konig_cover
+from .konig import _cover_vertices, is_minimum_cover, konig_cover
+from .matching import Matching
 from .oracle import OracleBudget, all_maximal_matchings, all_minimum_covers
 
 
@@ -78,7 +80,7 @@ def lift_cover(ssg: StarStuddedGraph, c) -> frozenset[int]:
 
     The lift adds every star center; no leaf is ever needed.
     """
-    cset = frozenset(getattr(c, "vertices", c))
+    cset = _cover_vertices(c)
     if not is_minimum_cover(ssg.base, cset):
         raise NotMinimumCover("input is not a minimum cover of the base")
     return cset | ssg.centers
@@ -86,7 +88,7 @@ def lift_cover(ssg: StarStuddedGraph, c) -> frozenset[int]:
 
 def restrict_cover(ssg: StarStuddedGraph, c) -> frozenset[int]:
     """Minimum cover of the studded graph → minimum cover of the base."""
-    cset = frozenset(getattr(c, "vertices", c))
+    cset = _cover_vertices(c)
     if not is_minimum_cover(ssg.full, cset):
         raise NotMinimumCover(
             "input is not a minimum cover of the studded graph")
@@ -95,12 +97,12 @@ def restrict_cover(ssg: StarStuddedGraph, c) -> frozenset[int]:
 
 def reached_minimum_covers(
     g: BipartiteGraph,
-    budget: OracleBudget | None = None,
+    matchings: Iterable[Matching],
 ) -> set[frozenset[int]]:
-    """The minimum vertex covers Kőnig's procedure yields from the maximal
-    matchings of ``g``."""
+    """The minimum vertex covers Kőnig's procedure yields from
+    ``matchings``, which are matchings of ``g``."""
     reached = set()
-    for m in all_maximal_matchings(g, budget):
+    for m in matchings:
         cover = konig_cover(g, m)
         if cover.is_minimum:
             reached.add(cover.vertices)
@@ -113,5 +115,5 @@ def is_enumeratively_konig_egervary(
 ) -> bool:
     """True iff every minimum vertex cover of ``g`` arises from Kőnig's
     procedure applied to some maximal matching."""
-    budget = budget or OracleBudget()
-    return all_minimum_covers(g, budget) <= reached_minimum_covers(g, budget)
+    return all_minimum_covers(g, budget) <= reached_minimum_covers(
+        g, all_maximal_matchings(g, budget))

@@ -83,7 +83,7 @@ def test_cover_size_equals_matching_size_on_the_full_corpus():
 
 
 def test_reverse_procedure_round_trips_on_the_full_corpus():
-    _assert_clean(sweep_reverse_round_trip(8, sampled_orders=5))
+    _assert_clean(sweep_reverse_round_trip(8))
 
 
 def test_every_minimum_cover_is_reached_on_the_full_corpus():

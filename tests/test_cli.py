@@ -1,9 +1,12 @@
+import contextlib
 import csv
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from konigmatch.cli import run
 
@@ -164,3 +167,83 @@ def test_importing_the_cli_does_not_load_numpy():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, timeout=60)
     assert done.stdout.strip() == "False"
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+EXPERIMENT = ["experiment", "--nl", "4", "--nr", "4", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv, content", [
+    pytest.param(["match", "--graph"], '{"left": [["a"]], "right": ["b"], '
+                 '"edges": [[["a"], "b"]]}', id="list-label"),
+    pytest.param(["match", "--graph"], '{"left": ["a"], "right": ["b"], '
+                 '"edges": [[["a"], "b"]]}', id="list-endpoint"),
+    pytest.param(["match", "--graph"], '{"left": ["a"], "right": ["b"], '
+                 '"edges": [["a", "b", "a"]]}', id="three-entry-edge"),
+    pytest.param(["match", "--graph"], '{"left": ["a"], "right": ["b"], '
+                 '"edges": [["a"]]}', id="one-entry-edge"),
+    pytest.param(["match", "--graph"], b"\xff\xfe a b\n", id="not-utf8"),
+    pytest.param(["match", "--graph"], DEEP, id="deep-graph"),
+    pytest.param(["cover", "--graph", FORK, "--matching"], DEEP,
+                 id="deep-matching"),
+    pytest.param(["reverse", "--graph", FORK, "--cover"], b"[\xff]",
+                 id="not-utf8-cover"),
+    pytest.param(EXPERIMENT + ["--p", "0.5", "--trials", "0"], None,
+                 id="trials-0"),
+    pytest.param(EXPERIMENT + ["--p", "2", "--trials", "5"], None, id="p-2"),
+    pytest.param(["experiment", "--nl", "0", "--nr", "4", "--p", "0.5",
+                  "--trials", "5"], None, id="nl-0"),
+])
+def test_bad_input_exits_2(argv, content, tmp_path, capsys):
+    if content is not None:
+        path = tmp_path / "input"
+        path.write_bytes(content if isinstance(content, bytes)
+                         else content.encode())
+        argv = argv + [str(path)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+LABELS = st.sampled_from(["a1", "a2", "b1", "c1", "d1", "1", "2", "3", "4"])
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
+    | st.text(max_size=3) | LABELS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12)
+LABEL_LISTS = st.lists(LABELS | JSON, max_size=5)
+GRAPHS = st.fixed_dictionaries({
+    "left": LABEL_LISTS, "right": LABEL_LISTS,
+    "edges": st.lists(st.lists(LABELS | JSON, max_size=3), max_size=6),
+}) | JSON
+PAIRS = st.lists(st.lists(LABELS | JSON, max_size=3) | JSON, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=GRAPHS | st.binary(max_size=40),
+       doc=PAIRS | st.binary(max_size=20),
+       command=st.sampled_from(["match", "maximal", "cover", "reverse",
+                                "classify"]),
+       known_graph=st.booleans())
+def test_malformed_documents_never_raise(tmp_path_factory, graph, doc,
+                                         command, known_graph):
+    workdir = tmp_path_factory.mktemp("fuzz")
+    graph_file = workdir / "graph.json"
+    doc_file = workdir / "doc.json"
+    for path, data in ((graph_file, graph), (doc_file, doc)):
+        if isinstance(data, bytes):
+            path.write_bytes(data)
+        else:
+            path.write_text(json.dumps(data))
+    # half the documents go with a valid graph, so their labels resolve
+    argv = ["--graph", FORK if known_graph else str(graph_file)]
+    argv = {
+        "match": ["match", *argv],
+        "maximal": ["match", *argv, "--maximal", "--seed", "3"],
+        "cover": ["cover", *argv, "--matching", str(doc_file)],
+        "reverse": ["reverse", *argv, "--cover", str(doc_file)],
+        "classify": ["classify", *argv, "--matching", str(doc_file)],
+    }[command]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert run(argv) in (0, 1, 2)

@@ -1,0 +1,37 @@
+"""Every name a module imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import konigmatch
+
+PACKAGE = Path(konigmatch.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in sorted(imported.items())
+            if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_import(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_an_unused_import():
+    source = "import json\nfrom .konig import konig_cover, z_set\nz_set()\n"
+    assert _unused_imports(source) == ["line 1: json",
+                                       "line 2: konig_cover"]

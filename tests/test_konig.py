@@ -29,9 +29,9 @@ def test_z_set_alternating_closure(p4):
     m = matching_by_labels(p4, [("2", "3")])
     # 1 is the only unsaturated U-vertex; it reaches 2, then the matched
     # edge leads to 3, whose non-matching edge reaches 4
-    assert z_set(p4, m).vertices == labeled(p4, "1", "2", "3", "4")
+    assert z_set(p4, m) == labeled(p4, "1", "2", "3", "4")
     m2 = matching_by_labels(p4, [("3", "4")])
-    assert z_set(p4, m2).vertices == labeled(p4, "1", "2")
+    assert z_set(p4, m2) == labeled(p4, "1", "2")
 
 
 def test_z_set_empty_for_perfect_matching(c4):

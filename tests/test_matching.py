@@ -19,7 +19,8 @@ from konigmatch.errors import (
     InvalidMatching,
     SaturatedStart,
 )
-from konigmatch.oracle import maximum_matching_size_brute_force
+from konigmatch.corpus import cached_corpus
+from konigmatch.oracle import all_matchings, maximum_matching_size_brute_force
 
 from conftest import matching_by_labels
 
@@ -107,8 +108,6 @@ def test_augment_rejects_non_augmenting(p4):
 def test_maximum_matching_on_fork(fork):
     m = maximum_matching(fork)
     assert len(m) == 2
-    seeded = maximum_matching(fork, matching_by_labels(fork, [("b1", "c1")]))
-    assert len(seeded) == 2
 
 
 def test_symmetric_difference_requires_same_graph(p4, fork):
@@ -149,3 +148,22 @@ def test_cached_matching_number_is_the_maximum_matching_size(g):
     nu = matching_number(g)  # fresh graph: computed here, then cached
     assert nu == maximum_matching_size_brute_force(g)
     assert nu == len(maximum_matching(g)) == matching_number(g)
+
+
+def test_cycle_differences_join_exactly_the_same_saturated_sets():
+    # the lemma that lets the cycle-fiber sweep pair matchings only within
+    # one saturated set: for distinct matchings, the symmetric difference
+    # is a disjoint union of cycles iff they saturate the same vertices
+    pairs = cycle_pairs = 0
+    for g in cached_corpus(7):
+        matchings = all_matchings(g)
+        saturated = [frozenset(v for e in m.edges for v in e)
+                     for m in matchings]
+        for i, m1 in enumerate(matchings):
+            for j in range(i + 1, len(matchings)):
+                cycles = is_disjoint_cycle_union(
+                    g, symmetric_difference(m1, matchings[j]))
+                assert cycles == (saturated[i] == saturated[j])
+                pairs += 1
+                cycle_pairs += cycles
+    assert (pairs, cycle_pairs) == (23349, 409)

@@ -39,7 +39,7 @@ def test_split_rejects_non_minimum_covers(fork):
 def test_down_part_saturates_the_cover_side(fork):
     cover = labeled(fork, "b1", "c1")
     split = split_by_cover(fork, cover)
-    m_down = saturating_matching_down(split, cover)
+    m_down = saturating_matching_down(split)
     (c1,) = labeled(fork, "c1")
     assert m_down.saturates(c1)
     assert len(m_down) == 1
@@ -48,7 +48,7 @@ def test_down_part_saturates_the_cover_side(fork):
 def test_up_part_keeps_roots_unsaturated(fork):
     cover = labeled(fork, "b1", "c1")
     split = split_by_cover(fork, cover)
-    m_up = reverse_procedure_up(split, cover)
+    m_up = reverse_procedure_up(split)
     # b1 gets matched to a2 (a1, the first root, stays single)
     assert m_up.edges == {tuple(sorted(labeled(fork, "a2", "b1")))}
     # either visit order leads back to the same cover
@@ -61,7 +61,7 @@ def test_visit_order_must_cover_the_roots(fork):
     cover = labeled(fork, "b1", "c1")
     split = split_by_cover(fork, cover)
     with pytest.raises(NotMinimumCover):
-        reverse_procedure_up(split, cover, sorted(labeled(fork, "a1")))
+        reverse_procedure_up(split, sorted(labeled(fork, "a1")))
 
 
 def test_round_trip_on_the_path_graph(p4):
