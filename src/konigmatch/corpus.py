@@ -1,112 +1,95 @@
 """Exhaustive corpus of small connected bipartite graphs.
 
-Graphs are enumerated as edge subsets of complete bipartite graphs and
-deduplicated by a canonical form: the minimum edge bitmask over all
-side-preserving vertex permutations (plus the side swap for balanced
-bipartitions).  The canonicalization is exact for the sizes handled
-here; permutation tables are vectorized with numpy to keep it fast.
-numpy is imported only when a corpus is generated, so commands that
-never build one do not load it.
+With the smaller side on the left (nl ≤ nr vertices), a graph is the
+tuple of its nr right neighbourhoods, each a bitmask over the left side.
+Its edge mask has bit ``i * nr + j`` for edge ``(i, j)``.  Listing the
+neighbourhoods in non-increasing order is the column order with the
+smallest edge mask, so generation walks only non-increasing tuples and
+tries just the nl! left relabelings (plus the side swap when nl == nr).
+A tuple is kept when it covers the left side, is connected, and no
+relabeling gives a smaller edge mask: one representative per
+isomorphism class, the one with the smallest mask.  Sizes above
+``MAX_CORPUS_VERTICES`` are refused.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
-from itertools import permutations
-from typing import TYPE_CHECKING
+from itertools import combinations_with_replacement, permutations
 
+from .errors import BudgetExceeded
 from .graph import BipartiteGraph, build_graph
 
-if TYPE_CHECKING:
-    import numpy as np
+MAX_CORPUS_VERTICES = 10
 
 
-@lru_cache(maxsize=None)
-def _perm_table(nl: int, nr: int) -> np.ndarray:
-    """Edge-index permutations for all row/column relabelings.
-
-    Edge ``(i, j)`` has index ``i * nr + j``; each table row maps old edge
-    indices to new ones under one (row-perm, col-perm) pair.
-    """
-    import numpy as np
-
-    rows = []
-    for pl in permutations(range(nl)):
-        for pr in permutations(range(nr)):
-            rows.append([pl[i] * nr + pr[j]
-                         for i in range(nl) for j in range(nr)])
-    return np.array(rows, dtype=np.int64)
-
-
-@lru_cache(maxsize=None)
-def _transpose_index(n: int) -> np.ndarray:
-    import numpy as np
-
-    return np.array([j * n + i for i in range(n) for j in range(n)],
-                    dtype=np.int64)
+def _is_connected(cols: tuple[int, ...], full: int) -> bool:
+    """Do the neighbourhoods ``cols`` form one component covering ``full``?"""
+    reached, rest = cols[0], cols[1:]
+    while rest:
+        unreached = []
+        for c in rest:
+            if c & reached:
+                reached |= c
+            else:
+                unreached.append(c)
+        if len(unreached) == len(rest):
+            return False
+        rest = unreached
+    return reached == full
 
 
-def _canonical_key(nl: int, nr: int, bits: np.ndarray) -> int:
-    """Minimum bitmask over all relabelings (and side swap when nl == nr)."""
-    import numpy as np
+def _block(nl: int, nr: int) -> list[BipartiteGraph]:
+    """The corpus graphs with nl left and nr right vertices, nl ≤ nr."""
+    full = (1 << nl) - 1
+    # spread[c]: edge bits of the left set c as column 0
+    spread = [sum(1 << i * nr for i in range(nl) if c >> i & 1)
+              for c in range(full + 1)]
+    # relabelings[k][c]: the left set c under the k-th left permutation
+    relabelings = [[sum(1 << p[i] for i in range(nl) if c >> i & 1)
+                    for c in range(full + 1)]
+                   for p in permutations(range(nl))]
 
-    weights = 1 << np.arange(nl * nr, dtype=np.int64)
-    table = _perm_table(nl, nr)
-    best = int(bits[table].dot(weights).min())
-    if nl == nr:
-        swapped = bits[_transpose_index(nl)]
-        best = min(best, int(swapped[table].dot(weights).min()))
-    return best
+    def edge_mask(cols: Sequence[int]) -> int:
+        return sum(spread[c] << j for j, c in enumerate(cols))
 
+    def beaten(cols: tuple[int, ...], mask: int) -> bool:
+        """Does some left relabeling of ``cols`` have a smaller mask?"""
+        return any(edge_mask(sorted(map(r.__getitem__, cols), reverse=True))
+                   < mask for r in relabelings)
 
-def _is_connected(nl: int, nr: int, edge_list: list[tuple[int, int]]) -> bool:
-    n = nl + nr
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    degree = [0] * n
-    for i, j in edge_list:
-        adjacency[i].append(nl + j)
-        adjacency[nl + j].append(i)
-        degree[i] += 1
-        degree[nl + j] += 1
-    if any(d == 0 for d in degree):
-        return False
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in adjacency[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == n
+    found = []
+    for cols in combinations_with_replacement(range(full, 0, -1), nr):
+        if not _is_connected(cols, full):
+            continue
+        mask = edge_mask(cols)
+        if beaten(cols, mask):
+            continue
+        if nl == nr:
+            rows = tuple(sum(1 << j for j, c in enumerate(cols) if c >> i & 1)
+                         for i in range(nl))
+            if beaten(rows, mask):
+                continue
+        found.append((mask, cols))
+    return [build_graph(nl, nr, [(i, j) for j, c in enumerate(cols)
+                                 for i in range(nl) if c >> i & 1])
+            for _, cols in sorted(found)]
 
 
 def connected_bipartite_graphs(max_vertices: int) -> list[BipartiteGraph]:
     """All connected bipartite graphs with 2..max_vertices vertices, one
-    representative per isomorphism class (bipartition swap included)."""
-    import numpy as np
+    representative per isomorphism class (bipartition swap included).
 
-    out: list[BipartiteGraph] = []
-    for nl in range(1, max_vertices):
-        for nr in range(nl, max_vertices - nl + 1):
-            all_edges = [(i, j) for i in range(nl) for j in range(nr)]
-            seen: set[int] = set()
-            for mask in range(1, 1 << len(all_edges)):
-                edge_list = [all_edges[k] for k in range(len(all_edges))
-                             if mask >> k & 1]
-                if len(edge_list) < nl + nr - 1:
-                    continue
-                if not _is_connected(nl, nr, edge_list):
-                    continue
-                bits = np.fromiter(
-                    ((mask >> k) & 1 for k in range(nl * nr)),
-                    dtype=np.int64, count=nl * nr)
-                key = _canonical_key(nl, nr, bits)
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append(build_graph(nl, nr, edge_list))
-    return out
+    Raises ``BudgetExceeded`` above ``MAX_CORPUS_VERTICES``.
+    """
+    if max_vertices > MAX_CORPUS_VERTICES:
+        raise BudgetExceeded(
+            f"max_vertices {max_vertices} exceeds the corpus limit "
+            f"{MAX_CORPUS_VERTICES}")
+    return [g for nl in range(1, max_vertices)
+            for nr in range(nl, max_vertices - nl + 1)
+            for g in _block(nl, nr)]
 
 
 @lru_cache(maxsize=4)

@@ -28,16 +28,16 @@ def graph_from_json_dict(data: dict) -> BipartiteGraph:
         edges = [tuple(e) for e in data["edges"]]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed graph JSON: {exc}") from exc
-    label_to_index = {}
-    try:
-        for idx, lab in enumerate(left):
-            label_to_index[lab] = ("left", idx)
-        for idx, lab in enumerate(right):
-            label_to_index[lab] = ("right", idx)
-    except TypeError:  # a list or object used as a label
-        raise InputError(f"vertex label {lab!r} is not a string or number") \
-            from None
-    if len(label_to_index) != len(left) + len(right):
+    labels = left + right
+    for lab in labels:
+        if not isinstance(lab, (str, int, float)):
+            raise InputError(f"vertex label {lab!r} is not a string or number")
+    # output sorts labels and keys objects by them, where 1 and "1" collide
+    if len({isinstance(lab, str) for lab in labels}) > 1:
+        raise InputError("vertex labels mix strings and numbers")
+    label_to_index = {lab: ("left", idx) for idx, lab in enumerate(left)}
+    label_to_index.update((lab, ("right", idx)) for idx, lab in enumerate(right))
+    if len(label_to_index) != len(labels):
         raise InputError("duplicate vertex labels in graph JSON")
     index_edges = []
     for edge in edges:

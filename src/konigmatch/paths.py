@@ -81,38 +81,43 @@ def enumerate_augmenting_paths(
 ) -> list[AlternatingPath]:
     """All simple augmenting paths starting at unsaturated U-vertices.
 
-    Depth-first with per-path visited sets; results are deduplicated and
-    returned in lexicographic vertex-sequence order.  More than ``limit``
-    paths raises ``PathExplosion``.
+    Depth-first with an explicit stack, so long paths need no recursion;
+    results are deduplicated and returned in lexicographic vertex-sequence
+    order.  More than ``limit`` paths raises ``PathExplosion``.
     """
     _require_same_graph(g, m)
     if limit <= 0:
         raise PathExplosion("limit must be positive")
     u_side, _ = procedure_sides(g)
     found: list[tuple[int, ...]] = []
-
-    def walk(path: list[int], on_path: set[int]) -> None:
-        x = path[-1]
-        for y in sorted(g.neighbors(x)):
-            if y in on_path or (x, y) in m:
-                continue
-            if not m.saturates(y):
-                found.append(tuple(path) + (y,))
-                if len(found) > limit:
-                    raise PathExplosion(
-                        f"more than {limit} augmenting paths")
-                continue
-            z = m.partner(y)
-            if z in on_path:
-                continue
-            path.extend((y, z))
-            on_path.update((y, z))
-            walk(path, on_path)
-            del path[-2:]
-            on_path.difference_update((y, z))
-
     for u in m.unsaturated(u_side):
-        walk([u], {u})
+        path = [u]
+        on_path = {u}
+        # one iterator over the sorted neighbours of each U-vertex on path
+        stack = [iter(sorted(g.neighbors(u)))]
+        while stack:
+            for y in stack[-1]:
+                # the matched edge at path[-1] leads back to path[-2]
+                if y in on_path:
+                    continue
+                z = m.partner(y)
+                if z is None:
+                    found.append((*path, y))
+                    if len(found) > limit:
+                        raise PathExplosion(
+                            f"more than {limit} augmenting paths")
+                    continue
+                if z in on_path:
+                    continue
+                path += (y, z)
+                on_path.update((y, z))
+                stack.append(iter(sorted(g.neighbors(z))))
+                break
+            else:
+                stack.pop()
+                if stack:
+                    on_path.difference_update(path[-2:])
+                    del path[-2:]
     return [AlternatingPath(vs, m) for vs in sorted(set(found))]
 
 

@@ -14,7 +14,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .corpus import cached_corpus
-from .errors import BudgetExceeded
 from .graph import BipartiteGraph, procedure_sides
 from .konig import konig_cover
 from .matching import (
@@ -317,11 +316,8 @@ ALL_SWEEPS = [
 
 def corpus_verify(max_vertices: int = 8,
                   include_stars: bool = True) -> list[SweepResult]:
-    """Run every sweep; raises ``BudgetExceeded`` for oversized requests."""
-    limit = OracleBudget().max_vertices
-    if max_vertices > limit:
-        raise BudgetExceeded(
-            f"max_vertices {max_vertices} exceeds oracle budget {limit}")
+    """Run every sweep; the corpus raises ``BudgetExceeded`` above
+    ``MAX_CORPUS_VERTICES`` before any sweep starts."""
     results = [sweep(max_vertices) for sweep in ALL_SWEEPS]
     if include_stars:
         results.append(sweep_star_studded(min(max_vertices, 6)))

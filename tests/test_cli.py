@@ -136,6 +136,8 @@ def test_experiment_writes_csv(tmp_path, capsys):
 def test_corpus_verify_rejects_oversized_requests(capsys):
     assert run(["corpus-verify", "--max-vertices", "40"]) == 1
     assert "error:" in capsys.readouterr().err
+    assert run(["corpus-verify", "--max-vertices", "11"]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_corpus_verify_small(capsys):
@@ -162,8 +164,9 @@ def test_unhashable_label_is_an_input_error(tmp_path, capsys):
 
 
 def test_importing_the_cli_does_not_load_numpy():
-    # numpy is needed only to generate the corpus
-    code = "import sys, konigmatch.cli; print('numpy' in sys.modules)"
+    # the package is stdlib-only: neither the CLI nor the corpus loads numpy
+    code = ("import sys, konigmatch.cli, konigmatch.corpus; "
+            "konigmatch.corpus.cached_corpus(6); print('numpy' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, timeout=60)
     assert done.stdout.strip() == "False"
@@ -188,6 +191,8 @@ EXPERIMENT = ["experiment", "--nl", "4", "--nr", "4", "--seed", "1"]
                  id="deep-matching"),
     pytest.param(["reverse", "--graph", FORK, "--cover"], b"[\xff]",
                  id="not-utf8-cover"),
+    pytest.param(["starstud", "--graph"], '{"left": [1], "right": ["b"], '
+                 '"edges": [[1, "b"]]}', id="mixed-labels"),
     pytest.param(EXPERIMENT + ["--p", "0.5", "--trials", "0"], None,
                  id="trials-0"),
     pytest.param(EXPERIMENT + ["--p", "2", "--trials", "5"], None, id="p-2"),
@@ -223,7 +228,7 @@ PAIRS = st.lists(st.lists(LABELS | JSON, max_size=3) | JSON, max_size=4)
 @given(graph=GRAPHS | st.binary(max_size=40),
        doc=PAIRS | st.binary(max_size=20),
        command=st.sampled_from(["match", "maximal", "cover", "reverse",
-                                "classify"]),
+                                "classify", "starstud", "enumerate"]),
        known_graph=st.booleans())
 def test_malformed_documents_never_raise(tmp_path_factory, graph, doc,
                                          command, known_graph):
@@ -243,6 +248,8 @@ def test_malformed_documents_never_raise(tmp_path_factory, graph, doc,
         "cover": ["cover", *argv, "--matching", str(doc_file)],
         "reverse": ["reverse", *argv, "--cover", str(doc_file)],
         "classify": ["classify", *argv, "--matching", str(doc_file)],
+        "starstud": ["starstud", *argv],
+        "enumerate": ["enumerate", *argv, "--oracle", "min-covers"],
     }[command]
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):

@@ -1,3 +1,7 @@
+from collections import Counter
+
+import pytest
+
 from konigmatch.corpus import cached_corpus, connected_bipartite_graphs
 from konigmatch.graph import build_graph, connected_components
 
@@ -45,3 +49,24 @@ def test_canonicalization_collapses_relabelings():
 
 def test_cache_returns_the_same_tuple():
     assert cached_corpus(5) is cached_corpus(5)
+
+
+def test_counts_per_size_match_oeis_a005142():
+    # connected bipartite graphs on n nodes, n = 2..9 (4032 follow at 10)
+    sizes = Counter(len(g.vertices) for g in connected_bipartite_graphs(9))
+    assert [sizes[n] for n in range(2, 10)] == [1, 1, 3, 5, 17, 44, 182, 730]
+
+
+def test_the_graph_atlas_matches_the_seven_vertex_corpus():
+    nx = pytest.importorskip("networkx")
+    ours = []
+    for g in cached_corpus(7):
+        h = nx.Graph()
+        h.add_nodes_from(g.vertices)
+        h.add_edges_from(g.edges)
+        ours.append(h)
+    atlas = [h for h in nx.graph_atlas_g()
+             if 2 <= len(h) <= 7 and nx.is_connected(h) and nx.is_bipartite(h)]
+    assert len(atlas) == len(ours) == 71
+    for h in atlas:
+        assert sum(nx.is_isomorphic(h, g) for g in ours) == 1

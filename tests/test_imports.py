@@ -1,6 +1,8 @@
-"""Every name a module imports is used in that module."""
+"""Every name a module imports is used in that module, and the package
+imports nothing outside the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,3 +37,26 @@ def test_the_check_sees_an_unused_import():
     source = "import json\nfrom .konig import konig_cover, z_set\nz_set()\n"
     assert _unused_imports(source) == ["line 1: json",
                                        "line 2: konig_cover"]
+
+
+def _non_stdlib_imports(source: str) -> list[str]:
+    modules = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.append(node.module)
+    return sorted(name for name in modules
+                  if name.split(".")[0] not in sys.stdlib_module_names)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_imports_only_the_standard_library(path):
+    assert _non_stdlib_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_a_third_party_import():
+    source = ("import json, numpy as np\nfrom .graph import build_graph\n"
+              "def f():\n    from networkx.algorithms import bipartite\n")
+    assert _non_stdlib_imports(source) == ["networkx.algorithms", "numpy"]

@@ -161,3 +161,27 @@ def test_augmentation_can_flip_the_whole_cover():
     assert p.augmenting
     assert konig_cover(g, m).vertices == g.right
     assert konig_cover(g, Matching(g, m.edges ^ p.edges)).vertices == g.left
+
+
+def test_a_5000_vertex_augmenting_path_needs_no_recursion():
+    # path a0 - b0 - a1 - b1 - ... - b2499 with b_i matched to a_{i+1}:
+    # the one augmenting path runs through all 5000 vertices
+    half = 2500
+    g = build_graph(half, half, [(i, i) for i in range(half)]
+                    + [(i + 1, i) for i in range(half - 1)])
+    m = Matching(g, [(i + 1, half + i) for i in range(half - 1)])
+    (p,) = enumerate_augmenting_paths(g, m)
+    assert p.vertices == tuple(v for i in range(half) for v in (i, half + i))
+    assert classify_matching(g, m).is_minimum
+
+
+@pytest.mark.xfail(strict=True, reason="known defect, see the FOUND line on "
+                   "classify_matching in CHANGES.md")
+def test_classification_on_the_smallest_nine_vertex_counterexample():
+    # m is maximal and Kőnig's cover {4, ..., 8} has 5 vertices, against
+    # ν = 4; each of the four augmenting paths strands one unsaturated
+    # V-vertex, so no single augmentation shrinks the cover, two do
+    g = build_graph(4, 5, [(0, 0), (0, 2), (0, 3), (1, 1), (1, 2), (1, 4),
+                           (2, 3), (3, 4)])
+    m = Matching(g, [(0, 7), (1, 8)])
+    assert classify_matching(g, m).is_minimum == konig_cover(g, m).is_minimum
