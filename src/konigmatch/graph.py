@@ -196,19 +196,6 @@ def induced_subgraph(g: BipartiteGraph,
     )
 
 
-def subgraph_from_edges(g: BipartiteGraph, vertices: Iterable[int],
-                        edges: Iterable[Edge]) -> BipartiteGraph:
-    """Non-induced subgraph on the given vertices and edges of ``g``."""
-    vset = set(vertices)
-    eset = {g.edge_key(a, b) for a, b in edges}
-    for u, v in eset:
-        if u not in vset or v not in vset:
-            raise UnknownVertex(f"edge ({u}, {v}) leaves the vertex set")
-        if (u, v) not in g.edges:
-            raise UnknownVertex(f"edge ({u}, {v}) not in parent graph")
-    return BipartiteGraph(g.left & vset, g.right & vset, eset, g.labels)
-
-
 def connected_components(g: BipartiteGraph) -> list[BipartiteGraph]:
     """Partition ``g`` into connected components (BFS)."""
     seen: set[int] = set()

@@ -75,10 +75,11 @@ class AlternatingPath:
     """A simple path whose edges strictly alternate in/out of a matching.
 
     ``augmenting`` is true exactly when the path has an even number of
-    vertices and both endpoints are unsaturated.
+    vertices and both endpoints are unsaturated.  ``edges`` holds the
+    path's edges in the stored ``(left, right)`` order.
     """
 
-    __slots__ = ("vertices", "matching", "augmenting")
+    __slots__ = ("vertices", "matching", "augmenting", "edges")
 
     def __init__(self, vertices: Sequence[int], matching: Matching):
         g = matching.graph
@@ -87,11 +88,13 @@ class AlternatingPath:
             raise InvalidMatching("a path needs at least two vertices")
         if len(set(verts)) != len(verts):
             raise InvalidMatching("path vertices must be distinct")
-        in_matching = []
+        keys = []
         for a, b in zip(verts, verts[1:]):
-            if not g.has_edge(a, b):
+            e = g.edge_key(a, b)
+            if e not in g.edges:
                 raise InvalidMatching(f"({a}, {b}) is not an edge")
-            in_matching.append((a, b) in matching)
+            keys.append(e)
+        in_matching = [e in matching.edges for e in keys]
         for prev, cur in zip(in_matching, in_matching[1:]):
             if prev == cur:
                 raise InvalidMatching("path does not alternate")
@@ -102,12 +105,7 @@ class AlternatingPath:
             and not matching.saturates(verts[0])
             and not matching.saturates(verts[-1])
         )
-
-    @property
-    def edges(self) -> frozenset[Edge]:
-        g = self.matching.graph
-        return frozenset(g.edge_key(a, b)
-                         for a, b in zip(self.vertices, self.vertices[1:]))
+        self.edges = frozenset(keys)
 
     def __len__(self) -> int:
         return len(self.vertices)

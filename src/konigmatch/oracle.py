@@ -12,7 +12,7 @@ from itertools import combinations
 
 from .errors import BudgetExceeded
 from .graph import BipartiteGraph
-from .matching import Matching, is_maximal
+from .matching import Matching
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,8 @@ def all_maximal_matchings(g: BipartiteGraph,
 
     Same subset recursion as ``all_matchings`` but a branch that leaves
     an edge addable forever is pruned early, which keeps star-studded
-    graphs tractable; a final maximality check filters the rest.
+    graphs tractable; at each leaf a maximality check on the chosen
+    endpoints filters the rest.
     """
     b = b or OracleBudget()
     _check_vertex_budget(g, b)
@@ -145,9 +146,8 @@ def all_maximal_matchings(g: BipartiteGraph,
         if steps > 64 * b.max_subsets:
             raise BudgetExceeded("maximal-matching enumeration exceeded budget")
         if i == len(edges):
-            m = Matching(g, chosen)
-            if is_maximal(g, m):
-                results.append(m)
+            if all(u in used or v in used for u, v in edges):
+                results.append(Matching(g, chosen))
             return
         u, v = edges[i]
         free = u not in used and v not in used

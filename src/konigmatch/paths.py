@@ -10,6 +10,9 @@ augmented.  A maximal matching maps to a minimum vertex cover exactly
 when no structure minus its check part retains two unsaturated
 V-vertices; equivalently, no single augmentation strands a second
 endpoint.
+
+The augmenting paths of a matching are enumerated once, by the caller
+of ``path_structure``, and every structure is built from that one list.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .graph import (
     Edge,
     induced_subgraph,
     procedure_sides,
-    subgraph_from_edges,
 )
 from .konig import konig_cover, z_set
 from .matching import (
@@ -125,24 +127,19 @@ def path_structure(
     g: BipartiteGraph,
     m: Matching,
     p: AlternatingPath,
-    limit: int = DEFAULT_PATH_LIMIT,
+    paths: Sequence[AlternatingPath],
 ) -> PathStructure:
     """Build the structure graph of ``p``: the union of every augmenting
-    path sharing at least one vertex with it (including ``p`` itself)."""
+    path sharing at least one vertex with it (including ``p`` itself).
+
+    ``paths`` is ``enumerate_augmenting_paths(g, m)``, enumerated once by
+    the caller and shared by the structures of all its paths.
+    """
     _require_same_graph(g, m)
     if not p.augmenting or p.matching != m:
         raise NotAugmenting("base path is not augmenting for this matching")
-    return _structure_from_paths(g, m, p, enumerate_augmenting_paths(g, m, limit))
-
-
-def _structure_from_paths(
-    g: BipartiteGraph,
-    m: Matching,
-    p: AlternatingPath,
-    all_paths: Sequence[AlternatingPath],
-) -> PathStructure:
     p_vertices = set(p.vertices)
-    family = [q for q in all_paths if p_vertices & set(q.vertices)]
+    family = [q for q in paths if not p_vertices.isdisjoint(q.vertices)]
     if p not in family:
         raise NotAugmenting("base path is not a path of this matching")
     vertices: set[int] = set()
@@ -150,7 +147,9 @@ def _structure_from_paths(
     for q in family:
         vertices.update(q.vertices)
         edges.update(q.edges)
-    sub = subgraph_from_edges(g, vertices, edges)
+    # the edges come from validated paths, so no check against g is needed
+    sub = BipartiteGraph(g.left & vertices, g.right & vertices, edges,
+                         g.labels)
     hat_v = _hat_cut_vertex(p, family)
     check_set = _check_vertices(g, m, p, vertices)
     check_u = _check_cut_vertex(m, p, vertices, check_set)
@@ -270,7 +269,7 @@ def classify_matching(
     _, v_side = procedure_sides(g)
     paths = enumerate_augmenting_paths(g, m, limit)
     for p in paths:
-        ps = _structure_from_paths(g, m, p, paths)
+        ps = path_structure(g, m, p, paths)
         outside = set(ps.subgraph.vertices) - ps.check_vertices
         unsat = frozenset(v for v in outside & v_side
                           if not m.saturates(v))

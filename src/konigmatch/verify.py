@@ -207,7 +207,7 @@ def sweep_path_structure_properties(max_vertices: int = 8) -> SweepResult:
                     return (f"{_describe(g)} {sorted(m.edges)} "
                             f"p={list(p.vertices)}")
 
-                ps = path_structure(g, m, p)
+                ps = path_structure(g, m, p, paths)
                 structure = ps.subgraph.vertices
                 k_after = konig_cover(g, augment(m, p)).vertices
                 # localization: outside the structure, membership of a

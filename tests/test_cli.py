@@ -209,7 +209,9 @@ def test_bad_input_exits_2(argv, content, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-LABELS = st.sampled_from(["a1", "a2", "b1", "c1", "d1", "1", "2", "3", "4"])
+# numbers as well as strings, so some well-formed graphs mix the two
+LABELS = st.sampled_from(["a1", "a2", "b1", "c1", "d1", "1", "2", "3", "4",
+                          1, 2, 3, 4])
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
     | st.text(max_size=3) | LABELS,
@@ -217,7 +219,20 @@ JSON = st.recursive(
     | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=12)
 LABEL_LISTS = st.lists(LABELS | JSON, max_size=5)
-GRAPHS = st.fixed_dictionaries({
+
+
+@st.composite
+def well_formed_graphs(draw):
+    labels = draw(st.lists(LABELS, min_size=2, max_size=6, unique=True))
+    cut = draw(st.integers(1, len(labels) - 1))
+    left, right = labels[:cut], labels[cut:]
+    edges = draw(st.lists(st.tuples(st.sampled_from(left),
+                                    st.sampled_from(right)).map(list),
+                          max_size=6))
+    return {"left": left, "right": right, "edges": edges}
+
+
+GRAPHS = well_formed_graphs() | st.fixed_dictionaries({
     "left": LABEL_LISTS, "right": LABEL_LISTS,
     "edges": st.lists(st.lists(LABELS | JSON, max_size=3), max_size=6),
 }) | JSON

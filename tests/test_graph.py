@@ -14,7 +14,6 @@ from konigmatch.errors import (
     SameSideEdge,
     UnknownVertex,
 )
-from konigmatch.graph import subgraph_from_edges
 
 from conftest import labeled
 
@@ -99,16 +98,6 @@ def test_induced_subgraph_keeps_parent_ids(p4):
     assert sub.labels[p4.vertex_by_label("3")] == "3"
     with pytest.raises(UnknownVertex):
         induced_subgraph(p4, {0, 99})
-
-
-def test_subgraph_from_edges_is_not_induced(p4):
-    sub = subgraph_from_edges(p4, p4.vertices, [(1, 2)])
-    assert sub.vertices == p4.vertices
-    assert sub.edges == {(1, 2)}
-    with pytest.raises(UnknownVertex):
-        subgraph_from_edges(p4, {0, 2}, [(1, 2)])
-    with pytest.raises(UnknownVertex):
-        subgraph_from_edges(p4, p4.vertices, [(0, 3)])  # not a parent edge
 
 
 def test_connected_components_partition():

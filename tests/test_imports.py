@@ -1,5 +1,5 @@
-"""Every name a module imports is used in that module, and the package
-imports nothing outside the standard library."""
+"""Every name a module or test file imports is used in it, and the
+package imports nothing outside the standard library."""
 
 import ast
 import sys
@@ -11,6 +11,7 @@ import konigmatch
 
 PACKAGE = Path(konigmatch.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_FILES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -28,7 +29,7 @@ def _unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_FILES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -1,7 +1,6 @@
 import pytest
 
 from konigmatch import (
-    Matching,
     build_graph,
     hall_condition,
     is_maximal,

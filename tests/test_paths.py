@@ -13,7 +13,10 @@ from konigmatch import (
     meet_join,
     path_structure,
 )
+from konigmatch import verify
+from konigmatch.corpus import cached_corpus
 from konigmatch.errors import NotAugmenting, NotMaximal, PathExplosion
+from konigmatch.oracle import all_maximal_matchings
 
 from conftest import labeled, matching_by_labels
 
@@ -47,7 +50,7 @@ def test_enumeration_limit(fork, fork_matching):
 def test_fork_structure_pins(fork, fork_matching):
     paths = enumerate_augmenting_paths(fork, fork_matching)
     p = paths[0]  # a1-b1-c1-d1
-    ps = path_structure(fork, fork_matching, p)
+    ps = path_structure(fork, fork_matching, p, paths)
     assert len(ps.family) == 6  # every path meets p at b1 or c1
     assert ps.subgraph.vertices == fork.vertices
     assert ps.hat_cut_vertex == fork.vertex_by_label("b1")
@@ -57,7 +60,7 @@ def test_fork_structure_pins(fork, fork_matching):
 
 def test_fork_hat_and_check_subgraphs(fork, fork_matching):
     paths = enumerate_augmenting_paths(fork, fork_matching)
-    ps = path_structure(fork, fork_matching, paths[0])
+    ps = path_structure(fork, fork_matching, paths[0], paths)
     hat = hat_subgraph(ps)
     assert hat.vertices == labeled(fork, "c1", "d1", "d2", "d3")
     check = check_subgraph(ps)
@@ -68,7 +71,7 @@ def test_fork_hat_and_check_subgraphs(fork, fork_matching):
 def test_structure_without_second_root_keeps_everything(p4):
     m = matching_by_labels(p4, [("2", "3")])
     (p,) = enumerate_augmenting_paths(p4, m)
-    ps = path_structure(p4, m, p)
+    ps = path_structure(p4, m, p, [p])
     assert ps.hat_cut_vertex is None
     assert hat_subgraph(ps) == ps.subgraph
 
@@ -76,11 +79,42 @@ def test_structure_without_second_root_keeps_everything(p4):
 def test_path_structure_rejects_foreign_paths(fork, fork_matching, p4):
     m = matching_by_labels(p4, [("2", "3")])
     (p,) = enumerate_augmenting_paths(p4, m)
+    paths = enumerate_augmenting_paths(fork, fork_matching)
     with pytest.raises(NotAugmenting):
-        path_structure(fork, fork_matching, p)
+        path_structure(fork, fork_matching, p, paths)
     not_augmenting = AlternatingPath((0, 3), fork_matching)  # a1-b1
     with pytest.raises(NotAugmenting):
-        path_structure(fork, fork_matching, not_augmenting)
+        path_structure(fork, fork_matching, not_augmenting, paths)
+
+
+def test_path_structure_rejects_a_path_missing_from_the_list(fork,
+                                                             fork_matching):
+    paths = enumerate_augmenting_paths(fork, fork_matching)
+    # the reversed path is augmenting too, but starts on the V side
+    reversed_path = AlternatingPath(paths[0].vertices[::-1], fork_matching)
+    assert reversed_path.augmenting
+    with pytest.raises(NotAugmenting):
+        path_structure(fork, fork_matching, reversed_path, paths)
+
+
+@pytest.mark.parametrize("sweep", [verify.sweep_path_structure_properties,
+                                   verify.sweep_classification],
+                         ids=lambda sweep: sweep.__name__)
+def test_sweep_enumerates_augmenting_paths_once_per_matching(monkeypatch,
+                                                             sweep):
+    calls = []
+
+    def recording(g, m, *limit):
+        calls.append(m)
+        return enumerate_augmenting_paths(g, m, *limit)
+
+    for module in ("paths", "verify"):
+        monkeypatch.setattr(f"konigmatch.{module}.enumerate_augmenting_paths",
+                            recording)
+    assert sweep(6).ok
+    assert calls == [m for g in cached_corpus(6)
+                     for m in all_maximal_matchings(g)]
+    assert len(calls) == 127
 
 
 def test_meet_join_on_the_fork(fork, fork_matching):
