@@ -30,6 +30,7 @@ from .konig import (
     is_minimum_cover,
     is_vertex_cover,
     konig_cover,
+    konig_vertices,
     z_set,
 )
 from .reverse import (

@@ -54,30 +54,33 @@ class BipartiteGraph:
         if left_set & right_set:
             raise DuplicateVertex(
                 f"vertices on both sides: {sorted(left_set & right_set)}")
-        normalized = set()
+        vertices = left_set | right_set
+        adjacency: dict[int, set[int]] = {v: set() for v in vertices}
+        normalized = []
         for a, b in edges:
-            if a in left_set and b in right_set:
-                normalized.add((a, b))
-            elif b in left_set and a in right_set:
-                normalized.add((b, a))
-            elif a in left_set and b in left_set or (
-                    a in right_set and b in right_set):
-                raise SameSideEdge(f"edge ({a}, {b}) joins one side to itself")
-            else:
+            if b in left_set and a in right_set:
+                a, b = b, a
+            elif a not in left_set or b not in right_set:
+                if a in left_set and b in left_set or (
+                        a in right_set and b in right_set):
+                    raise SameSideEdge(
+                        f"edge ({a}, {b}) joins one side to itself")
                 raise UnknownVertex(f"edge ({a}, {b}) uses unknown vertices")
+            normalized.append((a, b))
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+        # frozen one set at a time, so the two copies never coexist
+        for v, ns in adjacency.items():
+            adjacency[v] = frozenset(ns)
         self.left = left_set
         self.right = right_set
         self.edges = frozenset(normalized)
         if labels is None:
-            self.labels = {v: str(v) for v in left_set | right_set}
+            self.labels = {v: str(v) for v in vertices}
         else:
-            self.labels = {v: labels[v] for v in left_set | right_set}
+            self.labels = {v: labels[v] for v in vertices}
         self.sides_swapped = sides_swapped
-        adjacency: dict[int, set[int]] = {v: set() for v in left_set | right_set}
-        for u, v in self.edges:
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-        self._adjacency = {v: frozenset(ns) for v, ns in adjacency.items()}
+        self._adjacency = adjacency
         self._hash = hash((self.left, self.right, self.edges))
 
     # -- basic queries -------------------------------------------------
@@ -156,13 +159,13 @@ def build_graph(
     """
     if left_count < 0 or right_count < 0:
         raise IndexOutOfRange("vertex counts must be non-negative")
-    edge_ids = set()
+    edge_ids = []
     for i, j in edges:
         if not (0 <= i < left_count):
             raise IndexOutOfRange(f"left index {i} out of range")
         if not (0 <= j < right_count):
             raise IndexOutOfRange(f"right index {j} out of range")
-        edge_ids.add((i, left_count + j))
+        edge_ids.append((i, left_count + j))
     if left_labels is None:
         left_labels = [f"u{i}" for i in range(left_count)]
     if right_labels is None:

@@ -25,7 +25,7 @@ def graph_from_json_dict(data: dict) -> BipartiteGraph:
     try:
         left = list(data["left"])
         right = list(data["right"])
-        edges = [tuple(e) for e in data["edges"]]
+        edges = iter(data["edges"])
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed graph JSON: {exc}") from exc
     labels = left + right
@@ -41,6 +41,10 @@ def graph_from_json_dict(data: dict) -> BipartiteGraph:
         raise InputError("duplicate vertex labels in graph JSON")
     index_edges = []
     for edge in edges:
+        try:
+            edge = tuple(edge)
+        except TypeError as exc:
+            raise InputError(f"malformed graph JSON: {exc}") from exc
         if len(edge) != 2:
             raise InputError(f"edge {list(edge)!r} is not a pair of labels")
         a, b = edge

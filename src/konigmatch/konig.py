@@ -3,8 +3,8 @@ vertex set (U \\ Z) ∪ (V ∩ Z), and cover/minimal/minimum verdicts.
 
 The procedure's U side is chosen per connected component (the smaller
 side of each component, ties keeping the designated left side).  The
-formula is evaluated for arbitrary matchings; whether the result is a
-cover at all is reported honestly rather than assumed.
+formula is evaluated for arbitrary matchings; its result always covers,
+since N(Z ∩ U) ⊆ Z, and the cover verdict checks this, not assumes it.
 """
 
 from __future__ import annotations
@@ -48,25 +48,23 @@ def z_set(g: BipartiteGraph, m: Matching) -> frozenset[int]:
     reachability.
 
     From a U-vertex every non-matching edge is followed; from a V-vertex
-    only the matching edge (if any).  The result is the fixed point of
-    these rules.
+    only the matching edge (if any).  A U-vertex in Z is unsaturated or
+    was reached from its partner, so the walk follows all its edges.
     """
     _require_same_graph(g, m)
     u_side, _ = procedure_sides(g)
-    z: set[int] = {u for u in u_side if not m.saturates(u)}
-    stack = list(z)
+    adjacency = g._adjacency
+    partner = m._partner
+    stack = [u for u in u_side if u not in partner]
+    z = set(stack)
     while stack:
-        x = stack.pop()
-        if x in u_side:
-            for y in g.neighbors(x):
-                if (x, y) not in m and y not in z:
-                    z.add(y)
-                    stack.append(y)
-        else:
-            p = m.partner(x)
-            if p is not None and p not in z:
-                z.add(p)
-                stack.append(p)
+        for y in adjacency[stack.pop()]:
+            if y not in z:
+                z.add(y)
+                x = partner.get(y)
+                if x is not None:
+                    z.add(x)
+                    stack.append(x)
     return frozenset(z)
 
 
@@ -102,6 +100,11 @@ def is_minimum_cover(g: BipartiteGraph, s: Iterable[int]) -> bool:
     return len(sset) == matching_number(g)
 
 
+def konig_vertices(g: BipartiteGraph, m: Matching) -> frozenset[int]:
+    """K(M) = (U \\ Z) ∪ (V ∩ Z) = U △ Z, without the verdicts."""
+    return procedure_sides(g)[0] ^ z_set(g, m)
+
+
 def konig_cover(g: BipartiteGraph, m: Matching) -> VertexCover:
     """Apply Kőnig's procedure to ``m`` and report what the result is.
 
@@ -109,11 +112,11 @@ def konig_cover(g: BipartiteGraph, m: Matching) -> VertexCover:
     non-maximum matchings the result may fail to be minimum; the verdict
     fields record exactly what holds.
     """
-    _require_same_graph(g, m)
-    u_side, v_side = procedure_sides(g)
-    z = z_set(g, m)
-    k = frozenset((u_side - z) | (v_side & z))
-    cover = is_vertex_cover(g, k)
-    minimal = cover and is_minimal_cover(g, k)
+    u_side, _ = procedure_sides(g)
+    k = u_side ^ z_set(g, m)  # konig_vertices, keeping U for the checks
+    adjacency = g._adjacency
+    # each edge has one endpoint in U, so checking U \ K checks every edge
+    cover = all(adjacency[x] <= k for x in u_side - k)
+    minimal = cover and not any(adjacency[r] <= k for r in k)
     minimum = cover and len(k) == matching_number(g)
     return VertexCover(k, cover, minimal, minimum)

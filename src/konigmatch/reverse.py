@@ -21,7 +21,8 @@ from .errors import (
     SaturationImpossible,
 )
 from .graph import BipartiteGraph, Edge, induced_subgraph, procedure_sides
-from .konig import VertexCover, _cover_vertices, is_minimum_cover, konig_cover
+from .konig import (VertexCover, _cover_vertices, is_minimum_cover,
+                    konig_vertices)
 from .matching import Matching, maximum_matching
 
 
@@ -134,14 +135,14 @@ def reverse_konig(g: BipartiteGraph,
     """
     cset = _cover_vertices(c)
     split = split_by_cover(g, cset)
+    order = tuple(sorted(split.up_roots) if visit_order is None
+                  else visit_order)
     m_down = saturating_matching_down(split)
-    m_up = reverse_procedure_up(split, visit_order)
+    m_up = reverse_procedure_up(split, order)
     combined = Matching(g, m_up.edges | m_down.edges)
-    produced = konig_cover(g, combined)
-    if produced.vertices != cset:
+    produced = konig_vertices(g, combined)
+    if produced != cset:
         raise RoundTripFailed(
             f"expected cover {sorted(cset)}, procedure gave "
-            f"{sorted(produced.vertices)}")
-    order = tuple(visit_order) if visit_order is not None \
-        else tuple(sorted(split.up_roots))
+            f"{sorted(produced)}")
     return ReverseResult(m_up, m_down, combined, order)

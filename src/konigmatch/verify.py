@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .corpus import cached_corpus
 from .graph import BipartiteGraph, procedure_sides
-from .konig import konig_cover
+from .konig import konig_cover, konig_vertices
 from .matching import (
     augment,
     is_disjoint_cycle_union,
@@ -108,11 +108,11 @@ def sweep_reverse_round_trip(max_vertices: int = 8,
                                          f"{sorted(cover)} order {order}: "
                                          f"{exc!r}")
                     continue
-                produced = konig_cover(g, res.combined)
-                result.check(produced.vertices == cover,
+                produced = konig_vertices(g, res.combined)
+                result.check(produced == cover,
                              lambda: f"{_describe(g)} cover {sorted(cover)} "
                                      f"order {order}: got "
-                                     f"{sorted(produced.vertices)}")
+                                     f"{sorted(produced)}")
     return result
 
 
@@ -143,7 +143,7 @@ def sweep_cycle_fibers(max_vertices: int = 8) -> SweepResult:
         for m in all_matchings(g):
             saturated = frozenset(v for edge in m.edges for v in edge)
             by_saturated.setdefault(saturated, []).append(
-                (m, konig_cover(g, m).vertices))
+                (m, konig_vertices(g, m)))
         for group in by_saturated.values():
             for i, (m1, cover1) in enumerate(group):
                 for m2, cover2 in group[i + 1:]:
@@ -201,7 +201,7 @@ def sweep_path_structure_properties(max_vertices: int = 8) -> SweepResult:
         _, v_side = procedure_sides(g)
         for m in all_maximal_matchings(g):
             paths = enumerate_augmenting_paths(g, m)
-            k_before = konig_cover(g, m).vertices
+            k_before = konig_vertices(g, m)
             for idx, p in enumerate(paths):
                 def where() -> str:
                     return (f"{_describe(g)} {sorted(m.edges)} "
@@ -209,7 +209,7 @@ def sweep_path_structure_properties(max_vertices: int = 8) -> SweepResult:
 
                 ps = path_structure(g, m, p, paths)
                 structure = ps.subgraph.vertices
-                k_after = konig_cover(g, augment(m, p)).vertices
+                k_after = konig_vertices(g, augment(m, p))
                 # localization: outside the structure, membership of a
                 # matched pair (or a lone unmatched vertex) is preserved
                 for r in sorted(g.vertices - structure):

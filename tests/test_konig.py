@@ -8,10 +8,15 @@ from konigmatch import (
     is_minimum_cover,
     is_vertex_cover,
     konig_cover,
+    konig_vertices,
+    matching_number,
     maximum_matching,
+    procedure_sides,
     z_set,
 )
+from konigmatch.corpus import cached_corpus
 from konigmatch.errors import NotACover, UnknownVertex
+from konigmatch.oracle import all_matchings
 
 from conftest import labeled, matching_by_labels
 
@@ -23,6 +28,75 @@ def graphs(draw):
     possible = [(i, j) for i in range(nl) for j in range(nr)]
     edges = draw(st.sets(st.sampled_from(possible), min_size=1))
     return build_graph(nl, nr, sorted(edges))
+
+
+def reference_z_set(g, m):
+    """Z by its two rules, one vertex at a time: non-matching edges out of
+    U-vertices, the matching edge out of V-vertices."""
+    u_side, _ = procedure_sides(g)
+    z = {u for u in u_side if not m.saturates(u)}
+    stack = list(z)
+    while stack:
+        x = stack.pop()
+        if x in u_side:
+            for y in g.neighbors(x):
+                if (x, y) not in m and y not in z:
+                    z.add(y)
+                    stack.append(y)
+        else:
+            p = m.partner(x)
+            if p is not None and p not in z:
+                z.add(p)
+                stack.append(p)
+    return frozenset(z)
+
+
+def corpus_matchings():
+    """Every matching of every graph with at most 8 vertices."""
+    cases = [(g, m) for g in cached_corpus(8) for m in all_matchings(g)]
+    assert len(cases) == 11618
+    return cases
+
+
+def test_konig_layer_is_pinned_on_every_corpus_matching(monkeypatch):
+    results = []
+    for g, m in corpus_matchings():
+        assert z_set(g, m) == reference_z_set(g, m)
+        k = konig_vertices(g, m)
+        cover = konig_cover(g, m)
+        assert cover.vertices == k
+        assert cover.is_cover == is_vertex_cover(g, k)
+        assert cover.is_minimal == is_minimal_cover(g, k)
+        assert cover.is_minimum == (len(k) == matching_number(g))
+        results.append((g, m, k))
+    # K(M) always covers, so the verdicts are also checked on the 45,956
+    # sets one vertex short of it, each of which leaves an edge uncovered:
+    # Z is replaced by U △ K' so that the procedure yields K'
+    short = {}
+    monkeypatch.setattr("konigmatch.konig.z_set",
+                        lambda g, m: procedure_sides(g)[0] ^ short["k"])
+    uncovered = 0
+    for g, m, full in results:
+        for r in full:
+            k = short["k"] = full - {r}
+            cover = konig_cover(g, m)
+            assert cover.vertices == k
+            assert cover.is_cover == is_vertex_cover(g, k)
+            assert cover.is_minimal == (cover.is_cover
+                                        and is_minimal_cover(g, k))
+            assert cover.is_minimum == is_minimum_cover(g, k)
+            uncovered += not cover.is_cover
+    assert uncovered == 45956
+
+
+def test_konig_vertices_cover_every_edge_for_every_matching():
+    """K(M) is a vertex cover for every matching M, maximal or not.
+
+    Proof: an edge xy with x ∈ U has x ∈ U \\ Z ⊆ K, or x ∈ Z and then
+    y ∈ V ∩ Z ⊆ K, because N(Z ∩ U) ⊆ Z.
+    """
+    for g, m in corpus_matchings():
+        assert is_vertex_cover(g, konig_vertices(g, m))
 
 
 def test_z_set_alternating_closure(p4):

@@ -57,6 +57,22 @@ def test_up_part_keeps_roots_unsaturated(fork):
         assert konig_cover(fork, result.combined).vertices == cover
 
 
+def test_reverse_konig_derives_the_visit_order_once(fork, monkeypatch):
+    passed = []
+
+    def spy(split, visit_order=None):
+        passed.append(visit_order)
+        return reverse_procedure_up(split, visit_order)
+
+    monkeypatch.setattr("konigmatch.reverse.reverse_procedure_up", spy)
+    cover = labeled(fork, "b1", "c1")
+    roots = sorted(labeled(fork, "a1", "a2"))
+    for order, expected in ((None, roots), (roots[::-1], roots[::-1])):
+        result = reverse_konig(fork, cover, order)
+        assert result.visit_order == tuple(expected)
+        assert passed.pop() is result.visit_order
+
+
 def test_visit_order_must_cover_the_roots(fork):
     cover = labeled(fork, "b1", "c1")
     split = split_by_cover(fork, cover)
