@@ -23,11 +23,12 @@ from .matching import Matching
 
 def graph_from_json_dict(data: dict) -> BipartiteGraph:
     try:
-        left = list(data["left"])
-        right = list(data["right"])
-        edges = iter(data["edges"])
+        left, right, edges = data["left"], data["right"], data["edges"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed graph JSON: {exc}") from exc
+    for key, value in (("left", left), ("right", right), ("edges", edges)):
+        if not isinstance(value, list):
+            raise InputError(f"graph JSON {key!r} must be an array")
     labels = left + right
     for lab in labels:
         if not isinstance(lab, (str, int, float)):
@@ -41,12 +42,8 @@ def graph_from_json_dict(data: dict) -> BipartiteGraph:
         raise InputError("duplicate vertex labels in graph JSON")
     index_edges = []
     for edge in edges:
-        try:
-            edge = tuple(edge)
-        except TypeError as exc:
-            raise InputError(f"malformed graph JSON: {exc}") from exc
-        if len(edge) != 2:
-            raise InputError(f"edge {list(edge)!r} is not a pair of labels")
+        if not isinstance(edge, list) or len(edge) != 2:
+            raise InputError(f"edge {edge!r} is not a pair of labels")
         a, b = edge
         try:
             sa, ia = label_to_index[a]

@@ -44,6 +44,26 @@ class Matching:
         self.edges = frozenset(normalized)
         self._partner = partner
 
+    @classmethod
+    def _unchecked(cls, graph: BipartiteGraph,
+                   edges: Sequence[Edge]) -> Matching:
+        """A matching built without validation.
+
+        Precondition: ``edges`` are stored edge keys of ``graph`` (the
+        ``(left, right)`` tuples in ``graph.edges``) and no two of them
+        share an endpoint.  Only for enumerators that guarantee this by
+        construction; everything else goes through ``Matching(...)``.
+        """
+        partner: dict[int, int] = {}
+        for u, v in edges:
+            partner[u] = v
+            partner[v] = u
+        m = cls.__new__(cls)
+        m.graph = graph
+        m.edges = frozenset(edges)
+        m._partner = partner
+        return m
+
     def saturates(self, v: int) -> bool:
         return v in self._partner
 

@@ -2,11 +2,14 @@
 
 Everything here enumerates exhaustively and independently of the
 polynomial procedures, so the clever code paths can be checked against
-it.  Enumeration aborts cleanly once a budget is exceeded.
+it.  Enumeration aborts cleanly once a budget is exceeded.  The searches
+keep their state on explicit stacks, not in self-referencing closures, so
+their results are freed by reference counting once the caller drops them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -39,30 +42,23 @@ def all_minimum_covers(g: BipartiteGraph,
     _check_vertex_budget(g, b)
     edges = sorted(g.edges)
     steps = 0
-
-    def branch(chosen: set[int], k: int, out: set[frozenset[int]]) -> None:
-        nonlocal steps
-        steps += 1
-        if steps > b.max_subsets:
-            raise BudgetExceeded("cover enumeration exceeded subset budget")
-        uncovered = next(((u, v) for u, v in edges
-                          if u not in chosen and v not in chosen), None)
-        if uncovered is None:
-            out.add(frozenset(chosen))
-            return
-        if len(chosen) == k:
-            return
-        u, v = uncovered
-        chosen.add(u)
-        branch(chosen, k, out)
-        chosen.remove(u)
-        chosen.add(v)
-        branch(chosen, k, out)
-        chosen.remove(v)
-
     for k in range(len(g.vertices) + 1):
         out: set[frozenset[int]] = set()
-        branch(set(), k, out)
+        stack = [frozenset()]
+        while stack:
+            chosen = stack.pop()
+            steps += 1
+            if steps > b.max_subsets:
+                raise BudgetExceeded(
+                    "cover enumeration exceeded subset budget")
+            uncovered = next(((u, v) for u, v in edges
+                              if u not in chosen and v not in chosen), None)
+            if uncovered is None:
+                out.add(chosen)
+            elif len(chosen) < k:
+                u, v = uncovered
+                stack.append(chosen | {v})
+                stack.append(chosen | {u})
         if out:
             return out
     return {frozenset()}
@@ -94,76 +90,86 @@ def minimum_covers_by_subset_scan(
     return {frozenset()}
 
 
+def _matchings(g: BipartiteGraph, maximal: bool, max_results: float,
+               max_steps: float, what: str) -> list[Matching]:
+    """The matchings (or, if ``maximal``, the maximal matchings) of ``g``.
+
+    Decides the sorted edges one by one, skip before take, with an
+    explicit stack, so results come in the same order either way; the
+    used endpoints are one bitmask.  For ``maximal``, a vertex still free
+    when its last edge is skipped is *closed free*, and a branch is cut
+    as soon as two adjacent vertices are closed free: their edge can
+    never be added.  Every leaf reached is then maximal.  Raises
+    ``BudgetExceeded`` once the results exceed ``max_results`` or the
+    visited nodes exceed ``max_steps``.
+    """
+    edges = sorted(g.edges)
+    last: dict[int, int] = {}  # vertex -> index of its last edge
+    for i, (u, v) in enumerate(edges):
+        last[u] = last[v] = i
+    # vertex bit -> bitmask of its neighbours
+    near = {1 << x: sum(1 << y for y in g.neighbors(x))
+            for x in last} if maximal else {}
+    # per edge: its endpoints' bitmask, the edge, and (if maximal) the
+    # bitmask of the endpoints whose last edge it is
+    plan = [((1 << u) | (1 << v), (u, v),
+             sum(1 << x for x in (u, v) if maximal and last[x] == i))
+            for i, (u, v) in enumerate(edges)]
+    n = len(plan)
+    results: list[Matching] = []
+    steps = 0
+    # (next edge, used bitmask, closed-free bitmask, chosen edges)
+    stack: list[tuple] = [(0, 0, 0, ())]
+    while stack:
+        i, used, closed_free, chosen = stack.pop()
+        start = i
+        while i < n:
+            mask, edge, closing = plan[i]
+            i += 1
+            if not used & mask:
+                stack.append((i, used | mask, closed_free, chosen + (edge,)))
+            # skip the edge: endpoints it was the last edge of close free
+            newly = closing & ~used
+            if newly:
+                # both endpoints closing free leave this very edge addable
+                if newly == mask or near[newly] & closed_free:
+                    break
+                closed_free |= newly
+        else:
+            results.append(Matching._unchecked(g, chosen))
+            if len(results) > max_results:
+                raise BudgetExceeded(f"{what} enumeration exceeded budget")
+        steps += i - start + 1
+        if steps > max_steps:
+            raise BudgetExceeded(f"{what} enumeration exceeded budget")
+    return results
+
+
 def all_matchings(g: BipartiteGraph,
                   b: OracleBudget | None = None) -> list[Matching]:
-    """Every edge subset that is a matching, the empty one included."""
+    """Every edge subset that is a matching, the empty one included.
+
+    Raises ``BudgetExceeded`` beyond ``b.max_subsets`` matchings.
+    """
     b = b or OracleBudget()
     _check_vertex_budget(g, b)
-    edges = sorted(g.edges)
-    results: list[frozenset] = []
-
-    def recurse(i: int, chosen: list, used: set[int]) -> None:
-        if len(results) > b.max_subsets:
-            raise BudgetExceeded("matching enumeration exceeded budget")
-        if i == len(edges):
-            results.append(frozenset(chosen))
-            return
-        u, v = edges[i]
-        recurse(i + 1, chosen, used)
-        if u not in used and v not in used:
-            chosen.append((u, v))
-            used.update((u, v))
-            recurse(i + 1, chosen, used)
-            chosen.pop()
-            used.difference_update((u, v))
-
-    recurse(0, [], set())
-    return [Matching(g, es) for es in results]
+    return _matchings(g, False, b.max_subsets, math.inf, "matching")
 
 
 def all_maximal_matchings(g: BipartiteGraph,
                           b: OracleBudget | None = None) -> list[Matching]:
-    """Exactly the maximal matchings.
+    """Exactly the maximal matchings, in the order ``all_matchings``
+    lists them.
 
-    Same subset recursion as ``all_matchings`` but a branch that leaves
-    an edge addable forever is pruned early, which keeps star-studded
-    graphs tractable; at each leaf a maximality check on the chosen
-    endpoints filters the rest.
+    The walk cuts a branch as soon as it leaves an edge with both
+    endpoints free for good, so no non-maximal leaf is ever built, which
+    keeps star-studded graphs tractable.  Raises ``BudgetExceeded``
+    beyond ``64 * b.max_subsets`` visited nodes.
     """
     b = b or OracleBudget()
     _check_vertex_budget(g, b)
-    edges = sorted(g.edges)
-    last_edge_index: dict[int, int] = {}
-    for i, (u, v) in enumerate(edges):
-        last_edge_index[u] = i
-        last_edge_index[v] = i
-    results: list[Matching] = []
-    steps = 0
-
-    def recurse(i: int, chosen: list, used: set[int]) -> None:
-        nonlocal steps
-        steps += 1
-        if steps > 64 * b.max_subsets:
-            raise BudgetExceeded("maximal-matching enumeration exceeded budget")
-        if i == len(edges):
-            if all(u in used or v in used for u, v in edges):
-                results.append(Matching(g, chosen))
-            return
-        u, v = edges[i]
-        free = u not in used and v not in used
-        # skipping the last edge able to touch two free endpoints can
-        # never lead to a maximal matching
-        if not (free and last_edge_index[u] == i and last_edge_index[v] == i):
-            recurse(i + 1, chosen, used)
-        if free:
-            chosen.append((u, v))
-            used.update((u, v))
-            recurse(i + 1, chosen, used)
-            chosen.pop()
-            used.difference_update((u, v))
-
-    recurse(0, [], set())
-    return results
+    return _matchings(g, True, math.inf, 64 * b.max_subsets,
+                      "maximal-matching")
 
 
 def maximum_matching_size_brute_force(

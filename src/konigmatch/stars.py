@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .errors import EmptyGraph, NotMinimumCover
 from .graph import BipartiteGraph
-from .konig import _cover_vertices, is_minimum_cover, konig_cover
-from .matching import Matching
+from .konig import _cover_vertices, is_minimum_cover, konig_vertices
+from .matching import Matching, matching_number
 from .oracle import OracleBudget, all_maximal_matchings, all_minimum_covers
 
 
@@ -100,12 +100,17 @@ def reached_minimum_covers(
     matchings: Iterable[Matching],
 ) -> set[frozenset[int]]:
     """The minimum vertex covers Kőnig's procedure yields from
-    ``matchings``, which are matchings of ``g``."""
+    ``matchings``, which are matchings of ``g``.
+
+    K(M) is a vertex cover for every matching M, so it is minimum
+    exactly when it has ν(G) vertices.
+    """
+    nu = matching_number(g)
     reached = set()
     for m in matchings:
-        cover = konig_cover(g, m)
-        if cover.is_minimum:
-            reached.add(cover.vertices)
+        k = konig_vertices(g, m)
+        if len(k) == nu:
+            reached.add(k)
     return reached
 
 

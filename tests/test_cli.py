@@ -185,6 +185,12 @@ EXPERIMENT = ["experiment", "--nl", "4", "--nr", "4", "--seed", "1"]
                  '"edges": [["a", "b", "a"]]}', id="three-entry-edge"),
     pytest.param(["match", "--graph"], '{"left": ["a"], "right": ["b"], '
                  '"edges": [["a"]]}', id="one-entry-edge"),
+    pytest.param(["match", "--graph"], '{"left": ["a"], "right": ["b"], '
+                 '"edges": ["ab"]}', id="string-edge"),
+    pytest.param(["match", "--graph"], '{"left": ["a"], "right": ["b"], '
+                 '"edges": {"ab": 1}}', id="object-edges"),
+    pytest.param(["match", "--graph"], '{"left": "a", "right": "b", '
+                 '"edges": [["a", "b"]]}', id="string-sides"),
     pytest.param(["match", "--graph"], b"\xff\xfe a b\n", id="not-utf8"),
     pytest.param(["match", "--graph"], DEEP, id="deep-graph"),
     pytest.param(["cover", "--graph", FORK, "--matching"], DEEP,

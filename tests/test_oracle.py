@@ -1,10 +1,14 @@
+import gc
+
 import pytest
 
 from konigmatch import (
+    Matching,
     build_graph,
     hall_condition,
     is_maximal,
     maximum_matching,
+    star_stud,
 )
 from konigmatch.corpus import cached_corpus
 from konigmatch.errors import BudgetExceeded
@@ -18,6 +22,69 @@ from konigmatch.oracle import (
 )
 
 from conftest import labeled
+
+STUDDED_BUDGET = OracleBudget(max_vertices=26, max_subsets=2 ** 21)
+
+
+def reference_matchings(g):
+    """Every matching's edge set: the set-based skip-before-take recursion
+    over the sorted edges that the bitmask enumerator replaced."""
+    edges = sorted(g.edges)
+    results = []
+
+    def recurse(i, chosen, used):
+        if i == len(edges):
+            results.append(frozenset(chosen))
+            return
+        u, v = edges[i]
+        recurse(i + 1, chosen, used)
+        if u not in used and v not in used:
+            chosen.append((u, v))
+            used.update((u, v))
+            recurse(i + 1, chosen, used)
+            chosen.pop()
+            used.difference_update((u, v))
+
+    recurse(0, [], set())
+    return results
+
+
+def reference_maximal_matchings(g):
+    """The maximal matchings' edge sets: the same recursion, skipping an
+    edge only if it is not the last one of two free endpoints, with a
+    maximality scan over every edge at each leaf."""
+    edges = sorted(g.edges)
+    last_edge_index = {}
+    for i, (u, v) in enumerate(edges):
+        last_edge_index[u] = i
+        last_edge_index[v] = i
+    results = []
+
+    def recurse(i, chosen, used):
+        if i == len(edges):
+            if all(u in used or v in used for u, v in edges):
+                results.append(frozenset(chosen))
+            return
+        u, v = edges[i]
+        free = u not in used and v not in used
+        if not (free and last_edge_index[u] == i and last_edge_index[v] == i):
+            recurse(i + 1, chosen, used)
+        if free:
+            chosen.append((u, v))
+            used.update((u, v))
+            recurse(i + 1, chosen, used)
+            chosen.pop()
+            used.difference_update((u, v))
+
+    recurse(0, [], set())
+    return results
+
+
+def assert_same_enumeration(g, enumerated, reference):
+    assert [m.edges for m in enumerated] == reference
+    for m in enumerated:
+        checked = Matching(g, m.edges)
+        assert m == checked and m._partner == checked._partner
 
 
 def test_minimum_covers_of_the_path_graph(p4):
@@ -74,3 +141,40 @@ def test_budgets_are_enforced(p4):
         hall_condition(big, "left", OracleBudget(max_subsets=4))
     with pytest.raises(BudgetExceeded):
         minimum_covers_by_subset_scan(p4, OracleBudget(max_subsets=8))
+
+
+def test_enumerations_match_the_set_based_reference_in_order():
+    for g in cached_corpus(8):
+        assert_same_enumeration(g, all_matchings(g), reference_matchings(g))
+        assert_same_enumeration(g, all_maximal_matchings(g),
+                                reference_maximal_matchings(g))
+    for h in cached_corpus(5):
+        g = star_stud(h).full
+        assert_same_enumeration(g, all_maximal_matchings(g, STUDDED_BUDGET),
+                                reference_maximal_matchings(g))
+
+
+def test_matching_enumerations_enforce_their_budgets(c4):
+    # all_matchings counts results: the 3 x 3 complete graph has 34
+    k33 = build_graph(3, 3, [(i, j) for i in range(3) for j in range(3)])
+    assert len(all_matchings(k33, OracleBudget(max_subsets=34))) == 34
+    with pytest.raises(BudgetExceeded):
+        all_matchings(k33, OracleBudget(max_subsets=33))
+    # all_maximal_matchings counts visited nodes, 64 per subset allowed
+    assert len(all_maximal_matchings(c4, OracleBudget(max_subsets=1))) == 2
+    with pytest.raises(BudgetExceeded):
+        all_maximal_matchings(k33, OracleBudget(max_subsets=1))
+
+
+@pytest.mark.parametrize("enumerate_", [
+    all_matchings, all_maximal_matchings, all_minimum_covers])
+def test_oracle_enumerations_leave_no_garbage_cycles(enumerate_, fork):
+    # results are freed by reference counting as soon as the caller
+    # drops them, without waiting for the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_(fork)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
