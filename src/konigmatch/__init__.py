@@ -66,6 +66,7 @@ from .oracle import (
     all_maximal_matchings,
     all_minimum_covers,
     hall_condition,
+    iter_maximal_matchings,
 )
 from .experiments import TrialConfig, TrialReport, run_trials
 

@@ -5,11 +5,19 @@ polynomial procedures, so the clever code paths can be checked against
 it.  Enumeration aborts cleanly once a budget is exceeded.  The searches
 keep their state on explicit stacks, not in self-referencing closures, so
 their results are freed by reference counting once the caller drops them.
+
+Matchings are enumerated lazily: ``iter_maximal_matchings`` yields each
+maximal matching as the walk reaches it, so an existence check (such as
+``stars.reached_minimum_covers`` with ``until``) can stop the walk once
+it has its answer, and nothing it did not draw is ever built.
+``all_matchings`` and ``all_maximal_matchings`` collect the same walk
+into a list.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -91,8 +99,9 @@ def minimum_covers_by_subset_scan(
 
 
 def _matchings(g: BipartiteGraph, maximal: bool, max_results: float,
-               max_steps: float, what: str) -> list[Matching]:
-    """The matchings (or, if ``maximal``, the maximal matchings) of ``g``.
+               max_steps: float, what: str) -> Iterator[Matching]:
+    """Yield the matchings (or, if ``maximal``, the maximal matchings) of
+    ``g``.
 
     Decides the sorted edges one by one, skip before take, with an
     explicit stack, so results come in the same order either way; the
@@ -100,8 +109,9 @@ def _matchings(g: BipartiteGraph, maximal: bool, max_results: float,
     when its last edge is skipped is *closed free*, and a branch is cut
     as soon as two adjacent vertices are closed free: their edge can
     never be added.  Every leaf reached is then maximal.  Raises
-    ``BudgetExceeded`` once the results exceed ``max_results`` or the
-    visited nodes exceed ``max_steps``.
+    ``BudgetExceeded`` before yielding result ``max_results + 1``, or once
+    the visited nodes exceed ``max_steps``; the walk advances only as far
+    as the caller draws.
     """
     edges = sorted(g.edges)
     last: dict[int, int] = {}  # vertex -> index of its last edge
@@ -116,7 +126,7 @@ def _matchings(g: BipartiteGraph, maximal: bool, max_results: float,
              sum(1 << x for x in (u, v) if maximal and last[x] == i))
             for i, (u, v) in enumerate(edges)]
     n = len(plan)
-    results: list[Matching] = []
+    found = 0
     steps = 0
     # (next edge, used bitmask, closed-free bitmask, chosen edges)
     stack: list[tuple] = [(0, 0, 0, ())]
@@ -136,13 +146,20 @@ def _matchings(g: BipartiteGraph, maximal: bool, max_results: float,
                     break
                 closed_free |= newly
         else:
-            results.append(Matching._unchecked(g, chosen))
-            if len(results) > max_results:
+            found += 1
+            if found > max_results:
                 raise BudgetExceeded(f"{what} enumeration exceeded budget")
+            yield Matching._unchecked(g, chosen)
         steps += i - start + 1
         if steps > max_steps:
             raise BudgetExceeded(f"{what} enumeration exceeded budget")
-    return results
+
+
+def _iter_matchings(g: BipartiteGraph,
+                    b: OracleBudget | None) -> Iterator[Matching]:
+    b = b or OracleBudget()
+    _check_vertex_budget(g, b)
+    return _matchings(g, False, b.max_subsets, math.inf, "matching")
 
 
 def all_matchings(g: BipartiteGraph,
@@ -151,20 +168,21 @@ def all_matchings(g: BipartiteGraph,
 
     Raises ``BudgetExceeded`` beyond ``b.max_subsets`` matchings.
     """
-    b = b or OracleBudget()
-    _check_vertex_budget(g, b)
-    return _matchings(g, False, b.max_subsets, math.inf, "matching")
+    return list(_iter_matchings(g, b))
 
 
-def all_maximal_matchings(g: BipartiteGraph,
-                          b: OracleBudget | None = None) -> list[Matching]:
-    """Exactly the maximal matchings, in the order ``all_matchings``
-    lists them.
+def iter_maximal_matchings(g: BipartiteGraph,
+                           b: OracleBudget | None = None
+                           ) -> Iterator[Matching]:
+    """Yield exactly the maximal matchings, in the order ``all_matchings``
+    lists them, one at a time as the walk reaches them.
 
     The walk cuts a branch as soon as it leaves an edge with both
     endpoints free for good, so no non-maximal leaf is ever built, which
-    keeps star-studded graphs tractable.  Raises ``BudgetExceeded``
-    beyond ``64 * b.max_subsets`` visited nodes.
+    keeps star-studded graphs tractable.  The vertex budget is checked at
+    the call; ``BudgetExceeded`` is raised from the iteration once the
+    walk visits more than ``64 * b.max_subsets`` nodes, so a caller that
+    stops drawing early never pays for the rest of the walk.
     """
     b = b or OracleBudget()
     _check_vertex_budget(g, b)
@@ -172,12 +190,20 @@ def all_maximal_matchings(g: BipartiteGraph,
                       "maximal-matching")
 
 
+def all_maximal_matchings(g: BipartiteGraph,
+                          b: OracleBudget | None = None) -> list[Matching]:
+    """Exactly the maximal matchings, in the order ``all_matchings``
+    lists them: ``iter_maximal_matchings`` collected into a list."""
+    return list(iter_maximal_matchings(g, b))
+
+
 def maximum_matching_size_brute_force(
     g: BipartiteGraph,
     b: OracleBudget | None = None,
 ) -> int:
-    """Largest matching cardinality by full enumeration."""
-    return max(len(m) for m in all_matchings(g, b))
+    """Largest matching cardinality by full enumeration, holding one
+    matching at a time."""
+    return max(len(m) for m in _iter_matchings(g, b))
 
 
 def hall_condition(g: BipartiteGraph, side: str,

@@ -5,6 +5,12 @@ centers plus a minimum cover of the base, which makes lifting and
 restricting covers a bijection.  Studded graphs have the property that
 every minimum cover is reachable from a maximal matching by Kőnig's
 procedure.
+
+That check is an existence check: it is settled once each minimum cover
+has one witness.  ``is_enumeratively_konig_egervary`` therefore feeds
+the lazy ``iter_maximal_matchings`` to ``reached_minimum_covers`` with
+the oracle's covers as ``until``, and the walk stops at the last
+witness instead of visiting every maximal matching.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from .errors import EmptyGraph, NotMinimumCover
 from .graph import BipartiteGraph
 from .konig import _cover_vertices, is_minimum_cover, konig_vertices
 from .matching import Matching, matching_number
-from .oracle import OracleBudget, all_maximal_matchings, all_minimum_covers
+from .oracle import OracleBudget, all_minimum_covers, iter_maximal_matchings
 
 
 @dataclass(frozen=True)
@@ -98,19 +104,31 @@ def restrict_cover(ssg: StarStuddedGraph, c) -> frozenset[int]:
 def reached_minimum_covers(
     g: BipartiteGraph,
     matchings: Iterable[Matching],
+    until: set[frozenset[int]] | None = None,
 ) -> set[frozenset[int]]:
     """The minimum vertex covers Kőnig's procedure yields from
     ``matchings``, which are matchings of ``g``.
 
     K(M) is a vertex cover for every matching M, so it is minimum
-    exactly when it has ν(G) vertices.
+    exactly when it has ν(G) vertices.  With ``until``, stop drawing
+    from ``matchings`` as soon as every cover in ``until`` has been
+    reached.  When ``until`` is the set of all minimum covers, every
+    cover collected is in it, so an early stop returns exactly
+    ``until``, and a walk that never reaches some cover runs to the end
+    and returns what a full walk returns.
     """
     nu = matching_number(g)
     reached = set()
+    missing = set(until or ())
+    if until is not None and not missing:
+        return reached
     for m in matchings:
         k = konig_vertices(g, m)
         if len(k) == nu:
             reached.add(k)
+            missing.discard(k)
+            if until is not None and not missing:
+                break
     return reached
 
 
@@ -119,6 +137,11 @@ def is_enumeratively_konig_egervary(
     budget: OracleBudget | None = None,
 ) -> bool:
     """True iff every minimum vertex cover of ``g`` arises from Kőnig's
-    procedure applied to some maximal matching."""
-    return all_minimum_covers(g, budget) <= reached_minimum_covers(
-        g, all_maximal_matchings(g, budget))
+    procedure applied to some maximal matching.
+
+    The maximal matchings are walked only until each minimum cover has
+    a witness.
+    """
+    wanted = all_minimum_covers(g, budget)
+    return wanted <= reached_minimum_covers(
+        g, iter_maximal_matchings(g, budget), until=wanted)

@@ -16,7 +16,7 @@ from konigmatch import (
 )
 from konigmatch.corpus import cached_corpus
 from konigmatch.errors import NotACover, UnknownVertex
-from konigmatch.oracle import all_matchings
+from konigmatch.oracle import all_matchings, all_maximal_matchings
 
 from conftest import labeled, matching_by_labels
 
@@ -97,6 +97,29 @@ def test_konig_vertices_cover_every_edge_for_every_matching():
     """
     for g, m in corpus_matchings():
         assert is_vertex_cover(g, konig_vertices(g, m))
+
+
+def test_konig_size_identity_on_every_maximal_corpus_matching():
+    """|K(M)| = |M| + |R(M)|, with R(M) the unsaturated V-vertices in
+    Z(M), and |R(M)| ≥ ν − |M|.
+
+    Every U \\ Z vertex is saturated with its partner outside Z, and
+    every saturated V ∩ Z vertex has its partner in Z, so each matched
+    edge puts one vertex in K(M) and R(M) supplies the rest.  M △ M*,
+    with M* maximum, holds ν − |M| disjoint augmenting paths, and each
+    ends in R(M).  So K(M) is minimum iff |R(M)| = ν − |M|.
+    """
+    cases = 0
+    for g in cached_corpus(8):
+        _, v_side = procedure_sides(g)
+        nu = matching_number(g)
+        for m in all_maximal_matchings(g):
+            free_reached = {v for v in z_set(g, m) & v_side
+                            if not m.saturates(v)}
+            assert len(konig_vertices(g, m)) == len(m) + len(free_reached)
+            assert len(free_reached) >= nu - len(m)
+            cases += 1
+    assert cases == 3166
 
 
 def test_z_set_alternating_closure(p4):

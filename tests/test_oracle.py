@@ -17,6 +17,7 @@ from konigmatch.oracle import (
     all_matchings,
     all_maximal_matchings,
     all_minimum_covers,
+    iter_maximal_matchings,
     maximum_matching_size_brute_force,
     minimum_covers_by_subset_scan,
 )
@@ -164,6 +165,18 @@ def test_matching_enumerations_enforce_their_budgets(c4):
     assert len(all_maximal_matchings(c4, OracleBudget(max_subsets=1))) == 2
     with pytest.raises(BudgetExceeded):
         all_maximal_matchings(k33, OracleBudget(max_subsets=1))
+
+
+def test_the_lazy_walk_checks_vertices_at_once_and_steps_as_it_goes():
+    k33 = build_graph(3, 3, [(i, j) for i in range(3) for j in range(3)])
+    with pytest.raises(BudgetExceeded):
+        iter_maximal_matchings(k33, OracleBudget(max_vertices=5))
+    # the first maximal matching lies within the 64 nodes one subset
+    # allows; the whole walk does not
+    walk = iter_maximal_matchings(k33, OracleBudget(max_subsets=1))
+    assert next(walk).edges == all_maximal_matchings(k33)[0].edges
+    with pytest.raises(BudgetExceeded):
+        list(walk)
 
 
 @pytest.mark.parametrize("enumerate_", [

@@ -6,6 +6,7 @@ from konigmatch import (
     konig_cover,
     lift_cover,
     maximum_matching,
+    reached_minimum_covers,
     restrict_cover,
     star_stud,
 )
@@ -16,9 +17,11 @@ from konigmatch.oracle import (
     OracleBudget,
     all_maximal_matchings,
     all_minimum_covers,
+    iter_maximal_matchings,
 )
 
-BUDGET = OracleBudget(max_vertices=21, max_subsets=2 ** 21)
+# room for the studded graphs of cached_corpus(5), 25 vertices at most
+BUDGET = OracleBudget(max_vertices=26, max_subsets=2 ** 21)
 
 from conftest import labeled
 
@@ -93,10 +96,59 @@ def test_star_sweep_enumerates_each_studded_graph_once(monkeypatch):
 
     def counting(g, b=None):
         calls.append(g)
-        return oracle.all_maximal_matchings(g, b)
+        return oracle.iter_maximal_matchings(g, b)
 
     for module in (stars, verify):
-        monkeypatch.setattr(module, "all_maximal_matchings", counting)
+        monkeypatch.setattr(module, "iter_maximal_matchings", counting)
     result = verify.sweep_star_studded(3)
     assert result.ok
     assert calls == [star_stud(h).full for h in cached_corpus(3)]
+
+
+def studded_graphs(max_vertices):
+    return [star_stud(h).full for h in cached_corpus(max_vertices)]
+
+
+def test_stopping_at_the_last_witness_reaches_the_same_covers():
+    for g in studded_graphs(5):
+        wanted = all_minimum_covers(g, BUDGET)
+        full = reached_minimum_covers(g, all_maximal_matchings(g, BUDGET))
+        early = reached_minimum_covers(
+            g, iter_maximal_matchings(g, BUDGET), until=wanted)
+        assert early == full == wanted
+
+
+def test_until_stops_only_once_every_cover_is_reached(p4):
+    wanted = all_minimum_covers(p4)
+    # {2,3} is never reached, so the whole walk runs
+    assert reached_minimum_covers(p4, iter_maximal_matchings(p4),
+                                  until=wanted) == wanted - {
+        labeled(p4, "2", "3")}
+    assert reached_minimum_covers(p4, iter_maximal_matchings(p4),
+                                  until=set()) == set()
+
+
+def test_lazy_verdicts_match_a_full_enumeration():
+    verdicts = []
+    for g in list(cached_corpus(6)) + studded_graphs(5):
+        full = all_minimum_covers(g, BUDGET) <= reached_minimum_covers(
+            g, all_maximal_matchings(g, BUDGET))
+        assert is_enumeratively_konig_egervary(g, BUDGET) == full
+        verdicts.append(full)
+    assert True in verdicts and False in verdicts
+
+
+def test_the_star_check_stops_before_the_end_of_the_walk(monkeypatch):
+    drawn = []
+
+    def counting(g, b=None):
+        for m in oracle.iter_maximal_matchings(g, b):
+            drawn.append(m)
+            yield m
+
+    monkeypatch.setattr(stars, "iter_maximal_matchings", counting)
+    graphs = studded_graphs(5)
+    assert all(is_enumeratively_konig_egervary(g, BUDGET) for g in graphs)
+    # the last cover of each graph is reached after a quarter of its walk
+    assert len(drawn) == 3350
+    assert sum(len(all_maximal_matchings(g, BUDGET)) for g in graphs) == 13393
