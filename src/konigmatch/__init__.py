@@ -49,6 +49,7 @@ from .paths import (
     cover_delta_under_augment,
     enumerate_augmenting_paths,
     hat_subgraph,
+    hat_vertices,
     meet_join,
     path_structure,
 )

@@ -74,6 +74,10 @@ class SaturationImpossible(DomainError):
     the supplied cover cannot have been minimum."""
 
 
+class ForeignSplit(DomainError):
+    """A cover split was made for a different graph."""
+
+
 class RoundTripFailed(DomainError):
     """Reverse procedure output did not map back to the input cover.
     Signals an implementation defect, never expected on valid input."""

@@ -14,6 +14,9 @@ cover can need two disjoint augmentations to shrink; the strict xfail in
 
 The augmenting paths of a matching are enumerated once, by the caller
 of ``path_structure``, and every structure is built from that one list.
+A structure holds vertex and edge sets, plus Z(M △ P) for the augmented
+matching, so K(M △ P) = U △ Z needs no second augmentation; its graph,
+and the hat and check graphs, are built only when asked for.
 """
 
 from __future__ import annotations
@@ -26,12 +29,7 @@ from .errors import (
     NotMaximal,
     PathExplosion,
 )
-from .graph import (
-    BipartiteGraph,
-    Edge,
-    induced_subgraph,
-    procedure_sides,
-)
+from .graph import BipartiteGraph, Edge, procedure_sides
 from .konig import konig_vertices, z_set
 from .matching import (
     AlternatingPath,
@@ -48,20 +46,30 @@ DEFAULT_PATH_LIMIT = 10 ** 6
 class PathStructure:
     """The union of all augmenting paths vertex-wise intersecting a base path.
 
+    ``vertices`` and ``edges`` are the union of the family's paths; the
+    ``subgraph`` property builds them into a graph on request.
     ``hat_cut_vertex`` is the V-vertex bounding the hat truncation (None
     when no path from a different root reaches the base path's endpoint).
-    ``check_vertices`` is the surviving region: the structure vertices
-    still reachable by alternating paths from unsaturated U-vertices
-    after augmenting along the base path.  ``check_cut_vertex`` is the
-    matched U-vertex on the boundary of that region, when one exists.
+    ``z_after`` is Z(M △ P), the alternating-reachability set once the
+    base path P has been augmented.  ``check_vertices`` is its part
+    inside the structure: the surviving region.  ``check_cut_vertex`` is
+    the matched U-vertex on the boundary of that region, when one exists.
     """
 
+    graph: BipartiteGraph
     base_path: AlternatingPath
     family: tuple[AlternatingPath, ...]
-    subgraph: BipartiteGraph
+    vertices: frozenset[int]
+    edges: frozenset[Edge]
     hat_cut_vertex: int | None
     check_cut_vertex: int | None
     check_vertices: frozenset[int]
+    z_after: frozenset[int]
+
+    @property
+    def subgraph(self) -> BipartiteGraph:
+        """The structure as a graph, built anew on each access."""
+        return _structure_graph(self, self.vertices)
 
 
 @dataclass(frozen=True)
@@ -148,13 +156,24 @@ def path_structure(
     for q in family:
         vertices.update(q.vertices)
         edges.update(q.edges)
-    # the edges come from validated paths, so no check against g is needed
-    sub = BipartiteGraph(g.left & vertices, g.right & vertices, edges,
-                         g.labels)
     hat_v = _hat_cut_vertex(p, family)
-    check_set = z_set(g, augment(m, p)) & vertices
+    z_after = z_set(g, augment(m, p))
+    check_set = z_after & vertices
     check_u = _check_cut_vertex(m, p, vertices, check_set)
-    return PathStructure(p, tuple(family), sub, hat_v, check_u, check_set)
+    return PathStructure(g, p, tuple(family), frozenset(vertices),
+                         frozenset(edges), hat_v, check_u, check_set,
+                         z_after)
+
+
+def _structure_graph(ps: PathStructure,
+                     vertices: frozenset[int]) -> BipartiteGraph:
+    """The subgraph of the structure induced by ``vertices``."""
+    g = ps.graph
+    # the edges come from validated paths, so no check against g is needed
+    return BipartiteGraph(g.left & vertices, g.right & vertices,
+                          [(u, v) for u, v in ps.edges
+                           if u in vertices and v in vertices],
+                          g.labels)
 
 
 def meet_join(p: AlternatingPath,
@@ -219,22 +238,26 @@ def _check_cut_vertex(m: Matching, p: AlternatingPath,
     return min(candidates)[2]
 
 
-def hat_subgraph(ps: PathStructure) -> BipartiteGraph:
-    """Ĝ: the structure with everything up to v̂ removed.
+def hat_vertices(ps: PathStructure) -> frozenset[int]:
+    """The vertices of Ĝ: the structure with everything up to v̂ removed.
 
     The prefixes cut away run along the paths into p's endpoint that pass
-    through v̂.  With no path from a second root the structure is returned
-    unchanged.
+    through v̂.  With no path from a second root nothing is cut away.
     """
     if ps.hat_cut_vertex is None:
-        return ps.subgraph
+        return ps.vertices
     bound = ps.hat_cut_vertex
     selected: set[int] = set()
     for q in _representatives(ps.base_path, ps.family):
         if bound in q.vertices:
             cut = q.vertices.index(bound)
             selected.update(q.vertices[:cut + 1])
-    return induced_subgraph(ps.subgraph, ps.subgraph.vertices - selected)
+    return ps.vertices - selected
+
+
+def hat_subgraph(ps: PathStructure) -> BipartiteGraph:
+    """Ĝ as a graph: the structure induced on ``hat_vertices(ps)``."""
+    return _structure_graph(ps, hat_vertices(ps))
 
 
 def check_subgraph(ps: PathStructure) -> BipartiteGraph:
@@ -244,7 +267,7 @@ def check_subgraph(ps: PathStructure) -> BipartiteGraph:
     Everything outside it is consumed by the augmentation; counting the
     unsaturated V-vertices left outside drives the classification.
     """
-    return induced_subgraph(ps.subgraph, ps.check_vertices)
+    return _structure_graph(ps, ps.check_vertices)
 
 
 def classify_matching(
@@ -266,7 +289,7 @@ def classify_matching(
     paths = enumerate_augmenting_paths(g, m, limit)
     for p in paths:
         ps = path_structure(g, m, p, paths)
-        outside = set(ps.subgraph.vertices) - ps.check_vertices
+        outside = ps.vertices - ps.check_vertices
         unsat = frozenset(v for v in outside & v_side
                           if not m.saturates(v))
         if len(unsat) >= 2:

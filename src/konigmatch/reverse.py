@@ -8,6 +8,12 @@ found on the down part; on the up part a depth-first procedure grows a
 matching while keeping each visited root unsaturated.  Applying Kőnig's
 procedure to the union reproduces the input cover; this is asserted and
 a violation raises ``RoundTripFailed``.
+
+The split and its down matching depend on the cover alone; only the up
+walk depends on the order in which roots are visited.  So a split is a
+value: it records the graph and cover it was made for, and
+``reverse_konig`` accepts one in place of the cover, which lets a caller
+try many visit orders on one split.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .errors import (
+    ForeignSplit,
     NotMinimumCover,
     RoundTripFailed,
     SaturationImpossible,
@@ -28,13 +35,22 @@ from .matching import Matching, maximum_matching
 
 @dataclass(frozen=True)
 class CoverSplit:
-    """The up/down/cut decomposition induced by a minimum cover."""
+    """The up/down/cut decomposition induced by a minimum cover.
 
+    ``graph`` and ``cover`` name what the split was made for, so
+    ``reverse_konig`` can reject a split of another graph and check its
+    round trip against the right cover.  ``m_down`` is the down part's
+    matching saturating ``down_cover_side``, found once with the split.
+    """
+
+    graph: BipartiteGraph
+    cover: frozenset[int]
     up: BipartiteGraph
     down: BipartiteGraph
     cut_edges: frozenset[Edge]
     up_roots: frozenset[int]       # U \ C, the up part's non-cover side
     down_cover_side: frozenset[int]  # U ∩ C, must end up saturated
+    m_down: Matching
 
 
 @dataclass(frozen=True)
@@ -49,10 +65,14 @@ class ReverseResult:
 
 def split_by_cover(g: BipartiteGraph,
                    c: VertexCover | Iterable[int]) -> CoverSplit:
-    """Split ``g`` along a minimum cover.
+    """Split ``g`` along a minimum cover and match its down part.
 
     U here is the procedure side (smaller side per component), matching
     the convention ``konig_cover`` uses, so the round trip is consistent.
+    A cover that is not minimum raises ``NotMinimumCover``.  The down
+    matching saturates every cover vertex of U; it exists by Hall's
+    condition when the cover is minimum, so ``SaturationImpossible``
+    signals a defect.
     """
     cset = _cover_vertices(c)
     if not is_minimum_cover(g, cset):
@@ -61,24 +81,25 @@ def split_by_cover(g: BipartiteGraph,
     up = induced_subgraph(g, (v_side & cset) | (u_side - cset))
     down = induced_subgraph(g, (u_side & cset) | (v_side - cset))
     cut = frozenset((u, v) for u, v in g.edges if u in cset and v in cset)
-    return CoverSplit(up, down, cut,
+    down_cover_side = u_side & cset
+    m_down = maximum_matching(down)
+    missed = [v for v in down_cover_side if not m_down.saturates(v)]
+    if missed:
+        raise SaturationImpossible(
+            f"down part cannot saturate {sorted(missed)}; "
+            "cover was not minimum")
+    return CoverSplit(g, cset, up, down, cut,
                       up_roots=u_side - cset,
-                      down_cover_side=u_side & cset)
+                      down_cover_side=down_cover_side,
+                      m_down=m_down)
 
 
 def saturating_matching_down(split: CoverSplit) -> Matching:
     """Matching on the down part saturating every cover vertex of U.
 
-    Existence follows from Hall's condition when the cover is minimum;
-    failure therefore signals a non-minimum input.
+    It is found once, by ``split_by_cover``, and read from the split.
     """
-    m = maximum_matching(split.down)
-    missed = [v for v in split.down_cover_side if not m.saturates(v)]
-    if missed:
-        raise SaturationImpossible(
-            f"down part cannot saturate {sorted(missed)}; "
-            "cover was not minimum")
-    return m
+    return split.m_down
 
 
 def reverse_procedure_up(split: CoverSplit,
@@ -126,23 +147,30 @@ def reverse_procedure_up(split: CoverSplit,
 
 
 def reverse_konig(g: BipartiteGraph,
-                  c: VertexCover | Iterable[int],
+                  c: VertexCover | CoverSplit | Iterable[int],
                   visit_order: Sequence[int] | None = None) -> ReverseResult:
     """Recover a matching whose Kőnig cover is exactly ``c``.
 
-    The round trip is verified before returning; a mismatch raises
-    ``RoundTripFailed`` (a defect, never expected on valid input).
+    ``c`` is a minimum cover, or a ``split_by_cover`` split of one; a
+    split is reused as it is, so many visit orders can share one split.
+    A split made for another graph raises ``ForeignSplit``.  The round
+    trip is verified against the split's cover before returning; a
+    mismatch raises ``RoundTripFailed`` (a defect, or a split whose
+    parts belong to another cover).
     """
-    cset = _cover_vertices(c)
-    split = split_by_cover(g, cset)
+    if isinstance(c, CoverSplit):
+        split = c
+        if split.graph is not g and split.graph != g:
+            raise ForeignSplit("cover split was made for another graph")
+    else:
+        split = split_by_cover(g, c)
     order = tuple(sorted(split.up_roots) if visit_order is None
                   else visit_order)
-    m_down = saturating_matching_down(split)
     m_up = reverse_procedure_up(split, order)
-    combined = Matching(g, m_up.edges | m_down.edges)
+    combined = Matching(g, m_up.edges | split.m_down.edges)
     produced = konig_vertices(g, combined)
-    if produced != cset:
+    if produced != split.cover:
         raise RoundTripFailed(
-            f"expected cover {sorted(cset)}, procedure gave "
+            f"expected cover {sorted(split.cover)}, procedure gave "
             f"{sorted(produced)}")
-    return ReverseResult(m_up, m_down, combined, order)
+    return ReverseResult(m_up, split.m_down, combined, order)

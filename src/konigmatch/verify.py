@@ -17,7 +17,6 @@ from .corpus import cached_corpus
 from .graph import BipartiteGraph, procedure_sides
 from .konig import konig_cover, konig_vertices
 from .matching import (
-    augment,
     is_disjoint_cycle_union,
     is_maximal,
     maximum_matching,
@@ -34,10 +33,10 @@ from .oracle import (
 from .paths import (
     classify_matching,
     enumerate_augmenting_paths,
-    hat_subgraph,
+    hat_vertices,
     path_structure,
 )
-from .reverse import reverse_konig
+from .reverse import reverse_konig, split_by_cover
 from .stars import reached_minimum_covers, restrict_cover, star_stud
 
 # visit orders sampled per cover by the reverse round-trip sweep, on top
@@ -88,7 +87,10 @@ def sweep_konig_equality(max_vertices: int = 8) -> SweepResult:
 def sweep_reverse_round_trip(max_vertices: int = 8,
                              seed: int = 0) -> SweepResult:
     """Reverse procedure recovers every oracle minimum cover, for the
-    default visit order and ``SAMPLED_ORDERS`` sampled permutations."""
+    default visit order and ``SAMPLED_ORDERS`` sampled permutations.
+
+    Each cover is split once, and every visit order reuses that split.
+    """
     result = SweepResult("reverse-round-trip")
     rng = random.Random(seed)
     for g in cached_corpus(max_vertices):
@@ -100,9 +102,13 @@ def sweep_reverse_round_trip(max_vertices: int = 8,
                 shuffled = roots[:]
                 rng.shuffle(shuffled)
                 orders.append(shuffled)
+            try:
+                target = split_by_cover(g, cover)
+            except Exception:  # reverse_konig raises it again per order
+                target = cover
             for order in orders:
                 try:
-                    res = reverse_konig(g, cover, order)
+                    res = reverse_konig(g, target, order)
                 except Exception as exc:  # report, keep sweeping
                     result.check(False,
                                  lambda: f"{_describe(g)} cover "
@@ -199,9 +205,11 @@ def sweep_path_structure_properties(max_vertices: int = 8) -> SweepResult:
     exactly when two V-endpoints are stranded, and the hat reduction."""
     result = SweepResult("path-structure-properties")
     for g in cached_corpus(max_vertices):
-        _, v_side = procedure_sides(g)
+        u_side, v_side = procedure_sides(g)
+        vertices = g.vertices
         for m in all_maximal_matchings(g):
             paths = enumerate_augmenting_paths(g, m)
+            vertex_sets = [frozenset(q.vertices) for q in paths]
             k_before = konig_vertices(g, m)
             for idx, p in enumerate(paths):
                 def where() -> str:
@@ -209,14 +217,14 @@ def sweep_path_structure_properties(max_vertices: int = 8) -> SweepResult:
                             f"p={list(p.vertices)}")
 
                 ps = path_structure(g, m, p, paths)
-                structure = ps.subgraph.vertices
-                k_after = konig_vertices(g, augment(m, p))
+                structure = ps.vertices
+                k_after = u_side ^ ps.z_after  # K(M △ P)
                 # localization: outside the structure, membership of a
                 # matched pair (or a lone unmatched vertex) is preserved
-                for r in sorted(g.vertices - structure):
-                    partner = m.partner(r)
-                    pair = {r} if partner is None else {r, partner}
-                    result.check(bool(pair & k_before) == bool(pair & k_after),
+                for r in sorted(vertices - structure):
+                    partner = m.partner(r)  # None is in neither cover
+                    result.check((r in k_before or partner in k_before)
+                                 == (r in k_after or partner in k_after),
                                  lambda: f"{where()}: localization fails "
                                          f"at {r}")
                 # the substructure of paths sharing p's root and endpoint
@@ -239,15 +247,16 @@ def sweep_path_structure_properties(max_vertices: int = 8) -> SweepResult:
                              lambda: f"{where()}: stranded count and cover "
                                      "decrease disagree")
                 # hat reduction preserves the cardinality equality
-                hat = hat_subgraph(ps).vertices
+                hat = hat_vertices(ps)
                 full_eq = (len(k_before & structure)
                            == len(k_after & structure))
                 hat_eq = len(k_before & hat) == len(k_after & hat)
                 result.check(full_eq == hat_eq,
                              lambda: f"{where()}: hat reduction disagrees")
                 # vertex-wise intersection implies edge-wise or endpoints only
-                for q in paths[idx + 1:]:
-                    shared = set(p.vertices) & set(q.vertices)
+                for q, q_vertices in zip(paths[idx + 1:],
+                                         vertex_sets[idx + 1:]):
+                    shared = vertex_sets[idx] & q_vertices
                     if shared and not (p.edges & q.edges):
                         endpoints = {p.vertices[0], p.vertices[-1]} & \
                             {q.vertices[0], q.vertices[-1]}

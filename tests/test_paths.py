@@ -2,16 +2,23 @@ import pytest
 
 from konigmatch import (
     AlternatingPath,
+    BipartiteGraph,
     Matching,
+    augment,
     build_graph,
     check_subgraph,
     classify_matching,
     cover_delta_under_augment,
     enumerate_augmenting_paths,
     hat_subgraph,
+    hat_vertices,
+    induced_subgraph,
     konig_cover,
+    konig_vertices,
     meet_join,
     path_structure,
+    procedure_sides,
+    z_set,
 )
 from konigmatch import verify
 from konigmatch.corpus import cached_corpus
@@ -219,3 +226,64 @@ def test_classification_on_the_smallest_nine_vertex_counterexample():
                            (2, 3), (3, 4)])
     m = Matching(g, [(0, 7), (1, 8)])
     assert classify_matching(g, m).is_minimum == konig_cover(g, m).is_minimum
+
+
+def _reference_graphs(g, ps):
+    """The structure, hat and check graphs built independently: one
+    ``BipartiteGraph`` from the family's union, and the hat and check
+    parts cut from it by ``induced_subgraph``."""
+    vertices, edges = set(), set()
+    for q in ps.family:
+        vertices.update(q.vertices)
+        edges.update(q.edges)
+    sub = BipartiteGraph(g.left & vertices, g.right & vertices, edges,
+                         g.labels)
+    hat = sub
+    if ps.hat_cut_vertex is not None:
+        end = ps.base_path.vertices[-1]
+        selected = set()
+        for q in ps.family:
+            if q.vertices[-1] == end and ps.hat_cut_vertex in q.vertices:
+                cut = q.vertices.index(ps.hat_cut_vertex)
+                selected.update(q.vertices[:cut + 1])
+        hat = induced_subgraph(sub, sub.vertices - selected)
+    return sub, hat, induced_subgraph(sub, ps.check_vertices)
+
+
+def test_structures_match_the_reference_graphs_on_the_corpus():
+    structures = hat_cuts = 0
+    for g in cached_corpus(7):
+        u_side, _ = procedure_sides(g)
+        for m in all_maximal_matchings(g):
+            paths = enumerate_augmenting_paths(g, m)
+            for p in paths:
+                ps = path_structure(g, m, p, paths)
+                sub, hat, check = _reference_graphs(g, ps)
+                assert ps.vertices == sub.vertices
+                assert ps.edges == sub.edges
+                for built, reference in ((ps.subgraph, sub),
+                                         (hat_subgraph(ps), hat),
+                                         (check_subgraph(ps), check)):
+                    assert built == reference
+                    assert built.labels == reference.labels
+                assert hat_vertices(ps) == hat.vertices
+                augmented = augment(m, p)
+                assert ps.z_after == z_set(g, augmented)
+                assert u_side ^ ps.z_after == konig_vertices(g, augmented)
+                structures += 1
+                hat_cuts += ps.hat_cut_vertex is not None
+    assert (structures, hat_cuts) == (253, 10)
+
+
+def test_classification_and_the_sweep_build_no_graphs(monkeypatch, fork,
+                                                      fork_matching):
+    def no_graphs(*args, **kwargs):
+        raise AssertionError("a structure graph was built")
+
+    monkeypatch.setattr("konigmatch.paths.BipartiteGraph", no_graphs)
+    assert not classify_matching(fork, fork_matching).is_minimum
+    assert verify.sweep_path_structure_properties(6).ok
+    assert verify.sweep_classification(6).ok
+    paths = enumerate_augmenting_paths(fork, fork_matching)
+    with pytest.raises(AssertionError, match="structure graph"):
+        path_structure(fork, fork_matching, paths[0], paths).subgraph

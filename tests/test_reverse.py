@@ -1,3 +1,6 @@
+import dataclasses
+import random
+
 import pytest
 
 from konigmatch import (
@@ -9,8 +12,15 @@ from konigmatch import (
     saturating_matching_down,
     split_by_cover,
 )
+from konigmatch import verify
 from konigmatch.corpus import cached_corpus
-from konigmatch.errors import NotMinimumCover
+from konigmatch.errors import (
+    DomainError,
+    ForeignSplit,
+    NotMinimumCover,
+    RoundTripFailed,
+)
+from konigmatch.graph import procedure_sides
 from konigmatch.oracle import all_minimum_covers
 
 from conftest import labeled, matching_by_labels
@@ -113,3 +123,102 @@ def test_reverse_walks_a_long_path_without_recursion():
     result = reverse_konig(g, cover)
     assert len(result.m_up) == half - 1
     assert konig_cover(g, result.combined).vertices == cover
+
+
+def _visit_orders(g, cover, rng):
+    """The default order and five shuffles of the uncovered U side."""
+    roots = sorted(procedure_sides(g)[0] - cover)
+    orders = [None]
+    for _ in range(5):
+        rng.shuffle(roots)
+        orders.append(roots[:])
+    return orders
+
+
+def test_a_shared_split_gives_what_a_fresh_call_gives():
+    rng = random.Random(0)
+    calls = 0
+    for g in cached_corpus(6):
+        for cover in all_minimum_covers(g):
+            split = split_by_cover(g, cover)
+            for order in _visit_orders(g, cover, rng):
+                shared = reverse_konig(g, split, order)
+                fresh = reverse_konig(g, cover, order)
+                assert shared.m_up == fresh.m_up
+                assert shared.m_down == fresh.m_down
+                assert shared.combined == fresh.combined
+                assert shared.visit_order == fresh.visit_order
+                calls += 1
+    assert calls == 6 * 51
+
+
+def test_the_split_records_its_graph_cover_and_down_matching(fork):
+    cover = labeled(fork, "b1", "c1")
+    split = split_by_cover(fork, cover)
+    assert split.graph is fork
+    assert split.cover == cover
+    assert saturating_matching_down(split) is split.m_down
+    assert split.m_down.graph is split.down
+
+
+def test_a_split_of_another_graph_is_rejected(fork, p4):
+    split = split_by_cover(fork, labeled(fork, "b1", "c1"))
+    with pytest.raises(ForeignSplit):
+        reverse_konig(p4, split)
+    assert issubclass(ForeignSplit, DomainError)
+    # an equal graph built anew is the same graph
+    twin = build_graph(3, 4,
+                       [(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (2, 3)])
+    assert twin is not fork and twin == fork
+    result = reverse_konig(twin, split)
+    assert konig_cover(twin, result.combined).vertices == split.cover
+
+
+def test_a_split_whose_parts_belong_to_another_cover_does_not_round_trip(p4):
+    a = labeled(p4, "1", "3")
+    b = labeled(p4, "2", "4")
+    stale = dataclasses.replace(split_by_cover(p4, a), cover=b)
+    with pytest.raises(RoundTripFailed):
+        reverse_konig(p4, stale)
+    assert issubclass(RoundTripFailed, DomainError)
+
+
+def test_the_reverse_sweep_splits_each_cover_once(monkeypatch):
+    splits, reverses = [], []
+
+    def counting_split(g, c):
+        splits.append(c)
+        return split_by_cover(g, c)
+
+    def counting_reverse(g, c, visit_order=None):
+        reverses.append(c)
+        return reverse_konig(g, c, visit_order)
+
+    monkeypatch.setattr("konigmatch.verify.split_by_cover", counting_split)
+    monkeypatch.setattr("konigmatch.reverse.split_by_cover", counting_split)
+    monkeypatch.setattr("konigmatch.verify.reverse_konig", counting_reverse)
+    result = verify.sweep_reverse_round_trip(6)
+    assert result.ok
+    covers = sum(len(all_minimum_covers(g)) for g in cached_corpus(6))
+    assert len(splits) == covers == 51
+    assert len(reverses) == result.cases == 6 * covers
+    assert all(type(c).__name__ == "CoverSplit" for c in reverses)
+
+
+def test_the_reverse_sweep_catches_a_stale_split(monkeypatch):
+    # hand every cover of a graph the split of its first cover: a cover
+    # fixes its uncovered U side, so every order of a later cover fails
+    first = {}
+
+    def stale_split(g, c):
+        if g not in first:
+            first[g] = split_by_cover(g, c)
+        return first[g]
+
+    monkeypatch.setattr("konigmatch.verify.split_by_cover", stale_split)
+    result = verify.sweep_reverse_round_trip(6)
+    later_covers = sum(len(all_minimum_covers(g)) - 1
+                       for g in cached_corpus(6))
+    assert later_covers > 0
+    assert len(result.violations) == 6 * later_covers
+    assert result.cases == 6 * 51
