@@ -38,7 +38,6 @@ from .reverse import (
     ReverseResult,
     reverse_konig,
     reverse_procedure_up,
-    saturating_matching_down,
     split_by_cover,
 )
 from .paths import (

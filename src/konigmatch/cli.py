@@ -30,6 +30,13 @@ from .stars import star_stud
 from .verify import corpus_verify
 
 
+def _at_least(flag: str, value: int, low: int) -> int:
+    """``value``, or ``InputError`` (exit 2) when it is below ``low``."""
+    if value < low:
+        raise InputError(f"{flag} must be at least {low}, got {value}")
+    return value
+
+
 def _emit(data) -> None:
     json.dump(data, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
@@ -75,7 +82,7 @@ def _cmd_reverse(args) -> int:
 def _cmd_classify(args) -> int:
     g = gio.load_graph(args.graph)
     m = gio.load_matching(g, args.matching)
-    verdict = classify_matching(g, m, args.limit)
+    verdict = classify_matching(g, m, _at_least("--limit", args.limit, 1))
     out = {"is_minimum": verdict.is_minimum}
     if verdict.witness is not None:
         path, stranded = verdict.witness
@@ -102,7 +109,8 @@ def _cmd_starstud(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     g = gio.load_graph(args.graph)
-    budget = OracleBudget(max_vertices=args.max_vertices)
+    budget = OracleBudget(
+        max_vertices=_at_least("--max-vertices", args.max_vertices, 0))
     what = args.oracle
     if what == "min-covers":
         covers = all_minimum_covers(g, budget)
@@ -142,7 +150,9 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_corpus_verify(args) -> int:
-    results = corpus_verify(args.max_vertices, include_stars=not args.no_stars)
+    # the smallest corpus graph has two vertices; below that no case runs
+    results = corpus_verify(_at_least("--max-vertices", args.max_vertices, 2),
+                            include_stars=not args.no_stars)
     failed = False
     for res in results:
         status = "ok" if res.ok else "FAIL"

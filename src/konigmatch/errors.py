@@ -35,6 +35,10 @@ class UnknownVertex(InputError):
     pass
 
 
+class UnknownSide(InputError):
+    """A side named other than "left" or "right"."""
+
+
 class NotBipartite(InputError):
     """Edge-list input admits no two-coloring."""
 

@@ -91,7 +91,7 @@ def run_trials(cfg: TrialConfig, csv_out: IO[str] | None = None) -> TrialReport:
         cover = konig_cover(g, m)
         min_size = matching_number(g)
         excess = len(cover.vertices) - min_size
-        hit = cover.is_cover and excess == 0
+        hit = cover.is_minimum
         report.trials_run += 1
         report.minimum_hits += int(hit)
         report.cover_excess_total += excess

@@ -13,8 +13,7 @@ first use and kept in the graph's own slots.
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DuplicateVertex,
@@ -199,41 +198,10 @@ def induced_subgraph(g: BipartiteGraph,
     )
 
 
-def connected_components(g: BipartiteGraph) -> list[BipartiteGraph]:
-    """Partition ``g`` into connected components (BFS)."""
-    seen: set[int] = set()
-    comps = []
-    for start in sorted(g.vertices):
-        if start in seen:
-            continue
-        queue = deque([start])
-        comp = {start}
-        seen.add(start)
-        while queue:
-            x = queue.popleft()
-            for y in g.neighbors(x):
-                if y not in comp:
-                    comp.add(y)
-                    seen.add(y)
-                    queue.append(y)
-        comps.append(induced_subgraph(g, comp))
-    return comps
-
-
-def procedure_sides(g: BipartiteGraph) -> tuple[frozenset[int], frozenset[int]]:
-    """Effective (U, V) sides for Kőnig's procedure, chosen per component.
-
-    Within each connected component the smaller of the two sides plays the
-    role of U; ties keep the graph's designated left side.  Computed once
-    per graph by a search over the adjacency sets.
-    """
-    try:
-        return g._sides
-    except AttributeError:
-        pass
+def _components(g: BipartiteGraph) -> Iterator[list[int]]:
+    """The vertex list of each connected component, by breadth-first search
+    over the adjacency sets."""
     adjacency = g._adjacency
-    u_side: list[int] = []
-    v_side: list[int] = []
     seen: set[int] = set()
     for start in adjacency:
         if start in seen:
@@ -245,6 +213,29 @@ def procedure_sides(g: BipartiteGraph) -> tuple[frozenset[int], frozenset[int]]:
                 if y not in seen:
                     seen.add(y)
                     comp.append(y)
+        yield comp
+
+
+def connected_components(g: BipartiteGraph) -> list[BipartiteGraph]:
+    """Partition ``g`` into connected components, ordered by least vertex."""
+    return [induced_subgraph(g, comp)
+            for comp in sorted(_components(g), key=min)]
+
+
+def procedure_sides(g: BipartiteGraph) -> tuple[frozenset[int], frozenset[int]]:
+    """Effective (U, V) sides for Kőnig's procedure, chosen per component.
+
+    Within each connected component the smaller of the two sides plays the
+    role of U; ties keep the graph's designated left side.  Computed once
+    per graph.
+    """
+    try:
+        return g._sides
+    except AttributeError:
+        pass
+    u_side: list[int] = []
+    v_side: list[int] = []
+    for comp in _components(g):
         left = [v for v in comp if v in g.left]
         right = [v for v in comp if v not in g.left]
         if len(left) <= len(right):

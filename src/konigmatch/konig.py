@@ -9,7 +9,7 @@ since N(Z ∩ U) ⊆ Z, and the cover verdict checks this, not assumes it.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .errors import NotACover, UnknownVertex
@@ -32,15 +32,11 @@ class VertexCover:
     def __contains__(self, v: int) -> bool:
         return v in self.vertices
 
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.vertices)
+
     def __len__(self) -> int:
         return len(self.vertices)
-
-
-def _cover_vertices(c: VertexCover | Iterable[int]) -> frozenset[int]:
-    """The vertex set of a ``VertexCover`` or of any iterable of ids."""
-    if isinstance(c, VertexCover):
-        return c.vertices
-    return frozenset(c)
 
 
 def z_set(g: BipartiteGraph, m: Matching) -> frozenset[int]:
@@ -68,12 +64,20 @@ def z_set(g: BipartiteGraph, m: Matching) -> frozenset[int]:
     return frozenset(z)
 
 
+def _covers(g: BipartiteGraph, u_side: frozenset[int],
+            s: frozenset[int]) -> bool:
+    """True iff ``s`` covers every edge of ``g``; ``u_side`` holds one
+    endpoint of each edge, so checking its vertices outside ``s`` is enough."""
+    adjacency = g._adjacency
+    return all(adjacency[x] <= s for x in u_side - s)
+
+
 def is_vertex_cover(g: BipartiteGraph, s: Iterable[int]) -> bool:
     """True iff every edge has at least one endpoint in ``s``."""
-    sset = set(s)
+    sset = frozenset(s)
     if not sset <= g.vertices:
         raise UnknownVertex("cover candidate uses unknown vertices")
-    return all(u in sset or v in sset for u, v in g.edges)
+    return _covers(g, g.left, sset)
 
 
 def is_minimal_cover(g: BipartiteGraph, s: Iterable[int]) -> bool:
@@ -82,7 +86,7 @@ def is_minimal_cover(g: BipartiteGraph, s: Iterable[int]) -> bool:
     Equivalently: no vertex of ``s`` has its whole neighborhood inside
     ``s``.
     """
-    sset = set(s)
+    sset = frozenset(s)
     if not is_vertex_cover(g, sset):
         raise NotACover("input is not a vertex cover")
     return not any(g.neighbors(r) <= sset for r in sset)
@@ -94,7 +98,7 @@ def is_minimum_cover(g: BipartiteGraph, s: Iterable[int]) -> bool:
     The matching size is the polynomial certificate of minimality for
     bipartite graphs, so no enumeration is needed.
     """
-    sset = set(s)
+    sset = frozenset(s)
     if not is_vertex_cover(g, sset):
         return False
     return len(sset) == matching_number(g)
@@ -113,10 +117,8 @@ def konig_cover(g: BipartiteGraph, m: Matching) -> VertexCover:
     fields record exactly what holds.
     """
     u_side, _ = procedure_sides(g)
-    k = u_side ^ z_set(g, m)  # konig_vertices, keeping U for the checks
-    adjacency = g._adjacency
-    # each edge has one endpoint in U, so checking U \ K checks every edge
-    cover = all(adjacency[x] <= k for x in u_side - k)
-    minimal = cover and not any(adjacency[r] <= k for r in k)
+    k = u_side ^ z_set(g, m)  # konig_vertices, keeping U for the check
+    cover = _covers(g, u_side, k)
+    minimal = cover and not any(g._adjacency[r] <= k for r in k)
     minimum = cover and len(k) == matching_number(g)
     return VertexCover(k, cover, minimal, minimum)

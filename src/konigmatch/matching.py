@@ -13,6 +13,7 @@ from collections.abc import Iterable, Sequence
 from .errors import (
     ForeignMatching,
     InvalidMatching,
+    NotAugmenting,
     SaturatedStart,
     UnknownVertex,
 )
@@ -209,7 +210,10 @@ def find_augmenting_path(g: BipartiteGraph, m: Matching,
 
 
 def augment(m: Matching, path: AlternatingPath) -> Matching:
-    """Replace ``m`` with the larger matching ``m △ path``."""
+    """Replace ``m`` with the larger matching ``m △ path``; ``path`` must
+    alternate against ``m`` (or an equal matching)."""
+    if path.matching is not m and path.matching != m:
+        raise NotAugmenting("path alternates against another matching")
     if not path.augmenting:
         raise InvalidMatching("path is not augmenting")
     return Matching(m.graph, m.edges ^ path.edges)
@@ -218,19 +222,15 @@ def augment(m: Matching, path: AlternatingPath) -> Matching:
 def maximum_matching(g: BipartiteGraph) -> Matching:
     """Grow the empty matching to a maximum-cardinality matching.
 
-    Augments from unsaturated left vertices in ascending id order until
-    no augmenting path remains (Berge's condition).  The result's size is
-    also kept as the graph's ``matching_number``.
+    Augments from each left vertex once, in ascending id order: a vertex
+    with no augmenting path gains none later (Kuhn), so none remains
+    (Berge's condition).  The size is kept as ``matching_number``.
     """
     m = Matching(g, ())
-    improved = True
-    while improved:
-        improved = False
-        for u in m.unsaturated(g.left):
-            path = find_augmenting_path(g, m, u)
-            if path is not None:
-                m = augment(m, path)
-                improved = True
+    for u in sorted(g.left):
+        path = find_augmenting_path(g, m, u)
+        if path is not None:
+            m = augment(m, path)
     g._nu = len(m)
     return m
 

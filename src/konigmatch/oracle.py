@@ -21,7 +21,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, UnknownSide
 from .graph import BipartiteGraph
 from .matching import Matching
 
@@ -210,8 +210,11 @@ def hall_condition(g: BipartiteGraph, side: str,
                    b: OracleBudget | None = None) -> bool:
     """Check |W| ≤ |N(W)| for every subset W of the chosen side.
 
-    ``side`` is ``"left"`` or ``"right"``.
+    ``side`` is ``"left"`` or ``"right"``; any other name raises
+    ``UnknownSide``.
     """
+    if side not in ("left", "right"):
+        raise UnknownSide(f"side must be 'left' or 'right', not {side!r}")
     b = b or OracleBudget()
     vertices = sorted(g.left if side == "left" else g.right)
     if 2 ** len(vertices) > b.max_subsets:

@@ -7,16 +7,16 @@ Two truncations isolate the part responsible for cover-size loss: the
 different root first joins P, and the "check" keeps the part of the
 structure that is still reachable by alternating paths once P has been
 augmented.  The classification rests on a conjecture: a maximal matching
-maps to a minimum cover exactly when no structure minus its check part
-keeps two unsaturated V-vertices.  It fails from 9 vertices up, where a
+maps to a minimum cover exactly when no structure strands two unsaturated
+V-vertices outside its check part.  It fails from 9 vertices up, where a
 cover can need two disjoint augmentations to shrink; the strict xfail in
 ``tests/test_paths.py`` holds the smallest such case.
 
 The augmenting paths of a matching are enumerated once, by the caller
 of ``path_structure``, and every structure is built from that one list.
-A structure holds vertex and edge sets, plus Z(M △ P) for the augmented
-matching, so K(M △ P) = U △ Z needs no second augmentation; its graph,
-and the hat and check graphs, are built only when asked for.
+A structure stores its family, their vertex union and Z(M △ P), so
+K(M △ P) = U △ Z needs no second augmentation; edges, the check part,
+cut vertices, stranded set and graphs are derived when read.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import (
     NotMaximal,
     PathExplosion,
 )
-from .graph import BipartiteGraph, Edge, procedure_sides
+from .graph import BipartiteGraph, Edge, induced_subgraph, procedure_sides
 from .konig import konig_vertices, z_set
 from .matching import (
     AlternatingPath,
@@ -46,30 +46,76 @@ DEFAULT_PATH_LIMIT = 10 ** 6
 class PathStructure:
     """The union of all augmenting paths vertex-wise intersecting a base path.
 
-    ``vertices`` and ``edges`` are the union of the family's paths; the
-    ``subgraph`` property builds them into a graph on request.
-    ``hat_cut_vertex`` is the V-vertex bounding the hat truncation (None
-    when no path from a different root reaches the base path's endpoint).
-    ``z_after`` is Z(M △ P), the alternating-reachability set once the
-    base path P has been augmented.  ``check_vertices`` is its part
-    inside the structure: the surviving region.  ``check_cut_vertex`` is
-    the matched U-vertex on the boundary of that region, when one exists.
+    A structure stores what defines it: the ``family`` of paths meeting
+    ``base_path``, their vertex union ``vertices``, and ``z_after``, the
+    alternating-reachability set Z(M △ P) once the base path P has been
+    augmented.  The rest is derived on each read.
     """
 
     graph: BipartiteGraph
     base_path: AlternatingPath
     family: tuple[AlternatingPath, ...]
     vertices: frozenset[int]
-    edges: frozenset[Edge]
-    hat_cut_vertex: int | None
-    check_cut_vertex: int | None
-    check_vertices: frozenset[int]
     z_after: frozenset[int]
+
+    @property
+    def edges(self) -> frozenset[Edge]:
+        """The union of the family's edges."""
+        return frozenset().union(*(q.edges for q in self.family))
+
+    @property
+    def check_vertices(self) -> frozenset[int]:
+        """The surviving region: the part of ``z_after`` in the structure."""
+        return self.z_after & self.vertices
+
+    @property
+    def stranded(self) -> frozenset[int]:
+        """The unsaturated V-vertices outside the check part: those that
+        augmenting the base path strands."""
+        m = self.base_path.matching
+        v_side = procedure_sides(self.graph)[1]
+        return frozenset(v for v in (self.vertices - self.z_after) & v_side
+                         if not m.saturates(v))
+
+    @property
+    def hat_cut_vertex(self) -> int | None:
+        """v̂: the highest first-intersection with the base path over the
+        family paths that run from a different unsaturated root to its
+        endpoint; None when every such path starts at its own root."""
+        p = self.base_path
+        others = [q for q in _representatives(p, self.family)
+                  if q.vertices[0] != p.vertices[0]]
+        if not others:
+            return None
+        rank = {v: i for i, v in enumerate(p.vertices)}
+        joins = [meet_join(p, q)[0] for q in others]
+        return max(joins, key=rank.__getitem__)
+
+    @property
+    def check_cut_vertex(self) -> int | None:
+        """ǔ: the matched U-vertex just outside the surviving region whose
+        partner v̌ lies inside it, taken as low as possible along the base
+        path; None when there is none."""
+        check = self.check_vertices
+        rank = {v: i for i, v in enumerate(self.base_path.vertices)}
+        candidates = []
+        for x, y in sorted(self.base_path.matching.edges):
+            for inside, outside in ((x, y), (y, x)):
+                if (inside in check and outside in self.vertices
+                        and outside not in check):
+                    candidates.append((rank.get(inside, len(rank)), inside,
+                                       outside))
+        if not candidates:
+            return None
+        return min(candidates)[2]
 
     @property
     def subgraph(self) -> BipartiteGraph:
         """The structure as a graph, built anew on each access."""
-        return _structure_graph(self, self.vertices)
+        g = self.graph
+        # the edges come from validated paths, so no check against g is needed
+        return BipartiteGraph(g.left & self.vertices, g.right & self.vertices,
+                              self.edges, g.labels)
 
 
 @dataclass(frozen=True)
@@ -152,28 +198,10 @@ def path_structure(
     if p not in family:
         raise NotAugmenting("base path is not a path of this matching")
     vertices: set[int] = set()
-    edges: set[Edge] = set()
     for q in family:
         vertices.update(q.vertices)
-        edges.update(q.edges)
-    hat_v = _hat_cut_vertex(p, family)
-    z_after = z_set(g, augment(m, p))
-    check_set = z_after & vertices
-    check_u = _check_cut_vertex(m, p, vertices, check_set)
     return PathStructure(g, p, tuple(family), frozenset(vertices),
-                         frozenset(edges), hat_v, check_u, check_set,
-                         z_after)
-
-
-def _structure_graph(ps: PathStructure,
-                     vertices: frozenset[int]) -> BipartiteGraph:
-    """The subgraph of the structure induced by ``vertices``."""
-    g = ps.graph
-    # the edges come from validated paths, so no check against g is needed
-    return BipartiteGraph(g.left & vertices, g.right & vertices,
-                          [(u, v) for u, v in ps.edges
-                           if u in vertices and v in vertices],
-                          g.labels)
+                         z_set(g, augment(m, p)))
 
 
 def meet_join(p: AlternatingPath,
@@ -203,50 +231,15 @@ def _representatives(p: AlternatingPath,
     return [q for q in family if q.vertices[-1] == end]
 
 
-def _hat_cut_vertex(p: AlternatingPath,
-                    family: Sequence[AlternatingPath]) -> int | None:
-    """v̂: the highest first-intersection with p over family paths that
-    run from a different unsaturated root to p's endpoint.
-
-    ``None`` when every such path starts at p's own root.
-    """
-    root = p.vertices[0]
-    others = [q for q in _representatives(p, family)
-              if q.vertices[0] != root]
-    if not others:
-        return None
-    rank = {v: i for i, v in enumerate(p.vertices)}
-    joins = [meet_join(p, q)[0] for q in others]
-    return max(joins, key=rank.__getitem__)
-
-
-def _check_cut_vertex(m: Matching, p: AlternatingPath,
-                      structure_vertices: set[int],
-                      check_set: frozenset[int]) -> int | None:
-    """ǔ: the matched U-vertex just outside the surviving region whose
-    partner v̌ lies inside it, taken as low as possible along p."""
-    rank = {v: i for i, v in enumerate(p.vertices)}
-    candidates = []
-    for x, y in sorted(m.edges):
-        for inside, outside in ((x, y), (y, x)):
-            if (inside in check_set and outside in structure_vertices
-                    and outside not in check_set):
-                candidates.append((rank.get(inside, len(rank)), inside,
-                                   outside))
-    if not candidates:
-        return None
-    return min(candidates)[2]
-
-
 def hat_vertices(ps: PathStructure) -> frozenset[int]:
     """The vertices of Ĝ: the structure with everything up to v̂ removed.
 
     The prefixes cut away run along the paths into p's endpoint that pass
     through v̂.  With no path from a second root nothing is cut away.
     """
-    if ps.hat_cut_vertex is None:
-        return ps.vertices
     bound = ps.hat_cut_vertex
+    if bound is None:
+        return ps.vertices
     selected: set[int] = set()
     for q in _representatives(ps.base_path, ps.family):
         if bound in q.vertices:
@@ -257,7 +250,7 @@ def hat_vertices(ps: PathStructure) -> frozenset[int]:
 
 def hat_subgraph(ps: PathStructure) -> BipartiteGraph:
     """Ĝ as a graph: the structure induced on ``hat_vertices(ps)``."""
-    return _structure_graph(ps, hat_vertices(ps))
+    return induced_subgraph(ps.subgraph, hat_vertices(ps))
 
 
 def check_subgraph(ps: PathStructure) -> BipartiteGraph:
@@ -265,9 +258,10 @@ def check_subgraph(ps: PathStructure) -> BipartiteGraph:
     alternating paths once the base path has been augmented.
 
     Everything outside it is consumed by the augmentation; counting the
-    unsaturated V-vertices left outside drives the classification.
+    unsaturated V-vertices left outside (``ps.stranded``) drives the
+    classification.
     """
-    return _structure_graph(ps, ps.check_vertices)
+    return induced_subgraph(ps.subgraph, ps.check_vertices)
 
 
 def classify_matching(
@@ -278,22 +272,19 @@ def classify_matching(
     """Decide whether Kőnig's procedure on the maximal matching ``m``
     yields a minimum vertex cover, without computing cover sizes.
 
-    The verdict is "not minimum" when some augmenting path's structure,
-    minus its check part, keeps two or more unsaturated V-vertices.  That
+    The verdict is "not minimum" when some augmenting path's structure
+    strands two or more unsaturated V-vertices outside its check part
+    (``PathStructure.stranded``).  That
     this is exact is a conjecture that fails from 9 vertices up (the
     strict xfail in ``tests/test_paths.py``).
     """
     if not is_maximal(g, m):
         raise NotMaximal("classification applies to maximal matchings only")
-    _, v_side = procedure_sides(g)
     paths = enumerate_augmenting_paths(g, m, limit)
     for p in paths:
-        ps = path_structure(g, m, p, paths)
-        outside = ps.vertices - ps.check_vertices
-        unsat = frozenset(v for v in outside & v_side
-                          if not m.saturates(v))
-        if len(unsat) >= 2:
-            return ClassificationVerdict(False, (p, unsat))
+        stranded = path_structure(g, m, p, paths).stranded
+        if len(stranded) >= 2:
+            return ClassificationVerdict(False, (p, stranded))
     return ClassificationVerdict(True, None)
 
 
@@ -302,9 +293,8 @@ def cover_delta_under_augment(
     m: Matching,
     p: AlternatingPath,
 ) -> int:
-    """|K(m)| − |K(m △ p)| for an augmenting path ``p``."""
-    _require_same_graph(g, m)
-    if not p.augmenting or p.matching != m:
+    """|K(m)| − |K(m △ p)| for an augmenting path ``p`` of ``m``."""
+    if not p.augmenting:  # augment checks that p alternates against m
         raise NotAugmenting("path is not augmenting for this matching")
     return (len(konig_vertices(g, m))
             - len(konig_vertices(g, augment(m, p))))

@@ -13,7 +13,9 @@ The split and its down matching depend on the cover alone; only the up
 walk depends on the order in which roots are visited.  So a split is a
 value: it records the graph and cover it was made for, and
 ``reverse_konig`` accepts one in place of the cover, which lets a caller
-try many visit orders on one split.
+try many visit orders on one split.  A split stores its two parts, the
+up part's roots and the down matching; the cut edges and the down
+part's cover side are derived from the graph and cover when read.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from .errors import (
     SaturationImpossible,
 )
 from .graph import BipartiteGraph, Edge, induced_subgraph, procedure_sides
-from .konig import (VertexCover, _cover_vertices, is_minimum_cover,
-                    konig_vertices)
+from .konig import VertexCover, is_minimum_cover, konig_vertices
 from .matching import Matching, maximum_matching
 
 
@@ -47,10 +48,20 @@ class CoverSplit:
     cover: frozenset[int]
     up: BipartiteGraph
     down: BipartiteGraph
-    cut_edges: frozenset[Edge]
     up_roots: frozenset[int]       # U \ C, the up part's non-cover side
-    down_cover_side: frozenset[int]  # U ∩ C, must end up saturated
     m_down: Matching
+
+    @property
+    def cut_edges(self) -> frozenset[Edge]:
+        """The edges with both endpoints in the cover."""
+        c = self.cover
+        return frozenset((u, v) for u, v in self.graph.edges
+                         if u in c and v in c)
+
+    @property
+    def down_cover_side(self) -> frozenset[int]:
+        """U ∩ C, which the down matching saturates."""
+        return procedure_sides(self.graph)[0] & self.cover
 
 
 @dataclass(frozen=True)
@@ -74,32 +85,21 @@ def split_by_cover(g: BipartiteGraph,
     condition when the cover is minimum, so ``SaturationImpossible``
     signals a defect.
     """
-    cset = _cover_vertices(c)
+    cset = frozenset(c)
     if not is_minimum_cover(g, cset):
         raise NotMinimumCover("input set is not a minimum vertex cover")
     u_side, v_side = procedure_sides(g)
     up = induced_subgraph(g, (v_side & cset) | (u_side - cset))
     down = induced_subgraph(g, (u_side & cset) | (v_side - cset))
-    cut = frozenset((u, v) for u, v in g.edges if u in cset and v in cset)
-    down_cover_side = u_side & cset
-    m_down = maximum_matching(down)
-    missed = [v for v in down_cover_side if not m_down.saturates(v)]
+    split = CoverSplit(g, cset, up, down, u_side - cset,
+                       maximum_matching(down))
+    missed = [v for v in split.down_cover_side
+              if not split.m_down.saturates(v)]
     if missed:
         raise SaturationImpossible(
             f"down part cannot saturate {sorted(missed)}; "
             "cover was not minimum")
-    return CoverSplit(g, cset, up, down, cut,
-                      up_roots=u_side - cset,
-                      down_cover_side=down_cover_side,
-                      m_down=m_down)
-
-
-def saturating_matching_down(split: CoverSplit) -> Matching:
-    """Matching on the down part saturating every cover vertex of U.
-
-    It is found once, by ``split_by_cover``, and read from the split.
-    """
-    return split.m_down
+    return split
 
 
 def reverse_procedure_up(split: CoverSplit,

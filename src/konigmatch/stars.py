@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import EmptyGraph, NotMinimumCover
 from .graph import BipartiteGraph
-from .konig import _cover_vertices, is_minimum_cover, konig_vertices
+from .konig import is_minimum_cover, konig_vertices
 from .matching import Matching, matching_number
 from .oracle import OracleBudget, all_minimum_covers, iter_maximal_matchings
 
@@ -86,7 +86,7 @@ def lift_cover(ssg: StarStuddedGraph, c) -> frozenset[int]:
 
     The lift adds every star center; no leaf is ever needed.
     """
-    cset = _cover_vertices(c)
+    cset = frozenset(c)
     if not is_minimum_cover(ssg.base, cset):
         raise NotMinimumCover("input is not a minimum cover of the base")
     return cset | ssg.centers
@@ -94,7 +94,7 @@ def lift_cover(ssg: StarStuddedGraph, c) -> frozenset[int]:
 
 def restrict_cover(ssg: StarStuddedGraph, c) -> frozenset[int]:
     """Minimum cover of the studded graph → minimum cover of the base."""
-    cset = _cover_vertices(c)
+    cset = frozenset(c)
     if not is_minimum_cover(ssg.full, cset):
         raise NotMinimumCover(
             "input is not a minimum cover of the studded graph")

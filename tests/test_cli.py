@@ -204,6 +204,16 @@ EXPERIMENT = ["experiment", "--nl", "4", "--nr", "4", "--seed", "1"]
     pytest.param(EXPERIMENT + ["--p", "2", "--trials", "5"], None, id="p-2"),
     pytest.param(["experiment", "--nl", "0", "--nr", "4", "--p", "0.5",
                   "--trials", "5"], None, id="nl-0"),
+    # bad numbers: a corpus below two vertices checks nothing
+    pytest.param(["corpus-verify", "--max-vertices", "1"], None,
+                 id="corpus-1"),
+    pytest.param(["corpus-verify", "--max-vertices", "-3"], None,
+                 id="corpus-negative"),
+    pytest.param(["classify", "--graph", FORK, "--matching",
+                  str(FIXTURES / "fork_matching.json"), "--limit", "0"],
+                 None, id="limit-0"),
+    pytest.param(["enumerate", "--graph", P4, "--oracle", "matchings",
+                  "--max-vertices", "-1"], None, id="enumerate-negative"),
 ])
 def test_bad_input_exits_2(argv, content, tmp_path, capsys):
     if content is not None:

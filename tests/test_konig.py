@@ -4,6 +4,8 @@ from hypothesis import given, strategies as st
 from konigmatch import (
     Matching,
     build_graph,
+    enumerate_augmenting_paths,
+    is_maximal,
     is_minimal_cover,
     is_minimum_cover,
     is_vertex_cover,
@@ -15,7 +17,7 @@ from konigmatch import (
     z_set,
 )
 from konigmatch.corpus import cached_corpus
-from konigmatch.errors import NotACover, UnknownVertex
+from konigmatch.errors import ForeignMatching, NotACover, UnknownVertex
 from konigmatch.oracle import all_matchings, all_maximal_matchings
 
 from conftest import labeled, matching_by_labels
@@ -203,3 +205,23 @@ def test_matched_edges_have_exactly_one_endpoint_in_the_cover(g):
     cover = konig_cover(g, mm)
     for u, v in mm.edges:
         assert (u in cover) != (v in cover)
+
+
+@pytest.mark.parametrize("check", [z_set, konig_cover, is_maximal,
+                                   enumerate_augmenting_paths])
+def test_a_matching_of_another_graph_is_rejected(check, fork, p4):
+    with pytest.raises(ForeignMatching):
+        check(fork, matching_by_labels(p4, [("2", "3")]))
+    # a matching of an equal graph built anew is accepted
+    twin = build_graph(3, 4,
+                       [(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (2, 3)],
+                       ["a1", "a2", "c1"], ["b1", "d1", "d2", "d3"])
+    assert twin is not fork and twin == fork
+    m = matching_by_labels(twin, [("b1", "c1")])
+    assert check(fork, m) == check(twin, m)
+
+
+def test_a_cover_iterates_over_its_vertices(fork):
+    cover = konig_cover(fork, matching_by_labels(fork, [("b1", "c1")]))
+    assert frozenset(cover) == cover.vertices
+    assert sorted(cover) == sorted(cover.vertices)

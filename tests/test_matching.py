@@ -17,6 +17,7 @@ from konigmatch import (
 from konigmatch.errors import (
     ForeignMatching,
     InvalidMatching,
+    NotAugmenting,
     SaturatedStart,
 )
 from konigmatch.corpus import cached_corpus
@@ -103,6 +104,17 @@ def test_augment_rejects_non_augmenting(p4):
     m = matching_by_labels(p4, [("2", "3")])
     with pytest.raises(InvalidMatching):
         augment(m, AlternatingPath((0, 2), m))
+
+
+def test_augment_rejects_a_path_of_another_matching():
+    g = build_graph(2, 2, [(0, 0), (1, 0), (1, 1)])
+    p = AlternatingPath([0, 2, 1, 3], Matching(g, [(1, 2)]))
+    maximum = Matching(g, [(0, 2), (1, 3)])
+    # m △ p would shrink this matching from two edges to one
+    with pytest.raises(NotAugmenting):
+        augment(maximum, p)
+    # an equal matching built anew is the same matching
+    assert augment(Matching(g, [(1, 2)]), p) == maximum
 
 
 def test_maximum_matching_on_fork(fork):

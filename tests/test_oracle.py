@@ -11,7 +11,7 @@ from konigmatch import (
     star_stud,
 )
 from konigmatch.corpus import cached_corpus
-from konigmatch.errors import BudgetExceeded
+from konigmatch.errors import BudgetExceeded, InputError, UnknownSide
 from konigmatch.oracle import (
     OracleBudget,
     all_matchings,
@@ -132,6 +132,14 @@ def test_hall_condition_on_an_unbalanced_star():
     star = build_graph(1, 3, [(0, 0), (0, 1), (0, 2)])
     assert hall_condition(star, "left")
     assert not hall_condition(star, "right")
+
+
+@pytest.mark.parametrize("side", ["lft", "Left", "", None])
+def test_hall_condition_rejects_an_unknown_side(side):
+    star = build_graph(1, 3, [(0, 0), (0, 1), (0, 2)])
+    with pytest.raises(UnknownSide):
+        hall_condition(star, side)
+    assert issubclass(UnknownSide, InputError)
 
 
 def test_budgets_are_enforced(p4):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from konigmatch import (
@@ -63,6 +65,17 @@ def test_fork_structure_pins(fork, fork_matching):
     assert ps.hat_cut_vertex == fork.vertex_by_label("b1")
     assert ps.check_cut_vertex == fork.vertex_by_label("c1")
     assert ps.check_vertices == labeled(fork, "a1", "a2", "b1")
+
+
+def test_a_structure_stores_only_its_defining_data(fork, fork_matching):
+    paths = enumerate_augmenting_paths(fork, fork_matching)
+    ps = path_structure(fork, fork_matching, paths[0], paths)
+    assert [f.name for f in dataclasses.fields(ps)] == [
+        "graph", "base_path", "family", "vertices", "z_after"]
+    assert ps.stranded == labeled(fork, "d1", "d2", "d3")
+    # the classification reports the same stranded set as its witness
+    verdict = classify_matching(fork, fork_matching)
+    assert verdict.witness == (paths[0], ps.stranded)
 
 
 def test_fork_hat_and_check_subgraphs(fork, fork_matching):

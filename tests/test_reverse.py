@@ -9,7 +9,6 @@ from konigmatch import (
     maximum_matching,
     reverse_konig,
     reverse_procedure_up,
-    saturating_matching_down,
     split_by_cover,
 )
 from konigmatch import verify
@@ -36,6 +35,12 @@ def test_split_by_cover_on_the_fork(fork):
     assert split.down_cover_side == labeled(fork, "c1")
 
 
+def test_a_split_stores_only_its_defining_data(fork):
+    split = split_by_cover(fork, labeled(fork, "b1", "c1"))
+    assert [f.name for f in dataclasses.fields(split)] == [
+        "graph", "cover", "up", "down", "up_roots", "m_down"]
+
+
 def test_split_rejects_non_minimum_covers(fork):
     with pytest.raises(NotMinimumCover):
         split_by_cover(fork, labeled(fork, "a1", "b1"))  # not a cover
@@ -49,7 +54,7 @@ def test_split_rejects_non_minimum_covers(fork):
 def test_down_part_saturates_the_cover_side(fork):
     cover = labeled(fork, "b1", "c1")
     split = split_by_cover(fork, cover)
-    m_down = saturating_matching_down(split)
+    m_down = split.m_down
     (c1,) = labeled(fork, "c1")
     assert m_down.saturates(c1)
     assert len(m_down) == 1
@@ -157,7 +162,6 @@ def test_the_split_records_its_graph_cover_and_down_matching(fork):
     split = split_by_cover(fork, cover)
     assert split.graph is fork
     assert split.cover == cover
-    assert saturating_matching_down(split) is split.m_down
     assert split.m_down.graph is split.down
 
 
