@@ -43,13 +43,9 @@ from .reverse import (
 from .paths import (
     ClassificationVerdict,
     PathStructure,
-    check_subgraph,
     classify_matching,
-    cover_delta_under_augment,
     enumerate_augmenting_paths,
-    hat_subgraph,
     hat_vertices,
-    meet_join,
     path_structure,
 )
 from .stars import (

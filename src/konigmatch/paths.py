@@ -4,19 +4,21 @@ For an augmenting path P, the structure graph collects every augmenting
 path (from an unsaturated U-vertex) sharing at least one vertex with P.
 Two truncations isolate the part responsible for cover-size loss: the
 "hat" cuts away everything below the highest point where a path from a
-different root first joins P, and the "check" keeps the part of the
-structure that is still reachable by alternating paths once P has been
-augmented.  The classification rests on a conjecture: a maximal matching
-maps to a minimum cover exactly when no structure strands two unsaturated
-V-vertices outside its check part.  It fails from 9 vertices up, where a
+different root first joins P (``hat_vertices``), and the "check" keeps
+the part of the structure that is still reachable by alternating paths
+once P has been augmented.  The classification rests on a conjecture: a
+maximal matching maps to a minimum cover exactly when no structure
+strands two unsaturated V-vertices outside its check part
+(``PathStructure.stranded``).  It fails from 9 vertices up, where a
 cover can need two disjoint augmentations to shrink; the strict xfail in
 ``tests/test_paths.py`` holds the smallest such case.
 
 The augmenting paths of a matching are enumerated once, by the caller
 of ``path_structure``, and every structure is built from that one list.
 A structure stores its family, their vertex union and Z(M △ P), so
-K(M △ P) = U △ Z needs no second augmentation; edges, the check part,
-cut vertices, stranded set and graphs are derived when read.
+K(M △ P) = U △ Z needs no second augmentation; the stranded set and the
+hat's cut vertex are derived when read.  Structures are vertex sets
+only: no graph is built for them.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from .errors import (
     NotMaximal,
     PathExplosion,
 )
-from .graph import BipartiteGraph, Edge, induced_subgraph, procedure_sides
-from .konig import konig_vertices, z_set
+from .graph import BipartiteGraph, procedure_sides
+from .konig import z_set
 from .matching import (
     AlternatingPath,
     Matching,
@@ -49,7 +51,8 @@ class PathStructure:
     A structure stores what defines it: the ``family`` of paths meeting
     ``base_path``, their vertex union ``vertices``, and ``z_after``, the
     alternating-reachability set Z(M △ P) once the base path P has been
-    augmented.  The rest is derived on each read.
+    augmented.  ``stranded`` and ``hat_cut_vertex`` are derived on each
+    read.
     """
 
     graph: BipartiteGraph
@@ -57,16 +60,6 @@ class PathStructure:
     family: tuple[AlternatingPath, ...]
     vertices: frozenset[int]
     z_after: frozenset[int]
-
-    @property
-    def edges(self) -> frozenset[Edge]:
-        """The union of the family's edges."""
-        return frozenset().union(*(q.edges for q in self.family))
-
-    @property
-    def check_vertices(self) -> frozenset[int]:
-        """The surviving region: the part of ``z_after`` in the structure."""
-        return self.z_after & self.vertices
 
     @property
     def stranded(self) -> frozenset[int]:
@@ -83,39 +76,13 @@ class PathStructure:
         family paths that run from a different unsaturated root to its
         endpoint; None when every such path starts at its own root."""
         p = self.base_path
-        others = [q for q in _representatives(p, self.family)
-                  if q.vertices[0] != p.vertices[0]]
-        if not others:
-            return None
         rank = {v: i for i, v in enumerate(p.vertices)}
-        joins = [meet_join(p, q)[0] for q in others]
-        return max(joins, key=rank.__getitem__)
-
-    @property
-    def check_cut_vertex(self) -> int | None:
-        """ǔ: the matched U-vertex just outside the surviving region whose
-        partner v̌ lies inside it, taken as low as possible along the base
-        path; None when there is none."""
-        check = self.check_vertices
-        rank = {v: i for i, v in enumerate(self.base_path.vertices)}
-        candidates = []
-        for x, y in sorted(self.base_path.matching.edges):
-            for inside, outside in ((x, y), (y, x)):
-                if (inside in check and outside in self.vertices
-                        and outside not in check):
-                    candidates.append((rank.get(inside, len(rank)), inside,
-                                       outside))
-        if not candidates:
-            return None
-        return min(candidates)[2]
-
-    @property
-    def subgraph(self) -> BipartiteGraph:
-        """The structure as a graph, built anew on each access."""
-        g = self.graph
-        # the edges come from validated paths, so no check against g is needed
-        return BipartiteGraph(g.left & self.vertices, g.right & self.vertices,
-                              self.edges, g.labels)
+        # a representative shares p's endpoint, so each has a first join
+        joins = [min((v for v in q.vertices if v in rank),
+                     key=rank.__getitem__)
+                 for q in _representatives(p, self.family)
+                 if q.vertices[0] != p.vertices[0]]
+        return max(joins, key=rank.__getitem__, default=None)
 
 
 @dataclass(frozen=True)
@@ -184,17 +151,18 @@ def path_structure(
     p: AlternatingPath,
     paths: Sequence[AlternatingPath],
 ) -> PathStructure:
-    """Build the structure graph of ``p``: the union of every augmenting
-    path sharing at least one vertex with it (including ``p`` itself).
+    """Build the structure of ``p``: the union of every augmenting path
+    sharing at least one vertex with it (including ``p`` itself).
 
     ``paths`` is ``enumerate_augmenting_paths(g, m)``, enumerated once by
-    the caller and shared by the structures of all its paths.
+    the caller and shared by the structures of all its paths.  A ``p``
+    missing from ``paths`` raises ``NotAugmenting``, and so does one of
+    another matching, from ``augment``.
     """
     _require_same_graph(g, m)
-    if not p.augmenting or p.matching != m:
-        raise NotAugmenting("base path is not augmenting for this matching")
     p_vertices = set(p.vertices)
     family = [q for q in paths if not p_vertices.isdisjoint(q.vertices)]
+    # every listed path is augmenting for m, so p must be one of them
     if p not in family:
         raise NotAugmenting("base path is not a path of this matching")
     vertices: set[int] = set()
@@ -202,25 +170,6 @@ def path_structure(
         vertices.update(q.vertices)
     return PathStructure(g, p, tuple(family), frozenset(vertices),
                          z_set(g, augment(m, p)))
-
-
-def meet_join(p: AlternatingPath,
-              q: AlternatingPath) -> tuple[int | None, int | None]:
-    """First and last common vertex of two paths, under p's order.
-
-    Returns ``(join, meet)``; both are ``None`` when the paths are
-    vertex-disjoint.  The operations are not symmetric in general: the
-    two induced orders can disagree on the intersection (though never as
-    exact reverses), so the first argument fixes the order used.
-    """
-    if p.matching != q.matching:
-        raise NotAugmenting("paths alternate against different matchings")
-    common = set(p.vertices) & set(q.vertices)
-    if not common:
-        return (None, None)
-    rank = {v: i for i, v in enumerate(p.vertices)}
-    return (min(common, key=rank.__getitem__),
-            max(common, key=rank.__getitem__))
 
 
 def _representatives(p: AlternatingPath,
@@ -248,22 +197,6 @@ def hat_vertices(ps: PathStructure) -> frozenset[int]:
     return ps.vertices - selected
 
 
-def hat_subgraph(ps: PathStructure) -> BipartiteGraph:
-    """Ĝ as a graph: the structure induced on ``hat_vertices(ps)``."""
-    return induced_subgraph(ps.subgraph, hat_vertices(ps))
-
-
-def check_subgraph(ps: PathStructure) -> BipartiteGraph:
-    """Ǧ: the induced part of the structure that stays reachable by
-    alternating paths once the base path has been augmented.
-
-    Everything outside it is consumed by the augmentation; counting the
-    unsaturated V-vertices left outside (``ps.stranded``) drives the
-    classification.
-    """
-    return induced_subgraph(ps.subgraph, ps.check_vertices)
-
-
 def classify_matching(
     g: BipartiteGraph,
     m: Matching,
@@ -274,9 +207,9 @@ def classify_matching(
 
     The verdict is "not minimum" when some augmenting path's structure
     strands two or more unsaturated V-vertices outside its check part
-    (``PathStructure.stranded``).  That
-    this is exact is a conjecture that fails from 9 vertices up (the
-    strict xfail in ``tests/test_paths.py``).
+    (``PathStructure.stranded``).  That this is exact is a conjecture
+    that fails from 9 vertices up (the strict xfail in
+    ``tests/test_paths.py``).
     """
     if not is_maximal(g, m):
         raise NotMaximal("classification applies to maximal matchings only")
@@ -287,14 +220,3 @@ def classify_matching(
             return ClassificationVerdict(False, (p, stranded))
     return ClassificationVerdict(True, None)
 
-
-def cover_delta_under_augment(
-    g: BipartiteGraph,
-    m: Matching,
-    p: AlternatingPath,
-) -> int:
-    """|K(m)| − |K(m △ p)| for an augmenting path ``p`` of ``m``."""
-    if not p.augmenting:  # augment checks that p alternates against m
-        raise NotAugmenting("path is not augmenting for this matching")
-    return (len(konig_vertices(g, m))
-            - len(konig_vertices(g, augment(m, p))))

@@ -1,8 +1,10 @@
-"""Every name a module or test file imports is used in it, and the
-package imports nothing outside the standard library."""
+"""Every name a module or test file imports is used in it, every public
+definition of the package is used in it, and the package imports
+nothing outside the standard library."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -61,3 +63,64 @@ def test_the_check_sees_a_third_party_import():
     source = ("import json, numpy as np\nfrom .graph import build_graph\n"
               "def f():\n    from networkx.algorithms import bipartite\n")
     assert _non_stdlib_imports(source) == ["networkx.algorithms", "numpy"]
+
+
+# Public definitions nothing else in the package uses, kept on purpose.
+_ORACLE = "reference oracle the tests compare against"
+UNREFERENCED_BY_DESIGN = {
+    "BipartiteGraph.has_edge": "public predicate",
+    "is_minimal_cover": "public predicate",
+    "connected_components": _ORACLE,
+    "minimum_covers_by_subset_scan": _ORACLE,
+    "maximum_matching_size_brute_force": _ORACLE,
+    "CoverSplit.cut_edges": "the paper's split",
+    "lift_cover": "the paper's lift",
+    "is_enumeratively_konig_egervary": "the paper's enumerative property",
+}
+
+
+def _references(node: ast.AST) -> Counter:
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def _unreferenced(sources: list[str]) -> list[str]:
+    """Public top-level functions, classes and methods whose name appears
+    as no name or attribute outside their own definition."""
+    trees = [ast.parse(source) for source in sources]
+    total = sum((_references(tree) for tree in trees), Counter())
+    definitions = []
+    for tree in trees:
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            definitions.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                definitions += [(f"{node.name}.{sub.name}", sub)
+                                for sub in node.body
+                                if isinstance(sub, ast.FunctionDef)]
+    unreferenced = []
+    for qualname, node in definitions:
+        if any(part.startswith("_") for part in qualname.split(".")):
+            continue
+        name = node.name
+        if total[name] == _references(node)[name]:
+            unreferenced.append(qualname)
+    return sorted(unreferenced)
+
+
+def test_every_public_definition_is_used_in_the_package():
+    sources = [p.read_text(encoding="utf-8")
+               for p in sorted(PACKAGE.glob("*.py"))]
+    assert _unreferenced(sources) == sorted(UNREFERENCED_BY_DESIGN)
+
+
+def test_the_check_sees_an_unreferenced_definition():
+    source = ("def used():\n    pass\n"
+              "def recursive(n):\n    return recursive(n - 1)\n"
+              "class Box:\n"
+              "    def size(self):\n        return used()\n"
+              "    def _hidden(self):\n        pass\n"
+              "Box().size()\n")
+    assert _unreferenced([source]) == ["recursive"]

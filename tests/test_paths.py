@@ -4,20 +4,14 @@ import pytest
 
 from konigmatch import (
     AlternatingPath,
-    BipartiteGraph,
     Matching,
     augment,
     build_graph,
-    check_subgraph,
     classify_matching,
-    cover_delta_under_augment,
     enumerate_augmenting_paths,
-    hat_subgraph,
     hat_vertices,
-    induced_subgraph,
     konig_cover,
     konig_vertices,
-    meet_join,
     path_structure,
     procedure_sides,
     z_set,
@@ -61,10 +55,9 @@ def test_fork_structure_pins(fork, fork_matching):
     p = paths[0]  # a1-b1-c1-d1
     ps = path_structure(fork, fork_matching, p, paths)
     assert len(ps.family) == 6  # every path meets p at b1 or c1
-    assert ps.subgraph.vertices == fork.vertices
+    assert ps.vertices == fork.vertices
     assert ps.hat_cut_vertex == fork.vertex_by_label("b1")
-    assert ps.check_cut_vertex == fork.vertex_by_label("c1")
-    assert ps.check_vertices == labeled(fork, "a1", "a2", "b1")
+    assert ps.z_after & ps.vertices == labeled(fork, "a1", "a2", "b1")
 
 
 def test_a_structure_stores_only_its_defining_data(fork, fork_matching):
@@ -81,11 +74,7 @@ def test_a_structure_stores_only_its_defining_data(fork, fork_matching):
 def test_fork_hat_and_check_subgraphs(fork, fork_matching):
     paths = enumerate_augmenting_paths(fork, fork_matching)
     ps = path_structure(fork, fork_matching, paths[0], paths)
-    hat = hat_subgraph(ps)
-    assert hat.vertices == labeled(fork, "c1", "d1", "d2", "d3")
-    check = check_subgraph(ps)
-    assert check.vertices == labeled(fork, "a1", "a2", "b1")
-    assert len(check.edges) == 2
+    assert hat_vertices(ps) == labeled(fork, "c1", "d1", "d2", "d3")
 
 
 def test_structure_without_second_root_keeps_everything(p4):
@@ -93,7 +82,7 @@ def test_structure_without_second_root_keeps_everything(p4):
     (p,) = enumerate_augmenting_paths(p4, m)
     ps = path_structure(p4, m, p, [p])
     assert ps.hat_cut_vertex is None
-    assert hat_subgraph(ps) == ps.subgraph
+    assert hat_vertices(ps) == ps.vertices
 
 
 def test_path_structure_rejects_foreign_paths(fork, fork_matching, p4):
@@ -117,6 +106,15 @@ def test_path_structure_rejects_a_path_missing_from_the_list(fork,
         path_structure(fork, fork_matching, reversed_path, paths)
 
 
+def test_path_structure_rejects_the_paths_of_another_matching(fork,
+                                                              fork_matching):
+    # p is on the list, but list and p alternate against a1-b1, not b1-c1
+    other = matching_by_labels(fork, [("a1", "b1")])
+    paths = enumerate_augmenting_paths(fork, other)
+    with pytest.raises(NotAugmenting):
+        path_structure(fork, fork_matching, paths[0], paths)
+
+
 @pytest.mark.parametrize("sweep", [verify.sweep_path_structure_properties,
                                    verify.sweep_classification],
                          ids=lambda sweep: sweep.__name__)
@@ -135,30 +133,6 @@ def test_sweep_enumerates_augmenting_paths_once_per_matching(monkeypatch,
     assert calls == [m for g in cached_corpus(6)
                      for m in all_maximal_matchings(g)]
     assert len(calls) == 127
-
-
-def test_meet_join_on_the_fork(fork, fork_matching):
-    paths = enumerate_augmenting_paths(fork, fork_matching)
-    p = paths[0]                       # a1-b1-c1-d1
-    q = next(x for x in paths
-             if _path_labels(fork, x) == ["a2", "b1", "c1", "d1"])
-    b1 = fork.vertex_by_label("b1")
-    d1 = fork.vertex_by_label("d1")
-    assert meet_join(p, q) == (b1, d1)
-    assert meet_join(q, p) == (b1, d1)
-
-
-def test_meet_join_disjoint_and_foreign(p4, fork, fork_matching):
-    m = matching_by_labels(p4, [("2", "3")])
-    (p,) = enumerate_augmenting_paths(p4, m)
-    q = enumerate_augmenting_paths(fork, fork_matching)[0]
-    with pytest.raises(NotAugmenting):
-        meet_join(p, q)
-    # disjoint paths on one matching: two separate pendant edges
-    g = build_graph(2, 2, [(0, 0), (1, 1)])
-    empty = Matching(g, ())
-    a, b = enumerate_augmenting_paths(g, empty)
-    assert meet_join(a, b) == (None, None)
 
 
 def test_classification_of_the_fork(fork, fork_matching):
@@ -180,17 +154,6 @@ def test_classification_rejects_non_maximal(fork):
         classify_matching(fork, Matching(fork, ()))
 
 
-def test_cover_delta_on_the_fork(fork, fork_matching):
-    p = enumerate_augmenting_paths(fork, fork_matching)[0]
-    assert cover_delta_under_augment(fork, fork_matching, p) == 2
-
-
-def test_cover_delta_rejects_non_augmenting(fork, fork_matching):
-    stub = AlternatingPath((0, 3), fork_matching)
-    with pytest.raises(NotAugmenting):
-        cover_delta_under_augment(fork, fork_matching, stub)
-
-
 def test_single_root_preserves_cover_size_but_not_the_cover_set(p4):
     # augmenting 1-2-3-4 moves the cover from {2,4} to {1,3}: with a
     # single unsaturated root the cover *cardinality* is invariant on the
@@ -203,7 +166,6 @@ def test_single_root_preserves_cover_size_but_not_the_cover_set(p4):
     assert after == labeled(p4, "1", "3")
     assert before != after
     assert len(before) == len(after)
-    assert cover_delta_under_augment(p4, m, p) == 0
 
 
 def test_augmentation_can_flip_the_whole_cover():
@@ -241,26 +203,17 @@ def test_classification_on_the_smallest_nine_vertex_counterexample():
     assert classify_matching(g, m).is_minimum == konig_cover(g, m).is_minimum
 
 
-def _reference_graphs(g, ps):
-    """The structure, hat and check graphs built independently: one
-    ``BipartiteGraph`` from the family's union, and the hat and check
-    parts cut from it by ``induced_subgraph``."""
-    vertices, edges = set(), set()
-    for q in ps.family:
-        vertices.update(q.vertices)
-        edges.update(q.edges)
-    sub = BipartiteGraph(g.left & vertices, g.right & vertices, edges,
-                         g.labels)
-    hat = sub
+def _reference_hat(ps):
+    """The hat's vertices cut independently: drop every prefix, up to the
+    hat cut vertex, of a family path into the base path's endpoint."""
+    vertices = set().union(*(q.vertices for q in ps.family))
     if ps.hat_cut_vertex is not None:
         end = ps.base_path.vertices[-1]
-        selected = set()
         for q in ps.family:
             if q.vertices[-1] == end and ps.hat_cut_vertex in q.vertices:
                 cut = q.vertices.index(ps.hat_cut_vertex)
-                selected.update(q.vertices[:cut + 1])
-        hat = induced_subgraph(sub, sub.vertices - selected)
-    return sub, hat, induced_subgraph(sub, ps.check_vertices)
+                vertices.difference_update(q.vertices[:cut + 1])
+    return vertices
 
 
 def test_structures_match_the_reference_graphs_on_the_corpus():
@@ -271,15 +224,9 @@ def test_structures_match_the_reference_graphs_on_the_corpus():
             paths = enumerate_augmenting_paths(g, m)
             for p in paths:
                 ps = path_structure(g, m, p, paths)
-                sub, hat, check = _reference_graphs(g, ps)
-                assert ps.vertices == sub.vertices
-                assert ps.edges == sub.edges
-                for built, reference in ((ps.subgraph, sub),
-                                         (hat_subgraph(ps), hat),
-                                         (check_subgraph(ps), check)):
-                    assert built == reference
-                    assert built.labels == reference.labels
-                assert hat_vertices(ps) == hat.vertices
+                assert ps.vertices == set().union(*(q.vertices
+                                                    for q in ps.family))
+                assert hat_vertices(ps) == _reference_hat(ps)
                 augmented = augment(m, p)
                 assert ps.z_after == z_set(g, augmented)
                 assert u_side ^ ps.z_after == konig_vertices(g, augmented)
@@ -297,6 +244,3 @@ def test_classification_and_the_sweep_build_no_graphs(monkeypatch, fork,
     assert not classify_matching(fork, fork_matching).is_minimum
     assert verify.sweep_path_structure_properties(6).ok
     assert verify.sweep_classification(6).ok
-    paths = enumerate_augmenting_paths(fork, fork_matching)
-    with pytest.raises(AssertionError, match="structure graph"):
-        path_structure(fork, fork_matching, paths[0], paths).subgraph
