@@ -52,6 +52,7 @@ from .stars import (
     StarStuddedGraph,
     is_enumeratively_konig_egervary,
     lift_cover,
+    maximal_witness,
     reached_minimum_covers,
     restrict_cover,
     star_stud,

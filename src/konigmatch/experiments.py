@@ -21,6 +21,10 @@ from .matching import Matching, greedy_maximal_matching, matching_number
 CSV_COLUMNS = ["seed", "n_left", "n_right", "p", "trial_index",
                "matching_size", "cover_size", "min_cover_size", "is_minimum"]
 
+# largest n_left * n_right a trial may draw edges over: ``random_bipartite``
+# draws one number per potential edge and may keep them all
+MAX_POTENTIAL_EDGES = 10 ** 7
+
 
 @dataclass(frozen=True, slots=True)
 class TrialConfig:
@@ -37,6 +41,9 @@ class TrialConfig:
             raise ValueError("edge_probability must be in [0, 1]")
         if self.n_left <= 0 or self.n_right <= 0:
             raise ValueError("side sizes must be positive")
+        if self.n_left * self.n_right > MAX_POTENTIAL_EDGES:
+            raise ValueError(
+                f"n_left * n_right must be at most {MAX_POTENTIAL_EDGES}")
 
 
 @dataclass(slots=True)

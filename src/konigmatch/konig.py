@@ -49,9 +49,20 @@ def z_set(g: BipartiteGraph, m: Matching) -> frozenset[int]:
     """
     _require_same_graph(g, m)
     u_side, _ = procedure_sides(g)
-    adjacency = g._adjacency
     partner = m._partner
-    stack = [u for u in u_side if u not in partner]
+    return frozenset(_alternating_closure(
+        g._adjacency, partner, [u for u in u_side if u not in partner]))
+
+
+def _alternating_closure(adjacency: dict[int, frozenset[int]],
+                         partner: dict[int, int],
+                         roots: list[int]) -> set[int]:
+    """The vertices reachable from the U-vertices ``roots`` by alternating
+    paths, ``roots`` included: from a U-vertex every edge is followed,
+    from a V-vertex only its matching edge (if any).  ``adjacency`` is
+    read only at U-vertices, so it may be that of any subgraph holding
+    their edges."""
+    stack = list(roots)
     z = set(stack)
     while stack:
         for y in adjacency[stack.pop()]:
@@ -61,7 +72,7 @@ def z_set(g: BipartiteGraph, m: Matching) -> frozenset[int]:
                 if x is not None:
                     z.add(x)
                     stack.append(x)
-    return frozenset(z)
+    return z
 
 
 def _covers(g: BipartiteGraph, u_side: frozenset[int],

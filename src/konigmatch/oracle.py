@@ -8,8 +8,8 @@ their results are freed by reference counting once the caller drops them.
 
 Matchings are enumerated lazily: ``iter_maximal_matchings`` yields each
 maximal matching as the walk reaches it, so an existence check (such as
-``stars.reached_minimum_covers`` with ``until``) can stop the walk once
-it has its answer, and nothing it did not draw is ever built.
+``stars.maximal_witness`` on one component) can stop the walk once it
+has its answer, and nothing it did not draw is ever built.
 ``all_matchings`` and ``all_maximal_matchings`` collect the same walk
 into a list.
 """

@@ -6,11 +6,20 @@ restricting covers a bijection.  Studded graphs have the property that
 every minimum cover is reachable from a maximal matching by Kőnig's
 procedure.
 
-That check is an existence check: it is settled once each minimum cover
-has one witness.  ``is_enumeratively_konig_egervary`` therefore feeds
-the lazy ``iter_maximal_matchings`` to ``reached_minimum_covers`` with
-the oracle's covers as ``until``, and the walk stops at the last
-witness instead of visiting every maximal matching.
+That check is decided per minimum cover C by ``maximal_witness``, from
+C's split alone.  If K(M) = C for a matching M, then Z(M) = U △ C, the
+vertex set of the up part.  So M has no edge between U ∩ C and V ∩ C
+(a V ∩ C vertex in Z brings its partner into Z, and U ∩ C is outside
+Z), and every U ∩ C vertex is saturated (a free U-vertex is in Z), so
+it is matched inside the down part.  M's up half splits over the up
+part's connected components.  Every edge outside the up part touches
+the saturated U ∩ C, so M is maximal iff each up piece is maximal in
+its component; the closure from the free U-vertices never leaves the
+up part, so Z(M) is the whole up part iff each piece's closure is its
+whole component.  The down half may be any matching that saturates
+U ∩ C, such as the split's.  Hence a witness exists iff every up
+component has a maximal matching that closes over it, and only those
+components' matchings are walked.
 """
 
 from __future__ import annotations
@@ -18,11 +27,12 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .errors import EmptyGraph, NotMinimumCover
-from .graph import BipartiteGraph
-from .konig import is_minimum_cover, konig_vertices
-from .matching import Matching, matching_number
+from .errors import EmptyGraph, NotMinimumCover, RoundTripFailed
+from .graph import BipartiteGraph, connected_components
+from .konig import _alternating_closure, is_minimum_cover, konig_vertices
+from .matching import Matching, is_maximal, matching_number
 from .oracle import OracleBudget, all_minimum_covers, iter_maximal_matchings
+from .reverse import split_by_cover
 
 
 @dataclass(frozen=True)
@@ -104,32 +114,56 @@ def restrict_cover(ssg: StarStuddedGraph, c) -> frozenset[int]:
 def reached_minimum_covers(
     g: BipartiteGraph,
     matchings: Iterable[Matching],
-    until: set[frozenset[int]] | None = None,
 ) -> set[frozenset[int]]:
     """The minimum vertex covers Kőnig's procedure yields from
     ``matchings``, which are matchings of ``g``.
 
     K(M) is a vertex cover for every matching M, so it is minimum
-    exactly when it has ν(G) vertices.  With ``until``, stop drawing
-    from ``matchings`` as soon as every cover in ``until`` has been
-    reached.  When ``until`` is the set of all minimum covers, every
-    cover collected is in it, so an early stop returns exactly
-    ``until``, and a walk that never reaches some cover runs to the end
-    and returns what a full walk returns.
+    exactly when it has ν(G) vertices.
     """
     nu = matching_number(g)
     reached = set()
-    missing = set(until or ())
-    if until is not None and not missing:
-        return reached
     for m in matchings:
         k = konig_vertices(g, m)
         if len(k) == nu:
             reached.add(k)
-            missing.discard(k)
-            if until is not None and not missing:
-                break
     return reached
+
+
+def maximal_witness(g: BipartiteGraph,
+                    cover: Iterable[int],
+                    budget: OracleBudget | None = None) -> Matching | None:
+    """A maximal matching of ``g`` whose Kőnig cover is ``cover``, or
+    None if there is none.
+
+    ``cover`` must be a minimum cover (``NotMinimumCover`` otherwise).
+    The down half is the split's matching; the up half takes, in each
+    connected component of the up part, the first maximal matching
+    whose alternating closure from its free U-vertices is the whole
+    component.  Each component's maximal matchings are walked lazily
+    under ``budget``.  The union is checked on the whole graph before
+    it is returned; a failed check raises ``RoundTripFailed``.
+    """
+    split = split_by_cover(g, cover)
+    roots = split.up_roots
+    edges = set(split.m_down.edges)
+    for comp in connected_components(split.up):
+        comp_roots = comp.vertices & roots
+        for m in iter_maximal_matchings(comp, budget):
+            partner = m._partner
+            free = [u for u in comp_roots if u not in partner]
+            if len(_alternating_closure(comp._adjacency, partner, free)) \
+                    == len(comp.vertices):
+                edges |= m.edges
+                break
+        else:
+            return None
+    witness = Matching(g, edges)
+    if not is_maximal(g, witness) or konig_vertices(g, witness) != split.cover:
+        raise RoundTripFailed(
+            f"witness {sorted(witness.edges)} is not maximal or does not "
+            f"give cover {sorted(split.cover)}")
+    return witness
 
 
 def is_enumeratively_konig_egervary(
@@ -137,11 +171,7 @@ def is_enumeratively_konig_egervary(
     budget: OracleBudget | None = None,
 ) -> bool:
     """True iff every minimum vertex cover of ``g`` arises from Kőnig's
-    procedure applied to some maximal matching.
-
-    The maximal matchings are walked only until each minimum cover has
-    a witness.
-    """
-    wanted = all_minimum_covers(g, budget)
-    return wanted <= reached_minimum_covers(
-        g, iter_maximal_matchings(g, budget), until=wanted)
+    procedure applied to some maximal matching, that is, has a
+    ``maximal_witness``."""
+    return all(maximal_witness(g, c, budget) is not None
+               for c in all_minimum_covers(g, budget))

@@ -112,7 +112,7 @@ def test_hall_condition_matches_saturation_on_the_full_corpus():
 
 def test_star_studded_graphs_reach_every_cover():
     started = time.monotonic()
-    _assert_clean(sweep_star_studded(6))
+    _assert_clean(sweep_star_studded(7))
     assert time.monotonic() - started < 900
 
 

@@ -204,6 +204,9 @@ EXPERIMENT = ["experiment", "--nl", "4", "--nr", "4", "--seed", "1"]
     pytest.param(EXPERIMENT + ["--p", "2", "--trials", "5"], None, id="p-2"),
     pytest.param(["experiment", "--nl", "0", "--nr", "4", "--p", "0.5",
                   "--trials", "5"], None, id="nl-0"),
+    # refused when the config is built, before any edge is drawn
+    pytest.param(["experiment", "--nl", "100000", "--nr", "100000",
+                  "--p", "0.5", "--trials", "1"], None, id="oversized"),
     # bad numbers: a corpus below two vertices checks nothing
     pytest.param(["corpus-verify", "--max-vertices", "1"], None,
                  id="corpus-1"),

@@ -7,6 +7,7 @@ import pytest
 from konigmatch import TrialConfig, konig_cover, run_trials
 from konigmatch.experiments import (
     CSV_COLUMNS,
+    MAX_POTENTIAL_EDGES,
     random_bipartite,
     random_maximal_matching,
 )
@@ -20,6 +21,15 @@ def test_config_validation():
         TrialConfig(4, 4, 1.5, trials=1)
     with pytest.raises(ValueError):
         TrialConfig(0, 4, 0.5, trials=1)
+
+
+def test_config_refuses_graphs_above_the_edge_cap():
+    # building a config draws nothing, so the cap is probed at its edge
+    TrialConfig(MAX_POTENTIAL_EDGES // 10, 10, 0.5, trials=1)
+    with pytest.raises(ValueError):
+        TrialConfig(MAX_POTENTIAL_EDGES // 10 + 1, 10, 0.5, trials=1)
+    with pytest.raises(ValueError):
+        TrialConfig(100_000, 100_000, 0.5, trials=1)
 
 
 def test_trials_are_reproducible():

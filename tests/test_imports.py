@@ -70,7 +70,6 @@ _ORACLE = "reference oracle the tests compare against"
 UNREFERENCED_BY_DESIGN = {
     "BipartiteGraph.has_edge": "public predicate",
     "is_minimal_cover": "public predicate",
-    "connected_components": _ORACLE,
     "minimum_covers_by_subset_scan": _ORACLE,
     "maximum_matching_size_brute_force": _ORACLE,
     "CoverSplit.cut_edges": "the paper's split",

@@ -2,22 +2,24 @@ import pytest
 
 from konigmatch import (
     BipartiteGraph,
+    Matching,
     is_enumeratively_konig_egervary,
+    is_maximal,
     konig_cover,
+    konig_vertices,
     lift_cover,
+    maximal_witness,
     maximum_matching,
     reached_minimum_covers,
     restrict_cover,
     star_stud,
 )
-from konigmatch import oracle, stars, verify
 from konigmatch.corpus import cached_corpus
 from konigmatch.errors import EmptyGraph, NotMinimumCover
 from konigmatch.oracle import (
     OracleBudget,
     all_maximal_matchings,
     all_minimum_covers,
-    iter_maximal_matchings,
 )
 
 # room for the studded graphs of cached_corpus(5), 25 vertices at most
@@ -91,41 +93,8 @@ def test_studded_path_graph_is_enumeratively_reachable(p4):
     assert is_enumeratively_konig_egervary(star_stud(p4).full, BUDGET)
 
 
-def test_star_sweep_enumerates_each_studded_graph_once(monkeypatch):
-    calls = []
-
-    def counting(g, b=None):
-        calls.append(g)
-        return oracle.iter_maximal_matchings(g, b)
-
-    for module in (stars, verify):
-        monkeypatch.setattr(module, "iter_maximal_matchings", counting)
-    result = verify.sweep_star_studded(3)
-    assert result.ok
-    assert calls == [star_stud(h).full for h in cached_corpus(3)]
-
-
 def studded_graphs(max_vertices):
     return [star_stud(h).full for h in cached_corpus(max_vertices)]
-
-
-def test_stopping_at_the_last_witness_reaches_the_same_covers():
-    for g in studded_graphs(5):
-        wanted = all_minimum_covers(g, BUDGET)
-        full = reached_minimum_covers(g, all_maximal_matchings(g, BUDGET))
-        early = reached_minimum_covers(
-            g, iter_maximal_matchings(g, BUDGET), until=wanted)
-        assert early == full == wanted
-
-
-def test_until_stops_only_once_every_cover_is_reached(p4):
-    wanted = all_minimum_covers(p4)
-    # {2,3} is never reached, so the whole walk runs
-    assert reached_minimum_covers(p4, iter_maximal_matchings(p4),
-                                  until=wanted) == wanted - {
-        labeled(p4, "2", "3")}
-    assert reached_minimum_covers(p4, iter_maximal_matchings(p4),
-                                  until=set()) == set()
 
 
 def test_lazy_verdicts_match_a_full_enumeration():
@@ -138,17 +107,42 @@ def test_lazy_verdicts_match_a_full_enumeration():
     assert True in verdicts and False in verdicts
 
 
-def test_the_star_check_stops_before_the_end_of_the_walk(monkeypatch):
-    drawn = []
+# room for the studded graphs of cached_corpus(6), 31 vertices at most
+WITNESS_BUDGET = OracleBudget(max_vertices=31, max_subsets=2 ** 21)
 
-    def counting(g, b=None):
-        for m in oracle.iter_maximal_matchings(g, b):
-            drawn.append(m)
-            yield m
 
-    monkeypatch.setattr(stars, "iter_maximal_matchings", counting)
-    graphs = studded_graphs(5)
-    assert all(is_enumeratively_konig_egervary(g, BUDGET) for g in graphs)
-    # the last cover of each graph is reached after a quarter of its walk
-    assert len(drawn) == 3350
-    assert sum(len(all_maximal_matchings(g, BUDGET)) for g in graphs) == 13393
+@pytest.fixture(scope="module")
+def witnesses():
+    """(graph, minimum cover, its maximal witness or None) for every
+    minimum cover of cached_corpus(8) and of the studded cached_corpus(6)."""
+    return [(g, c, maximal_witness(g, c, WITNESS_BUDGET))
+            for g in list(cached_corpus(8)) + studded_graphs(6)
+            for c in all_minimum_covers(g, WITNESS_BUDGET)]
+
+
+def test_witnesses_agree_with_a_walk_of_every_maximal_matching(witnesses):
+    reached = {}
+    for g, c, w in witnesses:
+        if g not in reached:
+            reached[g] = reached_minimum_covers(
+                g, all_maximal_matchings(g, WITNESS_BUDGET))
+        assert (w is not None) == (c in reached[g])
+    # both verdicts occur: 145 of the 589 covers have no witness
+    assert len(witnesses) == 589
+    assert sum(w is None for _, _, w in witnesses) == 145
+
+
+def test_every_witness_is_a_maximal_matching_giving_its_cover(witnesses):
+    for g, c, w in witnesses:
+        if w is not None:
+            assert isinstance(w, Matching) and w.graph == g
+            assert is_maximal(g, w)
+            assert konig_vertices(g, w) == c
+
+
+def test_the_witness_search_needs_a_minimum_cover(p4):
+    assert maximal_witness(p4, labeled(p4, "2", "3")) is None
+    with pytest.raises(NotMinimumCover):
+        maximal_witness(p4, labeled(p4, "1", "2", "3"))
+    with pytest.raises(NotMinimumCover):
+        maximal_witness(p4, labeled(p4, "1", "4"))
