@@ -18,11 +18,9 @@ from .matching import (
     augment,
     find_augmenting_path,
     greedy_maximal_matching,
-    is_disjoint_cycle_union,
     is_maximal,
     matching_number,
     maximum_matching,
-    symmetric_difference,
 )
 from .konig import (
     VertexCover,

@@ -25,7 +25,7 @@ from .oracle import (
     hall_condition,
 )
 from .paths import classify_matching
-from .reverse import reverse_konig
+from .reverse import reverse_konig, split_by_cover
 from .stars import star_stud
 from .verify import corpus_verify
 
@@ -55,7 +55,7 @@ def _cmd_match(args) -> int:
 def _cmd_cover(args) -> int:
     g = gio.load_graph(args.graph)
     m = gio.load_matching(g, args.matching)
-    cover = konig_cover(g, m)
+    cover = konig_cover(m)
     _emit({
         "cover": gio.vertex_set_to_json(g, cover.vertices),
         "is_cover": cover.is_cover,
@@ -68,7 +68,7 @@ def _cmd_cover(args) -> int:
 def _cmd_reverse(args) -> int:
     g = gio.load_graph(args.graph)
     cover = gio.load_vertex_set(g, args.cover)
-    result = reverse_konig(g, cover)
+    result = reverse_konig(split_by_cover(g, cover))
     _emit({
         "matching": gio.matching_to_json(result.combined),
         "visit_order": [g.labels[v] for v in result.visit_order],
@@ -82,7 +82,7 @@ def _cmd_reverse(args) -> int:
 def _cmd_classify(args) -> int:
     g = gio.load_graph(args.graph)
     m = gio.load_matching(g, args.matching)
-    verdict = classify_matching(g, m, _at_least("--limit", args.limit, 1))
+    verdict = classify_matching(m, _at_least("--limit", args.limit, 1))
     out = {"is_minimum": verdict.is_minimum}
     if verdict.witness is not None:
         path, stranded = verdict.witness
@@ -151,8 +151,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_corpus_verify(args) -> int:
     # the smallest corpus graph has two vertices; below that no case runs
-    results = corpus_verify(_at_least("--max-vertices", args.max_vertices, 2),
-                            include_stars=not args.no_stars)
+    results = corpus_verify(_at_least("--max-vertices", args.max_vertices, 2))
     failed = False
     for res in results:
         status = "ok" if res.ok else "FAIL"
@@ -223,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run every invariant sweep over the exhaustive "
                             "small-graph corpus")
     p.add_argument("--max-vertices", type=int, default=8)
-    p.add_argument("--no-stars", action="store_true")
     p.set_defaults(func=_cmd_corpus_verify)
     return parser
 

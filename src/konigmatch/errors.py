@@ -48,10 +48,6 @@ class InvalidMatching(DomainError):
     """Edge set is not a matching of the host graph."""
 
 
-class ForeignMatching(DomainError):
-    """Matching belongs to a different graph."""
-
-
 class SaturatedStart(DomainError):
     pass
 
@@ -76,10 +72,6 @@ class NotMinimumCover(DomainError):
 class SaturationImpossible(DomainError):
     """The down-subgraph admits no matching saturating its cover side;
     the supplied cover cannot have been minimum."""
-
-
-class ForeignSplit(DomainError):
-    """A cover split was made for a different graph."""
 
 
 class RoundTripFailed(DomainError):

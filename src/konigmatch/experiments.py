@@ -95,7 +95,7 @@ def run_trials(cfg: TrialConfig, csv_out: IO[str] | None = None) -> TrialReport:
     for index in range(cfg.trials):
         g = random_bipartite(cfg, rng)
         m = random_maximal_matching(g, rng)
-        cover = konig_cover(g, m)
+        cover = konig_cover(m)
         min_size = matching_number(g)
         excess = len(cover.vertices) - min_size
         hit = cover.is_minimum

@@ -5,6 +5,7 @@ The procedure's U side is chosen per connected component (the smaller
 side of each component, ties keeping the designated left side).  The
 formula is evaluated for arbitrary matchings; its result always covers,
 since N(Z ∩ U) ⊆ Z, and the cover verdict checks this, not assumes it.
+Each function takes the matching alone and reads its graph from it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import NotACover, UnknownVertex
 from .graph import BipartiteGraph, procedure_sides
-from .matching import Matching, _require_same_graph, matching_number
+from .matching import Matching, matching_number
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,7 @@ class VertexCover:
         return len(self.vertices)
 
 
-def z_set(g: BipartiteGraph, m: Matching) -> frozenset[int]:
+def z_set(m: Matching) -> frozenset[int]:
     """Z: the closure of the unsaturated U-vertices under alternating
     reachability.
 
@@ -47,7 +48,7 @@ def z_set(g: BipartiteGraph, m: Matching) -> frozenset[int]:
     only the matching edge (if any).  A U-vertex in Z is unsaturated or
     was reached from its partner, so the walk follows all its edges.
     """
-    _require_same_graph(g, m)
+    g = m.graph
     u_side, _ = procedure_sides(g)
     partner = m._partner
     return frozenset(_alternating_closure(
@@ -115,20 +116,21 @@ def is_minimum_cover(g: BipartiteGraph, s: Iterable[int]) -> bool:
     return len(sset) == matching_number(g)
 
 
-def konig_vertices(g: BipartiteGraph, m: Matching) -> frozenset[int]:
+def konig_vertices(m: Matching) -> frozenset[int]:
     """K(M) = (U \\ Z) ∪ (V ∩ Z) = U △ Z, without the verdicts."""
-    return procedure_sides(g)[0] ^ z_set(g, m)
+    return procedure_sides(m.graph)[0] ^ z_set(m)
 
 
-def konig_cover(g: BipartiteGraph, m: Matching) -> VertexCover:
+def konig_cover(m: Matching) -> VertexCover:
     """Apply Kőnig's procedure to ``m`` and report what the result is.
 
     Returns (U \\ Z) ∪ (V ∩ Z) with the U side chosen per component.  For
     non-maximum matchings the result may fail to be minimum; the verdict
     fields record exactly what holds.
     """
+    g = m.graph
     u_side, _ = procedure_sides(g)
-    k = u_side ^ z_set(g, m)  # konig_vertices, keeping U for the check
+    k = u_side ^ z_set(m)  # konig_vertices, keeping U for the check
     cover = _covers(g, u_side, k)
     minimal = cover and not any(g._adjacency[r] <= k for r in k)
     minimum = cover and len(k) == matching_number(g)

@@ -2,7 +2,9 @@
 augmenting-path search, and maximum matching.
 
 Everything here is a pure function over immutable values; a matching
-never mutates after construction.
+never mutates after construction.  A matching records its graph and a
+path records its matching, so functions take the matching (or path)
+alone and read the rest from it.
 """
 
 from __future__ import annotations
@@ -10,13 +12,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable, Sequence
 
-from .errors import (
-    ForeignMatching,
-    InvalidMatching,
-    NotAugmenting,
-    SaturatedStart,
-    UnknownVertex,
-)
+from .errors import InvalidMatching, SaturatedStart, UnknownVertex
 from .graph import BipartiteGraph, Edge
 
 
@@ -144,11 +140,6 @@ class AlternatingPath:
         return f"AlternatingPath({list(self.vertices)})"
 
 
-def _require_same_graph(g: BipartiteGraph, m: Matching) -> None:
-    if m.graph is not g and m.graph != g:
-        raise ForeignMatching("matching belongs to a different graph")
-
-
 def greedy_maximal_matching(g: BipartiteGraph,
                             edge_order: Sequence[Edge]) -> Matching:
     """Scan ``edge_order`` once, adding each edge whose endpoints are free.
@@ -169,21 +160,19 @@ def greedy_maximal_matching(g: BipartiteGraph,
     return Matching(g, chosen)
 
 
-def is_maximal(g: BipartiteGraph, m: Matching) -> bool:
-    """True iff no edge of ``g`` has both endpoints unsaturated by ``m``."""
-    _require_same_graph(g, m)
-    return all(m.saturates(u) or m.saturates(v) for u, v in g.edges)
+def is_maximal(m: Matching) -> bool:
+    """True iff no edge of ``m``'s graph has both endpoints unsaturated."""
+    return all(m.saturates(u) or m.saturates(v) for u, v in m.graph.edges)
 
 
-def find_augmenting_path(g: BipartiteGraph, m: Matching,
-                         start: int) -> AlternatingPath | None:
+def find_augmenting_path(m: Matching, start: int) -> AlternatingPath | None:
     """BFS for an augmenting path from the unsaturated vertex ``start``.
 
     Follows non-matching edges away from ``start``'s side and matching
     edges back; the first unsaturated vertex reached on the opposite side
     ends the search.
     """
-    _require_same_graph(g, m)
+    g = m.graph
     if start not in g:
         raise UnknownVertex(f"vertex {start} not in graph")
     if m.saturates(start):
@@ -209,13 +198,11 @@ def find_augmenting_path(g: BipartiteGraph, m: Matching,
     return None
 
 
-def augment(m: Matching, path: AlternatingPath) -> Matching:
-    """Replace ``m`` with the larger matching ``m △ path``; ``path`` must
-    alternate against ``m`` (or an equal matching)."""
-    if path.matching is not m and path.matching != m:
-        raise NotAugmenting("path alternates against another matching")
+def augment(path: AlternatingPath) -> Matching:
+    """The larger matching M △ P, for an augmenting path P of M."""
     if not path.augmenting:
         raise InvalidMatching("path is not augmenting")
+    m = path.matching
     return Matching(m.graph, m.edges ^ path.edges)
 
 
@@ -228,9 +215,9 @@ def maximum_matching(g: BipartiteGraph) -> Matching:
     """
     m = Matching(g, ())
     for u in sorted(g.left):
-        path = find_augmenting_path(g, m, u)
+        path = find_augmenting_path(m, u)
         if path is not None:
-            m = augment(m, path)
+            m = augment(path)
     g._nu = len(m)
     return m
 
@@ -241,22 +228,3 @@ def matching_number(g: BipartiteGraph) -> int:
         return g._nu
     except AttributeError:
         return len(maximum_matching(g))
-
-
-def symmetric_difference(m1: Matching, m2: Matching) -> frozenset[Edge]:
-    if m1.graph != m2.graph:
-        raise ForeignMatching("matchings live on different graphs")
-    return m1.edges ^ m2.edges
-
-
-def is_disjoint_cycle_union(g: BipartiteGraph,
-                            edges: Iterable[Edge]) -> bool:
-    """True iff every vertex touched by ``edges`` has degree exactly 2."""
-    eset = {g.edge_key(a, b) for a, b in edges}
-    if not eset <= g.edges:
-        raise UnknownVertex("edge set is not a subset of the graph's edges")
-    degree: dict[int, int] = {}
-    for u, v in eset:
-        degree[u] = degree.get(u, 0) + 1
-        degree[v] = degree.get(v, 0) + 1
-    return all(d == 2 for d in degree.values())

@@ -42,31 +42,34 @@ def all_minimum_covers(g: BipartiteGraph,
                        b: OracleBudget | None = None) -> set[frozenset[int]]:
     """Every vertex cover of minimum cardinality.
 
-    Branches on an uncovered edge (take one endpoint or the other) with
-    the target size increased until covers appear, so the search stays
-    exponential only in the answer size.
+    Branches on the first uncovered edge (take one endpoint or the
+    other) with the target size increased until covers appear, so the
+    search stays exponential only in the answer size.  Each branch
+    resumes the edge scan after the edge it branched on: every edge
+    before it stays covered as the chosen set grows.
     """
     b = b or OracleBudget()
     _check_vertex_budget(g, b)
     edges = sorted(g.edges)
+    n = len(edges)
     steps = 0
     for k in range(len(g.vertices) + 1):
         out: set[frozenset[int]] = set()
-        stack = [frozenset()]
+        stack = [(frozenset(), 0)]
         while stack:
-            chosen = stack.pop()
+            chosen, i = stack.pop()
             steps += 1
             if steps > b.max_subsets:
                 raise BudgetExceeded(
                     "cover enumeration exceeded subset budget")
-            uncovered = next(((u, v) for u, v in edges
-                              if u not in chosen and v not in chosen), None)
-            if uncovered is None:
+            while i < n and (edges[i][0] in chosen or edges[i][1] in chosen):
+                i += 1
+            if i == n:
                 out.add(chosen)
             elif len(chosen) < k:
-                u, v = uncovered
-                stack.append(chosen | {v})
-                stack.append(chosen | {u})
+                u, v = edges[i]
+                stack.append((chosen | {v}, i + 1))
+                stack.append((chosen | {u}, i + 1))
         if out:
             return out
     return {frozenset()}

@@ -15,7 +15,8 @@ cover can need two disjoint augmentations to shrink; the strict xfail in
 
 The augmenting paths of a matching are enumerated once, by the caller
 of ``path_structure``, and every structure is built from that one list.
-A structure stores its family, their vertex union and Z(M △ P), so
+A structure stores its base path (which records its matching, and so
+the graph), its family, their vertex union and Z(M △ P), so
 K(M △ P) = U △ Z needs no second augmentation; the stranded set and the
 hat's cut vertex are derived when read.  Structures are vertex sets
 only: no graph is built for them.
@@ -26,20 +27,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .errors import (
-    NotAugmenting,
-    NotMaximal,
-    PathExplosion,
-)
-from .graph import BipartiteGraph, procedure_sides
+from .errors import NotAugmenting, NotMaximal, PathExplosion
+from .graph import procedure_sides
 from .konig import z_set
-from .matching import (
-    AlternatingPath,
-    Matching,
-    _require_same_graph,
-    augment,
-    is_maximal,
-)
+from .matching import AlternatingPath, Matching, augment, is_maximal
 
 DEFAULT_PATH_LIMIT = 10 ** 6
 
@@ -55,7 +46,6 @@ class PathStructure:
     read.
     """
 
-    graph: BipartiteGraph
     base_path: AlternatingPath
     family: tuple[AlternatingPath, ...]
     vertices: frozenset[int]
@@ -66,7 +56,7 @@ class PathStructure:
         """The unsaturated V-vertices outside the check part: those that
         augmenting the base path strands."""
         m = self.base_path.matching
-        v_side = procedure_sides(self.graph)[1]
+        v_side = procedure_sides(m.graph)[1]
         return frozenset(v for v in (self.vertices - self.z_after) & v_side
                          if not m.saturates(v))
 
@@ -99,17 +89,18 @@ class ClassificationVerdict:
 
 
 def enumerate_augmenting_paths(
-    g: BipartiteGraph,
     m: Matching,
     limit: int = DEFAULT_PATH_LIMIT,
 ) -> list[AlternatingPath]:
     """All simple augmenting paths starting at unsaturated U-vertices.
 
-    Depth-first with an explicit stack, so long paths need no recursion;
-    results are deduplicated and returned in lexicographic vertex-sequence
-    order.  More than ``limit`` paths raises ``PathExplosion``.
+    Depth-first with an explicit stack, so long paths need no recursion.
+    Roots and neighbours are taken in ascending order and a path is never
+    extended past an unsaturated vertex, so each path is emitted once, in
+    lexicographic vertex-sequence order.  More than ``limit`` paths
+    raises ``PathExplosion``.
     """
-    _require_same_graph(g, m)
+    g = m.graph
     if limit <= 0:
         raise PathExplosion("limit must be positive")
     u_side, _ = procedure_sides(g)
@@ -142,34 +133,28 @@ def enumerate_augmenting_paths(
                 if stack:
                     on_path.difference_update(path[-2:])
                     del path[-2:]
-    return [AlternatingPath(vs, m) for vs in sorted(set(found))]
+    return [AlternatingPath(vs, m) for vs in found]
 
 
-def path_structure(
-    g: BipartiteGraph,
-    m: Matching,
-    p: AlternatingPath,
-    paths: Sequence[AlternatingPath],
-) -> PathStructure:
+def path_structure(p: AlternatingPath,
+                   paths: Sequence[AlternatingPath]) -> PathStructure:
     """Build the structure of ``p``: the union of every augmenting path
     sharing at least one vertex with it (including ``p`` itself).
 
-    ``paths`` is ``enumerate_augmenting_paths(g, m)``, enumerated once by
-    the caller and shared by the structures of all its paths.  A ``p``
-    missing from ``paths`` raises ``NotAugmenting``, and so does one of
-    another matching, from ``augment``.
+    ``paths`` is ``enumerate_augmenting_paths(p.matching)``, enumerated
+    once by the caller and shared by the structures of all its paths.  A
+    ``p`` missing from ``paths`` raises ``NotAugmenting``.
     """
-    _require_same_graph(g, m)
     p_vertices = set(p.vertices)
     family = [q for q in paths if not p_vertices.isdisjoint(q.vertices)]
-    # every listed path is augmenting for m, so p must be one of them
+    # every listed path is augmenting, so p must be one of them
     if p not in family:
         raise NotAugmenting("base path is not a path of this matching")
     vertices: set[int] = set()
     for q in family:
         vertices.update(q.vertices)
-    return PathStructure(g, p, tuple(family), frozenset(vertices),
-                         z_set(g, augment(m, p)))
+    return PathStructure(p, tuple(family), frozenset(vertices),
+                         z_set(augment(p)))
 
 
 def _representatives(p: AlternatingPath,
@@ -198,7 +183,6 @@ def hat_vertices(ps: PathStructure) -> frozenset[int]:
 
 
 def classify_matching(
-    g: BipartiteGraph,
     m: Matching,
     limit: int = DEFAULT_PATH_LIMIT,
 ) -> ClassificationVerdict:
@@ -211,11 +195,11 @@ def classify_matching(
     that fails from 9 vertices up (the strict xfail in
     ``tests/test_paths.py``).
     """
-    if not is_maximal(g, m):
+    if not is_maximal(m):
         raise NotMaximal("classification applies to maximal matchings only")
-    paths = enumerate_augmenting_paths(g, m, limit)
+    paths = enumerate_augmenting_paths(m, limit)
     for p in paths:
-        stranded = path_structure(g, m, p, paths).stranded
+        stranded = path_structure(p, paths).stranded
         if len(stranded) >= 2:
             return ClassificationVerdict(False, (p, stranded))
     return ClassificationVerdict(True, None)

@@ -12,10 +12,11 @@ a violation raises ``RoundTripFailed``.
 The split and its down matching depend on the cover alone; only the up
 walk depends on the order in which roots are visited.  So a split is a
 value: it records the graph and cover it was made for, and
-``reverse_konig`` accepts one in place of the cover, which lets a caller
-try many visit orders on one split.  A split stores its two parts, the
-up part's roots and the down matching; the cut edges and the down
-part's cover side are derived from the graph and cover when read.
+``reverse_konig`` takes a split, not a graph and a cover, which lets a
+caller try many visit orders on one split.  A split stores its up part,
+the up part's roots and the down matching, which records the down part
+as its graph; the cut edges and the down part's cover side are derived
+from the graph and cover when read.
 """
 
 from __future__ import annotations
@@ -23,12 +24,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .errors import (
-    ForeignSplit,
-    NotMinimumCover,
-    RoundTripFailed,
-    SaturationImpossible,
-)
+from .errors import NotMinimumCover, RoundTripFailed, SaturationImpossible
 from .graph import BipartiteGraph, Edge, induced_subgraph, procedure_sides
 from .konig import VertexCover, is_minimum_cover, konig_vertices
 from .matching import Matching, maximum_matching
@@ -39,15 +35,15 @@ class CoverSplit:
     """The up/down/cut decomposition induced by a minimum cover.
 
     ``graph`` and ``cover`` name what the split was made for, so
-    ``reverse_konig`` can reject a split of another graph and check its
-    round trip against the right cover.  ``m_down`` is the down part's
-    matching saturating ``down_cover_side``, found once with the split.
+    ``reverse_konig`` checks its round trip against the right cover.
+    ``m_down`` is the down part's matching saturating
+    ``down_cover_side``, found once with the split; its graph is the
+    down part.
     """
 
     graph: BipartiteGraph
     cover: frozenset[int]
     up: BipartiteGraph
-    down: BipartiteGraph
     up_roots: frozenset[int]       # U \ C, the up part's non-cover side
     m_down: Matching
 
@@ -66,10 +62,10 @@ class CoverSplit:
 
 @dataclass(frozen=True)
 class ReverseResult:
-    """Output of the reverse procedure."""
+    """Output of the reverse procedure; the down half is the split's
+    ``m_down``."""
 
     m_up: Matching
-    m_down: Matching
     combined: Matching
     visit_order: tuple[int, ...]
 
@@ -91,8 +87,7 @@ def split_by_cover(g: BipartiteGraph,
     u_side, v_side = procedure_sides(g)
     up = induced_subgraph(g, (v_side & cset) | (u_side - cset))
     down = induced_subgraph(g, (u_side & cset) | (v_side - cset))
-    split = CoverSplit(g, cset, up, down, u_side - cset,
-                       maximum_matching(down))
+    split = CoverSplit(g, cset, up, u_side - cset, maximum_matching(down))
     missed = [v for v in split.down_cover_side
               if not split.m_down.saturates(v)]
     if missed:
@@ -146,31 +141,23 @@ def reverse_procedure_up(split: CoverSplit,
     return Matching(up, partner.items())
 
 
-def reverse_konig(g: BipartiteGraph,
-                  c: VertexCover | CoverSplit | Iterable[int],
+def reverse_konig(split: CoverSplit,
                   visit_order: Sequence[int] | None = None) -> ReverseResult:
-    """Recover a matching whose Kőnig cover is exactly ``c``.
+    """Recover a matching whose Kőnig cover is exactly ``split.cover``.
 
-    ``c`` is a minimum cover, or a ``split_by_cover`` split of one; a
-    split is reused as it is, so many visit orders can share one split.
-    A split made for another graph raises ``ForeignSplit``.  The round
-    trip is verified against the split's cover before returning; a
-    mismatch raises ``RoundTripFailed`` (a defect, or a split whose
-    parts belong to another cover).
+    ``split`` is ``split_by_cover(g, c)`` for a minimum cover ``c``;
+    many visit orders can share one split.  The round trip is verified
+    against the split's cover before returning; a mismatch raises
+    ``RoundTripFailed`` (a defect, or a split whose parts belong to
+    another cover).
     """
-    if isinstance(c, CoverSplit):
-        split = c
-        if split.graph is not g and split.graph != g:
-            raise ForeignSplit("cover split was made for another graph")
-    else:
-        split = split_by_cover(g, c)
     order = tuple(sorted(split.up_roots) if visit_order is None
                   else visit_order)
     m_up = reverse_procedure_up(split, order)
-    combined = Matching(g, m_up.edges | split.m_down.edges)
-    produced = konig_vertices(g, combined)
+    combined = Matching(split.graph, m_up.edges | split.m_down.edges)
+    produced = konig_vertices(combined)
     if produced != split.cover:
         raise RoundTripFailed(
             f"expected cover {sorted(split.cover)}, procedure gave "
             f"{sorted(produced)}")
-    return ReverseResult(m_up, split.m_down, combined, order)
+    return ReverseResult(m_up, combined, order)

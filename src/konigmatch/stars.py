@@ -111,21 +111,18 @@ def restrict_cover(ssg: StarStuddedGraph, c) -> frozenset[int]:
     return cset & ssg.base.vertices
 
 
-def reached_minimum_covers(
-    g: BipartiteGraph,
-    matchings: Iterable[Matching],
-) -> set[frozenset[int]]:
+def reached_minimum_covers(matchings: Iterable[Matching],
+                           ) -> set[frozenset[int]]:
     """The minimum vertex covers Kőnig's procedure yields from
-    ``matchings``, which are matchings of ``g``.
+    ``matchings``.
 
     K(M) is a vertex cover for every matching M, so it is minimum
-    exactly when it has ν(G) vertices.
+    exactly when it has ν(G) vertices, G being M's graph.
     """
-    nu = matching_number(g)
     reached = set()
     for m in matchings:
-        k = konig_vertices(g, m)
-        if len(k) == nu:
+        k = konig_vertices(m)
+        if len(k) == matching_number(m.graph):
             reached.add(k)
     return reached
 
@@ -159,7 +156,7 @@ def maximal_witness(g: BipartiteGraph,
         else:
             return None
     witness = Matching(g, edges)
-    if not is_maximal(g, witness) or konig_vertices(g, witness) != split.cover:
+    if not is_maximal(witness) or konig_vertices(witness) != split.cover:
         raise RoundTripFailed(
             f"witness {sorted(witness.edges)} is not maximal or does not "
             f"give cover {sorted(split.cover)}")

@@ -16,12 +16,7 @@ from dataclasses import dataclass, field
 from .corpus import cached_corpus
 from .graph import BipartiteGraph, procedure_sides
 from .konig import konig_cover, konig_vertices
-from .matching import (
-    is_disjoint_cycle_union,
-    is_maximal,
-    maximum_matching,
-    symmetric_difference,
-)
+from .matching import is_maximal, maximum_matching
 from .oracle import (
     OracleBudget,
     all_matchings,
@@ -81,7 +76,7 @@ def sweep_konig_equality(max_vertices: int = 8) -> SweepResult:
         result.check(len(mm) == min_size,
                      lambda: f"{_describe(g)}: matching {len(mm)} != "
                              f"cover {min_size}")
-        cover = konig_cover(g, mm)
+        cover = konig_cover(mm)
         result.check(cover.is_minimum,
                      lambda: f"{_describe(g)}: maximum matching gave "
                              f"non-minimum cover {sorted(cover.vertices)}")
@@ -93,7 +88,8 @@ def sweep_reverse_round_trip(max_vertices: int = 8,
     """Reverse procedure recovers every oracle minimum cover, for the
     default visit order and ``SAMPLED_ORDERS`` sampled permutations.
 
-    Each cover is split once, and every visit order reuses that split.
+    Each cover is split once, and every visit order reuses that split;
+    a cover whose split fails is tried again, and reported, per order.
     """
     result = SweepResult("reverse-round-trip")
     rng = random.Random(seed)
@@ -106,20 +102,19 @@ def sweep_reverse_round_trip(max_vertices: int = 8,
                 shuffled = roots[:]
                 rng.shuffle(shuffled)
                 orders.append(shuffled)
-            try:
-                target = split_by_cover(g, cover)
-            except Exception:  # reverse_konig raises it again per order
-                target = cover
+            split = None
             for order in orders:
                 try:
-                    res = reverse_konig(g, target, order)
+                    if split is None:
+                        split = split_by_cover(g, cover)
+                    res = reverse_konig(split, order)
                 except Exception as exc:  # report, keep sweeping
                     result.check(False,
                                  lambda: f"{_describe(g)} cover "
                                          f"{sorted(cover)} order {order}: "
                                          f"{exc!r}")
                     continue
-                produced = konig_vertices(g, res.combined)
+                produced = konig_vertices(res.combined)
                 result.check(produced == cover,
                              lambda: f"{_describe(g)} cover {sorted(cover)} "
                                      f"order {order}: got "
@@ -133,7 +128,7 @@ def sweep_surjectivity(max_vertices: int = 8) -> SweepResult:
     result = SweepResult("surjectivity")
     for g in cached_corpus(max_vertices):
         wanted = all_minimum_covers(g)
-        reached = reached_minimum_covers(g, all_matchings(g))
+        reached = reached_minimum_covers(all_matchings(g))
         result.check(reached == wanted,
                      lambda: f"{_describe(g)}: reached "
                              f"{sorted(map(sorted, reached))} != oracle "
@@ -145,8 +140,14 @@ def sweep_cycle_fibers(max_vertices: int = 8) -> SweepResult:
     """Matchings whose symmetric difference is a disjoint union of cycles
     map to the same cover.
 
-    Such a difference exists only between matchings that saturate the same
-    vertices, so pairs are formed within each saturated set.
+    These are exactly the pairs of distinct matchings that saturate the
+    same vertices, so pairs are formed within each saturated set.  A
+    vertex that M1 △ M2 touches is saturated by one of them, hence by
+    both, and its M1-edge and M2-edge differ (an edge shared by both is
+    not in the difference, and no other edge of either meets the
+    vertex), so every vertex of M1 △ M2 has degree 2 in it.  Conversely,
+    a vertex of such a cycle union is saturated by both, and every
+    other vertex is met by the same edge in both or by none.
     """
     result = SweepResult("cycle-fibers")
     for g in cached_corpus(max_vertices):
@@ -154,13 +155,10 @@ def sweep_cycle_fibers(max_vertices: int = 8) -> SweepResult:
         for m in all_matchings(g):
             saturated = frozenset(v for edge in m.edges for v in edge)
             by_saturated.setdefault(saturated, []).append(
-                (m, konig_vertices(g, m)))
+                (m, konig_vertices(m)))
         for group in by_saturated.values():
             for i, (m1, cover1) in enumerate(group):
                 for m2, cover2 in group[i + 1:]:
-                    diff = symmetric_difference(m1, m2)
-                    if not is_disjoint_cycle_union(g, diff):
-                        continue
                     result.check(cover1 == cover2,
                                  lambda: f"{_describe(g)}: "
                                          f"{sorted(m1.edges)} vs "
@@ -175,12 +173,12 @@ def sweep_one_endpoint_and_minimal(max_vertices: int = 8) -> SweepResult:
     result = SweepResult("one-endpoint-and-minimal")
     for g in cached_corpus(max_vertices):
         for m in all_matchings(g):
-            cover = konig_cover(g, m)
+            cover = konig_cover(m)
             for u, v in m.edges:
                 result.check((u in cover.vertices) != (v in cover.vertices),
                              lambda: f"{_describe(g)} {sorted(m.edges)}: "
                                      f"edge ({u},{v}) not split by cover")
-            if is_maximal(g, m):
+            if is_maximal(m):
                 result.check(cover.is_minimal,
                              lambda: f"{_describe(g)} {sorted(m.edges)}: "
                                      "maximal matching gave non-minimal "
@@ -194,8 +192,8 @@ def sweep_classification(max_vertices: int = 8) -> SweepResult:
     result = SweepResult("classification")
     for g in cached_corpus(max_vertices):
         for m in all_maximal_matchings(g):
-            verdict = classify_matching(g, m)
-            direct = konig_cover(g, m).is_minimum
+            verdict = classify_matching(m)
+            direct = konig_cover(m).is_minimum
             result.check(verdict.is_minimum == direct,
                          lambda: f"{_describe(g)} {sorted(m.edges)}: "
                                  f"classified {verdict.is_minimum}, "
@@ -212,15 +210,15 @@ def sweep_path_structure_properties(max_vertices: int = 8) -> SweepResult:
         u_side, _ = procedure_sides(g)
         vertices = g.vertices
         for m in all_maximal_matchings(g):
-            paths = enumerate_augmenting_paths(g, m)
+            paths = enumerate_augmenting_paths(m)
             vertex_sets = [frozenset(q.vertices) for q in paths]
-            k_before = konig_vertices(g, m)
+            k_before = konig_vertices(m)
             for idx, p in enumerate(paths):
                 def where() -> str:
                     return (f"{_describe(g)} {sorted(m.edges)} "
                             f"p={list(p.vertices)}")
 
-                ps = path_structure(g, m, p, paths)
+                ps = path_structure(p, paths)
                 structure = ps.vertices
                 k_after = u_side ^ ps.z_after  # K(M △ P)
                 # localization: outside the structure, membership of a
@@ -330,11 +328,9 @@ ALL_SWEEPS = [
 ]
 
 
-def corpus_verify(max_vertices: int = 8,
-                  include_stars: bool = True) -> list[SweepResult]:
-    """Run every sweep; the corpus raises ``BudgetExceeded`` above
-    ``MAX_CORPUS_VERTICES`` before any sweep starts."""
-    results = [sweep(max_vertices) for sweep in ALL_SWEEPS]
-    if include_stars:
-        results.append(sweep_star_studded(min(max_vertices, 7)))
-    return results
+def corpus_verify(max_vertices: int = 8) -> list[SweepResult]:
+    """Run every sweep, the star-studded one on at most 7 base vertices;
+    the corpus raises ``BudgetExceeded`` above ``MAX_CORPUS_VERTICES``
+    before any sweep starts."""
+    return [sweep(max_vertices) for sweep in ALL_SWEEPS] + [
+        sweep_star_studded(min(max_vertices, 7))]

@@ -55,7 +55,7 @@ def test_path_graph_examples_reproduce_known_covers():
         ([("3", "4")], ("2", "3")),
     ]
     for matched, cover_labels in expectations:
-        cover = konig_cover(g, matching_by_labels(g, matched))
+        cover = konig_cover(matching_by_labels(g, matched))
         assert cover.vertices == labeled(g, *cover_labels)
         assert cover.is_cover and cover.is_minimal and cover.is_minimum
     assert all_minimum_covers(g) == {
@@ -67,7 +67,7 @@ def test_path_graph_examples_reproduce_known_covers():
 def test_fork_graph_matching_gives_minimal_but_not_minimum_cover():
     started = time.monotonic()
     g = load_graph(str(FIXTURES / "fork.json"))
-    cover = konig_cover(g, matching_by_labels(g, [("b1", "c1")]))
+    cover = konig_cover(matching_by_labels(g, [("b1", "c1")]))
     assert len(cover.vertices) == 4
     assert cover.is_cover
     assert cover.is_minimal
@@ -144,7 +144,7 @@ def test_randomized_trials_run_fast_and_agree_with_the_oracle(tmp_path):
     for _ in range(cfg.trials):
         g = random_bipartite(cfg, rng)
         m = random_maximal_matching(g, rng)
-        cover = konig_cover(g, m)
+        cover = konig_cover(m)
         oracle = len(next(iter(all_minimum_covers(g))))
         hit = cover.is_cover and len(cover.vertices) == oracle
         report.minimum_hits -= int(hit)

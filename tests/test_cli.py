@@ -141,7 +141,7 @@ def test_corpus_verify_rejects_oversized_requests(capsys):
 
 
 def test_corpus_verify_small(capsys):
-    assert run(["corpus-verify", "--max-vertices", "4", "--no-stars"]) == 0
+    assert run(["corpus-verify", "--max-vertices", "4"]) == 0
     out = capsys.readouterr().out
     assert "[ok]" in out and "FAIL" not in out
 

@@ -84,7 +84,7 @@ def test_hits_agree_with_the_brute_force_oracle():
     for _ in range(cfg.trials):
         g = random_bipartite(cfg, rng)
         m = random_maximal_matching(g, rng)
-        cover = konig_cover(g, m)
+        cover = konig_cover(m)
         oracle_size = len(next(iter(all_minimum_covers(g))))
         hits += int(cover.is_cover and len(cover.vertices) == oracle_size)
     assert hits == report.minimum_hits

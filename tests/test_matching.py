@@ -8,18 +8,11 @@ from konigmatch import (
     build_graph,
     find_augmenting_path,
     greedy_maximal_matching,
-    is_disjoint_cycle_union,
     is_maximal,
     matching_number,
     maximum_matching,
-    symmetric_difference,
 )
-from konigmatch.errors import (
-    ForeignMatching,
-    InvalidMatching,
-    NotAugmenting,
-    SaturatedStart,
-)
+from konigmatch.errors import InvalidMatching, SaturatedStart
 from konigmatch.corpus import cached_corpus
 from konigmatch.oracle import all_matchings, maximum_matching_size_brute_force
 
@@ -77,7 +70,7 @@ def test_alternating_path_validation(p4):
 def test_greedy_maximal_follows_the_order(p4):
     m = greedy_maximal_matching(p4, [(1, 2), (0, 2), (1, 3)])
     assert m.edges == {(1, 2)}
-    assert is_maximal(p4, m)
+    assert is_maximal(m)
     m2 = greedy_maximal_matching(p4, [(0, 2), (1, 2), (1, 3)])
     assert m2.edges == {(0, 2), (1, 3)}
 
@@ -91,30 +84,19 @@ def test_greedy_maximal_requires_a_permutation(p4):
 
 def test_find_augmenting_path_on_the_path_graph(p4):
     m = matching_by_labels(p4, [("2", "3")])
-    path = find_augmenting_path(p4, m, 0)
+    path = find_augmenting_path(m, 0)
     assert path.vertices == (0, 2, 1, 3)
-    bigger = augment(m, path)
+    bigger = augment(path)
     assert len(bigger) == 2
     assert all(bigger.saturates(v) for v in p4.vertices)
     with pytest.raises(SaturatedStart):
-        find_augmenting_path(p4, m, p4.vertex_by_label("2"))
+        find_augmenting_path(m, p4.vertex_by_label("2"))
 
 
 def test_augment_rejects_non_augmenting(p4):
     m = matching_by_labels(p4, [("2", "3")])
     with pytest.raises(InvalidMatching):
-        augment(m, AlternatingPath((0, 2), m))
-
-
-def test_augment_rejects_a_path_of_another_matching():
-    g = build_graph(2, 2, [(0, 0), (1, 0), (1, 1)])
-    p = AlternatingPath([0, 2, 1, 3], Matching(g, [(1, 2)]))
-    maximum = Matching(g, [(0, 2), (1, 3)])
-    # m △ p would shrink this matching from two edges to one
-    with pytest.raises(NotAugmenting):
-        augment(maximum, p)
-    # an equal matching built anew is the same matching
-    assert augment(Matching(g, [(1, 2)]), p) == maximum
+        augment(AlternatingPath((0, 2), m))
 
 
 def test_maximum_matching_on_fork(fork):
@@ -122,26 +104,12 @@ def test_maximum_matching_on_fork(fork):
     assert len(m) == 2
 
 
-def test_symmetric_difference_requires_same_graph(p4, fork):
-    m1 = matching_by_labels(p4, [("2", "3")])
-    m2 = matching_by_labels(fork, [("b1", "c1")])
-    with pytest.raises(ForeignMatching):
-        symmetric_difference(m1, m2)
-    assert symmetric_difference(m1, Matching(p4, ())) == m1.edges
-
-
-def test_disjoint_cycle_union(c4, p4):
-    assert is_disjoint_cycle_union(c4, c4.edges)
-    assert not is_disjoint_cycle_union(p4, p4.edges)
-    assert is_disjoint_cycle_union(p4, [])  # vacuous
-
-
 @given(graphs())
 def test_maximum_matching_is_maximal_and_stable(g):
     m = maximum_matching(g)
-    assert is_maximal(g, m)
+    assert is_maximal(m)
     for u in m.unsaturated(g.left):
-        assert find_augmenting_path(g, m, u) is None
+        assert find_augmenting_path(m, u) is None
 
 
 @given(graphs(), st.randoms(use_true_random=False))
@@ -149,7 +117,7 @@ def test_greedy_never_beats_maximum(g, rng):
     order = sorted(g.edges)
     rng.shuffle(order)
     greedy = greedy_maximal_matching(g, order)
-    assert is_maximal(g, greedy)
+    assert is_maximal(greedy)
     assert len(greedy) <= len(maximum_matching(g))
     # a maximal matching is at least half the maximum
     assert 2 * len(greedy) >= len(maximum_matching(g))
@@ -160,6 +128,16 @@ def test_cached_matching_number_is_the_maximum_matching_size(g):
     nu = matching_number(g)  # fresh graph: computed here, then cached
     assert nu == maximum_matching_size_brute_force(g)
     assert nu == len(maximum_matching(g)) == matching_number(g)
+
+
+
+def _is_disjoint_cycle_union(edges):
+    """True iff every vertex touched by ``edges`` has degree exactly 2."""
+    degree = {}
+    for u, v in edges:
+        degree[u] = degree.get(u, 0) + 1
+        degree[v] = degree.get(v, 0) + 1
+    return all(d == 2 for d in degree.values())
 
 
 def test_cycle_differences_join_exactly_the_same_saturated_sets():
@@ -173,8 +151,8 @@ def test_cycle_differences_join_exactly_the_same_saturated_sets():
                      for m in matchings]
         for i, m1 in enumerate(matchings):
             for j in range(i + 1, len(matchings)):
-                cycles = is_disjoint_cycle_union(
-                    g, symmetric_difference(m1, matchings[j]))
+                cycles = _is_disjoint_cycle_union(
+                    m1.edges ^ matchings[j].edges)
                 assert cycles == (saturated[i] == saturated[j])
                 pairs += 1
                 cycle_pairs += cycles

@@ -14,6 +14,7 @@ from konigmatch import (
     matching_number,
     maximum_matching,
     reverse_konig,
+    split_by_cover,
 )
 
 nx = pytest.importorskip("networkx")
@@ -51,9 +52,10 @@ def test_large_graphs_agree_with_networkx(n):
     nu = len(mate) // 2
     mm = maximum_matching(g)
     assert matching_number(g) == len(mm) == nu
-    cover = konig_cover(g, mm)
+    cover = konig_cover(mm)
     assert cover.is_cover and cover.is_minimum
     assert len(cover) == len(nx_cover) == nu
     # both minimum covers, ours and networkx's, survive the round trip
     for c in (cover.vertices, nx_cover):
-        assert konig_vertices(g, reverse_konig(g, c).combined) == c
+        assert konig_vertices(
+            reverse_konig(split_by_cover(g, c)).combined) == c

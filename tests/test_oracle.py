@@ -111,7 +111,7 @@ def test_all_matchings_counts(p4, c4):
 def test_all_maximal_matchings(p4):
     maximal = all_maximal_matchings(p4)
     assert len(maximal) == 2
-    assert all(is_maximal(p4, m) for m in maximal)
+    assert all(is_maximal(m) for m in maximal)
     assert {frozenset(m.edges) for m in maximal} == \
         {frozenset({(1, 2)}), frozenset({(0, 2), (1, 3)})}
 
@@ -119,7 +119,7 @@ def test_all_maximal_matchings(p4):
 def test_maximal_enumeration_matches_the_filter_definition():
     for g in cached_corpus(6):
         pruned = {m.edges for m in all_maximal_matchings(g)}
-        filtered = {m.edges for m in all_matchings(g) if is_maximal(g, m)}
+        filtered = {m.edges for m in all_matchings(g) if is_maximal(m)}
         assert pruned == filtered
 
 

@@ -1,0 +1,43 @@
+"""The README's quick tour runs as written and gives the values its
+comments state."""
+
+import ast
+import io
+import re
+import tokenize
+from pathlib import Path
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def _python_block() -> str:
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text("utf-8"),
+                          re.S)
+    return block
+
+
+def _trailing_comments(source: str) -> dict[int, str]:
+    """Line number -> the text of the comment that ends that line."""
+    return {tok.start[0]: tok.string.lstrip("#").strip()
+            for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+            if tok.type == tokenize.COMMENT}
+
+
+def test_the_quick_tour_gives_the_values_its_comments_state():
+    source = _python_block()
+    comments = _trailing_comments(source)
+    namespace: dict = {}
+    checked = 0
+    for statement in ast.parse(source).body:
+        if not isinstance(statement, ast.Expr):
+            exec(compile(ast.Module([statement], []), "README", "exec"),
+                 namespace)
+            continue
+        # every bare expression states its value in a trailing comment
+        stated = ast.literal_eval(comments[statement.end_lineno])
+        value = eval(compile(ast.Expression(statement.value), "README",
+                             "eval"), namespace)
+        assert (type(value), value) == (type(stated), stated), \
+            ast.unparse(statement)
+        checked += 1
+    assert checked == 4

@@ -13,12 +13,7 @@ from konigmatch import (
 )
 from konigmatch import verify
 from konigmatch.corpus import cached_corpus
-from konigmatch.errors import (
-    DomainError,
-    ForeignSplit,
-    NotMinimumCover,
-    RoundTripFailed,
-)
+from konigmatch.errors import DomainError, NotMinimumCover, RoundTripFailed
 from konigmatch.graph import procedure_sides
 from konigmatch.oracle import all_minimum_covers
 
@@ -29,7 +24,8 @@ def test_split_by_cover_on_the_fork(fork):
     cover = labeled(fork, "b1", "c1")
     split = split_by_cover(fork, cover)
     assert split.up.vertices == labeled(fork, "a1", "a2", "b1")
-    assert split.down.vertices == labeled(fork, "c1", "d1", "d2", "d3")
+    assert split.m_down.graph.vertices == labeled(fork, "c1", "d1", "d2",
+                                                  "d3")
     assert split.cut_edges == {tuple(sorted(labeled(fork, "c1", "b1")))}
     assert split.up_roots == labeled(fork, "a1", "a2")
     assert split.down_cover_side == labeled(fork, "c1")
@@ -38,14 +34,13 @@ def test_split_by_cover_on_the_fork(fork):
 def test_a_split_stores_only_its_defining_data(fork):
     split = split_by_cover(fork, labeled(fork, "b1", "c1"))
     assert [f.name for f in dataclasses.fields(split)] == [
-        "graph", "cover", "up", "down", "up_roots", "m_down"]
+        "graph", "cover", "up", "up_roots", "m_down"]
 
 
 def test_split_rejects_non_minimum_covers(fork):
     with pytest.raises(NotMinimumCover):
         split_by_cover(fork, labeled(fork, "a1", "b1"))  # not a cover
-    minimal_only = konig_cover(
-        fork, matching_by_labels(fork, [("b1", "c1")]))
+    minimal_only = konig_cover(matching_by_labels(fork, [("b1", "c1")]))
     assert minimal_only.is_minimal and not minimal_only.is_minimum
     with pytest.raises(NotMinimumCover):
         split_by_cover(fork, minimal_only)
@@ -68,8 +63,8 @@ def test_up_part_keeps_roots_unsaturated(fork):
     assert m_up.edges == {tuple(sorted(labeled(fork, "a2", "b1")))}
     # either visit order leads back to the same cover
     for order in (sorted(split.up_roots), sorted(split.up_roots)[::-1]):
-        result = reverse_konig(fork, cover, order)
-        assert konig_cover(fork, result.combined).vertices == cover
+        result = reverse_konig(split, order)
+        assert konig_cover(result.combined).vertices == cover
 
 
 def test_reverse_konig_derives_the_visit_order_once(fork, monkeypatch):
@@ -80,10 +75,10 @@ def test_reverse_konig_derives_the_visit_order_once(fork, monkeypatch):
         return reverse_procedure_up(split, visit_order)
 
     monkeypatch.setattr("konigmatch.reverse.reverse_procedure_up", spy)
-    cover = labeled(fork, "b1", "c1")
+    split = split_by_cover(fork, labeled(fork, "b1", "c1"))
     roots = sorted(labeled(fork, "a1", "a2"))
     for order, expected in ((None, roots), (roots[::-1], roots[::-1])):
-        result = reverse_konig(fork, cover, order)
+        result = reverse_konig(split, order)
         assert result.visit_order == tuple(expected)
         assert passed.pop() is result.visit_order
 
@@ -98,23 +93,24 @@ def test_visit_order_must_cover_the_roots(fork):
 def test_round_trip_on_the_path_graph(p4):
     for cover_labels in (("1", "3"), ("2", "3"), ("2", "4")):
         cover = labeled(p4, *cover_labels)
-        result = reverse_konig(p4, cover)
-        assert konig_cover(p4, result.combined).vertices == cover
-        assert result.combined.edges == result.m_up.edges | result.m_down.edges
+        split = split_by_cover(p4, cover)
+        result = reverse_konig(split)
+        assert konig_cover(result.combined).vertices == cover
+        assert result.combined.edges == result.m_up.edges | split.m_down.edges
 
 
 def test_round_trip_matching_reaches_maximum_size_on_the_fork(fork):
     cover = labeled(fork, "b1", "c1")
-    result = reverse_konig(fork, cover)
-    assert konig_cover(fork, result.combined).vertices == cover
+    result = reverse_konig(split_by_cover(fork, cover))
+    assert konig_cover(result.combined).vertices == cover
     assert len(result.combined) == len(maximum_matching(fork))
 
 
 def test_round_trip_over_the_small_corpus():
     for g in cached_corpus(6):
         for cover in all_minimum_covers(g):
-            result = reverse_konig(g, cover)
-            assert konig_cover(g, result.combined).vertices == cover
+            result = reverse_konig(split_by_cover(g, cover))
+            assert konig_cover(result.combined).vertices == cover
 
 
 def test_reverse_walks_a_long_path_without_recursion():
@@ -125,9 +121,9 @@ def test_reverse_walks_a_long_path_without_recursion():
         [(i + 1, i) for i in range(half - 1)]
     g = build_graph(half, half, edges)
     cover = g.right
-    result = reverse_konig(g, cover)
+    result = reverse_konig(split_by_cover(g, cover))
     assert len(result.m_up) == half - 1
-    assert konig_cover(g, result.combined).vertices == cover
+    assert konig_cover(result.combined).vertices == cover
 
 
 def _visit_orders(g, cover, rng):
@@ -147,10 +143,9 @@ def test_a_shared_split_gives_what_a_fresh_call_gives():
         for cover in all_minimum_covers(g):
             split = split_by_cover(g, cover)
             for order in _visit_orders(g, cover, rng):
-                shared = reverse_konig(g, split, order)
-                fresh = reverse_konig(g, cover, order)
+                shared = reverse_konig(split, order)
+                fresh = reverse_konig(split_by_cover(g, cover), order)
                 assert shared.m_up == fresh.m_up
-                assert shared.m_down == fresh.m_down
                 assert shared.combined == fresh.combined
                 assert shared.visit_order == fresh.visit_order
                 calls += 1
@@ -162,20 +157,11 @@ def test_the_split_records_its_graph_cover_and_down_matching(fork):
     split = split_by_cover(fork, cover)
     assert split.graph is fork
     assert split.cover == cover
-    assert split.m_down.graph is split.down
-
-
-def test_a_split_of_another_graph_is_rejected(fork, p4):
-    split = split_by_cover(fork, labeled(fork, "b1", "c1"))
-    with pytest.raises(ForeignSplit):
-        reverse_konig(p4, split)
-    assert issubclass(ForeignSplit, DomainError)
-    # an equal graph built anew is the same graph
-    twin = build_graph(3, 4,
-                       [(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (2, 3)])
-    assert twin is not fork and twin == fork
-    result = reverse_konig(twin, split)
-    assert konig_cover(twin, result.combined).vertices == split.cover
+    # the down matching's graph is the down part
+    (c1,) = labeled(fork, "c1")
+    assert split.m_down.graph.neighbors(c1) == labeled(fork, "d1", "d2",
+                                                       "d3")
+    assert reverse_konig(split).combined.graph is fork
 
 
 def test_a_split_whose_parts_belong_to_another_cover_does_not_round_trip(p4):
@@ -183,7 +169,7 @@ def test_a_split_whose_parts_belong_to_another_cover_does_not_round_trip(p4):
     b = labeled(p4, "2", "4")
     stale = dataclasses.replace(split_by_cover(p4, a), cover=b)
     with pytest.raises(RoundTripFailed):
-        reverse_konig(p4, stale)
+        reverse_konig(stale)
     assert issubclass(RoundTripFailed, DomainError)
 
 
@@ -194,19 +180,19 @@ def test_the_reverse_sweep_splits_each_cover_once(monkeypatch):
         splits.append(c)
         return split_by_cover(g, c)
 
-    def counting_reverse(g, c, visit_order=None):
-        reverses.append(c)
-        return reverse_konig(g, c, visit_order)
+    def counting_reverse(split, visit_order=None):
+        reverses.append(split)
+        return reverse_konig(split, visit_order)
 
     monkeypatch.setattr("konigmatch.verify.split_by_cover", counting_split)
-    monkeypatch.setattr("konigmatch.reverse.split_by_cover", counting_split)
     monkeypatch.setattr("konigmatch.verify.reverse_konig", counting_reverse)
     result = verify.sweep_reverse_round_trip(6)
     assert result.ok
     covers = sum(len(all_minimum_covers(g)) for g in cached_corpus(6))
     assert len(splits) == covers == 51
     assert len(reverses) == result.cases == 6 * covers
-    assert all(type(c).__name__ == "CoverSplit" for c in reverses)
+    # the six visit orders of a cover share its one split
+    assert len({id(split) for split in reverses}) == covers
 
 
 def test_the_reverse_sweep_catches_a_stale_split(monkeypatch):

@@ -84,7 +84,7 @@ def test_path_graph_is_not_enumeratively_reachable(p4):
     # the third minimum cover {2,3} is never produced
     reached = set()
     for m in all_maximal_matchings(p4):
-        reached.add(konig_cover(p4, m).vertices)
+        reached.add(konig_cover(m).vertices)
     assert reached == {labeled(p4, "1", "3"), labeled(p4, "2", "4")}
     assert not is_enumeratively_konig_egervary(p4)
 
@@ -101,7 +101,7 @@ def test_lazy_verdicts_match_a_full_enumeration():
     verdicts = []
     for g in list(cached_corpus(6)) + studded_graphs(5):
         full = all_minimum_covers(g, BUDGET) <= reached_minimum_covers(
-            g, all_maximal_matchings(g, BUDGET))
+            all_maximal_matchings(g, BUDGET))
         assert is_enumeratively_konig_egervary(g, BUDGET) == full
         verdicts.append(full)
     assert True in verdicts and False in verdicts
@@ -125,7 +125,7 @@ def test_witnesses_agree_with_a_walk_of_every_maximal_matching(witnesses):
     for g, c, w in witnesses:
         if g not in reached:
             reached[g] = reached_minimum_covers(
-                g, all_maximal_matchings(g, WITNESS_BUDGET))
+                all_maximal_matchings(g, WITNESS_BUDGET))
         assert (w is not None) == (c in reached[g])
     # both verdicts occur: 145 of the 589 covers have no witness
     assert len(witnesses) == 589
@@ -136,8 +136,8 @@ def test_every_witness_is_a_maximal_matching_giving_its_cover(witnesses):
     for g, c, w in witnesses:
         if w is not None:
             assert isinstance(w, Matching) and w.graph == g
-            assert is_maximal(g, w)
-            assert konig_vertices(g, w) == c
+            assert is_maximal(w)
+            assert konig_vertices(w) == c
 
 
 def test_the_witness_search_needs_a_minimum_cover(p4):
