@@ -13,7 +13,7 @@ from .graph import (
     procedure_sides,
 )
 from .matching import (
-    AlternatingPath,
+    AugmentingPath,
     Matching,
     augment,
     find_augmenting_path,
@@ -44,7 +44,7 @@ from .paths import (
     classify_matching,
     enumerate_augmenting_paths,
     hat_vertices,
-    path_structure,
+    path_structures,
 )
 from .stars import (
     StarStuddedGraph,

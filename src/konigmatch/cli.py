@@ -24,7 +24,7 @@ from .oracle import (
     all_minimum_covers,
     hall_condition,
 )
-from .paths import classify_matching
+from .paths import DEFAULT_PATH_LIMIT, classify_matching
 from .reverse import reverse_konig, split_by_cover
 from .stars import star_stud
 from .verify import corpus_verify
@@ -125,8 +125,8 @@ def _cmd_enumerate(args) -> int:
         _emit({"maximal_matchings": sorted(
             gio.matching_to_json(m) for m in ms), "count": len(ms)})
     elif what == "hall":
-        _emit({"left": hall_condition(g, "left", budget),
-               "right": hall_condition(g, "right", budget)})
+        left_ok, right_ok = hall_condition(g, budget)
+        _emit({"left": left_ok, "right": right_ok})
     return 0
 
 
@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="does this maximal matching give a minimum cover?")
     p.add_argument("--graph", required=True)
     p.add_argument("--matching", required=True)
-    p.add_argument("--limit", type=int, default=10 ** 6)
+    p.add_argument("--limit", type=int, default=DEFAULT_PATH_LIMIT)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("starstud", help="attach a 3-leaf star to every vertex")

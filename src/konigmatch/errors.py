@@ -35,10 +35,6 @@ class UnknownVertex(InputError):
     pass
 
 
-class UnknownSide(InputError):
-    """A side named other than "left" or "right"."""
-
-
 class NotBipartite(InputError):
     """Edge-list input admits no two-coloring."""
 
@@ -49,10 +45,6 @@ class InvalidMatching(DomainError):
 
 
 class SaturatedStart(DomainError):
-    pass
-
-
-class NotAugmenting(DomainError):
     pass
 
 

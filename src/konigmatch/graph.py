@@ -37,7 +37,7 @@ class BipartiteGraph:
     ``matching.maximum_matching`` and ``vertex_by_label``.
     """
 
-    __slots__ = ("left", "right", "edges", "labels", "sides_swapped",
+    __slots__ = ("left", "right", "edges", "labels",
                  "_adjacency", "_hash", "_sides", "_nu", "_by_label")
 
     def __init__(
@@ -46,7 +46,6 @@ class BipartiteGraph:
         right: Iterable[int],
         edges: Iterable[Edge],
         labels: Mapping[int, str] | None = None,
-        sides_swapped: bool = False,
     ):
         left_set = frozenset(left)
         right_set = frozenset(right)
@@ -78,7 +77,6 @@ class BipartiteGraph:
             self.labels = {v: str(v) for v in vertices}
         else:
             self.labels = {v: labels[v] for v in vertices}
-        self.sides_swapped = sides_swapped
         self._adjacency = adjacency
         self._hash = hash((self.left, self.right, self.edges))
 
@@ -153,8 +151,8 @@ def build_graph(
     Edge ``(i, j)`` joins the i-th left vertex to the j-th right vertex.
     Left vertices get ids ``0 .. left_count-1`` and right vertices
     ``left_count .. left_count+right_count-1``.  If the left side is
-    larger than the right, the side roles are swapped (ids are unchanged)
-    and the swap is recorded on the result.
+    larger than the right, the side roles are swapped (ids are unchanged),
+    so the given left vertices form the result's ``right``.
     """
     if left_count < 0 or right_count < 0:
         raise IndexOutOfRange("vertex counts must be non-negative")
@@ -178,8 +176,7 @@ def build_graph(
     left_ids = range(left_count)
     right_ids = range(left_count, left_count + right_count)
     if left_count > right_count:
-        return BipartiteGraph(right_ids, left_ids, edge_ids, labels,
-                              sides_swapped=True)
+        return BipartiteGraph(right_ids, left_ids, edge_ids, labels)
     return BipartiteGraph(left_ids, right_ids, edge_ids, labels)
 
 

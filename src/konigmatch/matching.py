@@ -1,10 +1,12 @@
-"""Matchings and alternating paths: greedy maximal construction,
+"""Matchings and augmenting paths: greedy maximal construction,
 augmenting-path search, and maximum matching.
 
 Everything here is a pure function over immutable values; a matching
 never mutates after construction.  A matching records its graph and a
 path records its matching, so functions take the matching (or path)
-alone and read the rest from it.
+alone and read the rest from it.  Only augmenting paths are modelled:
+a path that is not one cannot be constructed, so ``augment`` needs no
+check.
 """
 
 from __future__ import annotations
@@ -88,15 +90,15 @@ class Matching:
         return f"Matching({sorted(self.edges)})"
 
 
-class AlternatingPath:
-    """A simple path whose edges strictly alternate in/out of a matching.
+class AugmentingPath:
+    """A simple path between two unsaturated vertices whose edges
+    alternate out of and into a matching, so M △ P is a larger matching.
 
-    ``augmenting`` is true exactly when the path has an even number of
-    vertices and both endpoints are unsaturated.  ``edges`` holds the
-    path's edges in the stored ``(left, right)`` order.
+    Any other vertex sequence raises ``InvalidMatching``.  ``edges``
+    holds the path's edges in the stored ``(left, right)`` order.
     """
 
-    __slots__ = ("vertices", "matching", "augmenting", "edges")
+    __slots__ = ("vertices", "matching", "edges")
 
     def __init__(self, vertices: Sequence[int], matching: Matching):
         g = matching.graph
@@ -105,30 +107,29 @@ class AlternatingPath:
             raise InvalidMatching("a path needs at least two vertices")
         if len(set(verts)) != len(verts):
             raise InvalidMatching("path vertices must be distinct")
+        if matching.saturates(verts[0]) or matching.saturates(verts[-1]):
+            raise InvalidMatching("path endpoints must be unsaturated")
         keys = []
         for a, b in zip(verts, verts[1:]):
             e = g.edge_key(a, b)
             if e not in g.edges:
                 raise InvalidMatching(f"({a}, {b}) is not an edge")
             keys.append(e)
+        # unsaturated endpoints put the first and last edges outside M, so
+        # alternation also gives an odd edge count
         in_matching = [e in matching.edges for e in keys]
         for prev, cur in zip(in_matching, in_matching[1:]):
             if prev == cur:
                 raise InvalidMatching("path does not alternate")
         self.vertices = verts
         self.matching = matching
-        self.augmenting = (
-            len(verts) % 2 == 0
-            and not matching.saturates(verts[0])
-            and not matching.saturates(verts[-1])
-        )
         self.edges = frozenset(keys)
 
     def __len__(self) -> int:
         return len(self.vertices)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AlternatingPath):
+        if not isinstance(other, AugmentingPath):
             return NotImplemented
         return (self.vertices == other.vertices
                 and self.matching == other.matching)
@@ -137,7 +138,7 @@ class AlternatingPath:
         return hash((self.vertices, self.matching))
 
     def __repr__(self) -> str:
-        return f"AlternatingPath({list(self.vertices)})"
+        return f"AugmentingPath({list(self.vertices)})"
 
 
 def greedy_maximal_matching(g: BipartiteGraph,
@@ -165,7 +166,7 @@ def is_maximal(m: Matching) -> bool:
     return all(m.saturates(u) or m.saturates(v) for u, v in m.graph.edges)
 
 
-def find_augmenting_path(m: Matching, start: int) -> AlternatingPath | None:
+def find_augmenting_path(m: Matching, start: int) -> AugmentingPath | None:
     """BFS for an augmenting path from the unsaturated vertex ``start``.
 
     Follows non-matching edges away from ``start``'s side and matching
@@ -190,7 +191,7 @@ def find_augmenting_path(m: Matching, start: int) -> AlternatingPath | None:
                 while path[-1] != start:
                     path.append(parent[path[-1]])
                 path.reverse()
-                return AlternatingPath(path, m)
+                return AugmentingPath(path, m)
             z = m.partner(y)
             if z not in parent:
                 parent[z] = y
@@ -198,10 +199,8 @@ def find_augmenting_path(m: Matching, start: int) -> AlternatingPath | None:
     return None
 
 
-def augment(path: AlternatingPath) -> Matching:
-    """The larger matching M △ P, for an augmenting path P of M."""
-    if not path.augmenting:
-        raise InvalidMatching("path is not augmenting")
+def augment(path: AugmentingPath) -> Matching:
+    """The larger matching M △ P, for the augmenting path P of M."""
     m = path.matching
     return Matching(m.graph, m.edges ^ path.edges)
 

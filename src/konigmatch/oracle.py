@@ -19,9 +19,9 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
-from .errors import BudgetExceeded, UnknownSide
+from .errors import BudgetExceeded
 from .graph import BipartiteGraph
 from .matching import Matching
 
@@ -209,24 +209,26 @@ def maximum_matching_size_brute_force(
     return max(len(m) for m in _iter_matchings(g, b))
 
 
-def hall_condition(g: BipartiteGraph, side: str,
-                   b: OracleBudget | None = None) -> bool:
-    """Check |W| ≤ |N(W)| for every subset W of the chosen side.
-
-    ``side`` is ``"left"`` or ``"right"``; any other name raises
-    ``UnknownSide``.
-    """
-    if side not in ("left", "right"):
-        raise UnknownSide(f"side must be 'left' or 'right', not {side!r}")
+def hall_condition(g: BipartiteGraph,
+                   b: OracleBudget | None = None) -> tuple[bool, bool]:
+    """Whether |W| ≤ |N(W)| for every subset W of the left side, and of
+    the right side, in that order; each side's budget is checked before
+    it is scanned."""
     b = b or OracleBudget()
-    vertices = sorted(g.left if side == "left" else g.right)
-    if 2 ** len(vertices) > b.max_subsets:
-        raise BudgetExceeded("Hall subset scan exceeds budget")
-    for size in range(1, len(vertices) + 1):
-        for w in combinations(vertices, size):
+    verdicts = []
+    for side in (g.left, g.right):
+        vertices = sorted(side)
+        if 2 ** len(vertices) > b.max_subsets:
+            raise BudgetExceeded("Hall subset scan exceeds budget")
+        for w in chain.from_iterable(combinations(vertices, size)
+                                     for size in range(1, len(vertices) + 1)):
             neighborhood = set()
             for x in w:
                 neighborhood |= g.neighbors(x)
             if len(w) > len(neighborhood):
-                return False
-    return True
+                verdicts.append(False)
+                break
+        else:
+            verdicts.append(True)
+    left_ok, right_ok = verdicts
+    return left_ok, right_ok

@@ -13,26 +13,29 @@ strands two unsaturated V-vertices outside its check part
 cover can need two disjoint augmentations to shrink; the strict xfail in
 ``tests/test_paths.py`` holds the smallest such case.
 
-The augmenting paths of a matching are enumerated once, by the caller
-of ``path_structure``, and every structure is built from that one list.
-A structure stores its base path (which records its matching, and so
-the graph), its family, their vertex union and Z(M △ P), so
-K(M △ P) = U △ Z needs no second augmentation; the stranded set and the
-hat's cut vertex are derived when read.  Structures are vertex sets
-only: no graph is built for them.
+``path_structures(m)`` enumerates the augmenting paths of ``m`` once
+and builds every structure from that one list, lazily, so the
+classification stops building at its first witness.  A structure
+stores its base path (which records its matching, and so the graph),
+its family, their vertex union and Z(M △ P), so K(M △ P) = U △ Z
+needs no second augmentation; the stranded set and the hat's cut
+vertex are derived when read.  Structures are vertex sets only: no
+graph is built for them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .errors import NotAugmenting, NotMaximal, PathExplosion
+from .errors import NotMaximal, PathExplosion
 from .graph import procedure_sides
 from .konig import z_set
-from .matching import AlternatingPath, Matching, augment, is_maximal
+from .matching import AugmentingPath, Matching, augment, is_maximal
 
-DEFAULT_PATH_LIMIT = 10 ** 6
+# classification is quadratic in the path count (4096 paths take about
+# 4 s); the corpus has at most 64 per maximal matching at 10 vertices
+DEFAULT_PATH_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -46,8 +49,8 @@ class PathStructure:
     read.
     """
 
-    base_path: AlternatingPath
-    family: tuple[AlternatingPath, ...]
+    base_path: AugmentingPath
+    family: tuple[AugmentingPath, ...]
     vertices: frozenset[int]
     z_after: frozenset[int]
 
@@ -85,13 +88,13 @@ class ClassificationVerdict:
     """
 
     is_minimum: bool
-    witness: tuple[AlternatingPath, frozenset[int]] | None
+    witness: tuple[AugmentingPath, frozenset[int]] | None
 
 
 def enumerate_augmenting_paths(
     m: Matching,
     limit: int = DEFAULT_PATH_LIMIT,
-) -> list[AlternatingPath]:
+) -> list[AugmentingPath]:
     """All simple augmenting paths starting at unsaturated U-vertices.
 
     Depth-first with an explicit stack, so long paths need no recursion.
@@ -133,33 +136,32 @@ def enumerate_augmenting_paths(
                 if stack:
                     on_path.difference_update(path[-2:])
                     del path[-2:]
-    return [AlternatingPath(vs, m) for vs in found]
+    return [AugmentingPath(vs, m) for vs in found]
 
 
-def path_structure(p: AlternatingPath,
-                   paths: Sequence[AlternatingPath]) -> PathStructure:
-    """Build the structure of ``p``: the union of every augmenting path
-    sharing at least one vertex with it (including ``p`` itself).
+def path_structures(m: Matching,
+                    limit: int = DEFAULT_PATH_LIMIT) -> Iterator[PathStructure]:
+    """The structure of each augmenting path of ``m``, in enumeration
+    order: the union of every augmenting path sharing at least one
+    vertex with it (including the path itself).
 
-    ``paths`` is ``enumerate_augmenting_paths(p.matching)``, enumerated
-    once by the caller and shared by the structures of all its paths.  A
-    ``p`` missing from ``paths`` raises ``NotAugmenting``.
+    The paths are enumerated once, on the first draw, and shared by all
+    the structures; each structure is built when it is drawn.
     """
-    p_vertices = set(p.vertices)
-    family = [q for q in paths if not p_vertices.isdisjoint(q.vertices)]
-    # every listed path is augmenting, so p must be one of them
-    if p not in family:
-        raise NotAugmenting("base path is not a path of this matching")
-    vertices: set[int] = set()
-    for q in family:
-        vertices.update(q.vertices)
-    return PathStructure(p, tuple(family), frozenset(vertices),
-                         z_set(augment(p)))
+    paths = enumerate_augmenting_paths(m, limit)
+    for p in paths:
+        p_vertices = set(p.vertices)
+        family = [q for q in paths if not p_vertices.isdisjoint(q.vertices)]
+        vertices: set[int] = set()
+        for q in family:
+            vertices.update(q.vertices)
+        yield PathStructure(p, tuple(family), frozenset(vertices),
+                            z_set(augment(p)))
 
 
-def _representatives(p: AlternatingPath,
-                     family: Sequence[AlternatingPath],
-                     ) -> list[AlternatingPath]:
+def _representatives(p: AugmentingPath,
+                     family: Sequence[AugmentingPath],
+                     ) -> list[AugmentingPath]:
     """Family paths sharing p's final (unsaturated V) endpoint."""
     end = p.vertices[-1]
     return [q for q in family if q.vertices[-1] == end]
@@ -197,10 +199,9 @@ def classify_matching(
     """
     if not is_maximal(m):
         raise NotMaximal("classification applies to maximal matchings only")
-    paths = enumerate_augmenting_paths(m, limit)
-    for p in paths:
-        stranded = path_structure(p, paths).stranded
+    for ps in path_structures(m, limit):
+        stranded = ps.stranded
         if len(stranded) >= 2:
-            return ClassificationVerdict(False, (p, stranded))
+            return ClassificationVerdict(False, (ps.base_path, stranded))
     return ClassificationVerdict(True, None)
 

@@ -24,12 +24,7 @@ from .oracle import (
     all_minimum_covers,
     hall_condition,
 )
-from .paths import (
-    classify_matching,
-    enumerate_augmenting_paths,
-    hat_vertices,
-    path_structure,
-)
+from .paths import classify_matching, hat_vertices, path_structures
 from .reverse import reverse_konig, split_by_cover
 from .stars import (
     maximal_witness,
@@ -210,15 +205,14 @@ def sweep_path_structure_properties(max_vertices: int = 8) -> SweepResult:
         u_side, _ = procedure_sides(g)
         vertices = g.vertices
         for m in all_maximal_matchings(g):
-            paths = enumerate_augmenting_paths(m)
-            vertex_sets = [frozenset(q.vertices) for q in paths]
             k_before = konig_vertices(m)
-            for idx, p in enumerate(paths):
+            for ps in path_structures(m):
+                p = ps.base_path
+
                 def where() -> str:
                     return (f"{_describe(g)} {sorted(m.edges)} "
                             f"p={list(p.vertices)}")
 
-                ps = path_structure(p, paths)
                 structure = ps.vertices
                 k_after = u_side ^ ps.z_after  # K(M △ P)
                 # localization: outside the structure, membership of a
@@ -252,11 +246,15 @@ def sweep_path_structure_properties(max_vertices: int = 8) -> SweepResult:
                 hat_eq = len(k_before & hat) == len(k_after & hat)
                 result.check(full_eq == hat_eq,
                              lambda: f"{where()}: hat reduction disagrees")
-                # vertex-wise intersection implies edge-wise or endpoints only
-                for q, q_vertices in zip(paths[idx + 1:],
-                                         vertex_sets[idx + 1:]):
-                    shared = vertex_sets[idx] & q_vertices
-                    if shared and not (p.edges & q.edges):
+                # vertex-wise intersection implies edge-wise or endpoints
+                # only; each pair of meeting paths is checked once, from
+                # the earlier one (paths are enumerated in sorted order)
+                p_vertices = frozenset(p.vertices)
+                for q in ps.family:
+                    if q.vertices <= p.vertices:
+                        continue
+                    shared = p_vertices.intersection(q.vertices)
+                    if not (p.edges & q.edges):
                         endpoints = {p.vertices[0], p.vertices[-1]} & \
                             {q.vertices[0], q.vertices[-1]}
                         result.check(shared <= endpoints,
@@ -282,9 +280,11 @@ def sweep_hall_consistency(max_vertices: int = 8) -> SweepResult:
     result = SweepResult("hall-consistency")
     for g in cached_corpus(max_vertices):
         mm = maximum_matching(g)
-        for side, vertices in (("left", g.left), ("right", g.right)):
+        for side, vertices, hall in zip(("left", "right"),
+                                        (g.left, g.right),
+                                        hall_condition(g)):
             saturated = all(mm.saturates(v) for v in vertices)
-            result.check(hall_condition(g, side) == saturated,
+            result.check(hall == saturated,
                          lambda: f"{_describe(g)}: Hall mismatch on {side}")
     return result
 

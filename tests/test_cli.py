@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from konigmatch.cli import run
+from konigmatch.io import graph_to_json_dict, matching_to_json
 
-from conftest import FIXTURES
+from conftest import FIXTURES, ladder
 
 P4 = str(FIXTURES / "p4.json")
 FORK = str(FIXTURES / "fork.json")
@@ -89,6 +90,16 @@ def test_classify_rejects_non_maximal(tmp_path, capsys):
     empty.write_text("[]")
     assert run(["classify", "--graph", FORK, "--matching", str(empty)]) == 1
     capsys.readouterr()
+
+
+def test_classify_stops_at_the_default_path_limit(tmp_path, capsys):
+    g, m = ladder(11)  # 8192 augmenting paths
+    graph, matching = tmp_path / "g.json", tmp_path / "m.json"
+    graph.write_text(json.dumps(graph_to_json_dict(g)))
+    matching.write_text(json.dumps(matching_to_json(m)))
+    assert run(["classify", "--graph", str(graph),
+                "--matching", str(matching)]) == 1
+    assert "more than 4096 augmenting paths" in capsys.readouterr().err
 
 
 def test_starstud_output(capsys):

@@ -23,13 +23,11 @@ def test_build_graph_assigns_dense_ids(p4):
     assert p4.right == {2, 3}
     assert p4.edges == {(0, 2), (1, 2), (1, 3)}
     assert p4.labels == {0: "1", 1: "3", 2: "2", 3: "4"}
-    assert not p4.sides_swapped
 
 
 def test_build_graph_swaps_larger_left_side():
     g = build_graph(3, 2, [(0, 0), (1, 0), (2, 1)])
-    assert g.sides_swapped
-    # ids are unchanged, only the roles swap
+    # ids are unchanged, only the roles swap: the two right ids form left
     assert g.right == {0, 1, 2}
     assert g.left == {3, 4}
     assert g.edge_key(0, 3) == (3, 0)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from konigmatch import (
-    AlternatingPath,
+    AugmentingPath,
     Matching,
     augment,
     build_graph,
@@ -54,17 +54,21 @@ def test_matching_queries(p4):
 
 def test_alternating_path_validation(p4):
     m = matching_by_labels(p4, [("2", "3")])
-    path = AlternatingPath((0, 2, 1, 3), m)
-    assert path.augmenting
+    path = AugmentingPath((0, 2, 1, 3), m)
     assert path.edges == {(0, 2), (1, 2), (1, 3)}
-    assert not AlternatingPath((0, 2), m).augmenting  # 2 is saturated
     with pytest.raises(InvalidMatching):
-        AlternatingPath((0,), m)
+        AugmentingPath((0, 2), m)  # 2 is saturated
     with pytest.raises(InvalidMatching):
-        AlternatingPath((0, 3), m)  # not an edge
+        AugmentingPath((0, 2, 1), m)  # ends at the saturated 3
+    with pytest.raises(InvalidMatching):
+        AugmentingPath((0,), m)
+    with pytest.raises(InvalidMatching):
+        AugmentingPath((0, 3), m)  # not an edge
+    with pytest.raises(InvalidMatching):
+        AugmentingPath((0, 2, 1, 0), m)  # 0 twice
     empty = Matching(p4, ())
     with pytest.raises(InvalidMatching):
-        AlternatingPath((0, 2, 1), empty)  # two non-matching edges in a row
+        AugmentingPath((0, 2, 1), empty)  # two non-matching edges in a row
 
 
 def test_greedy_maximal_follows_the_order(p4):
@@ -96,7 +100,7 @@ def test_find_augmenting_path_on_the_path_graph(p4):
 def test_augment_rejects_non_augmenting(p4):
     m = matching_by_labels(p4, [("2", "3")])
     with pytest.raises(InvalidMatching):
-        augment(AlternatingPath((0, 2), m))
+        augment(AugmentingPath((0, 2), m))
 
 
 def test_maximum_matching_on_fork(fork):

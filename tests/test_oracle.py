@@ -11,7 +11,7 @@ from konigmatch import (
     star_stud,
 )
 from konigmatch.corpus import cached_corpus
-from konigmatch.errors import BudgetExceeded, InputError, UnknownSide
+from konigmatch.errors import BudgetExceeded
 from konigmatch.oracle import (
     OracleBudget,
     all_matchings,
@@ -130,16 +130,7 @@ def test_brute_force_matching_size_agrees():
 
 def test_hall_condition_on_an_unbalanced_star():
     star = build_graph(1, 3, [(0, 0), (0, 1), (0, 2)])
-    assert hall_condition(star, "left")
-    assert not hall_condition(star, "right")
-
-
-@pytest.mark.parametrize("side", ["lft", "Left", "", None])
-def test_hall_condition_rejects_an_unknown_side(side):
-    star = build_graph(1, 3, [(0, 0), (0, 1), (0, 2)])
-    with pytest.raises(UnknownSide):
-        hall_condition(star, side)
-    assert issubclass(UnknownSide, InputError)
+    assert hall_condition(star) == (True, False)
 
 
 def test_budgets_are_enforced(p4):
@@ -147,7 +138,7 @@ def test_budgets_are_enforced(p4):
     with pytest.raises(BudgetExceeded):
         all_minimum_covers(big, OracleBudget(max_vertices=10))
     with pytest.raises(BudgetExceeded):
-        hall_condition(big, "left", OracleBudget(max_subsets=4))
+        hall_condition(big, OracleBudget(max_subsets=4))
     with pytest.raises(BudgetExceeded):
         minimum_covers_by_subset_scan(p4, OracleBudget(max_subsets=8))
 

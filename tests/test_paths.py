@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from konigmatch import (
-    AlternatingPath,
+    AugmentingPath,
     BipartiteGraph,
     Matching,
     augment,
@@ -13,16 +13,16 @@ from konigmatch import (
     hat_vertices,
     konig_cover,
     konig_vertices,
-    path_structure,
+    path_structures,
     procedure_sides,
     z_set,
 )
 from konigmatch import verify
 from konigmatch.corpus import cached_corpus
-from konigmatch.errors import NotAugmenting, NotMaximal, PathExplosion
+from konigmatch.errors import NotMaximal, PathExplosion
 from konigmatch.oracle import all_maximal_matchings
 
-from conftest import labeled, matching_by_labels
+from conftest import labeled, ladder, matching_by_labels
 
 
 @pytest.fixture
@@ -37,7 +37,6 @@ def _path_labels(g, p):
 def test_enumerate_augmenting_paths_on_the_fork(fork, fork_matching):
     paths = enumerate_augmenting_paths(fork_matching)
     assert len(paths) == 6
-    assert all(p.augmenting for p in paths)
     assert _path_labels(fork, paths[0]) == ["a1", "b1", "c1", "d1"]
     # lexicographic in vertex ids, each path once
     sequences = [p.vertices for p in paths]
@@ -52,9 +51,8 @@ def test_enumeration_limit(fork, fork_matching):
 
 
 def test_fork_structure_pins(fork, fork_matching):
-    paths = enumerate_augmenting_paths(fork_matching)
-    p = paths[0]  # a1-b1-c1-d1
-    ps = path_structure(p, paths)
+    ps = next(path_structures(fork_matching))
+    assert _path_labels(fork, ps.base_path) == ["a1", "b1", "c1", "d1"]
     assert len(ps.family) == 6  # every path meets p at b1 or c1
     assert ps.vertices == fork.vertices
     assert ps.hat_cut_vertex == fork.vertex_by_label("b1")
@@ -62,63 +60,24 @@ def test_fork_structure_pins(fork, fork_matching):
 
 
 def test_a_structure_stores_only_its_defining_data(fork, fork_matching):
-    paths = enumerate_augmenting_paths(fork_matching)
-    ps = path_structure(paths[0], paths)
+    ps = next(path_structures(fork_matching))
     assert [f.name for f in dataclasses.fields(ps)] == [
         "base_path", "family", "vertices", "z_after"]
     assert ps.stranded == labeled(fork, "d1", "d2", "d3")
     # the classification reports the same stranded set as its witness
     verdict = classify_matching(fork_matching)
-    assert verdict.witness == (paths[0], ps.stranded)
+    assert verdict.witness == (ps.base_path, ps.stranded)
 
 
 def test_fork_hat_and_check_subgraphs(fork, fork_matching):
-    paths = enumerate_augmenting_paths(fork_matching)
-    ps = path_structure(paths[0], paths)
+    ps = next(path_structures(fork_matching))
     assert hat_vertices(ps) == labeled(fork, "c1", "d1", "d2", "d3")
 
 
 def test_structure_without_second_root_keeps_everything(p4):
-    m = matching_by_labels(p4, [("2", "3")])
-    (p,) = enumerate_augmenting_paths(m)
-    ps = path_structure(p, [p])
+    (ps,) = path_structures(matching_by_labels(p4, [("2", "3")]))
     assert ps.hat_cut_vertex is None
     assert hat_vertices(ps) == ps.vertices
-
-
-def test_path_structure_rejects_foreign_paths(fork, fork_matching, p4):
-    m = matching_by_labels(p4, [("2", "3")])
-    (p,) = enumerate_augmenting_paths(m)
-    paths = enumerate_augmenting_paths(fork_matching)
-    with pytest.raises(NotAugmenting):
-        path_structure(p, paths)
-    not_augmenting = AlternatingPath((0, 3), fork_matching)  # a1-b1
-    with pytest.raises(NotAugmenting):
-        path_structure(not_augmenting, paths)
-
-
-def test_path_structure_rejects_a_path_missing_from_the_list(fork,
-                                                             fork_matching):
-    paths = enumerate_augmenting_paths(fork_matching)
-    # the reversed path is augmenting too, but starts on the V side
-    reversed_path = AlternatingPath(paths[0].vertices[::-1], fork_matching)
-    assert reversed_path.augmenting
-    with pytest.raises(NotAugmenting):
-        path_structure(reversed_path, paths)
-
-
-def test_path_structure_rejects_the_paths_of_another_matching():
-    # the path 1-2-3-4 and a separate edge 5-6: 1-2-3-4 is augmenting
-    # against 2-3 and against 2-3 with 5-6, so the list holds p's vertex
-    # sequence, but alternating against the other matching
-    g = build_graph(3, 3, [(0, 0), (1, 0), (1, 1), (2, 2)])
-    m = Matching(g, [(1, 3)])
-    other = Matching(g, [(1, 3), (2, 5)])
-    p = enumerate_augmenting_paths(m)[0]
-    paths = enumerate_augmenting_paths(other)
-    assert [q.vertices for q in paths] == [p.vertices]
-    with pytest.raises(NotAugmenting):
-        path_structure(p, paths)
 
 
 @pytest.mark.parametrize("sweep", [verify.sweep_path_structure_properties,
@@ -132,9 +91,8 @@ def test_sweep_enumerates_augmenting_paths_once_per_matching(monkeypatch,
         calls.append(m)
         return enumerate_augmenting_paths(m, *limit)
 
-    for module in ("paths", "verify"):
-        monkeypatch.setattr(f"konigmatch.{module}.enumerate_augmenting_paths",
-                            recording)
+    monkeypatch.setattr("konigmatch.paths.enumerate_augmenting_paths",
+                        recording)
     assert sweep(6).ok
     assert calls == [m for g in cached_corpus(6)
                      for m in all_maximal_matchings(g)]
@@ -160,6 +118,15 @@ def test_classification_rejects_non_maximal(fork):
         classify_matching(Matching(fork, ()))
 
 
+def test_the_default_limit_gives_classification_a_practical_end():
+    # 2^8 paths classify at once; 2^13 paths, past the default limit,
+    # stop at once instead of classifying for about 15 s (quadratic in the
+    # path count)
+    assert classify_matching(ladder(6)[1]).is_minimum
+    with pytest.raises(PathExplosion):
+        classify_matching(ladder(11)[1])
+
+
 def test_single_root_preserves_cover_size_but_not_the_cover_set(p4):
     # augmenting 1-2-3-4 moves the cover from {2,4} to {1,3}: with a
     # single unsaturated root the cover *cardinality* is invariant on the
@@ -179,8 +146,7 @@ def test_augmentation_can_flip_the_whole_cover():
     # other side, so no per-vertex membership statement survives it
     g = build_graph(3, 3, [(0, 0), (0, 1), (0, 2), (1, 1), (2, 0)])
     m = Matching(g, [(0, 4), (2, 3)])
-    p = AlternatingPath((1, 4, 0, 5), m)
-    assert p.augmenting
+    p = AugmentingPath((1, 4, 0, 5), m)
     assert konig_cover(m).vertices == g.right
     assert konig_cover(Matching(g, m.edges ^ p.edges)).vertices == g.left
 
@@ -228,8 +194,11 @@ def test_structures_match_the_reference_graphs_on_the_corpus():
         u_side, _ = procedure_sides(g)
         for m in all_maximal_matchings(g):
             paths = enumerate_augmenting_paths(m)
-            for p in paths:
-                ps = path_structure(p, paths)
+            built = list(path_structures(m))
+            assert [ps.base_path for ps in built] == paths
+            for p, ps in zip(paths, built):
+                assert ps.family == tuple(
+                    q for q in paths if set(p.vertices) & set(q.vertices))
                 assert ps.vertices == set().union(*(q.vertices
                                                     for q in ps.family))
                 assert hat_vertices(ps) == _reference_hat(ps)

@@ -1,11 +1,14 @@
 """The README's quick tour runs as written and gives the values its
-comments state."""
+comments state, and its command-line lines parse."""
 
 import ast
 import io
 import re
+import shlex
 import tokenize
 from pathlib import Path
+
+from konigmatch.cli import build_parser
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -41,3 +44,15 @@ def test_the_quick_tour_gives_the_values_its_comments_state():
             ast.unparse(statement)
         checked += 1
     assert checked == 4
+
+
+def test_every_documented_command_line_parses():
+    block = "".join(re.findall(r"```sh\n(.*?)```", README.read_text("utf-8"),
+                               re.S))
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv[1:] for argv in lines if argv[:1] == ["konigmatch"]]
+    parser = build_parser()
+    for argv in commands:
+        # argparse exits on an unknown flag or a missing argument
+        parser.parse_args(argv)
+    assert len(commands) == 9
