@@ -6,6 +6,13 @@ it.  Enumeration aborts cleanly once a budget is exceeded.  The searches
 keep their state on explicit stacks, not in self-referencing closures, so
 their results are freed by reference counting once the caller drops them.
 
+Minimum covers are found by branching on vertices over bitmasks: at the
+first uncovered edge, its endpoint x of larger degree is in the cover, or
+x is out and all of N(x) is in.  The target size deepens from the size of
+a greedy matching, a sound floor without ν because no cover is smaller
+than any matching, so the search reads nothing of ``matching.py``'s
+search or of ``konig.py``.  Its budget counts search nodes.
+
 Matchings are enumerated lazily: ``iter_maximal_matchings`` yields each
 maximal matching as the walk reaches it, so an existence check (such as
 ``stars.maximal_witness`` on one component) can stop the walk once it
@@ -42,37 +49,65 @@ def all_minimum_covers(g: BipartiteGraph,
                        b: OracleBudget | None = None) -> set[frozenset[int]]:
     """Every vertex cover of minimum cardinality.
 
-    Branches on the first uncovered edge (take one endpoint or the
-    other) with the target size increased until covers appear, so the
-    search stays exponential only in the answer size.  Each branch
-    resumes the edge scan after the edge it branched on: every edge
-    before it stays covered as the chosen set grows.
+    Branches on vertices over bitmasks: at the first uncovered edge in
+    sorted order, its endpoint x of larger degree (the left one on a
+    tie) is either in the cover, or out of it with all of N(x) in.  The
+    two branches are disjoint and cover every case, and both cover every
+    edge of x, so each resumes the edge scan after that edge.  A branch
+    whose chosen set would exceed the target size k is cut.
+
+    k deepens from the size of a greedy matching over the sorted edges.
+    No cover is smaller than a matching (weak duality), so no level below
+    is skipped wrongly, and neither ν nor the matching code is read.  At
+    the first level with any leaf, k is the minimum cover size, and every
+    leaf is a cover of at most k vertices, hence a minimum cover; every
+    minimum cover is reached, since one branch always stays inside it.
+
+    A budget step is one search node taken off the stack, counted over
+    all levels; ``BudgetExceeded`` is raised past ``b.max_subsets`` steps.
     """
     b = b or OracleBudget()
     _check_vertex_budget(g, b)
     edges = sorted(g.edges)
-    n = len(edges)
+    near = {x: sum(1 << y for y in g.neighbors(x)) for x in g.vertices}
+    # per edge: its endpoints' bitmask, and the branching endpoint's bit
+    # and neighbour bitmask
+    plan = []
+    k = 0  # grows to the size of a greedy matching: the starting level
+    matched = 0
+    for u, v in edges:
+        mask = (1 << u) | (1 << v)
+        x = v if near[v].bit_count() > near[u].bit_count() else u
+        plan.append((mask, 1 << x, near[x]))
+        if not matched & mask:
+            matched |= mask
+            k += 1
+    n = len(plan)
     steps = 0
-    for k in range(len(g.vertices) + 1):
-        out: set[frozenset[int]] = set()
-        stack = [(frozenset(), 0)]
+    while True:
+        out: set[int] = set()
+        # (chosen bitmask, its size, next edge to scan)
+        stack = [(0, 0, 0)]
         while stack:
-            chosen, i = stack.pop()
+            chosen, size, i = stack.pop()
             steps += 1
             if steps > b.max_subsets:
                 raise BudgetExceeded(
                     "cover enumeration exceeded subset budget")
-            while i < n and (edges[i][0] in chosen or edges[i][1] in chosen):
+            while i < n and chosen & plan[i][0]:
                 i += 1
             if i == n:
                 out.add(chosen)
-            elif len(chosen) < k:
-                u, v = edges[i]
-                stack.append((chosen | {v}, i + 1))
-                stack.append((chosen | {u}, i + 1))
+            elif size < k:
+                _, bit, neighbors = plan[i]
+                added = neighbors & ~chosen
+                grown = size + added.bit_count()
+                if grown <= k:
+                    stack.append((chosen | added, grown, i + 1))
+                stack.append((chosen | bit, size + 1, i + 1))
         if out:
-            return out
-    return {frozenset()}
+            return {frozenset(x for x in near if c >> x & 1) for c in out}
+        k += 1
 
 
 def minimum_covers_by_subset_scan(

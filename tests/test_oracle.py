@@ -1,4 +1,5 @@
 import gc
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ from konigmatch import (
 )
 from konigmatch.corpus import cached_corpus
 from konigmatch.errors import BudgetExceeded
+from konigmatch.graph import connected_components
 from konigmatch.oracle import (
     OracleBudget,
     all_matchings,
@@ -24,7 +26,8 @@ from konigmatch.oracle import (
 
 from conftest import labeled
 
-STUDDED_BUDGET = OracleBudget(max_vertices=26, max_subsets=2 ** 21)
+# room for the studded graphs of cached_corpus(6), 31 vertices at most
+STUDDED_BUDGET = OracleBudget(max_vertices=31, max_subsets=2 ** 21)
 
 
 def reference_matchings(g):
@@ -81,6 +84,44 @@ def reference_maximal_matchings(g):
     return results
 
 
+def reference_minimum_covers(g):
+    """Every minimum cover: the frozenset search that branches on an edge
+    (take one endpoint or the other) with the target size deepened from 0,
+    which the vertex-branching bitmask search replaced."""
+    edges = sorted(g.edges)
+    for k in range(len(g.vertices) + 1):
+        out = set()
+        stack = [(frozenset(), 0)]
+        while stack:
+            chosen, i = stack.pop()
+            while i < len(edges) and (edges[i][0] in chosen
+                                      or edges[i][1] in chosen):
+                i += 1
+            if i == len(edges):
+                out.add(chosen)
+            elif len(chosen) < k:
+                u, v = edges[i]
+                stack.append((chosen | {v}, i + 1))
+                stack.append((chosen | {u}, i + 1))
+        if out:
+            return out
+
+
+def random_small_graphs(count, seed):
+    """Seeded random bipartite graphs of at most 12 vertices, with no
+    connectivity required: some are disconnected or have isolated
+    vertices, which the connected corpus never holds."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 12)
+        left = rng.randint(max(1, n // 2 - 2), n // 2)
+        p = rng.choice((0.25, 0.4, 0.6))
+        right = n - left
+        yield build_graph(left, right, [(i, j) for i in range(left)
+                                        for j in range(right)
+                                        if rng.random() < p])
+
+
 def assert_same_enumeration(g, enumerated, reference):
     assert [m.edges for m in enumerated] == reference
     for m in enumerated:
@@ -98,8 +139,30 @@ def test_minimum_covers_of_the_path_graph(p4):
 
 
 def test_branch_and_bound_agrees_with_subset_scan():
-    for g in cached_corpus(6):
+    for g in cached_corpus(8):
         assert all_minimum_covers(g) == minimum_covers_by_subset_scan(g)
+    disconnected = isolated = 0
+    for g in random_small_graphs(300, seed=15):
+        assert all_minimum_covers(g) == minimum_covers_by_subset_scan(g)
+        disconnected += len(connected_components(g)) > 1 and bool(g.edges)
+        isolated += any(not g.neighbors(x) for x in g.vertices)
+    assert disconnected and isolated
+
+
+def test_minimum_covers_match_the_edge_branching_reference():
+    for g in cached_corpus(9):
+        assert all_minimum_covers(g) == reference_minimum_covers(g)
+    for h in cached_corpus(6):
+        g = star_stud(h).full
+        assert all_minimum_covers(g, STUDDED_BUDGET) == \
+            reference_minimum_covers(g)
+
+
+def test_minimum_covers_of_edgeless_graphs_and_a_single_edge():
+    for g in (build_graph(0, 0, []), build_graph(2, 3, [])):
+        assert all_minimum_covers(g) == {frozenset()}
+    edge = build_graph(1, 1, [(0, 0)])
+    assert all_minimum_covers(edge) == {frozenset({0}), frozenset({1})}
 
 
 def test_all_matchings_counts(p4, c4):
@@ -141,6 +204,16 @@ def test_budgets_are_enforced(p4):
         hall_condition(big, OracleBudget(max_subsets=4))
     with pytest.raises(BudgetExceeded):
         minimum_covers_by_subset_scan(p4, OracleBudget(max_subsets=8))
+
+
+def test_the_cover_search_counts_its_nodes_against_the_subset_budget(c4):
+    # an edgeless graph is one node, a leaf; the 4-cycle is four: the
+    # root, its vertex-in child and the two leaves
+    assert all_minimum_covers(build_graph(2, 2, []),
+                              OracleBudget(max_subsets=1)) == {frozenset()}
+    assert len(all_minimum_covers(c4, OracleBudget(max_subsets=4))) == 2
+    with pytest.raises(BudgetExceeded):
+        all_minimum_covers(c4, OracleBudget(max_subsets=3))
 
 
 def test_enumerations_match_the_set_based_reference_in_order():

@@ -24,6 +24,8 @@ from konigmatch.oracle import (
 
 # room for the studded graphs of cached_corpus(5), 25 vertices at most
 BUDGET = OracleBudget(max_vertices=26, max_subsets=2 ** 21)
+# room for the studded graphs of cached_corpus(6), 31 vertices at most
+WITNESS_BUDGET = OracleBudget(max_vertices=31, max_subsets=2 ** 21)
 
 from conftest import labeled
 
@@ -71,12 +73,14 @@ def test_lift_and_restrict_validate_their_input(p4):
         restrict_cover(ssg, ssg.centers)
 
 
-def test_studded_minimum_covers_are_exactly_the_lifts(p4):
-    ssg = star_stud(p4)
-    assert len(maximum_matching(ssg.full)) == \
-        len(maximum_matching(p4)) + len(ssg.centers)
-    lifted = {lift_cover(ssg, c) for c in all_minimum_covers(p4)}
-    assert all_minimum_covers(ssg.full, BUDGET) == lifted
+def test_studded_minimum_covers_are_exactly_the_lifts():
+    # studded graphs of up to 31 vertices, beyond the subset scan's reach
+    for h in cached_corpus(6):
+        ssg = star_stud(h)
+        assert len(maximum_matching(ssg.full)) == \
+            len(maximum_matching(h)) + len(ssg.centers)
+        lifted = {lift_cover(ssg, c) for c in all_minimum_covers(h)}
+        assert all_minimum_covers(ssg.full, WITNESS_BUDGET) == lifted
 
 
 def test_path_graph_is_not_enumeratively_reachable(p4):
@@ -105,10 +109,6 @@ def test_lazy_verdicts_match_a_full_enumeration():
         assert is_enumeratively_konig_egervary(g, BUDGET) == full
         verdicts.append(full)
     assert True in verdicts and False in verdicts
-
-
-# room for the studded graphs of cached_corpus(6), 31 vertices at most
-WITNESS_BUDGET = OracleBudget(max_vertices=31, max_subsets=2 ** 21)
 
 
 @pytest.fixture(scope="module")
