@@ -20,6 +20,7 @@ from .matching import (
     greedy_maximal_matching,
     is_maximal,
     matching_number,
+    maximize,
     maximum_matching,
 )
 from .konig import (
@@ -45,6 +46,7 @@ from .paths import (
     enumerate_augmenting_paths,
     hat_vertices,
     path_structures,
+    verify_classification_witness,
 )
 from .stars import (
     StarStuddedGraph,

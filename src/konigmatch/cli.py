@@ -24,7 +24,7 @@ from .oracle import (
     all_minimum_covers,
     hall_condition,
 )
-from .paths import DEFAULT_PATH_LIMIT, classify_matching
+from .paths import classify_matching
 from .reverse import reverse_konig, split_by_cover
 from .stars import star_stud
 from .verify import corpus_verify
@@ -82,15 +82,13 @@ def _cmd_reverse(args) -> int:
 def _cmd_classify(args) -> int:
     g = gio.load_graph(args.graph)
     m = gio.load_matching(g, args.matching)
-    verdict = classify_matching(m, _at_least("--limit", args.limit, 1))
-    out = {"is_minimum": verdict.is_minimum}
-    if verdict.witness is not None:
-        path, stranded = verdict.witness
-        out["witness"] = {
-            "augmenting_path": [g.labels[v] for v in path.vertices],
-            "stranded_unsaturated": gio.vertex_set_to_json(g, stranded),
-        }
-    _emit(out)
+    verdict = classify_matching(m)
+    if verdict.is_minimum:
+        witness = {"augmenting_paths": [[g.labels[v] for v in p.vertices]
+                                        for p in verdict.witness]}
+    else:
+        witness = {"smaller_cover": gio.vertex_set_to_json(g, verdict.witness)}
+    _emit({"is_minimum": verdict.is_minimum, "witness": witness})
     return 0
 
 
@@ -194,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="does this maximal matching give a minimum cover?")
     p.add_argument("--graph", required=True)
     p.add_argument("--matching", required=True)
-    p.add_argument("--limit", type=int, default=DEFAULT_PATH_LIMIT)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("starstud", help="attach a 3-leaf star to every vertex")

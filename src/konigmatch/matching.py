@@ -1,5 +1,5 @@
 """Matchings and augmenting paths: greedy maximal construction,
-augmenting-path search, and maximum matching.
+augmenting-path search, and growing a matching to maximum.
 
 Everything here is a pure function over immutable values; a matching
 never mutates after construction.  A matching records its graph and a
@@ -205,20 +205,22 @@ def augment(path: AugmentingPath) -> Matching:
     return Matching(m.graph, m.edges ^ path.edges)
 
 
-def maximum_matching(g: BipartiteGraph) -> Matching:
-    """Grow the empty matching to a maximum-cardinality matching.
-
-    Augments from each left vertex once, in ascending id order: a vertex
+def maximize(m: Matching) -> Matching:
+    """Grow ``m`` to a maximum-cardinality matching: augment once from
+    each left vertex ``m`` leaves free, in ascending id order.  A vertex
     with no augmenting path gains none later (Kuhn), so none remains
-    (Berge's condition).  The size is kept as ``matching_number``.
-    """
-    m = Matching(g, ())
-    for u in sorted(g.left):
+    (Berge's condition).  The size is kept as ``matching_number``."""
+    for u in m.unsaturated(m.graph.left):
         path = find_augmenting_path(m, u)
         if path is not None:
             m = augment(path)
-    g._nu = len(m)
+    m.graph._nu = len(m)
     return m
+
+
+def maximum_matching(g: BipartiteGraph) -> Matching:
+    """A maximum-cardinality matching: ``maximize`` from the empty one."""
+    return maximize(Matching(g, ()))
 
 
 def matching_number(g: BipartiteGraph) -> int:

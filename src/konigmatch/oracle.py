@@ -247,9 +247,10 @@ def maximum_matching_size_brute_force(
 def hall_condition(g: BipartiteGraph,
                    b: OracleBudget | None = None) -> tuple[bool, bool]:
     """Whether |W| ≤ |N(W)| for every subset W of the left side, and of
-    the right side, in that order; each side's budget is checked before
-    it is scanned."""
+    the right side, in that order.  The vertex budget is checked first,
+    and each side's subset budget before that side is scanned."""
     b = b or OracleBudget()
+    _check_vertex_budget(g, b)
     verdicts = []
     for side in (g.left, g.right):
         vertices = sorted(side)

@@ -6,21 +6,18 @@ Two truncations isolate the part responsible for cover-size loss: the
 "hat" cuts away everything below the highest point where a path from a
 different root first joins P (``hat_vertices``), and the "check" keeps
 the part of the structure that is still reachable by alternating paths
-once P has been augmented.  The classification rests on a conjecture: a
-maximal matching maps to a minimum cover exactly when no structure
-strands two unsaturated V-vertices outside its check part
-(``PathStructure.stranded``).  It fails from 9 vertices up, where a
-cover can need two disjoint augmentations to shrink; the strict xfail in
-``tests/test_paths.py`` holds the smallest such case.
+once P has been augmented.
 
 ``path_structures(m)`` enumerates the augmenting paths of ``m`` once
-and builds every structure from that one list, lazily, so the
-classification stops building at its first witness.  A structure
+and builds every structure from that one list, lazily.  A structure
 stores its base path (which records its matching, and so the graph),
 its family, their vertex union and Z(M △ P), so K(M △ P) = U △ Z
 needs no second augmentation; the stranded set and the hat's cut
 vertex are derived when read.  Structures are vertex sets only: no
 graph is built for them.
+
+``classify_matching`` enumerates no paths: it grows M to a maximum
+matching, and ``verify_classification_witness`` checks its witness.
 """
 
 from __future__ import annotations
@@ -30,11 +27,11 @@ from dataclasses import dataclass
 
 from .errors import NotMaximal, PathExplosion
 from .graph import procedure_sides
-from .konig import z_set
-from .matching import AugmentingPath, Matching, augment, is_maximal
+from .konig import is_vertex_cover, konig_vertices, z_set
+from .matching import AugmentingPath, Matching, augment, is_maximal, maximize
 
-# classification is quadratic in the path count (4096 paths take about
-# 4 s); the corpus has at most 64 per maximal matching at 10 vertices
+# building structures is quadratic in the path count; the corpus has at
+# most 64 paths per maximal matching at 10 vertices
 DEFAULT_PATH_LIMIT = 4096
 
 
@@ -56,8 +53,9 @@ class PathStructure:
 
     @property
     def stranded(self) -> frozenset[int]:
-        """The unsaturated V-vertices outside the check part: those that
-        augmenting the base path strands."""
+        """The unsaturated V-vertices outside the check part, which
+        augmenting the base path strands; only the structure sweep reads
+        them."""
         m = self.base_path.matching
         v_side = procedure_sides(m.graph)[1]
         return frozenset(v for v in (self.vertices - self.z_after) & v_side
@@ -80,32 +78,27 @@ class PathStructure:
 
 @dataclass(frozen=True)
 class ClassificationVerdict:
-    """Outcome of the maximal-matching classification.
+    """Outcome of the maximal-matching classification, with its proof.
 
-    When ``is_minimum`` is false, ``witness`` holds an augmenting path and
-    the (≥ 2) unsaturated V-vertices left outside the check part of its
-    structure.
+    When ``is_minimum`` is true, ``witness`` holds |K(M)| − |M| pairwise
+    vertex-disjoint augmenting paths of M; when it is false, a vertex
+    cover with fewer vertices than K(M).
     """
 
     is_minimum: bool
-    witness: tuple[AugmentingPath, frozenset[int]] | None
+    witness: tuple[AugmentingPath, ...] | frozenset[int]
 
 
-def enumerate_augmenting_paths(
-    m: Matching,
-    limit: int = DEFAULT_PATH_LIMIT,
-) -> list[AugmentingPath]:
+def enumerate_augmenting_paths(m: Matching) -> list[AugmentingPath]:
     """All simple augmenting paths starting at unsaturated U-vertices.
 
     Depth-first with an explicit stack, so long paths need no recursion.
     Roots and neighbours are taken in ascending order and a path is never
     extended past an unsaturated vertex, so each path is emitted once, in
-    lexicographic vertex-sequence order.  More than ``limit`` paths
-    raises ``PathExplosion``.
+    lexicographic vertex-sequence order.  More than
+    ``DEFAULT_PATH_LIMIT`` paths raises ``PathExplosion``.
     """
     g = m.graph
-    if limit <= 0:
-        raise PathExplosion("limit must be positive")
     u_side, _ = procedure_sides(g)
     found: list[tuple[int, ...]] = []
     for u in m.unsaturated(u_side):
@@ -121,9 +114,9 @@ def enumerate_augmenting_paths(
                 z = m.partner(y)
                 if z is None:
                     found.append((*path, y))
-                    if len(found) > limit:
-                        raise PathExplosion(
-                            f"more than {limit} augmenting paths")
+                    if len(found) > DEFAULT_PATH_LIMIT:
+                        raise PathExplosion(f"more than {DEFAULT_PATH_LIMIT}"
+                                            " augmenting paths")
                     continue
                 if z in on_path:
                     continue
@@ -139,8 +132,7 @@ def enumerate_augmenting_paths(
     return [AugmentingPath(vs, m) for vs in found]
 
 
-def path_structures(m: Matching,
-                    limit: int = DEFAULT_PATH_LIMIT) -> Iterator[PathStructure]:
+def path_structures(m: Matching) -> Iterator[PathStructure]:
     """The structure of each augmenting path of ``m``, in enumeration
     order: the union of every augmenting path sharing at least one
     vertex with it (including the path itself).
@@ -148,7 +140,7 @@ def path_structures(m: Matching,
     The paths are enumerated once, on the first draw, and shared by all
     the structures; each structure is built when it is drawn.
     """
-    paths = enumerate_augmenting_paths(m, limit)
+    paths = enumerate_augmenting_paths(m)
     for p in paths:
         p_vertices = set(p.vertices)
         family = [q for q in paths if not p_vertices.isdisjoint(q.vertices)]
@@ -184,24 +176,47 @@ def hat_vertices(ps: PathStructure) -> frozenset[int]:
     return ps.vertices - selected
 
 
-def classify_matching(
-    m: Matching,
-    limit: int = DEFAULT_PATH_LIMIT,
-) -> ClassificationVerdict:
+def classify_matching(m: Matching) -> ClassificationVerdict:
     """Decide whether Kőnig's procedure on the maximal matching ``m``
-    yields a minimum vertex cover, without computing cover sizes.
+    yields a minimum vertex cover, with a witness.
 
-    The verdict is "not minimum" when some augmenting path's structure
-    strands two or more unsaturated V-vertices outside its check part
-    (``PathStructure.stranded``).  That this is exact is a conjecture
-    that fails from 9 vertices up (the strict xfail in
-    ``tests/test_paths.py``).
+    ``m`` is grown to a maximum matching.  If that is smaller than K(M),
+    its Kőnig cover is the witness; otherwise the witness is the
+    vertex-disjoint augmenting paths of ``m`` that make up the symmetric
+    difference, walked from the left vertices ``m`` leaves free.
     """
     if not is_maximal(m):
         raise NotMaximal("classification applies to maximal matchings only")
-    for ps in path_structures(m, limit):
-        stranded = ps.stranded
-        if len(stranded) >= 2:
-            return ClassificationVerdict(False, (ps.base_path, stranded))
-    return ClassificationVerdict(True, None)
+    grown = maximize(m)
+    if len(grown) < len(konig_vertices(m)):
+        return ClassificationVerdict(False, konig_vertices(grown))
+    paths = []
+    for u in m.unsaturated(m.graph.left):
+        if grown.saturates(u):
+            walk = [u, grown.partner(u)]
+            while m.saturates(walk[-1]):
+                x = m.partner(walk[-1])
+                walk += (x, grown.partner(x))
+            paths.append(AugmentingPath(walk, m))
+    return ClassificationVerdict(True, tuple(paths))
 
+
+def verify_classification_witness(m: Matching,
+                                  verdict: ClassificationVerdict) -> bool:
+    """Whether ``verdict.witness`` proves ``verdict`` for ``m``, by weak
+    duality: |K(M)| − |M| vertex-disjoint augmenting paths of ``m`` grow
+    it to |K(M)| edges, so the cover K(M) is minimum; a smaller cover
+    shows it is not.  Each path was checked when it was built.
+    """
+    g = m.graph
+    k = konig_vertices(m)
+    witness = verdict.witness
+    if not verdict.is_minimum:
+        return (witness <= g.vertices and is_vertex_cover(g, witness)
+                and len(witness) < len(k))
+    used: set[int] = set()
+    for p in witness:
+        if p.matching != m or not used.isdisjoint(p.vertices):
+            return False
+        used.update(p.vertices)
+    return len(m) + len(witness) == len(k) and is_vertex_cover(g, k)

@@ -24,7 +24,8 @@ from .oracle import (
     all_minimum_covers,
     hall_condition,
 )
-from .paths import classify_matching, hat_vertices, path_structures
+from .paths import (classify_matching, hat_vertices, path_structures,
+                    verify_classification_witness)
 from .reverse import reverse_konig, split_by_cover
 from .stars import (
     maximal_witness,
@@ -182,17 +183,18 @@ def sweep_one_endpoint_and_minimal(max_vertices: int = 8) -> SweepResult:
 
 
 def sweep_classification(max_vertices: int = 8) -> SweepResult:
-    """The structural classification agrees with the direct minimum-cover
-    check for every maximal matching."""
+    """The classification agrees with the direct minimum-cover check for
+    every maximal matching, and its witness proves its verdict."""
     result = SweepResult("classification")
     for g in cached_corpus(max_vertices):
         for m in all_maximal_matchings(g):
             verdict = classify_matching(m)
             direct = konig_cover(m).is_minimum
-            result.check(verdict.is_minimum == direct,
+            proved = verify_classification_witness(m, verdict)
+            result.check(verdict.is_minimum == direct and proved,
                          lambda: f"{_describe(g)} {sorted(m.edges)}: "
                                  f"classified {verdict.is_minimum}, "
-                                 f"direct {direct}")
+                                 f"direct {direct}, proved {proved}")
     return result
 
 

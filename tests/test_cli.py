@@ -80,9 +80,7 @@ def test_classify_finds_a_witness(capsys):
         "--matching", str(FIXTURES / "fork_matching.json")])
     assert code == 0
     assert data["is_minimum"] is False
-    assert data["witness"]["augmenting_path"] == ["a1", "b1", "c1", "d1"]
-    assert sorted(data["witness"]["stranded_unsaturated"]) == \
-        ["d1", "d2", "d3"]
+    assert sorted(data["witness"]["smaller_cover"]) == ["b1", "c1"]
 
 
 def test_classify_rejects_non_maximal(tmp_path, capsys):
@@ -92,14 +90,17 @@ def test_classify_rejects_non_maximal(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_classify_stops_at_the_default_path_limit(tmp_path, capsys):
-    g, m = ladder(11)  # 8192 augmenting paths
+def test_classify_proves_a_ladder_with_8192_paths_minimum(tmp_path, capsys):
+    g, m = ladder(11)  # 8192 augmenting paths, two of them disjoint
     graph, matching = tmp_path / "g.json", tmp_path / "m.json"
     graph.write_text(json.dumps(graph_to_json_dict(g)))
     matching.write_text(json.dumps(matching_to_json(m)))
-    assert run(["classify", "--graph", str(graph),
-                "--matching", str(matching)]) == 1
-    assert "more than 4096 augmenting paths" in capsys.readouterr().err
+    code, data = run_json(capsys, ["classify", "--graph", str(graph),
+                                   "--matching", str(matching)])
+    assert code == 0
+    assert data["is_minimum"] is True
+    assert [(p[0], len(p)) for p in data["witness"]["augmenting_paths"]] \
+        == [("x0", 24), ("y0", 24)]
 
 
 def test_starstud_output(capsys):
@@ -126,10 +127,12 @@ def test_enumerate_hall(capsys):
     assert data["right"] is False  # {d1, d2, d3} squeezes into {c1}
 
 
-def test_enumerate_budget_exceeded(capsys):
-    assert run(["enumerate", "--graph", P4, "--oracle", "matchings",
+@pytest.mark.parametrize("oracle", ["matchings", "min-covers",
+                                    "maximal-matchings", "hall"])
+def test_enumerate_budget_exceeded(oracle, capsys):
+    assert run(["enumerate", "--graph", FORK, "--oracle", oracle,
                 "--max-vertices", "2"]) == 1
-    capsys.readouterr()
+    assert "7 vertices exceeds budget 2" in capsys.readouterr().err
 
 
 def test_experiment_writes_csv(tmp_path, capsys):
@@ -223,9 +226,6 @@ EXPERIMENT = ["experiment", "--nl", "4", "--nr", "4", "--seed", "1"]
                  id="corpus-1"),
     pytest.param(["corpus-verify", "--max-vertices", "-3"], None,
                  id="corpus-negative"),
-    pytest.param(["classify", "--graph", FORK, "--matching",
-                  str(FIXTURES / "fork_matching.json"), "--limit", "0"],
-                 None, id="limit-0"),
     pytest.param(["enumerate", "--graph", P4, "--oracle", "matchings",
                   "--max-vertices", "-1"], None, id="enumerate-negative"),
 ])

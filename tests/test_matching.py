@@ -10,6 +10,7 @@ from konigmatch import (
     greedy_maximal_matching,
     is_maximal,
     matching_number,
+    maximize,
     maximum_matching,
 )
 from konigmatch.errors import InvalidMatching, SaturatedStart
@@ -114,6 +115,15 @@ def test_maximum_matching_is_maximal_and_stable(g):
     assert is_maximal(m)
     for u in m.unsaturated(g.left):
         assert find_augmenting_path(m, u) is None
+
+
+def test_maximize_grows_any_matching_to_maximum():
+    for g in cached_corpus(6):
+        for m in all_matchings(g):
+            grown = maximize(m)
+            assert len(grown) == matching_number(g)
+            # augmenting never frees a vertex
+            assert all(grown.saturates(v) for edge in m.edges for v in edge)
 
 
 @given(graphs(), st.randoms(use_true_random=False))

@@ -203,6 +203,8 @@ def test_budgets_are_enforced(p4):
     with pytest.raises(BudgetExceeded):
         hall_condition(big, OracleBudget(max_subsets=4))
     with pytest.raises(BudgetExceeded):
+        hall_condition(big, OracleBudget(max_vertices=10))
+    with pytest.raises(BudgetExceeded):
         minimum_covers_by_subset_scan(p4, OracleBudget(max_subsets=8))
 
 

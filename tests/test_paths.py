@@ -15,12 +15,14 @@ from konigmatch import (
     konig_vertices,
     path_structures,
     procedure_sides,
+    verify_classification_witness,
     z_set,
 )
 from konigmatch import verify
 from konigmatch.corpus import cached_corpus
 from konigmatch.errors import NotMaximal, PathExplosion
 from konigmatch.oracle import all_maximal_matchings
+from konigmatch.paths import ClassificationVerdict
 
 from conftest import labeled, ladder, matching_by_labels
 
@@ -43,11 +45,10 @@ def test_enumerate_augmenting_paths_on_the_fork(fork, fork_matching):
     assert sequences == sorted(set(sequences))
 
 
-def test_enumeration_limit(fork, fork_matching):
+def test_enumeration_limit():
+    # 2^13 = 8192 paths, past the limit of 4096
     with pytest.raises(PathExplosion):
-        enumerate_augmenting_paths(fork_matching, limit=3)
-    with pytest.raises(PathExplosion):
-        enumerate_augmenting_paths(fork_matching, limit=0)
+        enumerate_augmenting_paths(ladder(11)[1])
 
 
 def test_fork_structure_pins(fork, fork_matching):
@@ -64,9 +65,6 @@ def test_a_structure_stores_only_its_defining_data(fork, fork_matching):
     assert [f.name for f in dataclasses.fields(ps)] == [
         "base_path", "family", "vertices", "z_after"]
     assert ps.stranded == labeled(fork, "d1", "d2", "d3")
-    # the classification reports the same stranded set as its witness
-    verdict = classify_matching(fork_matching)
-    assert verdict.witness == (ps.base_path, ps.stranded)
 
 
 def test_fork_hat_and_check_subgraphs(fork, fork_matching):
@@ -80,16 +78,15 @@ def test_structure_without_second_root_keeps_everything(p4):
     assert hat_vertices(ps) == ps.vertices
 
 
-@pytest.mark.parametrize("sweep", [verify.sweep_path_structure_properties,
-                                   verify.sweep_classification],
+@pytest.mark.parametrize("sweep", [verify.sweep_path_structure_properties],
                          ids=lambda sweep: sweep.__name__)
 def test_sweep_enumerates_augmenting_paths_once_per_matching(monkeypatch,
                                                              sweep):
     calls = []
 
-    def recording(m, *limit):
+    def recording(m):
         calls.append(m)
-        return enumerate_augmenting_paths(m, *limit)
+        return enumerate_augmenting_paths(m)
 
     monkeypatch.setattr("konigmatch.paths.enumerate_augmenting_paths",
                         recording)
@@ -102,15 +99,18 @@ def test_sweep_enumerates_augmenting_paths_once_per_matching(monkeypatch,
 def test_classification_of_the_fork(fork, fork_matching):
     verdict = classify_matching(fork_matching)
     assert not verdict.is_minimum
-    path, stranded = verdict.witness
-    assert _path_labels(fork, path) == ["a1", "b1", "c1", "d1"]
-    assert stranded == labeled(fork, "d1", "d2", "d3")
+    # K(M) = {b1, d1, d2, d3}, but {b1, c1} covers too
+    assert verdict.witness == labeled(fork, "b1", "c1")
+    assert verify_classification_witness(fork_matching, verdict)
 
 
 def test_classification_of_a_good_maximal_matching(p4):
-    verdict = classify_matching(matching_by_labels(p4, [("2", "3")]))
+    m = matching_by_labels(p4, [("2", "3")])
+    verdict = classify_matching(m)
     assert verdict.is_minimum
-    assert verdict.witness is None
+    (path,) = verdict.witness
+    assert _path_labels(p4, path) == ["1", "2", "3", "4"]
+    assert verify_classification_witness(m, verdict)
 
 
 def test_classification_rejects_non_maximal(fork):
@@ -118,13 +118,46 @@ def test_classification_rejects_non_maximal(fork):
         classify_matching(Matching(fork, ()))
 
 
-def test_the_default_limit_gives_classification_a_practical_end():
-    # 2^8 paths classify at once; 2^13 paths, past the default limit,
-    # stop at once instead of classifying for about 15 s (quadratic in the
-    # path count)
-    assert classify_matching(ladder(6)[1]).is_minimum
-    with pytest.raises(PathExplosion):
-        classify_matching(ladder(11)[1])
+def test_classification_enumerates_no_paths(monkeypatch):
+    def no_enumeration(m):
+        raise AssertionError("augmenting paths were enumerated")
+
+    monkeypatch.setattr("konigmatch.paths.enumerate_augmenting_paths",
+                        no_enumeration)
+    _, m = ladder(200)  # 2^202 augmenting paths
+    verdict = classify_matching(m)
+    assert verdict.is_minimum
+    assert len(verdict.witness) == 2
+    assert verify_classification_witness(m, verdict)
+
+
+def test_the_classification_sweep_is_clean_at_nine_vertices():
+    result = verify.sweep_classification(9)
+    assert (result.cases, result.violations) == (20552, [])
+
+
+def test_forged_classification_witnesses_are_rejected(fork, fork_matching):
+    # on the one-step ladder K(M) is minimum, proved by two disjoint
+    # paths from x0 and y0
+    g, m = ladder(1)
+
+    def path(*labels):
+        return AugmentingPath([g.vertex_by_label(x) for x in labels], m)
+
+    via_p0 = path("x0", "p0", "x1", "p1")
+    assert verify_classification_witness(m, ClassificationVerdict(
+        True, (via_p0, path("y0", "q0", "y1", "q1"))))
+    for forged in [(via_p0, path("y0", "p0", "x1", "q1")),  # overlapping
+                   (via_p0,)]:  # one path too few
+        assert not verify_classification_witness(
+            m, ClassificationVerdict(True, forged))
+    # on the fork K(M) = {b1, d1, d2, d3} is not minimum
+    assert verify_classification_witness(fork_matching, ClassificationVerdict(
+        False, labeled(fork, "b1", "c1")))
+    for forged in [labeled(fork, "b1", "d1"),  # misses c1-d2
+                   labeled(fork, "b1", "c1", "d1", "d2")]:  # not smaller
+        assert not verify_classification_witness(
+            fork_matching, ClassificationVerdict(False, forged))
 
 
 def test_single_root_preserves_cover_size_but_not_the_cover_set(p4):
@@ -160,11 +193,9 @@ def test_a_5000_vertex_augmenting_path_needs_no_recursion():
     m = Matching(g, [(i + 1, half + i) for i in range(half - 1)])
     (p,) = enumerate_augmenting_paths(m)
     assert p.vertices == tuple(v for i in range(half) for v in (i, half + i))
-    assert classify_matching(m).is_minimum
+    assert classify_matching(m).witness == (p,)
 
 
-@pytest.mark.xfail(strict=True, reason="known defect, see the FOUND line on "
-                   "classify_matching in CHANGES.md")
 def test_classification_on_the_smallest_nine_vertex_counterexample():
     # m is maximal and Kőnig's cover {4, ..., 8} has 5 vertices, against
     # ν = 4; each of the four augmenting paths strands one unsaturated
@@ -172,7 +203,11 @@ def test_classification_on_the_smallest_nine_vertex_counterexample():
     g = build_graph(4, 5, [(0, 0), (0, 2), (0, 3), (1, 1), (1, 2), (1, 4),
                            (2, 3), (3, 4)])
     m = Matching(g, [(0, 7), (1, 8)])
-    assert classify_matching(m).is_minimum == konig_cover(m).is_minimum
+    verdict = classify_matching(m)
+    assert not konig_cover(m).is_minimum
+    assert not verdict.is_minimum
+    assert verdict.witness == {0, 1, 2, 3}
+    assert verify_classification_witness(m, verdict)
 
 
 def _reference_hat(ps):
