@@ -78,10 +78,13 @@ def test_structure_without_second_root_keeps_everything(p4):
     assert hat_vertices(ps) == ps.vertices
 
 
-@pytest.mark.parametrize("sweep", [verify.sweep_path_structure_properties],
-                         ids=lambda sweep: sweep.__name__)
+@pytest.mark.parametrize("sweep, expected", [
+    (verify.sweep_path_structure_properties, 127),
+    # classification grows each matching to maximum and enumerates nothing
+    (verify.sweep_classification, 0),
+], ids=["sweep_path_structure_properties", "sweep_classification"])
 def test_sweep_enumerates_augmenting_paths_once_per_matching(monkeypatch,
-                                                             sweep):
+                                                             sweep, expected):
     calls = []
 
     def recording(m):
@@ -91,9 +94,9 @@ def test_sweep_enumerates_augmenting_paths_once_per_matching(monkeypatch,
     monkeypatch.setattr("konigmatch.paths.enumerate_augmenting_paths",
                         recording)
     assert sweep(6).ok
-    assert calls == [m for g in cached_corpus(6)
-                     for m in all_maximal_matchings(g)]
-    assert len(calls) == 127
+    matchings = [m for g in cached_corpus(6) for m in all_maximal_matchings(g)]
+    assert len(matchings) == 127
+    assert calls == matchings[:expected]
 
 
 def test_classification_of_the_fork(fork, fork_matching):
@@ -129,6 +132,18 @@ def test_classification_enumerates_no_paths(monkeypatch):
     assert verdict.is_minimum
     assert len(verdict.witness) == 2
     assert verify_classification_witness(m, verdict)
+
+
+def test_the_default_limit_gives_classification_a_practical_end():
+    # 2^13 paths are past the default limit, so enumerating them stops at
+    # once; classification enumerates none and proves both ladders minimum
+    for steps in (6, 11):
+        _, m = ladder(steps)
+        verdict = classify_matching(m)
+        assert verdict.is_minimum
+        assert verify_classification_witness(m, verdict)
+    with pytest.raises(PathExplosion):
+        enumerate_augmenting_paths(m)
 
 
 def test_the_classification_sweep_is_clean_at_nine_vertices():
