@@ -53,7 +53,6 @@ from .stars import (
     is_enumeratively_konig_egervary,
     lift_cover,
     maximal_witness,
-    reached_minimum_covers,
     restrict_cover,
     star_stud,
 )

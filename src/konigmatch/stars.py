@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from .errors import EmptyGraph, NotMinimumCover, RoundTripFailed
 from .graph import BipartiteGraph, connected_components
 from .konig import _alternating_closure, is_minimum_cover, konig_vertices
-from .matching import Matching, is_maximal, matching_number
+from .matching import Matching, is_maximal
 from .oracle import OracleBudget, all_minimum_covers, iter_maximal_matchings
 from .reverse import split_by_cover
 
@@ -109,22 +109,6 @@ def restrict_cover(ssg: StarStuddedGraph, c) -> frozenset[int]:
         raise NotMinimumCover(
             "input is not a minimum cover of the studded graph")
     return cset & ssg.base.vertices
-
-
-def reached_minimum_covers(matchings: Iterable[Matching],
-                           ) -> set[frozenset[int]]:
-    """The minimum vertex covers Kőnig's procedure yields from
-    ``matchings``.
-
-    K(M) is a vertex cover for every matching M, so it is minimum
-    exactly when it has ν(G) vertices, G being M's graph.
-    """
-    reached = set()
-    for m in matchings:
-        k = konig_vertices(m)
-        if len(k) == matching_number(m.graph):
-            reached.add(k)
-    return reached
 
 
 def maximal_witness(g: BipartiteGraph,

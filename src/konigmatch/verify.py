@@ -1,10 +1,11 @@
-"""Corpus-wide invariant sweeps.
+"""Corpus-wide invariant sweeps, run as per-graph checks over one walk.
 
-Each sweep walks the exhaustive connected-bipartite corpus, checks one
-theorem-backed invariant against the brute-force oracle, and returns the
-number of cases checked plus any violations.  The acceptance tests and
-the ``corpus-verify`` CLI command are both thin wrappers over these
-functions.
+Each check tests one theorem-backed invariant on one graph's
+``GraphRecord`` against the brute-force oracle.  ``corpus_verify`` walks
+the exhaustive connected-bipartite corpus once and runs every check on
+each graph; a ``sweep_*`` runs its one check over the same walk.  The
+record computes, once per graph, what several checks read, and is
+dropped before the next graph.  The CLI and acceptance tests wrap these.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 from .corpus import cached_corpus
 from .graph import BipartiteGraph, procedure_sides
 from .konig import konig_cover, konig_vertices
-from .matching import is_maximal, maximum_matching
+from .matching import Matching, is_maximal, matching_number, maximum_matching
 from .oracle import (
     OracleBudget,
     all_matchings,
@@ -27,12 +29,7 @@ from .oracle import (
 from .paths import (classify_matching, hat_vertices, path_structures,
                     verify_classification_witness)
 from .reverse import reverse_konig, split_by_cover
-from .stars import (
-    maximal_witness,
-    reached_minimum_covers,
-    restrict_cover,
-    star_stud,
-)
+from .stars import maximal_witness, restrict_cover, star_stud
 
 # visit orders sampled per cover by the reverse round-trip sweep, on top
 # of the default ascending order
@@ -56,6 +53,49 @@ class SweepResult:
             self.violations.append(message())
 
 
+@dataclass
+class GraphRecord:
+    """One corpus graph and what more than one check reads of it."""
+
+    graph: BipartiteGraph
+
+    @cached_property
+    def minimum_covers(self) -> set[frozenset[int]]:
+        return all_minimum_covers(self.graph)
+
+    @cached_property
+    def matching_covers(self) -> list[tuple[Matching, frozenset[int]]]:
+        """Every matching M with K(M), without the cover verdicts."""
+        return [(m, konig_vertices(m)) for m in all_matchings(self.graph)]
+
+    @cached_property
+    def maximal_matchings(self) -> list[Matching]:
+        return all_maximal_matchings(self.graph)
+
+
+def _walk(max_vertices: int, names: list[str] | None = None,
+          seed: int = 0) -> list[SweepResult]:
+    """Run the named checks (all eight if None) in one walk of the corpus;
+    ``seed`` draws the reverse round trip's visit orders."""
+    checks = {
+        "konig-equality": _konig_equality,
+        "reverse-round-trip": partial(_reverse_round_trip,
+                                      random.Random(seed)),
+        "surjectivity": _surjectivity,
+        "cycle-fibers": _cycle_fibers,
+        "one-endpoint-and-minimal": _one_endpoint_and_minimal,
+        "classification": _classification,
+        "path-structure-properties": _path_structure_properties,
+        "hall-consistency": _hall_consistency,
+    }
+    results = [SweepResult(name) for name in names or checks]
+    for g in cached_corpus(max_vertices):
+        record = GraphRecord(g)
+        for result in results:
+            checks[result.name](record, result)
+    return results
+
+
 def _describe(g: BipartiteGraph) -> str:
     return (f"G(left={sorted(g.left)}, right={sorted(g.right)}, "
             f"edges={sorted(g.edges)})")
@@ -64,19 +104,20 @@ def _describe(g: BipartiteGraph) -> str:
 def sweep_konig_equality(max_vertices: int = 8) -> SweepResult:
     """Maximum matching size equals oracle minimum-cover size, and the
     procedure's cover from a maximum matching is minimum."""
-    result = SweepResult("konig-equality")
-    for g in cached_corpus(max_vertices):
-        mm = maximum_matching(g)
-        covers = all_minimum_covers(g)
-        min_size = len(next(iter(covers)))
-        result.check(len(mm) == min_size,
-                     lambda: f"{_describe(g)}: matching {len(mm)} != "
-                             f"cover {min_size}")
-        cover = konig_cover(mm)
-        result.check(cover.is_minimum,
-                     lambda: f"{_describe(g)}: maximum matching gave "
-                             f"non-minimum cover {sorted(cover.vertices)}")
-    return result
+    return _walk(max_vertices, ["konig-equality"])[0]
+
+
+def _konig_equality(record: GraphRecord, result: SweepResult) -> None:
+    g = record.graph
+    mm = maximum_matching(g)
+    min_size = len(next(iter(record.minimum_covers)))
+    result.check(len(mm) == min_size,
+                 lambda: f"{_describe(g)}: matching {len(mm)} != "
+                         f"cover {min_size}")
+    cover = konig_cover(mm)
+    result.check(cover.is_minimum,
+                 lambda: f"{_describe(g)}: maximum matching gave "
+                         f"non-minimum cover {sorted(cover.vertices)}")
 
 
 def sweep_reverse_round_trip(max_vertices: int = 8,
@@ -87,49 +128,52 @@ def sweep_reverse_round_trip(max_vertices: int = 8,
     Each cover is split once, and every visit order reuses that split;
     a cover whose split fails is tried again, and reported, per order.
     """
-    result = SweepResult("reverse-round-trip")
-    rng = random.Random(seed)
-    for g in cached_corpus(max_vertices):
-        u_side, _ = procedure_sides(g)
-        for cover in sorted(all_minimum_covers(g), key=sorted):
-            orders = [None]
-            roots = sorted(u_side - cover)
-            for _ in range(SAMPLED_ORDERS):
-                shuffled = roots[:]
-                rng.shuffle(shuffled)
-                orders.append(shuffled)
-            split = None
-            for order in orders:
-                try:
-                    if split is None:
-                        split = split_by_cover(g, cover)
-                    res = reverse_konig(split, order)
-                except Exception as exc:  # report, keep sweeping
-                    result.check(False,
-                                 lambda: f"{_describe(g)} cover "
-                                         f"{sorted(cover)} order {order}: "
-                                         f"{exc!r}")
-                    continue
-                produced = konig_vertices(res.combined)
-                result.check(produced == cover,
+    return _walk(max_vertices, ["reverse-round-trip"], seed)[0]
+
+
+def _reverse_round_trip(rng: random.Random, record: GraphRecord,
+                        result: SweepResult) -> None:
+    g = record.graph
+    u_side, _ = procedure_sides(g)
+    for cover in sorted(record.minimum_covers, key=sorted):
+        orders = [None]
+        roots = sorted(u_side - cover)
+        for _ in range(SAMPLED_ORDERS):
+            shuffled = roots[:]
+            rng.shuffle(shuffled)
+            orders.append(shuffled)
+        split = None
+        for order in orders:
+            try:
+                if split is None:
+                    split = split_by_cover(g, cover)
+                res = reverse_konig(split, order)
+            except Exception as exc:  # report, keep sweeping
+                result.check(False,
                              lambda: f"{_describe(g)} cover {sorted(cover)} "
-                                     f"order {order}: got "
-                                     f"{sorted(produced)}")
-    return result
+                                     f"order {order}: {exc!r}")
+                continue
+            produced = konig_vertices(res.combined)
+            result.check(produced == cover,
+                         lambda: f"{_describe(g)} cover {sorted(cover)} "
+                                 f"order {order}: got {sorted(produced)}")
 
 
 def sweep_surjectivity(max_vertices: int = 8) -> SweepResult:
     """Kőnig's procedure over all matchings reaches exactly the oracle's
     minimum covers."""
-    result = SweepResult("surjectivity")
-    for g in cached_corpus(max_vertices):
-        wanted = all_minimum_covers(g)
-        reached = reached_minimum_covers(all_matchings(g))
-        result.check(reached == wanted,
-                     lambda: f"{_describe(g)}: reached "
-                             f"{sorted(map(sorted, reached))} != oracle "
-                             f"{sorted(map(sorted, wanted))}")
-    return result
+    return _walk(max_vertices, ["surjectivity"])[0]
+
+
+def _surjectivity(record: GraphRecord, result: SweepResult) -> None:
+    g = record.graph
+    # K(M) always covers, so it is minimum iff it has ν(G) vertices
+    nu = matching_number(g)
+    reached = {k for _, k in record.matching_covers if len(k) == nu}
+    result.check(reached == record.minimum_covers,
+                 lambda: f"{_describe(g)}: reached "
+                         f"{sorted(map(sorted, reached))} != oracle "
+                         f"{sorted(map(sorted, record.minimum_covers))}")
 
 
 def sweep_cycle_fibers(max_vertices: int = 8) -> SweepResult:
@@ -145,150 +189,152 @@ def sweep_cycle_fibers(max_vertices: int = 8) -> SweepResult:
     a vertex of such a cycle union is saturated by both, and every
     other vertex is met by the same edge in both or by none.
     """
-    result = SweepResult("cycle-fibers")
-    for g in cached_corpus(max_vertices):
-        by_saturated: dict[frozenset[int], list] = {}
-        for m in all_matchings(g):
-            saturated = frozenset(v for edge in m.edges for v in edge)
-            by_saturated.setdefault(saturated, []).append(
-                (m, konig_vertices(m)))
-        for group in by_saturated.values():
-            for i, (m1, cover1) in enumerate(group):
-                for m2, cover2 in group[i + 1:]:
-                    result.check(cover1 == cover2,
-                                 lambda: f"{_describe(g)}: "
-                                         f"{sorted(m1.edges)} vs "
-                                         f"{sorted(m2.edges)} give "
-                                         "different covers")
-    return result
+    return _walk(max_vertices, ["cycle-fibers"])[0]
+
+
+def _cycle_fibers(record: GraphRecord, result: SweepResult) -> None:
+    g = record.graph
+    by_saturated: dict[frozenset[int], list] = {}
+    for m, k in record.matching_covers:
+        saturated = frozenset(v for edge in m.edges for v in edge)
+        by_saturated.setdefault(saturated, []).append((m, k))
+    for group in by_saturated.values():
+        for i, (m1, cover1) in enumerate(group):
+            for m2, cover2 in group[i + 1:]:
+                result.check(cover1 == cover2,
+                             lambda: f"{_describe(g)}: {sorted(m1.edges)} vs "
+                                     f"{sorted(m2.edges)} give "
+                                     "different covers")
 
 
 def sweep_one_endpoint_and_minimal(max_vertices: int = 8) -> SweepResult:
     """Every matched edge has exactly one endpoint in the cover; for
     maximal matchings the result is a minimal vertex cover."""
-    result = SweepResult("one-endpoint-and-minimal")
-    for g in cached_corpus(max_vertices):
-        for m in all_matchings(g):
-            cover = konig_cover(m)
-            for u, v in m.edges:
-                result.check((u in cover.vertices) != (v in cover.vertices),
-                             lambda: f"{_describe(g)} {sorted(m.edges)}: "
-                                     f"edge ({u},{v}) not split by cover")
-            if is_maximal(m):
-                result.check(cover.is_minimal,
-                             lambda: f"{_describe(g)} {sorted(m.edges)}: "
-                                     "maximal matching gave non-minimal "
-                                     "result")
-    return result
+    return _walk(max_vertices, ["one-endpoint-and-minimal"])[0]
+
+
+def _one_endpoint_and_minimal(record: GraphRecord,
+                              result: SweepResult) -> None:
+    g = record.graph
+    for m, k in record.matching_covers:
+        for u, v in m.edges:
+            result.check((u in k) != (v in k),
+                         lambda: f"{_describe(g)} {sorted(m.edges)}: "
+                                 f"edge ({u},{v}) not split by cover")
+        if is_maximal(m):
+            result.check(konig_cover(m).is_minimal,
+                         lambda: f"{_describe(g)} {sorted(m.edges)}: "
+                                 "maximal matching gave non-minimal result")
 
 
 def sweep_classification(max_vertices: int = 8) -> SweepResult:
     """The classification agrees with the direct minimum-cover check for
     every maximal matching, and its witness proves its verdict."""
-    result = SweepResult("classification")
-    for g in cached_corpus(max_vertices):
-        for m in all_maximal_matchings(g):
-            verdict = classify_matching(m)
-            direct = konig_cover(m).is_minimum
-            proved = verify_classification_witness(m, verdict)
-            result.check(verdict.is_minimum == direct and proved,
-                         lambda: f"{_describe(g)} {sorted(m.edges)}: "
-                                 f"classified {verdict.is_minimum}, "
-                                 f"direct {direct}, proved {proved}")
-    return result
+    return _walk(max_vertices, ["classification"])[0]
+
+
+def _classification(record: GraphRecord, result: SweepResult) -> None:
+    for m in record.maximal_matchings:
+        verdict = classify_matching(m)
+        direct = konig_cover(m).is_minimum
+        proved = verify_classification_witness(m, verdict)
+        result.check(verdict.is_minimum == direct and proved,
+                     lambda: f"{_describe(record.graph)} {sorted(m.edges)}: "
+                             f"classified {verdict.is_minimum}, "
+                             f"direct {direct}, proved {proved}")
 
 
 def sweep_path_structure_properties(max_vertices: int = 8) -> SweepResult:
     """Pair-level localization outside the structure, restricted cover
     cardinality over the single-root substructure, strict decrease
     exactly when two V-endpoints are stranded, and the hat reduction."""
-    result = SweepResult("path-structure-properties")
-    for g in cached_corpus(max_vertices):
-        u_side, _ = procedure_sides(g)
-        vertices = g.vertices
-        for m in all_maximal_matchings(g):
-            k_before = konig_vertices(m)
-            for ps in path_structures(m):
-                p = ps.base_path
+    return _walk(max_vertices, ["path-structure-properties"])[0]
 
-                def where() -> str:
-                    return (f"{_describe(g)} {sorted(m.edges)} "
-                            f"p={list(p.vertices)}")
 
-                structure = ps.vertices
-                k_after = u_side ^ ps.z_after  # K(M △ P)
-                # localization: outside the structure, membership of a
-                # matched pair (or a lone unmatched vertex) is preserved
-                for r in sorted(vertices - structure):
-                    partner = m.partner(r)  # None is in neither cover
-                    result.check((r in k_before or partner in k_before)
-                                 == (r in k_after or partner in k_after),
-                                 lambda: f"{where()}: localization fails "
-                                         f"at {r}")
-                # the substructure of paths sharing p's root and endpoint
-                # has a unique unsaturated root; restricted to it, the
-                # cover keeps its cardinality under augmentation
-                sub = set()
-                for q in ps.family:
-                    if (q.vertices[0] == p.vertices[0]
-                            and q.vertices[-1] == p.vertices[-1]):
-                        sub.update(q.vertices)
-                result.check(len(k_before & sub) == len(k_after & sub),
-                             lambda: f"{where()}: unique-root restricted "
-                                     "equality fails")
-                # two stranded unsaturated V-vertices iff strict decrease
-                result.check((len(ps.stranded) >= 2)
-                             == (len(k_before) > len(k_after)),
-                             lambda: f"{where()}: stranded count and cover "
-                                     "decrease disagree")
-                # hat reduction preserves the cardinality equality
-                hat = hat_vertices(ps)
-                full_eq = (len(k_before & structure)
-                           == len(k_after & structure))
-                hat_eq = len(k_before & hat) == len(k_after & hat)
-                result.check(full_eq == hat_eq,
-                             lambda: f"{where()}: hat reduction disagrees")
-                # vertex-wise intersection implies edge-wise or endpoints
-                # only; each pair of meeting paths is checked once, from
-                # the earlier one (paths are enumerated in sorted order)
-                p_vertices = frozenset(p.vertices)
-                for q in ps.family:
-                    if q.vertices <= p.vertices:
-                        continue
-                    shared = p_vertices.intersection(q.vertices)
-                    if not (p.edges & q.edges):
-                        endpoints = {p.vertices[0], p.vertices[-1]} & \
-                            {q.vertices[0], q.vertices[-1]}
-                        result.check(shared <= endpoints,
-                                     lambda: f"{_describe(g)}: paths share "
-                                             "interior vertices without "
-                                             "sharing edges")
-                    if len(shared) >= 2:
-                        # the two path orders may disagree on the shared
-                        # vertices, but never as exact reverses; that
-                        # would splice into a path between two unsaturated
-                        # vertices of the same side
-                        in_p = [v for v in p.vertices if v in shared]
-                        in_q = [v for v in q.vertices if v in shared]
-                        result.check(in_p != in_q[::-1],
-                                     lambda: f"{_describe(g)}: shared "
-                                             "vertices in exactly reversed "
-                                             "order")
-    return result
+def _path_structure_properties(record: GraphRecord,
+                               result: SweepResult) -> None:
+    g = record.graph
+    u_side, _ = procedure_sides(g)
+    vertices = g.vertices
+    for m in record.maximal_matchings:
+        k_before = konig_vertices(m)
+        for ps in path_structures(m):
+            p = ps.base_path
+
+            def where() -> str:
+                return f"{_describe(g)} {sorted(m.edges)} p={list(p.vertices)}"
+
+            structure = ps.vertices
+            k_after = u_side ^ ps.z_after  # K(M △ P)
+            # localization: outside the structure, membership of a
+            # matched pair (or a lone unmatched vertex) is preserved
+            for r in sorted(vertices - structure):
+                partner = m.partner(r)  # None is in neither cover
+                result.check((r in k_before or partner in k_before)
+                             == (r in k_after or partner in k_after),
+                             lambda: f"{where()}: localization fails at {r}")
+            # the substructure of paths sharing p's root and endpoint
+            # has a unique unsaturated root; restricted to it, the
+            # cover keeps its cardinality under augmentation
+            sub = set()
+            for q in ps.family:
+                if (q.vertices[0] == p.vertices[0]
+                        and q.vertices[-1] == p.vertices[-1]):
+                    sub.update(q.vertices)
+            result.check(len(k_before & sub) == len(k_after & sub),
+                         lambda: f"{where()}: unique-root restricted "
+                                 "equality fails")
+            # two stranded unsaturated V-vertices iff strict decrease
+            result.check((len(ps.stranded) >= 2)
+                         == (len(k_before) > len(k_after)),
+                         lambda: f"{where()}: stranded count and cover "
+                                 "decrease disagree")
+            # hat reduction preserves the cardinality equality
+            hat = hat_vertices(ps)
+            full_eq = len(k_before & structure) == len(k_after & structure)
+            hat_eq = len(k_before & hat) == len(k_after & hat)
+            result.check(full_eq == hat_eq,
+                         lambda: f"{where()}: hat reduction disagrees")
+            # vertex-wise intersection implies edge-wise or endpoints
+            # only; each pair of meeting paths is checked once, from
+            # the earlier one (paths are enumerated in sorted order)
+            p_vertices = frozenset(p.vertices)
+            for q in ps.family:
+                if q.vertices <= p.vertices:
+                    continue
+                shared = p_vertices.intersection(q.vertices)
+                if not (p.edges & q.edges):
+                    endpoints = {p.vertices[0], p.vertices[-1]} & \
+                        {q.vertices[0], q.vertices[-1]}
+                    result.check(shared <= endpoints,
+                                 lambda: f"{_describe(g)}: paths share "
+                                         "interior vertices without "
+                                         "sharing edges")
+                if len(shared) >= 2:
+                    # the two path orders may disagree on the shared
+                    # vertices, but never as exact reverses; that
+                    # would splice into a path between two unsaturated
+                    # vertices of the same side
+                    in_p = [v for v in p.vertices if v in shared]
+                    in_q = [v for v in q.vertices if v in shared]
+                    result.check(in_p != in_q[::-1],
+                                 lambda: f"{_describe(g)}: shared "
+                                         "vertices in exactly reversed order")
 
 
 def sweep_hall_consistency(max_vertices: int = 8) -> SweepResult:
     """Hall's condition on a side holds iff a maximum matching saturates it."""
-    result = SweepResult("hall-consistency")
-    for g in cached_corpus(max_vertices):
-        mm = maximum_matching(g)
-        for side, vertices, hall in zip(("left", "right"),
-                                        (g.left, g.right),
-                                        hall_condition(g)):
-            saturated = all(mm.saturates(v) for v in vertices)
-            result.check(hall == saturated,
-                         lambda: f"{_describe(g)}: Hall mismatch on {side}")
-    return result
+    return _walk(max_vertices, ["hall-consistency"])[0]
+
+
+def _hall_consistency(record: GraphRecord, result: SweepResult) -> None:
+    g = record.graph
+    mm = maximum_matching(g)
+    for side, vertices, hall in zip(("left", "right"), (g.left, g.right),
+                                    hall_condition(g)):
+        saturated = all(mm.saturates(v) for v in vertices)
+        result.check(hall == saturated,
+                     lambda: f"{_describe(g)}: Hall mismatch on {side}")
 
 
 def sweep_star_studded(max_vertices: int = 7) -> SweepResult:
@@ -331,8 +377,9 @@ ALL_SWEEPS = [
 
 
 def corpus_verify(max_vertices: int = 8) -> list[SweepResult]:
-    """Run every sweep, the star-studded one on at most 7 base vertices;
-    the corpus raises ``BudgetExceeded`` above ``MAX_CORPUS_VERTICES``
-    before any sweep starts."""
-    return [sweep(max_vertices) for sweep in ALL_SWEEPS] + [
+    """Run the eight checks in one walk of the corpus, sharing each
+    graph's record among them, then the star-studded sweep on at most 7
+    base vertices; the corpus raises ``BudgetExceeded`` above
+    ``MAX_CORPUS_VERTICES`` before any check runs."""
+    return _walk(max_vertices) + [
         sweep_star_studded(min(max_vertices, 7))]

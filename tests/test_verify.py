@@ -1,0 +1,166 @@
+"""The corpus walk behind the sweeps: one walk reports what the single
+sweeps report, faults included; it enumerates each graph's oracle data
+at most once and keeps none of it past the graph; and a single sweep
+fetches only what its own check reads."""
+
+import weakref
+from collections import Counter
+
+import pytest
+
+from konigmatch import konig_vertices, split_by_cover, verify
+from konigmatch.corpus import cached_corpus
+
+ENUMERATIONS = ("all_matchings", "all_maximal_matchings",
+                "all_minimum_covers")
+
+
+def _count_enumerations(monkeypatch):
+    """Patch the walk's three oracle enumerations to count their calls per
+    graph; calls with a budget, which only the star-studded sweep makes,
+    are counted apart under ``"budgeted"``."""
+    calls = {name: Counter() for name in ENUMERATIONS + ("budgeted",)}
+    for name in ENUMERATIONS:
+        def counting(g, b=None, _name=name, _real=getattr(verify, name)):
+            calls[_name if b is None else "budgeted"][id(g)] += 1
+            return _real(g, b)
+        monkeypatch.setattr(verify, name, counting)
+    return calls
+
+
+def _stale_split(monkeypatch):
+    # test_reverse's fault: every cover of a graph gets its first cover's
+    # split, so every visit order of a later cover fails
+    first = {}
+
+    def stale_split(g, c):
+        if g not in first:
+            first[g] = split_by_cover(g, c)
+        return first[g]
+
+    monkeypatch.setattr(verify, "split_by_cover", stale_split)
+
+
+def _dropped_vertex(monkeypatch):
+    # K(M) loses its smallest vertex on one graph of the corpus
+    target = cached_corpus(6)[-1]
+
+    def dropping(m):
+        k = konig_vertices(m)
+        return k - {min(k)} if m.graph is target else k
+
+    monkeypatch.setattr(verify, "konig_vertices", dropping)
+
+
+@pytest.mark.parametrize("fault", [None, _stale_split, _dropped_vertex],
+                         ids=["clean", "stale-split", "dropped-vertex"])
+def test_one_walk_reports_what_the_single_sweeps_report(monkeypatch, fault):
+    if fault is not None:
+        fault(monkeypatch)
+    fused = verify.corpus_verify(6)
+    single = [sweep(6) for sweep in verify.ALL_SWEEPS]
+    # name, cases and the full violation list of each of the eight
+    assert fused[:8] == single
+    assert [r.name for r in fused[8:]] == ["star-studded"]
+    failing = [r.name for r in single if not r.ok]
+    if fault is None:
+        assert failing == []
+    elif fault is _stale_split:
+        assert failing == ["reverse-round-trip"]
+    else:
+        assert {"reverse-round-trip", "surjectivity",
+                "one-endpoint-and-minimal"} <= set(failing)
+
+
+def test_corpus_verify_pins_every_case_count_at_eight_vertices():
+    # the nine lines CI pins for `corpus-verify --max-vertices 8`
+    assert [(r.name, r.cases, len(r.violations))
+            for r in verify.corpus_verify(8)] == [
+        ("konig-equality", 506, 0),
+        ("reverse-round-trip", 3228, 0),
+        ("surjectivity", 253, 0),
+        ("cycle-fibers", 5114, 0),
+        ("one-endpoint-and-minimal", 27826, 0),
+        ("classification", 3166, 0),
+        ("path-structure-properties", 21786, 0),
+        ("hall-consistency", 506, 0),
+        ("star-studded", 142, 0),
+    ]
+
+
+def test_the_walk_enumerates_each_graph_once(monkeypatch):
+    calls = _count_enumerations(monkeypatch)
+    graphs = cached_corpus(7)
+    assert all(r.ok for r in verify.corpus_verify(7))
+    once = Counter(map(id, graphs))
+    for name in ENUMERATIONS:
+        assert calls[name] == once, name
+    # the star-studded sweep's own oracle calls: one on each studded
+    # graph and one on its base graph
+    assert calls["budgeted"].total() == 2 * len(graphs)
+
+
+class _TrackedList(list):
+    """A list that can be weakly referenced."""
+
+
+class _TrackedSet(set):
+    """A set that can be weakly referenced."""
+
+
+class _TrackedCover(frozenset):
+    """A K(M) that can be weakly referenced."""
+
+
+def test_the_walk_keeps_nothing_across_graphs(monkeypatch):
+    held = []  # (graph, weak reference) for each tracked value
+    kinds = Counter()
+
+    def track(g, value):
+        held.append((g, weakref.ref(value)))
+        kinds[type(value).__name__] += 1
+        return value
+
+    def alive(but=None):
+        return [h for h, ref in held if h is not but and ref() is not None]
+
+    for name, kind in zip(ENUMERATIONS,
+                          (_TrackedList, _TrackedList, _TrackedSet)):
+        def enumerating(g, b=None, _real=getattr(verify, name), _kind=kind):
+            if b is not None:  # the star-studded sweep's own graphs
+                return _real(g, b)
+            # no earlier graph's data survives into this graph's walk
+            assert alive(but=g) == []
+            return track(g, _kind(_real(g)))
+        monkeypatch.setattr(verify, name, enumerating)
+    monkeypatch.setattr(verify, "konig_vertices", lambda m: track(
+        m.graph, _TrackedCover(konig_vertices(m))))
+    assert all(r.ok for r in verify.corpus_verify(7))
+    assert alive() == []
+    graphs = len(cached_corpus(7))
+    assert kinds["_TrackedList"] == 2 * graphs
+    assert kinds["_TrackedSet"] == graphs
+    assert kinds["_TrackedCover"] > graphs
+
+
+SINGLE_SWEEPS = [
+    (verify.sweep_konig_equality, {"all_minimum_covers"}),
+    (verify.sweep_reverse_round_trip, {"all_minimum_covers"}),
+    (verify.sweep_surjectivity, {"all_minimum_covers", "all_matchings"}),
+    (verify.sweep_cycle_fibers, {"all_matchings"}),
+    (verify.sweep_one_endpoint_and_minimal, {"all_matchings"}),
+    (verify.sweep_classification, {"all_maximal_matchings"}),
+    (verify.sweep_path_structure_properties, {"all_maximal_matchings"}),
+    (verify.sweep_hall_consistency, set()),
+]
+
+
+@pytest.mark.parametrize("sweep, fetched", SINGLE_SWEEPS,
+                         ids=[sweep.__name__ for sweep, _ in SINGLE_SWEEPS])
+def test_a_single_sweep_fetches_only_what_its_check_reads(monkeypatch, sweep,
+                                                          fetched):
+    calls = _count_enumerations(monkeypatch)
+    assert sweep(6).ok
+    once = Counter(map(id, cached_corpus(6)))
+    for name in ENUMERATIONS:
+        assert calls[name] == (once if name in fetched else Counter()), name
