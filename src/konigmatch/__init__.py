@@ -16,8 +16,6 @@ from .matching import (
     AugmentingPath,
     Matching,
     augment,
-    find_augmenting_path,
-    greedy_maximal_matching,
     is_maximal,
     matching_number,
     maximize,
@@ -34,7 +32,6 @@ from .konig import (
 )
 from .reverse import (
     CoverSplit,
-    ReverseResult,
     reverse_konig,
     reverse_procedure_up,
     split_by_cover,

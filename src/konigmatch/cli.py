@@ -68,10 +68,12 @@ def _cmd_cover(args) -> int:
 def _cmd_reverse(args) -> int:
     g = gio.load_graph(args.graph)
     cover = gio.load_vertex_set(g, args.cover)
-    result = reverse_konig(split_by_cover(g, cover))
+    split = split_by_cover(g, cover)
+    m = reverse_konig(split)
     _emit({
-        "matching": gio.matching_to_json(result.combined),
-        "visit_order": [g.labels[v] for v in result.visit_order],
+        "matching": gio.matching_to_json(m),
+        # the order reverse_konig visits the roots in by default
+        "visit_order": [g.labels[v] for v in sorted(split.up_roots)],
         # reverse_konig has checked that the procedure gives back ``cover``
         "round_trip_cover": gio.vertex_set_to_json(g, cover),
         "round_trip_ok": True,

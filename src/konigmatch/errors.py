@@ -44,10 +44,6 @@ class InvalidMatching(DomainError):
     """Edge set is not a matching of the host graph."""
 
 
-class SaturatedStart(DomainError):
-    pass
-
-
 class NotMaximal(DomainError):
     pass
 

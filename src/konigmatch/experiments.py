@@ -1,10 +1,12 @@
 """Randomized trials: how often does a random maximal matching on a
 random bipartite graph yield a minimum vertex cover?
 
-The hit rate is reported, never asserted; there is no theoretical value
-to compare against.  Trials are exactly reproducible from the seed, and
-the minimum-cover size comes from the maximum matching cardinality so
-runs scale to hundreds of vertices.
+A trial's maximal matching is the greedy one over a seeded random edge
+order (``random_maximal_matching``).  The hit rate is reported, never
+asserted; there is no theoretical value to compare against.  Trials are
+exactly reproducible from the seed, and the minimum-cover size comes
+from the maximum matching cardinality so runs scale to hundreds of
+vertices.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import IO
 
 from .graph import BipartiteGraph, build_graph
 from .konig import konig_cover
-from .matching import Matching, greedy_maximal_matching, matching_number
+from .matching import Matching, matching_number
 
 CSV_COLUMNS = ["seed", "n_left", "n_right", "p", "trial_index",
                "matching_size", "cover_size", "min_cover_size", "is_minimum"]
@@ -78,10 +80,19 @@ def random_bipartite(cfg: TrialConfig, rng: random.Random) -> BipartiteGraph:
 
 def random_maximal_matching(g: BipartiteGraph,
                             rng: random.Random) -> Matching:
-    """Greedy maximal matching under a uniformly random edge permutation."""
+    """Greedy maximal matching under a uniformly random edge permutation:
+    one scan of the shuffled edges adds each edge whose endpoints are
+    free."""
     order = sorted(g.edges)
     rng.shuffle(order)
-    return greedy_maximal_matching(g, order)
+    used: set[int] = set()
+    chosen = []
+    for u, v in order:
+        if u not in used and v not in used:
+            chosen.append((u, v))
+            used.add(u)
+            used.add(v)
+    return Matching(g, chosen)
 
 
 def run_trials(cfg: TrialConfig, csv_out: IO[str] | None = None) -> TrialReport:

@@ -96,13 +96,6 @@ class BipartiteGraph:
         except KeyError:
             raise UnknownVertex(f"vertex {v} not in graph") from None
 
-    def side(self, v: int) -> str:
-        if v in self.left:
-            return "left"
-        if v in self.right:
-            return "right"
-        raise UnknownVertex(f"vertex {v} not in graph")
-
     def edge_key(self, a: int, b: int) -> Edge:
         """Normalize an endpoint pair to the stored ``(left, right)`` order."""
         if a in self.left:

@@ -1,5 +1,4 @@
-"""Matchings and augmenting paths: greedy maximal construction,
-augmenting-path search, and growing a matching to maximum.
+"""Matchings and augmenting paths, and growing a matching to maximum.
 
 Everything here is a pure function over immutable values; a matching
 never mutates after construction.  A matching records its graph and a
@@ -14,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable, Sequence
 
-from .errors import InvalidMatching, SaturatedStart, UnknownVertex
+from .errors import InvalidMatching, UnknownVertex
 from .graph import BipartiteGraph, Edge
 
 
@@ -141,62 +140,9 @@ class AugmentingPath:
         return f"AugmentingPath({list(self.vertices)})"
 
 
-def greedy_maximal_matching(g: BipartiteGraph,
-                            edge_order: Sequence[Edge]) -> Matching:
-    """Scan ``edge_order`` once, adding each edge whose endpoints are free.
-
-    ``edge_order`` must be a permutation of the graph's edges so callers
-    control (and can seed) the selection order.
-    """
-    ordered = [g.edge_key(a, b) for a, b in edge_order]
-    if len(ordered) != len(g.edges) or set(ordered) != set(g.edges):
-        raise InvalidMatching("edge_order is not a permutation of the edges")
-    used: set[int] = set()
-    chosen = []
-    for u, v in ordered:
-        if u not in used and v not in used:
-            chosen.append((u, v))
-            used.add(u)
-            used.add(v)
-    return Matching(g, chosen)
-
-
 def is_maximal(m: Matching) -> bool:
     """True iff no edge of ``m``'s graph has both endpoints unsaturated."""
     return all(m.saturates(u) or m.saturates(v) for u, v in m.graph.edges)
-
-
-def find_augmenting_path(m: Matching, start: int) -> AugmentingPath | None:
-    """BFS for an augmenting path from the unsaturated vertex ``start``.
-
-    Follows non-matching edges away from ``start``'s side and matching
-    edges back; the first unsaturated vertex reached on the opposite side
-    ends the search.
-    """
-    g = m.graph
-    if start not in g:
-        raise UnknownVertex(f"vertex {start} not in graph")
-    if m.saturates(start):
-        raise SaturatedStart(f"vertex {start} is saturated")
-    parent: dict[int, int] = {start: -1}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for y in sorted(g.neighbors(x)):
-            if y in parent or (x, y) in m:
-                continue
-            parent[y] = x
-            if not m.saturates(y):
-                path = [y]
-                while path[-1] != start:
-                    path.append(parent[path[-1]])
-                path.reverse()
-                return AugmentingPath(path, m)
-            z = m.partner(y)
-            if z not in parent:
-                parent[z] = y
-                queue.append(z)
-    return None
 
 
 def augment(path: AugmentingPath) -> Matching:
@@ -206,15 +152,39 @@ def augment(path: AugmentingPath) -> Matching:
 
 
 def maximize(m: Matching) -> Matching:
-    """Grow ``m`` to a maximum-cardinality matching: augment once from
-    each left vertex ``m`` leaves free, in ascending id order.  A vertex
-    with no augmenting path gains none later (Kuhn), so none remains
-    (Berge's condition).  The size is kept as ``matching_number``."""
-    for u in m.unsaturated(m.graph.left):
-        path = find_augmenting_path(m, u)
-        if path is not None:
-            m = augment(path)
-    m.graph._nu = len(m)
+    """Grow ``m`` to a maximum-cardinality matching (Kuhn).
+
+    From each left vertex ``m`` leaves free, in ascending id order, a BFS
+    follows non-matching edges to sorted neighbours and matching edges
+    back; the first free vertex it reaches ends an augmenting path, which
+    ``augment`` flips.  A vertex with no augmenting path gains none later,
+    so none remains (Berge's condition).  The size is kept as
+    ``matching_number``.
+    """
+    g = m.graph
+    for start in m.unsaturated(g.left):
+        parent: dict[int, int] = {start: -1}
+        queue = deque([start])
+        end = None
+        while queue and end is None:
+            x = queue.popleft()
+            for y in sorted(g.neighbors(x)):
+                if y in parent or (x, y) in m:
+                    continue
+                parent[y] = x
+                if not m.saturates(y):
+                    end = y
+                    break
+                # y's partner is reached through y alone, so it is new
+                z = m.partner(y)
+                parent[z] = y
+                queue.append(z)
+        if end is not None:
+            path = [end]
+            while path[-1] != start:
+                path.append(parent[path[-1]])
+            m = augment(AugmentingPath(path[::-1], m))
+    g._nu = len(m)
     return m
 
 

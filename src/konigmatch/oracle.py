@@ -36,7 +36,8 @@ from .matching import Matching
 @dataclass(frozen=True)
 class OracleBudget:
     max_vertices: int = 16
-    max_subsets: int = 2 ** 20
+    # K7,7's 130,922 matchings fit; K8,8's 1,441,729 are refused early
+    max_subsets: int = 2 ** 17
 
 
 def _check_vertex_budget(g: BipartiteGraph, b: OracleBudget) -> None:

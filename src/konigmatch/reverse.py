@@ -13,10 +13,12 @@ The split and its down matching depend on the cover alone; only the up
 walk depends on the order in which roots are visited.  So a split is a
 value: it records the graph and cover it was made for, and
 ``reverse_konig`` takes a split, not a graph and a cover, which lets a
-caller try many visit orders on one split.  A split stores its up part,
-the up part's roots and the down matching, which records the down part
-as its graph; the cut edges and the down part's cover side are derived
-from the graph and cover when read.
+caller try many visit orders on one split.  It returns the combined
+matching alone; its up half is what ``reverse_procedure_up`` gives for
+the same order.  A split stores its up part, the up part's roots and the
+down matching, which records the down part as its graph; the cut edges
+and the down part's cover side are derived from the graph and cover when
+read.
 """
 
 from __future__ import annotations
@@ -58,16 +60,6 @@ class CoverSplit:
     def down_cover_side(self) -> frozenset[int]:
         """U ∩ C, which the down matching saturates."""
         return procedure_sides(self.graph)[0] & self.cover
-
-
-@dataclass(frozen=True)
-class ReverseResult:
-    """Output of the reverse procedure; the down half is the split's
-    ``m_down``."""
-
-    m_up: Matching
-    combined: Matching
-    visit_order: tuple[int, ...]
 
 
 def split_by_cover(g: BipartiteGraph,
@@ -142,8 +134,10 @@ def reverse_procedure_up(split: CoverSplit,
 
 
 def reverse_konig(split: CoverSplit,
-                  visit_order: Sequence[int] | None = None) -> ReverseResult:
-    """Recover a matching whose Kőnig cover is exactly ``split.cover``.
+                  visit_order: Sequence[int] | None = None) -> Matching:
+    """Recover a matching of ``split.graph`` whose Kőnig cover is exactly
+    ``split.cover``: the up matching ``reverse_procedure_up`` grows in
+    ``visit_order`` together with the split's down matching.
 
     ``split`` is ``split_by_cover(g, c)`` for a minimum cover ``c``;
     many visit orders can share one split.  The round trip is verified
@@ -151,13 +145,11 @@ def reverse_konig(split: CoverSplit,
     ``RoundTripFailed`` (a defect, or a split whose parts belong to
     another cover).
     """
-    order = tuple(sorted(split.up_roots) if visit_order is None
-                  else visit_order)
-    m_up = reverse_procedure_up(split, order)
+    m_up = reverse_procedure_up(split, visit_order)
     combined = Matching(split.graph, m_up.edges | split.m_down.edges)
     produced = konig_vertices(combined)
     if produced != split.cover:
         raise RoundTripFailed(
             f"expected cover {sorted(split.cover)}, procedure gave "
             f"{sorted(produced)}")
-    return ReverseResult(m_up, combined, order)
+    return combined

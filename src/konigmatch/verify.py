@@ -147,13 +147,13 @@ def _reverse_round_trip(rng: random.Random, record: GraphRecord,
             try:
                 if split is None:
                     split = split_by_cover(g, cover)
-                res = reverse_konig(split, order)
+                m = reverse_konig(split, order)
             except Exception as exc:  # report, keep sweeping
                 result.check(False,
                              lambda: f"{_describe(g)} cover {sorted(cover)} "
                                      f"order {order}: {exc!r}")
                 continue
-            produced = konig_vertices(res.combined)
+            produced = konig_vertices(m)
             result.check(produced == cover,
                          lambda: f"{_describe(g)} cover {sorted(cover)} "
                                  f"order {order}: got {sorted(produced)}")

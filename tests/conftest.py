@@ -1,8 +1,9 @@
+from collections import deque
 from pathlib import Path
 
 import pytest
 
-from konigmatch import Matching, build_graph
+from konigmatch import AugmentingPath, Matching, augment, build_graph
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -34,6 +35,58 @@ def ladder(k):
                     [f"x{i}" for i in range(n)] + [f"y{i}" for i in range(n)],
                     [f"p{i}" for i in range(n)] + [f"q{i}" for i in range(n)])
     return g, Matching(g, [(a, 2 * n + b) for a, b in matched])
+
+
+def reference_augmenting_path(m, start):
+    """The augmenting-path search ``maximize`` runs, kept as a separate
+    function so the tests can pin ``maximize`` to it: BFS from the free
+    vertex ``start`` along non-matching edges out and matching edges
+    back, over sorted neighbours; the first free vertex reached on the
+    opposite side ends the path."""
+    g = m.graph
+    parent = {start: -1}
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for y in sorted(g.neighbors(x)):
+            if y in parent or (x, y) in m:
+                continue
+            parent[y] = x
+            if not m.saturates(y):
+                path = [y]
+                while path[-1] != start:
+                    path.append(parent[path[-1]])
+                path.reverse()
+                return AugmentingPath(path, m)
+            z = m.partner(y)
+            if z not in parent:
+                parent[z] = y
+                queue.append(z)
+    return None
+
+
+def reference_maximize(m):
+    """``maximize`` as a loop over ``reference_augmenting_path``: one
+    search from each left vertex ``m`` leaves free, in ascending order."""
+    for u in m.unsaturated(m.graph.left):
+        path = reference_augmenting_path(m, u)
+        if path is not None:
+            m = augment(path)
+    return m
+
+
+def reference_greedy_maximal(g, edge_order):
+    """One scan of ``edge_order``, a permutation of the graph's edges,
+    adding each edge whose endpoints are free."""
+    assert sorted(edge_order) == sorted(g.edges)
+    used = set()
+    chosen = []
+    for u, v in edge_order:
+        if u not in used and v not in used:
+            chosen.append((u, v))
+            used.add(u)
+            used.add(v)
+    return Matching(g, chosen)
 
 
 @pytest.fixture

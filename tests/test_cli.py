@@ -2,12 +2,14 @@ import contextlib
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from konigmatch import build_graph
 from konigmatch.cli import run
 from konigmatch.io import graph_to_json_dict, matching_to_json
 
@@ -15,6 +17,23 @@ from conftest import FIXTURES, ladder
 
 P4 = str(FIXTURES / "p4.json")
 FORK = str(FIXTURES / "fork.json")
+
+
+# "$ konigmatch <args>" lines, each followed by that command's stdout
+GOLDEN = re.split(r"^\$ konigmatch (.*)\n",
+                  (FIXTURES / "cli_golden.txt").read_text(encoding="utf-8"),
+                  flags=re.M)[1:]
+
+
+@pytest.mark.parametrize("command, expected",
+                         list(zip(GOLDEN[::2], GOLDEN[1::2])),
+                         ids=GOLDEN[::2])
+def test_cli_output_is_byte_identical_on_the_fixtures(command, expected,
+                                                      capsys):
+    argv = [str(FIXTURES / arg) if arg.endswith(".json") else arg
+            for arg in command.split()]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == expected
 
 
 def run_json(capsys, argv):
@@ -133,6 +152,17 @@ def test_enumerate_budget_exceeded(oracle, capsys):
     assert run(["enumerate", "--graph", FORK, "--oracle", oracle,
                 "--max-vertices", "2"]) == 1
     assert "7 vertices exceeds budget 2" in capsys.readouterr().err
+
+
+def test_enumerate_refuses_the_matchings_of_k88(tmp_path, capsys):
+    # 16 vertices pass the default vertex budget; 1,441,729 matchings
+    # exceed the default subset budget
+    k88 = tmp_path / "k88.json"
+    k88.write_text(json.dumps(graph_to_json_dict(build_graph(
+        8, 8, [(i, j) for i in range(8) for j in range(8)]))))
+    assert run(["enumerate", "--graph", str(k88), "--oracle",
+                "matchings"]) == 1
+    assert "matching enumeration exceeded budget" in capsys.readouterr().err
 
 
 def test_experiment_writes_csv(tmp_path, capsys):

@@ -13,6 +13,8 @@ from konigmatch.experiments import (
 )
 from konigmatch.oracle import all_minimum_covers
 
+from conftest import reference_greedy_maximal
+
 
 def test_config_validation():
     with pytest.raises(ValueError):
@@ -88,3 +90,18 @@ def test_hits_agree_with_the_brute_force_oracle():
         oracle_size = len(next(iter(all_minimum_covers(g))))
         hits += int(cover.is_cover and len(cover.vertices) == oracle_size)
     assert hits == report.minimum_hits
+
+
+def test_random_maximal_matching_is_the_reference_greedy_scan():
+    for seed in range(200):
+        rng = random.Random(seed)
+        cfg = TrialConfig(rng.randint(1, 20), rng.randint(1, 20),
+                          rng.random(), trials=1)
+        g = random_bipartite(cfg, rng)
+        draws, reference = random.Random(seed), random.Random(seed)
+        m = random_maximal_matching(g, draws)
+        order = sorted(g.edges)
+        reference.shuffle(order)
+        assert m.edges == reference_greedy_maximal(g, order).edges
+        # the same draws, so seeded trials replay row for row
+        assert draws.getstate() == reference.getstate()

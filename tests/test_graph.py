@@ -74,8 +74,6 @@ def test_neighbors_and_has_edge(p4):
     with pytest.raises(UnknownVertex):
         p4.neighbors(99)
     with pytest.raises(UnknownVertex):
-        p4.side(99)
-    with pytest.raises(UnknownVertex):
         p4.vertex_by_label("nope")
     with pytest.raises(UnknownVertex):
         p4.vertex_by_label(["1"])  # unhashable, so it names no vertex

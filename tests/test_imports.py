@@ -78,17 +78,21 @@ UNREFERENCED_BY_DESIGN = {
 }
 
 
-def _references(node: ast.AST) -> Counter:
+def _references(node: ast.AST, attributes_only: bool = False) -> Counter:
+    kinds = ast.Attribute if attributes_only else (ast.Name, ast.Attribute)
     return Counter(n.id if isinstance(n, ast.Name) else n.attr
-                   for n in ast.walk(node)
-                   if isinstance(n, (ast.Name, ast.Attribute)))
+                   for n in ast.walk(node) if isinstance(n, kinds))
 
 
 def _unreferenced(sources: list[str]) -> list[str]:
-    """Public top-level functions, classes and methods whose name appears
-    as no name or attribute outside their own definition."""
+    """Public top-level functions and classes whose name appears as no
+    name or attribute outside their own definition, and public methods
+    whose name appears as no attribute outside it: a local variable of
+    the same name does not call a method."""
     trees = [ast.parse(source) for source in sources]
-    total = sum((_references(tree) for tree in trees), Counter())
+    total = {attributes_only: sum((_references(tree, attributes_only)
+                                   for tree in trees), Counter())
+             for attributes_only in (False, True)}
     definitions = []
     for tree in trees:
         for node in tree.body:
@@ -104,7 +108,8 @@ def _unreferenced(sources: list[str]) -> list[str]:
         if any(part.startswith("_") for part in qualname.split(".")):
             continue
         name = node.name
-        if total[name] == _references(node)[name]:
+        method = "." in qualname
+        if total[method][name] == _references(node, method)[name]:
             unreferenced.append(qualname)
     return sorted(unreferenced)
 
@@ -121,5 +126,7 @@ def test_the_check_sees_an_unreferenced_definition():
               "class Box:\n"
               "    def size(self):\n        return used()\n"
               "    def _hidden(self):\n        pass\n"
-              "Box().size()\n")
-    assert _unreferenced([source]) == ["recursive"]
+              "    def side(self):\n        pass\n"
+              "Box().size()\n"
+              "side = used()\n")
+    assert _unreferenced([source]) == ["Box.side", "recursive"]

@@ -31,8 +31,9 @@ def test_load_edge_list_infers_sides():
     assert len(g.vertices) == 4
     assert len(g.edges) == 3
     # w-x-y-z two-colors with w, y on one side
-    assert g.side(g.vertex_by_label("w")) == g.side(g.vertex_by_label("y"))
-    assert g.side(g.vertex_by_label("w")) != g.side(g.vertex_by_label("x"))
+    w, x, y = (g.vertex_by_label(label) for label in "wxy")
+    assert (w in g.left) == (y in g.left)
+    assert (w in g.left) != (x in g.left)
 
 
 def test_edge_list_rejects_odd_cycles():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,18 +8,18 @@ from konigmatch import (
     Matching,
     augment,
     build_graph,
-    find_augmenting_path,
-    greedy_maximal_matching,
+    enumerate_augmenting_paths,
     is_maximal,
     matching_number,
     maximize,
     maximum_matching,
 )
-from konigmatch.errors import InvalidMatching, SaturatedStart
+from konigmatch.errors import InvalidMatching
 from konigmatch.corpus import cached_corpus
+from konigmatch.experiments import random_maximal_matching
 from konigmatch.oracle import all_matchings, maximum_matching_size_brute_force
 
-from conftest import matching_by_labels
+from conftest import matching_by_labels, reference_maximize
 
 
 @st.composite
@@ -72,30 +74,12 @@ def test_alternating_path_validation(p4):
         AugmentingPath((0, 2, 1), empty)  # two non-matching edges in a row
 
 
-def test_greedy_maximal_follows_the_order(p4):
-    m = greedy_maximal_matching(p4, [(1, 2), (0, 2), (1, 3)])
-    assert m.edges == {(1, 2)}
-    assert is_maximal(m)
-    m2 = greedy_maximal_matching(p4, [(0, 2), (1, 2), (1, 3)])
-    assert m2.edges == {(0, 2), (1, 3)}
-
-
-def test_greedy_maximal_requires_a_permutation(p4):
-    with pytest.raises(InvalidMatching):
-        greedy_maximal_matching(p4, [(0, 2)])
-    with pytest.raises(InvalidMatching):
-        greedy_maximal_matching(p4, [(0, 2), (0, 2), (1, 2), (1, 3)])
-
-
-def test_find_augmenting_path_on_the_path_graph(p4):
+def test_maximize_augments_along_the_path_graph(p4):
     m = matching_by_labels(p4, [("2", "3")])
-    path = find_augmenting_path(m, 0)
-    assert path.vertices == (0, 2, 1, 3)
-    bigger = augment(path)
-    assert len(bigger) == 2
+    # the one augmenting path 1-2-3-4 flips the middle edge out
+    bigger = maximize(m)
+    assert bigger.edges == {(0, 2), (1, 3)}
     assert all(bigger.saturates(v) for v in p4.vertices)
-    with pytest.raises(SaturatedStart):
-        find_augmenting_path(m, p4.vertex_by_label("2"))
 
 
 def test_augment_rejects_non_augmenting(p4):
@@ -113,8 +97,7 @@ def test_maximum_matching_on_fork(fork):
 def test_maximum_matching_is_maximal_and_stable(g):
     m = maximum_matching(g)
     assert is_maximal(m)
-    for u in m.unsaturated(g.left):
-        assert find_augmenting_path(m, u) is None
+    assert enumerate_augmenting_paths(m) == []
 
 
 def test_maximize_grows_any_matching_to_maximum():
@@ -128,13 +111,37 @@ def test_maximize_grows_any_matching_to_maximum():
 
 @given(graphs(), st.randoms(use_true_random=False))
 def test_greedy_never_beats_maximum(g, rng):
-    order = sorted(g.edges)
-    rng.shuffle(order)
-    greedy = greedy_maximal_matching(g, order)
+    greedy = random_maximal_matching(g, rng)
     assert is_maximal(greedy)
     assert len(greedy) <= len(maximum_matching(g))
     # a maximal matching is at least half the maximum
     assert 2 * len(greedy) >= len(maximum_matching(g))
+
+
+def _random_graph(rng, max_side):
+    nl, nr = rng.randint(1, max_side), rng.randint(1, max_side)
+    p = rng.choice((0.02, 0.05, 0.1, 0.3))
+    edges = [(i, j) for i in range(nl) for j in range(nr) if rng.random() < p]
+    return build_graph(nl, nr, edges)
+
+
+def test_maximum_matching_is_the_reference_search():
+    graphs = list(cached_corpus(8))
+    rng = random.Random(2024)
+    graphs += [_random_graph(rng, 80) for _ in range(80)]
+    # the path p0 - p1 - ... - p2999, even positions on the left
+    half = 1500
+    graphs.append(build_graph(half, half, [(i, i) for i in range(half)]
+                              + [(i + 1, i) for i in range(half - 1)]))
+    for g in graphs:
+        assert maximum_matching(g).edges == \
+            reference_maximize(Matching(g, ())).edges
+
+
+def test_maximize_is_the_reference_search_from_every_matching():
+    for g in cached_corpus(6):
+        for m in all_matchings(g):
+            assert maximize(m).edges == reference_maximize(m).edges
 
 
 @given(graphs())

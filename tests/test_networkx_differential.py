@@ -58,4 +58,4 @@ def test_large_graphs_agree_with_networkx(n):
     # both minimum covers, ours and networkx's, survive the round trip
     for c in (cover.vertices, nx_cover):
         assert konig_vertices(
-            reverse_konig(split_by_cover(g, c)).combined) == c
+            reverse_konig(split_by_cover(g, c))) == c

@@ -241,6 +241,26 @@ def test_matching_enumerations_enforce_their_budgets(c4):
         all_maximal_matchings(k33, OracleBudget(max_subsets=1))
 
 
+def test_the_default_budget_refuses_k88_before_building_its_matchings(
+        monkeypatch):
+    # K8,8 has 1,441,729 matchings, K7,7 130,922: the default budget
+    # lists the one and refuses the other after at most 2^17 builds
+    assert 130_922 <= OracleBudget().max_subsets <= 2 ** 17
+    built = 0
+    unchecked = Matching._unchecked
+
+    def counting(graph, edges):
+        nonlocal built
+        built += 1
+        return unchecked(graph, edges)
+
+    monkeypatch.setattr(Matching, "_unchecked", staticmethod(counting))
+    k88 = build_graph(8, 8, [(i, j) for i in range(8) for j in range(8)])
+    with pytest.raises(BudgetExceeded):
+        all_matchings(k88)
+    assert 0 < built <= 2 ** 17
+
+
 def test_the_lazy_walk_checks_vertices_at_once_and_steps_as_it_goes():
     k33 = build_graph(3, 3, [(i, j) for i in range(3) for j in range(3)])
     with pytest.raises(BudgetExceeded):

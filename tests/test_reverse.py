@@ -63,11 +63,10 @@ def test_up_part_keeps_roots_unsaturated(fork):
     assert m_up.edges == {tuple(sorted(labeled(fork, "a2", "b1")))}
     # either visit order leads back to the same cover
     for order in (sorted(split.up_roots), sorted(split.up_roots)[::-1]):
-        result = reverse_konig(split, order)
-        assert konig_cover(result.combined).vertices == cover
+        assert konig_cover(reverse_konig(split, order)).vertices == cover
 
 
-def test_reverse_konig_derives_the_visit_order_once(fork, monkeypatch):
+def test_reverse_konig_passes_the_visit_order_through(fork, monkeypatch):
     passed = []
 
     def spy(split, visit_order=None):
@@ -77,10 +76,9 @@ def test_reverse_konig_derives_the_visit_order_once(fork, monkeypatch):
     monkeypatch.setattr("konigmatch.reverse.reverse_procedure_up", spy)
     split = split_by_cover(fork, labeled(fork, "b1", "c1"))
     roots = sorted(labeled(fork, "a1", "a2"))
-    for order, expected in ((None, roots), (roots[::-1], roots[::-1])):
-        result = reverse_konig(split, order)
-        assert result.visit_order == tuple(expected)
-        assert passed.pop() is result.visit_order
+    for order in (None, roots, roots[::-1]):
+        reverse_konig(split, order)
+        assert passed.pop() is order
 
 
 def test_visit_order_must_cover_the_roots(fork):
@@ -94,23 +92,24 @@ def test_round_trip_on_the_path_graph(p4):
     for cover_labels in (("1", "3"), ("2", "3"), ("2", "4")):
         cover = labeled(p4, *cover_labels)
         split = split_by_cover(p4, cover)
-        result = reverse_konig(split)
-        assert konig_cover(result.combined).vertices == cover
-        assert result.combined.edges == result.m_up.edges | split.m_down.edges
+        m = reverse_konig(split)
+        assert konig_cover(m).vertices == cover
+        m_up = reverse_procedure_up(split)
+        assert m.edges == m_up.edges | split.m_down.edges
 
 
 def test_round_trip_matching_reaches_maximum_size_on_the_fork(fork):
     cover = labeled(fork, "b1", "c1")
-    result = reverse_konig(split_by_cover(fork, cover))
-    assert konig_cover(result.combined).vertices == cover
-    assert len(result.combined) == len(maximum_matching(fork))
+    m = reverse_konig(split_by_cover(fork, cover))
+    assert konig_cover(m).vertices == cover
+    assert len(m) == len(maximum_matching(fork))
 
 
 def test_round_trip_over_the_small_corpus():
     for g in cached_corpus(6):
         for cover in all_minimum_covers(g):
-            result = reverse_konig(split_by_cover(g, cover))
-            assert konig_cover(result.combined).vertices == cover
+            m = reverse_konig(split_by_cover(g, cover))
+            assert konig_cover(m).vertices == cover
 
 
 def test_reverse_walks_a_long_path_without_recursion():
@@ -121,9 +120,9 @@ def test_reverse_walks_a_long_path_without_recursion():
         [(i + 1, i) for i in range(half - 1)]
     g = build_graph(half, half, edges)
     cover = g.right
-    result = reverse_konig(split_by_cover(g, cover))
-    assert len(result.m_up) == half - 1
-    assert konig_cover(result.combined).vertices == cover
+    split = split_by_cover(g, cover)
+    assert len(reverse_procedure_up(split)) == half - 1
+    assert konig_cover(reverse_konig(split)).vertices == cover
 
 
 def _visit_orders(g, cover, rng):
@@ -145,9 +144,7 @@ def test_a_shared_split_gives_what_a_fresh_call_gives():
             for order in _visit_orders(g, cover, rng):
                 shared = reverse_konig(split, order)
                 fresh = reverse_konig(split_by_cover(g, cover), order)
-                assert shared.m_up == fresh.m_up
-                assert shared.combined == fresh.combined
-                assert shared.visit_order == fresh.visit_order
+                assert shared == fresh
                 calls += 1
     assert calls == 6 * 51
 
@@ -161,7 +158,7 @@ def test_the_split_records_its_graph_cover_and_down_matching(fork):
     (c1,) = labeled(fork, "c1")
     assert split.m_down.graph.neighbors(c1) == labeled(fork, "d1", "d2",
                                                        "d3")
-    assert reverse_konig(split).combined.graph is fork
+    assert reverse_konig(split).graph is fork
 
 
 def test_a_split_whose_parts_belong_to_another_cover_does_not_round_trip(p4):

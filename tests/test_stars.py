@@ -49,9 +49,9 @@ def test_star_stud_shape(p4):
     assert len(ssg.full.edges) == 3 + 4 * 4
     assert len(ssg.centers) == 4
     for v, (center, *leaves) in ssg.attachment.items():
-        assert ssg.full.side(center) != ssg.full.side(v)
-        assert all(ssg.full.side(leaf) == ssg.full.side(v)
-                   for leaf in leaves)
+        left = ssg.full.left
+        assert (center in left) != (v in left)
+        assert all((leaf in left) == (v in left) for leaf in leaves)
         assert ssg.full.has_edge(v, center)
         assert all(ssg.full.has_edge(leaf, center) for leaf in leaves)
 
