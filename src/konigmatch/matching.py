@@ -124,6 +124,24 @@ class AugmentingPath:
         self.matching = matching
         self.edges = frozenset(keys)
 
+    @classmethod
+    def _unchecked(cls, vertices: tuple[int, ...],
+                   matching: Matching) -> AugmentingPath:
+        """An augmenting path built without validation.
+
+        Precondition: ``vertices`` are distinct vertices of
+        ``matching.graph``, consecutive ones are adjacent, the first and
+        last are unsaturated, and the edges alternate out of and into
+        ``matching``.  Only for enumerators that guarantee this by
+        construction; everything else goes through ``AugmentingPath(...)``.
+        """
+        key = matching.graph.edge_key
+        p = cls.__new__(cls)
+        p.vertices = vertices
+        p.matching = matching
+        p.edges = frozenset(key(a, b) for a, b in zip(vertices, vertices[1:]))
+        return p
+
     def __len__(self) -> int:
         return len(self.vertices)
 

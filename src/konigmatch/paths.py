@@ -14,7 +14,10 @@ stores its base path (which records its matching, and so the graph),
 its family, their vertex union and Z(M △ P), so K(M △ P) = U △ Z
 needs no second augmentation; the stranded set and the hat's cut
 vertex are derived when read.  Structures are vertex sets only: no
-graph is built for them.
+graph is built for them, and no matching either.  The depth-first
+search guarantees that each path it finds augments, so the enumerator
+builds its paths without a second check, and Z(M △ P) is walked over
+M's partner map with P's edges flipped.
 
 ``classify_matching`` enumerates no paths: it grows M to a maximum
 matching, and ``verify_classification_witness`` checks its witness.
@@ -27,8 +30,8 @@ from dataclasses import dataclass
 
 from .errors import NotMaximal, PathExplosion
 from .graph import procedure_sides
-from .konig import is_vertex_cover, konig_vertices, z_set
-from .matching import AugmentingPath, Matching, augment, is_maximal, maximize
+from .konig import _alternating_closure, is_vertex_cover, konig_vertices
+from .matching import AugmentingPath, Matching, is_maximal, maximize
 
 # building structures is quadratic in the path count; the corpus has at
 # most 64 paths per maximal matching at 10 vertices
@@ -58,8 +61,9 @@ class PathStructure:
         them."""
         m = self.base_path.matching
         v_side = procedure_sides(m.graph)[1]
-        return frozenset(v for v in (self.vertices - self.z_after) & v_side
-                         if not m.saturates(v))
+        # the partner map's keys are the saturated vertices
+        return ((self.vertices - self.z_after) & v_side).difference(
+            m._partner)
 
     @property
     def hat_cut_vertex(self) -> int | None:
@@ -67,13 +71,16 @@ class PathStructure:
         family paths that run from a different unsaturated root to its
         endpoint; None when every such path starts at its own root."""
         p = self.base_path
+        others = [q for q in _representatives(p, self.family)
+                  if q.vertices[0] != p.vertices[0]]
+        if not others:
+            return None
         rank = {v: i for i, v in enumerate(p.vertices)}
         # a representative shares p's endpoint, so each has a first join
         joins = [min((v for v in q.vertices if v in rank),
                      key=rank.__getitem__)
-                 for q in _representatives(p, self.family)
-                 if q.vertices[0] != p.vertices[0]]
-        return max(joins, key=rank.__getitem__, default=None)
+                 for q in others]
+        return max(joins, key=rank.__getitem__)
 
 
 @dataclass(frozen=True)
@@ -129,7 +136,9 @@ def enumerate_augmenting_paths(m: Matching) -> list[AugmentingPath]:
                 if stack:
                     on_path.difference_update(path[-2:])
                     del path[-2:]
-    return [AugmentingPath(vs, m) for vs in found]
+    # each path is simple, alternates and joins two unsaturated vertices
+    # by construction, so it needs no second check
+    return [AugmentingPath._unchecked(vs, m) for vs in found]
 
 
 def path_structures(m: Matching) -> Iterator[PathStructure]:
@@ -137,18 +146,37 @@ def path_structures(m: Matching) -> Iterator[PathStructure]:
     order: the union of every augmenting path sharing at least one
     vertex with it (including the path itself).
 
-    The paths are enumerated once, on the first draw, and shared by all
-    the structures; each structure is built when it is drawn.
+    The paths and their vertex sets are built once, on the first draw,
+    and shared by all the structures; each structure is built when it is
+    drawn.
     """
     paths = enumerate_augmenting_paths(m)
-    for p in paths:
-        p_vertices = set(p.vertices)
-        family = [q for q in paths if not p_vertices.isdisjoint(q.vertices)]
+    vertex_sets = [frozenset(p.vertices) for p in paths]
+    roots = m.unsaturated(procedure_sides(m.graph)[0])
+    for p, p_vertices in zip(paths, vertex_sets):
+        family = []
         vertices: set[int] = set()
-        for q in family:
-            vertices.update(q.vertices)
+        for q, q_vertices in zip(paths, vertex_sets):
+            if not p_vertices.isdisjoint(q_vertices):
+                family.append(q)
+                vertices |= q_vertices
         yield PathStructure(p, tuple(family), frozenset(vertices),
-                            z_set(augment(p)))
+                            _z_after(p, roots))
+
+
+def _z_after(p: AugmentingPath, roots: list[int]) -> frozenset[int]:
+    """Z(M △ P) without building M △ P: the alternating closure over M's
+    partner map with P's edges flipped, from ``roots``, the unsaturated
+    U-vertices of M, less P's root (P's other end is a V-vertex)."""
+    m = p.matching
+    vs = p.vertices
+    partner = dict(m._partner)
+    # P's edges out of M are its (U, V) steps; they replace M's edges there
+    for u, v in zip(vs[::2], vs[1::2]):
+        partner[u] = v
+        partner[v] = u
+    return frozenset(_alternating_closure(
+        m.graph._adjacency, partner, [u for u in roots if u != vs[0]]))
 
 
 def _representatives(p: AugmentingPath,

@@ -17,7 +17,8 @@ from functools import cached_property, partial
 
 from .corpus import cached_corpus
 from .graph import BipartiteGraph, procedure_sides
-from .konig import konig_cover, konig_vertices
+from .konig import (is_minimal_cover, is_vertex_cover, konig_cover,
+                    konig_vertices)
 from .matching import Matching, is_maximal, matching_number, maximum_matching
 from .oracle import (
     OracleBudget,
@@ -222,7 +223,7 @@ def _one_endpoint_and_minimal(record: GraphRecord,
                          lambda: f"{_describe(g)} {sorted(m.edges)}: "
                                  f"edge ({u},{v}) not split by cover")
         if is_maximal(m):
-            result.check(konig_cover(m).is_minimal,
+            result.check(is_vertex_cover(g, k) and is_minimal_cover(g, k),
                          lambda: f"{_describe(g)} {sorted(m.edges)}: "
                                  "maximal matching gave non-minimal result")
 
@@ -257,8 +258,14 @@ def _path_structure_properties(record: GraphRecord,
     u_side, _ = procedure_sides(g)
     vertices = g.vertices
     for m in record.maximal_matchings:
-        k_before = konig_vertices(m)
+        # every edge has one endpoint in U, so a matching as large as U
+        # saturates it and leaves no root for an augmenting path
+        if len(m) == len(u_side):
+            continue
+        k_before = None  # K(M), read only once m has a path
         for ps in path_structures(m):
+            if k_before is None:
+                k_before = konig_vertices(m)
             p = ps.base_path
 
             def where() -> str:

@@ -3,7 +3,17 @@ from pathlib import Path
 
 import pytest
 
-from konigmatch import AugmentingPath, Matching, augment, build_graph
+from konigmatch import (
+    AugmentingPath,
+    Matching,
+    augment,
+    build_graph,
+    hat_vertices,
+    konig_vertices,
+    path_structures,
+    procedure_sides,
+)
+from konigmatch.verify import _describe
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -87,6 +97,66 @@ def reference_greedy_maximal(g, edge_order):
             used.add(u)
             used.add(v)
     return Matching(g, chosen)
+
+
+def reference_path_structure_properties(record, result):
+    """The path-structure check as it was before it skipped matchings
+    that saturate U and read K(M) only for matchings with a path, kept so
+    the tests can pin the check to it: every maximal matching's
+    structures are drawn and K(M) is computed for each."""
+    g = record.graph
+    u_side, _ = procedure_sides(g)
+    vertices = g.vertices
+    for m in record.maximal_matchings:
+        k_before = konig_vertices(m)
+        for ps in path_structures(m):
+            p = ps.base_path
+
+            def where() -> str:
+                return f"{_describe(g)} {sorted(m.edges)} p={list(p.vertices)}"
+
+            structure = ps.vertices
+            k_after = u_side ^ ps.z_after  # K(M △ P)
+            for r in sorted(vertices - structure):
+                partner = m.partner(r)  # None is in neither cover
+                result.check((r in k_before or partner in k_before)
+                             == (r in k_after or partner in k_after),
+                             lambda: f"{where()}: localization fails at {r}")
+            sub = set()
+            for q in ps.family:
+                if (q.vertices[0] == p.vertices[0]
+                        and q.vertices[-1] == p.vertices[-1]):
+                    sub.update(q.vertices)
+            result.check(len(k_before & sub) == len(k_after & sub),
+                         lambda: f"{where()}: unique-root restricted "
+                                 "equality fails")
+            result.check((len(ps.stranded) >= 2)
+                         == (len(k_before) > len(k_after)),
+                         lambda: f"{where()}: stranded count and cover "
+                                 "decrease disagree")
+            hat = hat_vertices(ps)
+            full_eq = len(k_before & structure) == len(k_after & structure)
+            hat_eq = len(k_before & hat) == len(k_after & hat)
+            result.check(full_eq == hat_eq,
+                         lambda: f"{where()}: hat reduction disagrees")
+            p_vertices = frozenset(p.vertices)
+            for q in ps.family:
+                if q.vertices <= p.vertices:
+                    continue
+                shared = p_vertices.intersection(q.vertices)
+                if not (p.edges & q.edges):
+                    endpoints = {p.vertices[0], p.vertices[-1]} & \
+                        {q.vertices[0], q.vertices[-1]}
+                    result.check(shared <= endpoints,
+                                 lambda: f"{_describe(g)}: paths share "
+                                         "interior vertices without "
+                                         "sharing edges")
+                if len(shared) >= 2:
+                    in_p = [v for v in p.vertices if v in shared]
+                    in_q = [v for v in q.vertices if v in shared]
+                    result.check(in_p != in_q[::-1],
+                                 lambda: f"{_describe(g)}: shared "
+                                         "vertices in exactly reversed order")
 
 
 @pytest.fixture

@@ -69,7 +69,6 @@ def test_the_check_sees_a_third_party_import():
 _ORACLE = "reference oracle the tests compare against"
 UNREFERENCED_BY_DESIGN = {
     "BipartiteGraph.has_edge": "public predicate",
-    "is_minimal_cover": "public predicate",
     "minimum_covers_by_subset_scan": _ORACLE,
     "maximum_matching_size_brute_force": _ORACLE,
     "CoverSplit.cut_edges": "the paper's split",

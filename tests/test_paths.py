@@ -18,13 +18,16 @@ from konigmatch import (
     verify_classification_witness,
     z_set,
 )
+from konigmatch import paths as paths_module
 from konigmatch import verify
 from konigmatch.corpus import cached_corpus
 from konigmatch.errors import NotMaximal, PathExplosion
 from konigmatch.oracle import all_maximal_matchings
 from konigmatch.paths import ClassificationVerdict
 
-from conftest import labeled, ladder, matching_by_labels
+import conftest
+from conftest import (labeled, ladder, matching_by_labels,
+                      reference_path_structure_properties)
 
 
 @pytest.fixture
@@ -78,13 +81,20 @@ def test_structure_without_second_root_keeps_everything(p4):
     assert hat_vertices(ps) == ps.vertices
 
 
-@pytest.mark.parametrize("sweep, expected", [
-    (verify.sweep_path_structure_properties, 127),
+def _leaves_u_free(m):
+    return len(m) < len(procedure_sides(m.graph)[0])
+
+
+@pytest.mark.parametrize("sweep, enumerated, expected", [
+    # a matching that saturates U has no augmenting path, so the sweep
+    # does not enumerate its paths
+    (verify.sweep_path_structure_properties, _leaves_u_free, 30),
     # classification grows each matching to maximum and enumerates nothing
-    (verify.sweep_classification, 0),
+    (verify.sweep_classification, lambda m: False, 0),
 ], ids=["sweep_path_structure_properties", "sweep_classification"])
 def test_sweep_enumerates_augmenting_paths_once_per_matching(monkeypatch,
-                                                             sweep, expected):
+                                                             sweep, enumerated,
+                                                             expected):
     calls = []
 
     def recording(m):
@@ -96,7 +106,8 @@ def test_sweep_enumerates_augmenting_paths_once_per_matching(monkeypatch,
     assert sweep(6).ok
     matchings = [m for g in cached_corpus(6) for m in all_maximal_matchings(g)]
     assert len(matchings) == 127
-    assert calls == matchings[:expected]
+    assert calls == [m for m in matchings if enumerated(m)]
+    assert len(calls) == expected
 
 
 def test_classification_of_the_fork(fork, fork_matching):
@@ -199,13 +210,18 @@ def test_augmentation_can_flip_the_whole_cover():
     assert konig_cover(Matching(g, m.edges ^ p.edges)).vertices == g.left
 
 
-def test_a_5000_vertex_augmenting_path_needs_no_recursion():
-    # path a0 - b0 - a1 - b1 - ... - b2499 with b_i matched to a_{i+1}:
-    # the one augmenting path runs through all 5000 vertices
+def _five_thousand_vertex_path():
+    # a0 - b0 - a1 - b1 - ... - b2499 with b_i matched to a_{i+1}
     half = 2500
     g = build_graph(half, half, [(i, i) for i in range(half)]
                     + [(i + 1, i) for i in range(half - 1)])
-    m = Matching(g, [(i + 1, half + i) for i in range(half - 1)])
+    return Matching(g, [(i + 1, half + i) for i in range(half - 1)])
+
+
+def test_a_5000_vertex_augmenting_path_needs_no_recursion():
+    # the one augmenting path runs through all 5000 vertices
+    half = 2500
+    m = _five_thousand_vertex_path()
     (p,) = enumerate_augmenting_paths(m)
     assert p.vertices == tuple(v for i in range(half) for v in (i, half + i))
     assert classify_matching(m).witness == (p,)
@@ -271,3 +287,90 @@ def test_classification_and_the_sweep_build_no_graphs(monkeypatch, fork,
     assert not classify_matching(fork_matching).is_minimum
     assert verify.sweep_path_structure_properties(6).ok
     assert verify.sweep_classification(6).ok
+
+
+def test_drawing_structures_builds_no_matching(monkeypatch):
+    # the maximal matchings are enumerated before the patch
+    matchings = [m for g in cached_corpus(7) for m in all_maximal_matchings(g)]
+    _, ladder_matching = ladder(1)
+    built = []
+    real_init = Matching.__init__
+    real_unchecked = Matching._unchecked.__func__
+
+    def counting_init(self, *args):
+        built.append("__init__")
+        real_init(self, *args)
+
+    def counting_unchecked(cls, *args):
+        built.append("_unchecked")
+        return real_unchecked(cls, *args)
+
+    monkeypatch.setattr(Matching, "__init__", counting_init)
+    monkeypatch.setattr(Matching, "_unchecked", classmethod(counting_unchecked))
+    structures = 0
+    for m in matchings:
+        for ps in path_structures(m):
+            # reading the derived sets builds none either
+            assert hat_vertices(ps) and ps.stranded <= ps.vertices
+            structures += 1
+    assert (structures, built) == (253, [])
+    # the counters do see a matching being built
+    augment(enumerate_augmenting_paths(ladder_matching)[0])
+    assert built == ["__init__"]
+
+
+def test_enumerated_paths_equal_the_checked_constructor():
+    # the enumerator builds its paths unchecked; each must be the path
+    # the checked constructor accepts, with the same edges
+    matchings = [m for g in cached_corpus(8) for m in all_maximal_matchings(g)]
+    matchings += [ladder(5)[1], _five_thousand_vertex_path()]
+    paths = 0
+    for m in matchings:
+        for p in enumerate_augmenting_paths(m):
+            checked = AugmentingPath(p.vertices, m)
+            assert ((p.vertices, p.edges, p.matching)
+                    == (checked.vertices, checked.edges, checked.matching))
+            paths += 1
+    assert paths == 3685 + 2 ** 7 + 1
+
+
+def _drop_from_konig_vertices(monkeypatch):
+    # K(M) loses its smallest vertex on one graph, in the check and in
+    # the reference alike; the next-to-last 8-vertex graph's maximal
+    # matchings have 90 augmenting paths (the last graph's have none)
+    target = cached_corpus(8)[-2]
+
+    def dropping(m):
+        k = konig_vertices(m)
+        return k - {min(k)} if m.graph is target else k
+
+    monkeypatch.setattr(verify, "konig_vertices", dropping)
+    monkeypatch.setattr(conftest, "konig_vertices", dropping)
+
+
+def _drop_from_z_after(monkeypatch):
+    # every Z(M △ P) loses its smallest vertex, if it has one
+    real = paths_module._z_after
+
+    def dropping(p, roots):
+        z = real(p, roots)
+        return z - {min(z, default=None)}
+
+    monkeypatch.setattr(paths_module, "_z_after", dropping)
+
+
+@pytest.mark.parametrize("fault", [None, _drop_from_konig_vertices,
+                                   _drop_from_z_after],
+                         ids=["clean", "konig-vertices", "z-after"])
+def test_the_structure_check_reports_what_the_reference_reports(monkeypatch,
+                                                                fault):
+    if fault is not None:
+        fault(monkeypatch)
+    reference = verify.SweepResult("path-structure-properties")
+    for g in cached_corpus(8):
+        reference_path_structure_properties(verify.GraphRecord(g), reference)
+    result = verify.sweep_path_structure_properties(8)
+    assert result == reference
+    assert result.cases == 21786
+    assert len(result.violations) == {None: 0, _drop_from_konig_vertices: 90,
+                                      _drop_from_z_after: 816}[fault]

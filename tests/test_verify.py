@@ -10,6 +10,7 @@ import pytest
 
 from konigmatch import konig_vertices, split_by_cover, verify
 from konigmatch.corpus import cached_corpus
+from konigmatch.oracle import all_maximal_matchings
 
 ENUMERATIONS = ("all_matchings", "all_maximal_matchings",
                 "all_minimum_covers")
@@ -164,3 +165,21 @@ def test_a_single_sweep_fetches_only_what_its_check_reads(monkeypatch, sweep,
     once = Counter(map(id, cached_corpus(6)))
     for name in ENUMERATIONS:
         assert calls[name] == (once if name in fetched else Counter()), name
+
+
+def test_the_minimality_verdict_reads_the_records_konig_vertices(monkeypatch):
+    # K(M) gains every vertex M leaves free, so matched edges stay split.
+    # K(M) misses some free vertex of an imperfect matching (a free
+    # U-vertex, or any free vertex once U is saturated), and a cover holds
+    # every neighbour of a vertex it misses: exactly the imperfect maximal
+    # matchings fail, and only on minimality
+    monkeypatch.setattr(verify, "konig_vertices", lambda m: konig_vertices(m)
+                        | set(m.unsaturated(m.graph.vertices)))
+    result = verify.sweep_one_endpoint_and_minimal(6)
+    maximal = [m for g in cached_corpus(6)
+               for m in all_maximal_matchings(g)]
+    imperfect = [m for m in maximal if len(m) * 2 < len(m.graph.vertices)]
+    assert result.cases == 639
+    assert len(result.violations) == len(imperfect) > 0
+    assert all(v.endswith("maximal matching gave non-minimal result")
+               for v in result.violations)
