@@ -33,7 +33,6 @@ from .konig import (
 from .reverse import (
     CoverSplit,
     reverse_konig,
-    reverse_procedure_up,
     split_by_cover,
 )
 from .paths import (

@@ -21,7 +21,7 @@ from itertools import combinations_with_replacement, permutations
 from .errors import BudgetExceeded
 from .graph import BipartiteGraph, build_graph
 
-MAX_CORPUS_VERTICES = 10
+MAX_CORPUS_VERTICES = 11
 
 
 def _is_connected(cols: tuple[int, ...], full: int) -> bool:

@@ -49,10 +49,6 @@ class NotMaximal(DomainError):
 
 
 # covers
-class NotACover(DomainError):
-    pass
-
-
 class NotMinimumCover(DomainError):
     pass
 

@@ -6,6 +6,9 @@ side of each component, ties keeping the designated left side).  The
 formula is evaluated for arbitrary matchings; its result always covers,
 since N(Z ∩ U) ⊆ Z, and the cover verdict checks this, not assumes it.
 Each function takes the matching alone and reads its graph from it.
+Minimality is defined once, for ``konig_cover`` and ``is_minimal_cover``
+alike: no vertex of the set has its whole neighborhood inside it.  A set
+that does not cover is neither minimal nor minimum.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .errors import NotACover, UnknownVertex
+from .errors import UnknownVertex
 from .graph import BipartiteGraph, procedure_sides
 from .matching import Matching, matching_number
 
@@ -92,16 +95,19 @@ def is_vertex_cover(g: BipartiteGraph, s: Iterable[int]) -> bool:
     return _covers(g, g.left, sset)
 
 
-def is_minimal_cover(g: BipartiteGraph, s: Iterable[int]) -> bool:
-    """True iff ``s`` covers and no single vertex can be dropped.
+def _irredundant(g: BipartiteGraph, s: frozenset[int]) -> bool:
+    """True iff no vertex of ``s`` has its whole neighborhood inside
+    ``s``: a cover with this property loses an edge when any single
+    vertex is dropped, so it is minimal."""
+    adjacency = g._adjacency
+    return not any(adjacency[r] <= s for r in s)
 
-    Equivalently: no vertex of ``s`` has its whole neighborhood inside
-    ``s``.
-    """
+
+def is_minimal_cover(g: BipartiteGraph, s: Iterable[int]) -> bool:
+    """True iff ``s`` covers and no single vertex can be dropped; a set
+    that does not cover gives False."""
     sset = frozenset(s)
-    if not is_vertex_cover(g, sset):
-        raise NotACover("input is not a vertex cover")
-    return not any(g.neighbors(r) <= sset for r in sset)
+    return is_vertex_cover(g, sset) and _irredundant(g, sset)
 
 
 def is_minimum_cover(g: BipartiteGraph, s: Iterable[int]) -> bool:
@@ -132,6 +138,6 @@ def konig_cover(m: Matching) -> VertexCover:
     u_side, _ = procedure_sides(g)
     k = u_side ^ z_set(m)  # konig_vertices, keeping U for the check
     cover = _covers(g, u_side, k)
-    minimal = cover and not any(g._adjacency[r] <= k for r in k)
+    minimal = cover and _irredundant(g, k)
     minimum = cover and len(k) == matching_number(g)
     return VertexCover(k, cover, minimal, minimum)

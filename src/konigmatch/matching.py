@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable, Sequence
 
-from .errors import InvalidMatching, UnknownVertex
+from .errors import InvalidMatching
 from .graph import BipartiteGraph, Edge
 
 
@@ -25,10 +25,8 @@ class Matching:
     def __init__(self, graph: BipartiteGraph, edges: Iterable[Edge]):
         normalized = set()
         for a, b in edges:
-            try:
-                e = graph.edge_key(a, b)
-            except UnknownVertex:
-                raise InvalidMatching(f"edge ({a}, {b}) not in host graph")
+            e = graph.edge_key(a, b)
+            # an unknown vertex makes a key that is not a stored edge
             if e not in graph.edges:
                 raise InvalidMatching(f"edge {e} not in host graph")
             normalized.add(e)

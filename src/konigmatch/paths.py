@@ -34,7 +34,7 @@ from .konig import _alternating_closure, is_vertex_cover, konig_vertices
 from .matching import AugmentingPath, Matching, is_maximal, maximize
 
 # building structures is quadratic in the path count; the corpus has at
-# most 64 paths per maximal matching at 10 vertices
+# most 64 paths per maximal matching at 10 vertices and 128 at 11
 DEFAULT_PATH_LIMIT = 4096
 
 
@@ -125,8 +125,9 @@ def enumerate_augmenting_paths(m: Matching) -> list[AugmentingPath]:
                         raise PathExplosion(f"more than {DEFAULT_PATH_LIMIT}"
                                             " augmenting paths")
                     continue
-                if z in on_path:
-                    continue
+                # z is never on the path: the root is free, and every
+                # other U-vertex on it is the partner of a V-vertex on it,
+                # while y, z's partner, is off it
                 path += (y, z)
                 on_path.update((y, z))
                 stack.append(iter(sorted(g.neighbors(z))))

@@ -13,12 +13,11 @@ The split and its down matching depend on the cover alone; only the up
 walk depends on the order in which roots are visited.  So a split is a
 value: it records the graph and cover it was made for, and
 ``reverse_konig`` takes a split, not a graph and a cover, which lets a
-caller try many visit orders on one split.  It returns the combined
-matching alone; its up half is what ``reverse_procedure_up`` gives for
-the same order.  A split stores its up part, the up part's roots and the
-down matching, which records the down part as its graph; the cut edges
-and the down part's cover side are derived from the graph and cover when
-read.
+caller try many visit orders on one split.  It walks the up part and
+builds one matching of the whole graph, whose up half is
+``m.edges - split.m_down.edges``.  A split stores its up part, the up
+part's roots and the down matching, which records the down part as its
+graph.
 """
 
 from __future__ import annotations
@@ -27,20 +26,19 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .errors import NotMinimumCover, RoundTripFailed, SaturationImpossible
-from .graph import BipartiteGraph, Edge, induced_subgraph, procedure_sides
+from .graph import BipartiteGraph, induced_subgraph, procedure_sides
 from .konig import VertexCover, is_minimum_cover, konig_vertices
 from .matching import Matching, maximum_matching
 
 
 @dataclass(frozen=True)
 class CoverSplit:
-    """The up/down/cut decomposition induced by a minimum cover.
+    """The up/down decomposition induced by a minimum cover.
 
     ``graph`` and ``cover`` name what the split was made for, so
     ``reverse_konig`` checks its round trip against the right cover.
-    ``m_down`` is the down part's matching saturating
-    ``down_cover_side``, found once with the split; its graph is the
-    down part.
+    ``m_down`` is the down part's matching saturating U ∩ C, found once
+    with the split; its graph is the down part.
     """
 
     graph: BipartiteGraph
@@ -48,18 +46,6 @@ class CoverSplit:
     up: BipartiteGraph
     up_roots: frozenset[int]       # U \ C, the up part's non-cover side
     m_down: Matching
-
-    @property
-    def cut_edges(self) -> frozenset[Edge]:
-        """The edges with both endpoints in the cover."""
-        c = self.cover
-        return frozenset((u, v) for u, v in self.graph.edges
-                         if u in c and v in c)
-
-    @property
-    def down_cover_side(self) -> frozenset[int]:
-        """U ∩ C, which the down matching saturates."""
-        return procedure_sides(self.graph)[0] & self.cover
 
 
 def split_by_cover(g: BipartiteGraph,
@@ -79,26 +65,34 @@ def split_by_cover(g: BipartiteGraph,
     u_side, v_side = procedure_sides(g)
     up = induced_subgraph(g, (v_side & cset) | (u_side - cset))
     down = induced_subgraph(g, (u_side & cset) | (v_side - cset))
-    split = CoverSplit(g, cset, up, u_side - cset, maximum_matching(down))
-    missed = [v for v in split.down_cover_side
-              if not split.m_down.saturates(v)]
+    m_down = maximum_matching(down)
+    missed = [v for v in u_side & cset if not m_down.saturates(v)]
     if missed:
         raise SaturationImpossible(
             f"down part cannot saturate {sorted(missed)}; "
             "cover was not minimum")
-    return split
+    return CoverSplit(g, cset, up, u_side - cset, m_down)
 
 
-def reverse_procedure_up(split: CoverSplit,
-                         visit_order: Sequence[int] | None = None,
-                         ) -> Matching:
-    """Grow a matching on the up part, keeping each visited root unsaturated.
+def reverse_konig(split: CoverSplit,
+                  visit_order: Sequence[int] | None = None) -> Matching:
+    """Recover a matching of ``split.graph`` whose Kőnig cover is exactly
+    ``split.cover``: a matching grown on the up part, keeping each
+    visited root unsaturated, together with the split's down matching.
 
     Roots (the uncovered U vertices) are visited in ``visit_order``
-    (default ascending id).  From a root ``u``, each unsaturated neighbor
-    ``v`` is matched to one of its own unsaturated neighbors ``w`` other
-    than the root, and the walk continues depth-first from ``w``.
-    Saturation is re-checked immediately before every insertion.
+    (default ascending id); an order that is not a permutation of them
+    raises ``NotMinimumCover``.  From a root ``u``, each unsaturated
+    neighbor ``v`` is matched to one of its own unsaturated neighbors
+    ``w`` other than the root, and the walk continues depth-first from
+    ``w``.  Saturation is re-checked immediately before every insertion.
+    The up and down parts share no vertex, so the union is a matching.
+
+    ``split`` is ``split_by_cover(g, c)`` for a minimum cover ``c``;
+    many visit orders can share one split.  The round trip is verified
+    against the split's cover before returning; a mismatch raises
+    ``RoundTripFailed`` (a defect, or a split whose parts belong to
+    another cover).
     """
     up = split.up
     roots = split.up_roots
@@ -130,23 +124,8 @@ def reverse_procedure_up(split: CoverSplit,
                 break
             else:
                 stack.pop()
-    return Matching(up, partner.items())
-
-
-def reverse_konig(split: CoverSplit,
-                  visit_order: Sequence[int] | None = None) -> Matching:
-    """Recover a matching of ``split.graph`` whose Kőnig cover is exactly
-    ``split.cover``: the up matching ``reverse_procedure_up`` grows in
-    ``visit_order`` together with the split's down matching.
-
-    ``split`` is ``split_by_cover(g, c)`` for a minimum cover ``c``;
-    many visit orders can share one split.  The round trip is verified
-    against the split's cover before returning; a mismatch raises
-    ``RoundTripFailed`` (a defect, or a split whose parts belong to
-    another cover).
-    """
-    m_up = reverse_procedure_up(split, visit_order)
-    combined = Matching(split.graph, m_up.edges | split.m_down.edges)
+    combined = Matching(split.graph,
+                        [*partner.items(), *split.m_down.edges])
     produced = konig_vertices(combined)
     if produced != split.cover:
         raise RoundTripFailed(

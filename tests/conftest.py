@@ -85,6 +85,38 @@ def reference_maximize(m):
     return m
 
 
+def reference_reverse_up(split, visit_order=None):
+    """The up walk of ``reverse_konig`` as it was before it was folded in,
+    kept as a separate function so the tests can pin ``reverse_konig`` to
+    it: roots in ``visit_order`` (default ascending), saturated roots
+    skipped, sorted neighbours, each unsaturated neighbour ``v`` of the
+    walk matched to its first unsaturated neighbour other than the root.
+    Returns the matching on the up part."""
+    up = split.up
+    order = sorted(split.up_roots) if visit_order is None else visit_order
+    assert sorted(order) == sorted(split.up_roots)
+    partner = {}
+    for root in order:
+        if root in partner:
+            continue
+        stack = [iter(sorted(up.neighbors(root)))]
+        while stack:
+            for v in stack[-1]:
+                if v in partner:
+                    continue
+                w = next((w for w in sorted(up.neighbors(v))
+                          if w != root and w not in partner), None)
+                if w is None:
+                    continue
+                partner[v] = w
+                partner[w] = v
+                stack.append(iter(sorted(up.neighbors(w))))
+                break
+            else:
+                stack.pop()
+    return Matching(up, partner.items())
+
+
 def reference_greedy_maximal(g, edge_order):
     """One scan of ``edge_order``, a permutation of the graph's edges,
     adding each edge whose endpoints are free."""

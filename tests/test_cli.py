@@ -177,11 +177,35 @@ def test_experiment_writes_csv(tmp_path, capsys):
     assert len(rows) == 26
 
 
+def test_experiment_writes_csv_to_stdout(tmp_path, capsys):
+    # the csv module ends rows in \r\n, so the rows are parsed, not
+    # compared as text; they are the rows the same run writes to a file
+    argv = ["experiment", "--nl", "4", "--nr", "4", "--p", "0.5",
+            "--trials", "25", "--seed", "5"]
+    assert run(argv + ["--out", "-"]) == 0
+    captured = capsys.readouterr()
+    assert "hit_rate=" in captured.err
+    rows = list(csv.reader(io.StringIO(captured.out)))
+    out = tmp_path / "trials.csv"
+    assert run(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert rows == list(csv.reader(out.open()))
+    assert rows[0][0] == "seed" and len(rows) == 26
+
+
 def test_corpus_verify_rejects_oversized_requests(capsys):
     assert run(["corpus-verify", "--max-vertices", "40"]) == 1
     assert "error:" in capsys.readouterr().err
-    assert run(["corpus-verify", "--max-vertices", "11"]) == 1
+    assert run(["corpus-verify", "--max-vertices", "12"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_the_module_entry_point_exits_with_the_run_code():
+    done = subprocess.run([sys.executable, "-m", "konigmatch.cli",
+                           "corpus-verify", "--max-vertices", "1"],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "error:" in done.stderr and done.stdout == ""
 
 
 def test_corpus_verify_small(capsys):

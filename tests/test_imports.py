@@ -71,7 +71,6 @@ UNREFERENCED_BY_DESIGN = {
     "BipartiteGraph.has_edge": "public predicate",
     "minimum_covers_by_subset_scan": _ORACLE,
     "maximum_matching_size_brute_force": _ORACLE,
-    "CoverSplit.cut_edges": "the paper's split",
     "lift_cover": "the paper's lift",
     "is_enumeratively_konig_egervary": "the paper's enumerative property",
 }

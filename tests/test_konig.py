@@ -15,7 +15,7 @@ from konigmatch import (
     z_set,
 )
 from konigmatch.corpus import cached_corpus
-from konigmatch.errors import NotACover, UnknownVertex
+from konigmatch.errors import UnknownVertex
 from konigmatch.oracle import all_matchings, all_maximal_matchings
 
 from conftest import labeled, matching_by_labels
@@ -178,8 +178,10 @@ def test_is_vertex_cover(p4):
 def test_is_minimal_cover_requires_a_cover(p4):
     assert is_minimal_cover(p4, labeled(p4, "2", "4"))
     assert not is_minimal_cover(p4, labeled(p4, "1", "2", "3"))
-    with pytest.raises(NotACover):
-        is_minimal_cover(p4, labeled(p4, "1", "4"))
+    # a set that does not cover is not a minimal cover
+    assert not is_minimal_cover(p4, labeled(p4, "1", "4"))
+    with pytest.raises(UnknownVertex):
+        is_minimal_cover(p4, {99})
 
 
 def test_is_minimum_cover_is_false_for_non_covers(p4):

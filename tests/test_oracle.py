@@ -200,8 +200,12 @@ def test_budgets_are_enforced(p4):
     big = build_graph(9, 9, [(i, i) for i in range(9)])
     with pytest.raises(BudgetExceeded):
         all_minimum_covers(big, OracleBudget(max_vertices=10))
+    # within the vertex budget, so the per-side subset budget refuses it:
+    # each side has 2^3 subsets
+    small = build_graph(3, 3, [(i, i) for i in range(3)])
+    assert hall_condition(small, OracleBudget(max_subsets=8)) == (True, True)
     with pytest.raises(BudgetExceeded):
-        hall_condition(big, OracleBudget(max_subsets=4))
+        hall_condition(small, OracleBudget(max_subsets=4))
     with pytest.raises(BudgetExceeded):
         hall_condition(big, OracleBudget(max_vertices=10))
     with pytest.raises(BudgetExceeded):

@@ -4,20 +4,21 @@ import random
 import pytest
 
 from konigmatch import (
+    Matching,
     build_graph,
     konig_cover,
     maximum_matching,
     reverse_konig,
-    reverse_procedure_up,
     split_by_cover,
+    star_stud,
 )
 from konigmatch import verify
 from konigmatch.corpus import cached_corpus
 from konigmatch.errors import DomainError, NotMinimumCover, RoundTripFailed
 from konigmatch.graph import procedure_sides
-from konigmatch.oracle import all_minimum_covers
+from konigmatch.oracle import OracleBudget, all_minimum_covers
 
-from conftest import labeled, matching_by_labels
+from conftest import labeled, matching_by_labels, reference_reverse_up
 
 
 def test_split_by_cover_on_the_fork(fork):
@@ -26,9 +27,7 @@ def test_split_by_cover_on_the_fork(fork):
     assert split.up.vertices == labeled(fork, "a1", "a2", "b1")
     assert split.m_down.graph.vertices == labeled(fork, "c1", "d1", "d2",
                                                   "d3")
-    assert split.cut_edges == {tuple(sorted(labeled(fork, "c1", "b1")))}
     assert split.up_roots == labeled(fork, "a1", "a2")
-    assert split.down_cover_side == labeled(fork, "c1")
 
 
 def test_a_split_stores_only_its_defining_data(fork):
@@ -58,34 +57,32 @@ def test_down_part_saturates_the_cover_side(fork):
 def test_up_part_keeps_roots_unsaturated(fork):
     cover = labeled(fork, "b1", "c1")
     split = split_by_cover(fork, cover)
-    m_up = reverse_procedure_up(split)
+    m_up = reverse_konig(split).edges - split.m_down.edges
     # b1 gets matched to a2 (a1, the first root, stays single)
-    assert m_up.edges == {tuple(sorted(labeled(fork, "a2", "b1")))}
+    assert m_up == {tuple(sorted(labeled(fork, "a2", "b1")))}
     # either visit order leads back to the same cover
     for order in (sorted(split.up_roots), sorted(split.up_roots)[::-1]):
         assert konig_cover(reverse_konig(split, order)).vertices == cover
 
 
-def test_reverse_konig_passes_the_visit_order_through(fork, monkeypatch):
-    passed = []
-
-    def spy(split, visit_order=None):
-        passed.append(visit_order)
-        return reverse_procedure_up(split, visit_order)
-
-    monkeypatch.setattr("konigmatch.reverse.reverse_procedure_up", spy)
+def test_reverse_konig_passes_the_visit_order_through(fork):
+    # the first root visited stays single, so the two orders differ
     split = split_by_cover(fork, labeled(fork, "b1", "c1"))
     roots = sorted(labeled(fork, "a1", "a2"))
-    for order in (None, roots, roots[::-1]):
-        reverse_konig(split, order)
-        assert passed.pop() is order
+    ups = [reverse_konig(split, order).edges - split.m_down.edges
+           for order in (None, roots, roots[::-1])]
+    assert ups[0] == ups[1] != ups[2]
+    for up, order in zip(ups, (None, roots, roots[::-1])):
+        assert up == reference_reverse_up(split, order).edges
 
 
 def test_visit_order_must_cover_the_roots(fork):
     cover = labeled(fork, "b1", "c1")
     split = split_by_cover(fork, cover)
-    with pytest.raises(NotMinimumCover):
-        reverse_procedure_up(split, sorted(labeled(fork, "a1")))
+    for order in (sorted(labeled(fork, "a1")),
+                  sorted(labeled(fork, "a1", "a2", "b1"))):
+        with pytest.raises(NotMinimumCover):
+            reverse_konig(split, order)
 
 
 def test_round_trip_on_the_path_graph(p4):
@@ -94,7 +91,7 @@ def test_round_trip_on_the_path_graph(p4):
         split = split_by_cover(p4, cover)
         m = reverse_konig(split)
         assert konig_cover(m).vertices == cover
-        m_up = reverse_procedure_up(split)
+        m_up = reference_reverse_up(split)
         assert m.edges == m_up.edges | split.m_down.edges
 
 
@@ -121,8 +118,10 @@ def test_reverse_walks_a_long_path_without_recursion():
     g = build_graph(half, half, edges)
     cover = g.right
     split = split_by_cover(g, cover)
-    assert len(reverse_procedure_up(split)) == half - 1
-    assert konig_cover(reverse_konig(split)).vertices == cover
+    m = reverse_konig(split)
+    assert len(m.edges - split.m_down.edges) == half - 1
+    assert m.edges == reference_reverse_up(split).edges | split.m_down.edges
+    assert konig_cover(m).vertices == cover
 
 
 def _visit_orders(g, cover, rng):
@@ -209,3 +208,55 @@ def test_the_reverse_sweep_catches_a_stale_split(monkeypatch):
     assert later_covers > 0
     assert len(result.violations) == 6 * later_covers
     assert result.cases == 6 * 51
+
+
+def test_reverse_konig_matches_the_reference_over_the_sweeps_orders(
+        monkeypatch):
+    # every minimum cover of the 8-vertex corpus, with the six visit
+    # orders the round-trip sweep draws for it
+    mismatched = []
+
+    def pinned_reverse(split, visit_order=None):
+        m = reverse_konig(split, visit_order)
+        up = reference_reverse_up(split, visit_order)
+        if m.edges != up.edges | split.m_down.edges:
+            mismatched.append((split, visit_order))
+        return m
+
+    monkeypatch.setattr("konigmatch.verify.reverse_konig", pinned_reverse)
+    result = verify.sweep_reverse_round_trip(8)
+    assert result.ok and result.cases == 3228
+    assert mismatched == []
+
+
+def test_reverse_konig_matches_the_reference_on_small_and_studded_graphs(
+        fork, p4):
+    rng = random.Random(5)
+    budget = OracleBudget(max_vertices=26, max_subsets=2 ** 21)
+    graphs = [fork, p4] + [star_stud(h).full for h in cached_corpus(5)]
+    covers = 0
+    for g in graphs:
+        for cover in all_minimum_covers(g, budget):
+            split = split_by_cover(g, cover)
+            for order in _visit_orders(g, cover, rng):
+                m = reverse_konig(split, order)
+                up = reference_reverse_up(split, order)
+                assert m.edges == up.edges | split.m_down.edges, (g, order)
+            covers += 1
+    assert covers == 1 + 3 + 15  # the fork, p4, the studded graphs
+
+
+def test_reverse_konig_builds_one_matching_per_call(fork, monkeypatch):
+    split = split_by_cover(fork, labeled(fork, "b1", "c1"))
+    built = []
+    init = Matching.__init__
+
+    def counting_init(self, graph, edges):
+        built.append(graph)
+        init(self, graph, edges)
+
+    monkeypatch.setattr(Matching, "__init__", counting_init)
+    roots = sorted(split.up_roots)
+    for order in (None, roots, roots[::-1]):
+        reverse_konig(split, order)
+    assert built == [fork] * 3
