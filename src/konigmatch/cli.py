@@ -27,7 +27,7 @@ from .oracle import (
 from .paths import classify_matching
 from .reverse import reverse_konig, split_by_cover
 from .stars import star_stud
-from .verify import corpus_verify
+from .verify import available_cpus, corpus_verify
 
 
 def _at_least(flag: str, value: int, low: int) -> int:
@@ -150,8 +150,15 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_corpus_verify(args) -> int:
+    jobs = args.jobs
+    if jobs is not None:
+        cpus = available_cpus()
+        if not 1 <= jobs <= cpus:
+            raise InputError(f"--jobs must be between 1 and the {cpus} "
+                             f"available CPUs, got {jobs}")
     # the smallest corpus graph has two vertices; below that no case runs
-    results = corpus_verify(_at_least("--max-vertices", args.max_vertices, 2))
+    results = corpus_verify(_at_least("--max-vertices", args.max_vertices, 2),
+                            jobs)
     failed = False
     for res in results:
         status = "ok" if res.ok else "FAIL"
@@ -221,6 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run every invariant sweep over the exhaustive "
                             "small-graph corpus")
     p.add_argument("--max-vertices", type=int, default=8)
+    p.add_argument("--jobs", type=int, default=None,
+                   help="processes that walk the corpus (default: the "
+                        "available CPUs); the output is the same for any")
     p.set_defaults(func=_cmd_corpus_verify)
     return parser
 

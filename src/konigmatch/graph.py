@@ -102,9 +102,6 @@ class BipartiteGraph:
             return (a, b)
         return (b, a)
 
-    def has_edge(self, a: int, b: int) -> bool:
-        return self.edge_key(a, b) in self.edges
-
     def vertex_by_label(self, label: str) -> int:
         try:
             by_label = self._by_label

@@ -158,7 +158,8 @@ class AugmentingPath:
 
 def is_maximal(m: Matching) -> bool:
     """True iff no edge of ``m``'s graph has both endpoints unsaturated."""
-    return all(m.saturates(u) or m.saturates(v) for u, v in m.graph.edges)
+    partner = m._partner
+    return all(u in partner or v in partner for u, v in m.graph.edges)
 
 
 def augment(path: AugmentingPath) -> Matching:

@@ -111,32 +111,6 @@ def all_minimum_covers(g: BipartiteGraph,
         k += 1
 
 
-def minimum_covers_by_subset_scan(
-    g: BipartiteGraph,
-    b: OracleBudget | None = None,
-) -> set[frozenset[int]]:
-    """Dead-simple reference: scan all vertex subsets in increasing size.
-
-    Kept as an independent cross-check for ``all_minimum_covers`` on tiny
-    graphs.
-    """
-    b = b or OracleBudget()
-    _check_vertex_budget(g, b)
-    vertices = sorted(g.vertices)
-    if 2 ** len(vertices) > b.max_subsets:
-        raise BudgetExceeded("subset scan exceeds budget")
-    edges = list(g.edges)
-    for size in range(len(vertices) + 1):
-        found = {
-            frozenset(s)
-            for s in combinations(vertices, size)
-            if all(u in s or v in s for u, v in edges)
-        }
-        if found:
-            return found
-    return {frozenset()}
-
-
 def _matchings(g: BipartiteGraph, maximal: bool, max_results: float,
                max_steps: float, what: str) -> Iterator[Matching]:
     """Yield the matchings (or, if ``maximal``, the maximal matchings) of
@@ -234,15 +208,6 @@ def all_maximal_matchings(g: BipartiteGraph,
     """Exactly the maximal matchings, in the order ``all_matchings``
     lists them: ``iter_maximal_matchings`` collected into a list."""
     return list(iter_maximal_matchings(g, b))
-
-
-def maximum_matching_size_brute_force(
-    g: BipartiteGraph,
-    b: OracleBudget | None = None,
-) -> int:
-    """Largest matching cardinality by full enumeration, holding one
-    matching at a time."""
-    return max(len(m) for m in _iter_matchings(g, b))
 
 
 def hall_condition(g: BipartiteGraph,

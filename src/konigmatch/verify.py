@@ -6,14 +6,31 @@ the exhaustive connected-bipartite corpus once and runs every check on
 each graph; a ``sweep_*`` runs its one check over the same walk.  The
 record computes, once per graph, what several checks read, and is
 dropped before the next graph.  The CLI and acceptance tests wrap these.
+
+The walk is split into ``jobs`` shards, shard k holding every jobs-th
+graph from the k-th.  The calling process walks shard 0 and ``os.fork``
+children walk the others; the children inherit the cached corpus and
+send back, through a pipe, each check's case count and the violations
+of each graph that has any.  These are merged in corpus order, so a
+sweep's result is the same for every ``jobs``.  ``jobs=None`` means the
+CPUs this process may run on (``available_cpus``); ``jobs=1``, or a
+platform without ``os.fork``, walks in-process and starts no process.
+Each graph draws its reverse visit orders from the seed and its corpus
+index alone, so every shard draws the orders the serial walk draws.
+A test that monkeypatches the package to count calls sees only what
+the calling process runs, so such tests pass ``jobs=1``.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 import random
+import signal
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from operator import itemgetter
 
 from .corpus import cached_corpus
 from .graph import BipartiteGraph, procedure_sides
@@ -55,9 +72,11 @@ class SweepResult:
 
 @dataclass
 class GraphRecord:
-    """One corpus graph and what more than one check reads of it."""
+    """One corpus graph, its index in the corpus, and what more than one
+    check reads of it."""
 
     graph: BipartiteGraph
+    index: int
 
     @cached_property
     def minimum_covers(self) -> set[frozenset[int]]:
@@ -73,14 +92,25 @@ class GraphRecord:
         return all_maximal_matchings(self.graph)
 
 
+def available_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_Tally = list[tuple[int, list[tuple[int, list[str]]]]]
+
+
 def _walk(max_vertices: int, names: list[str] | None = None,
-          seed: int = 0) -> list[SweepResult]:
-    """Run the named checks (all eight if None) in one walk of the corpus;
-    ``seed`` draws the reverse round trip's visit orders."""
+          seed: int = 0, jobs: int | None = None) -> list[SweepResult]:
+    """Run the named checks (all eight if None) in one walk of the corpus,
+    in ``jobs`` shards (see the module docstring); ``seed`` draws the
+    reverse round trip's visit orders."""
     checks = {
         "konig-equality": _konig_equality,
-        "reverse-round-trip": partial(_reverse_round_trip,
-                                      random.Random(seed)),
+        "reverse-round-trip": partial(_reverse_round_trip, seed),
         "surjectivity": _surjectivity,
         "cycle-fibers": _cycle_fibers,
         "one-endpoint-and-minimal": _one_endpoint_and_minimal,
@@ -88,12 +118,100 @@ def _walk(max_vertices: int, names: list[str] | None = None,
         "path-structure-properties": _path_structure_properties,
         "hall-consistency": _hall_consistency,
     }
-    results = [SweepResult(name) for name in names or checks]
-    for g in cached_corpus(max_vertices):
-        record = GraphRecord(g)
-        for result in results:
-            checks[result.name](record, result)
+    names = list(names or checks)
+    # built before any fork: above the cap this raises and starts nothing
+    corpus = cached_corpus(max_vertices)
+    if jobs is None:
+        jobs = available_cpus()
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if not hasattr(os, "fork"):
+        jobs = 1
+    jobs = min(jobs, len(corpus))
+    walk_shard = partial(_walk_shard, corpus, jobs,
+                         [checks[name] for name in names])
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    try:
+        for k in range(1, jobs):
+            children.append(_fork_shard(walk_shard, k))
+        tallies = [walk_shard(0)] + [_receive(r) for _, r in children]
+    finally:
+        for pid, r in children:
+            os.close(r)
+            # a child that has sent its result is exiting anyway; one still
+            # walking because this process failed is stopped here
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    results = []
+    for name, shards in zip(names, zip(*tallies)):
+        result = SweepResult(name, sum(cases for cases, _ in shards))
+        for _, violations in sorted((hit for _, hits in shards
+                                     for hit in hits), key=itemgetter(0)):
+            result.violations += violations
+        results.append(result)
     return results
+
+
+def _walk_shard(corpus: tuple[BipartiteGraph, ...], jobs: int,
+                checks: list[Callable], k: int) -> _Tally:
+    """Walk ``corpus[k::jobs]``: per check, its case count and the
+    ``(graph index, violations)`` of each graph that has violations."""
+    cases = [0] * len(checks)
+    hits: list[list] = [[] for _ in checks]
+    for index in range(k, len(corpus), jobs):
+        record = GraphRecord(corpus[index], index)
+        for i, check in enumerate(checks):
+            result = SweepResult("")
+            check(record, result)
+            cases[i] += result.cases
+            if result.violations:
+                hits[i].append((index, result.violations))
+    return list(zip(cases, hits))
+
+
+def _fork_shard(walk_shard: Callable[[int], _Tally],
+                k: int) -> tuple[int, int]:
+    """Fork a child that walks shard ``k`` and pickles its tally, or the
+    exception it raised, into a pipe; return its pid and the pipe's read
+    end."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, r
+    # the child ends in os._exit, so the parent's atexit hooks and
+    # inherited stdio buffers never run or flush here
+    try:
+        os.close(r)
+        try:
+            payload = pickle.dumps((True, walk_shard(k)))
+        except BaseException as exc:  # sent on, re-raised in the parent
+            try:
+                payload = pickle.dumps((False, exc))
+            except Exception:
+                payload = pickle.dumps((False, RuntimeError(repr(exc))))
+        with os.fdopen(w, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(0)
+
+
+def _receive(r: int) -> _Tally:
+    """Read one child's pickled tally from ``r``; re-raise what it raised."""
+    chunks = []
+    while chunk := os.read(r, 1 << 16):
+        chunks.append(chunk)
+    if not chunks:
+        raise RuntimeError("a corpus worker ended without a result")
+    ok, value = pickle.loads(b"".join(chunks))
+    if not ok:
+        raise value
+    return value
 
 
 def _describe(g: BipartiteGraph) -> str:
@@ -101,10 +219,11 @@ def _describe(g: BipartiteGraph) -> str:
             f"edges={sorted(g.edges)})")
 
 
-def sweep_konig_equality(max_vertices: int = 8) -> SweepResult:
+def sweep_konig_equality(max_vertices: int = 8,
+                         jobs: int | None = None) -> SweepResult:
     """Maximum matching size equals oracle minimum-cover size, and the
     procedure's cover from a maximum matching is minimum."""
-    return _walk(max_vertices, ["konig-equality"])[0]
+    return _walk(max_vertices, ["konig-equality"], jobs=jobs)[0]
 
 
 def _konig_equality(record: GraphRecord, result: SweepResult) -> None:
@@ -120,20 +239,22 @@ def _konig_equality(record: GraphRecord, result: SweepResult) -> None:
                          f"non-minimum cover {sorted(cover.vertices)}")
 
 
-def sweep_reverse_round_trip(max_vertices: int = 8,
-                             seed: int = 0) -> SweepResult:
+def sweep_reverse_round_trip(max_vertices: int = 8, seed: int = 0,
+                             jobs: int | None = None) -> SweepResult:
     """Reverse procedure recovers every oracle minimum cover, for the
     default visit order and ``SAMPLED_ORDERS`` sampled permutations.
 
     Each cover is split once, and every visit order reuses that split;
     a cover whose split fails is tried again, and reported, per order.
+    A graph's sampled orders depend on ``seed`` and its corpus index alone.
     """
-    return _walk(max_vertices, ["reverse-round-trip"], seed)[0]
+    return _walk(max_vertices, ["reverse-round-trip"], seed, jobs)[0]
 
 
-def _reverse_round_trip(rng: random.Random, record: GraphRecord,
+def _reverse_round_trip(seed: int, record: GraphRecord,
                         result: SweepResult) -> None:
     g = record.graph
+    rng = random.Random(f"{seed}:{record.index}")
     u_side, _ = procedure_sides(g)
     for cover in sorted(record.minimum_covers, key=sorted):
         orders = [None]
@@ -159,10 +280,11 @@ def _reverse_round_trip(rng: random.Random, record: GraphRecord,
                                  f"order {order}: got {sorted(produced)}")
 
 
-def sweep_surjectivity(max_vertices: int = 8) -> SweepResult:
+def sweep_surjectivity(max_vertices: int = 8,
+                       jobs: int | None = None) -> SweepResult:
     """Kőnig's procedure over all matchings reaches exactly the oracle's
     minimum covers."""
-    return _walk(max_vertices, ["surjectivity"])[0]
+    return _walk(max_vertices, ["surjectivity"], jobs=jobs)[0]
 
 
 def _surjectivity(record: GraphRecord, result: SweepResult) -> None:
@@ -176,7 +298,8 @@ def _surjectivity(record: GraphRecord, result: SweepResult) -> None:
                          f"{sorted(map(sorted, record.minimum_covers))}")
 
 
-def sweep_cycle_fibers(max_vertices: int = 8) -> SweepResult:
+def sweep_cycle_fibers(max_vertices: int = 8,
+                       jobs: int | None = None) -> SweepResult:
     """Matchings whose symmetric difference is a disjoint union of cycles
     map to the same cover.
 
@@ -189,7 +312,7 @@ def sweep_cycle_fibers(max_vertices: int = 8) -> SweepResult:
     a vertex of such a cycle union is saturated by both, and every
     other vertex is met by the same edge in both or by none.
     """
-    return _walk(max_vertices, ["cycle-fibers"])[0]
+    return _walk(max_vertices, ["cycle-fibers"], jobs=jobs)[0]
 
 
 def _cycle_fibers(record: GraphRecord, result: SweepResult) -> None:
@@ -207,10 +330,11 @@ def _cycle_fibers(record: GraphRecord, result: SweepResult) -> None:
                                      "different covers")
 
 
-def sweep_one_endpoint_and_minimal(max_vertices: int = 8) -> SweepResult:
+def sweep_one_endpoint_and_minimal(max_vertices: int = 8,
+                                   jobs: int | None = None) -> SweepResult:
     """Every matched edge has exactly one endpoint in the cover; for
     maximal matchings the result is a minimal vertex cover."""
-    return _walk(max_vertices, ["one-endpoint-and-minimal"])[0]
+    return _walk(max_vertices, ["one-endpoint-and-minimal"], jobs=jobs)[0]
 
 
 def _one_endpoint_and_minimal(record: GraphRecord,
@@ -227,10 +351,11 @@ def _one_endpoint_and_minimal(record: GraphRecord,
                                  "maximal matching gave non-minimal result")
 
 
-def sweep_classification(max_vertices: int = 8) -> SweepResult:
+def sweep_classification(max_vertices: int = 8,
+                         jobs: int | None = None) -> SweepResult:
     """The classification agrees with the direct minimum-cover check for
     every maximal matching, and its witness proves its verdict."""
-    return _walk(max_vertices, ["classification"])[0]
+    return _walk(max_vertices, ["classification"], jobs=jobs)[0]
 
 
 def _classification(record: GraphRecord, result: SweepResult) -> None:
@@ -244,11 +369,12 @@ def _classification(record: GraphRecord, result: SweepResult) -> None:
                              f"direct {direct}, proved {proved}")
 
 
-def sweep_path_structure_properties(max_vertices: int = 8) -> SweepResult:
+def sweep_path_structure_properties(max_vertices: int = 8,
+                                    jobs: int | None = None) -> SweepResult:
     """Pair-level localization outside the structure, restricted cover
     cardinality over the single-root substructure, strict decrease
     exactly when two V-endpoints are stranded, and the hat reduction."""
-    return _walk(max_vertices, ["path-structure-properties"])[0]
+    return _walk(max_vertices, ["path-structure-properties"], jobs=jobs)[0]
 
 
 def _path_structure_properties(record: GraphRecord,
@@ -328,9 +454,10 @@ def _path_structure_properties(record: GraphRecord,
                                          "vertices in exactly reversed order")
 
 
-def sweep_hall_consistency(max_vertices: int = 8) -> SweepResult:
+def sweep_hall_consistency(max_vertices: int = 8,
+                           jobs: int | None = None) -> SweepResult:
     """Hall's condition on a side holds iff a maximum matching saturates it."""
-    return _walk(max_vertices, ["hall-consistency"])[0]
+    return _walk(max_vertices, ["hall-consistency"], jobs=jobs)[0]
 
 
 def _hall_consistency(record: GraphRecord, result: SweepResult) -> None:
@@ -382,10 +509,12 @@ ALL_SWEEPS = [
 ]
 
 
-def corpus_verify(max_vertices: int = 8) -> list[SweepResult]:
-    """Run the eight checks in one walk of the corpus, sharing each
-    graph's record among them, then the star-studded sweep on at most 7
-    base vertices; the corpus raises ``BudgetExceeded`` above
-    ``MAX_CORPUS_VERTICES`` before any check runs."""
-    return _walk(max_vertices) + [
+def corpus_verify(max_vertices: int = 8,
+                  jobs: int | None = None) -> list[SweepResult]:
+    """Run the eight checks in one walk of the corpus in ``jobs`` shards,
+    sharing each graph's record among them, then the star-studded sweep
+    on at most 7 base vertices in this process; the corpus raises
+    ``BudgetExceeded`` above ``MAX_CORPUS_VERTICES`` before any check
+    runs or any process starts."""
+    return _walk(max_vertices, jobs=jobs) + [
         sweep_star_studded(min(max_vertices, 7))]

@@ -1,4 +1,5 @@
 from collections import deque
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,8 @@ from konigmatch import (
     path_structures,
     procedure_sides,
 )
+from konigmatch.errors import BudgetExceeded
+from konigmatch.oracle import OracleBudget, all_matchings
 from konigmatch.verify import _describe
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -129,6 +132,30 @@ def reference_greedy_maximal(g, edge_order):
             used.add(u)
             used.add(v)
     return Matching(g, chosen)
+
+
+def minimum_covers_by_subset_scan(g, b=None):
+    """Dead-simple reference for ``all_minimum_covers``: scan all vertex
+    subsets in increasing size, within ``b``'s vertex and subset budget."""
+    b = b or OracleBudget()
+    vertices = sorted(g.vertices)
+    if len(vertices) > b.max_vertices or 2 ** len(vertices) > b.max_subsets:
+        raise BudgetExceeded("subset scan exceeds budget")
+    edges = list(g.edges)
+    for size in range(len(vertices) + 1):
+        found = {
+            frozenset(s)
+            for s in combinations(vertices, size)
+            if all(u in s or v in s for u, v in edges)
+        }
+        if found:
+            return found
+    return {frozenset()}
+
+
+def maximum_matching_size_brute_force(g, b=None):
+    """Largest matching cardinality by full enumeration."""
+    return max(map(len, all_matchings(g, b)))
 
 
 def reference_path_structure_properties(record, result):

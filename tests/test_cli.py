@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -9,9 +10,10 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from konigmatch import build_graph
+from konigmatch import build_graph, cli
 from konigmatch.cli import run
 from konigmatch.io import graph_to_json_dict, matching_to_json
+from konigmatch.verify import available_cpus
 
 from conftest import FIXTURES, ladder
 
@@ -206,6 +208,27 @@ def test_the_module_entry_point_exits_with_the_run_code():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 2
     assert "error:" in done.stderr and done.stdout == ""
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", str(available_cpus() + 1)])
+def test_corpus_verify_rejects_a_bad_job_count_before_forking(monkeypatch,
+                                                              capsys, jobs):
+    def no_fork():
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run(["corpus-verify", "--max-vertices", "6", "--jobs", jobs]) == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_corpus_verify_prints_the_same_for_any_job_count(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "available_cpus", lambda: 2)
+    printed = []
+    for jobs in ([], ["--jobs", "1"], ["--jobs", "2"]):
+        assert run(["corpus-verify", "--max-vertices", "6", *jobs]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1] == printed[2]
+    assert printed[0].count("[ok]") == 9
 
 
 def test_corpus_verify_small(capsys):

@@ -68,9 +68,10 @@ def test_vertex_on_both_sides_rejected():
 def test_neighbors_and_has_edge(p4):
     three = p4.vertex_by_label("3")
     assert p4.neighbors(three) == labeled(p4, "2", "4")
-    assert p4.has_edge(three, p4.vertex_by_label("2"))
-    assert p4.has_edge(p4.vertex_by_label("2"), three)
-    assert not p4.has_edge(p4.vertex_by_label("1"), p4.vertex_by_label("4"))
+    assert p4.edge_key(three, p4.vertex_by_label("2")) in p4.edges
+    assert p4.edge_key(p4.vertex_by_label("2"), three) in p4.edges
+    assert (p4.edge_key(p4.vertex_by_label("1"), p4.vertex_by_label("4"))
+            not in p4.edges)
     with pytest.raises(UnknownVertex):
         p4.neighbors(99)
     with pytest.raises(UnknownVertex):

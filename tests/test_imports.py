@@ -66,11 +66,7 @@ def test_the_check_sees_a_third_party_import():
 
 
 # Public definitions nothing else in the package uses, kept on purpose.
-_ORACLE = "reference oracle the tests compare against"
 UNREFERENCED_BY_DESIGN = {
-    "BipartiteGraph.has_edge": "public predicate",
-    "minimum_covers_by_subset_scan": _ORACLE,
-    "maximum_matching_size_brute_force": _ORACLE,
     "lift_cover": "the paper's lift",
     "is_enumeratively_konig_egervary": "the paper's enumerative property",
 }

@@ -23,7 +23,8 @@ def test_load_json_graph():
     assert {g.labels[v] for v in g.left} == {"1", "3"}
     assert {g.labels[v] for v in g.right} == {"2", "4"}
     assert len(g.edges) == 3
-    assert g.has_edge(g.vertex_by_label("2"), g.vertex_by_label("3"))
+    assert g.edge_key(g.vertex_by_label("2"), g.vertex_by_label("3")) \
+        in g.edges
 
 
 def test_load_edge_list_infers_sides():

@@ -17,9 +17,10 @@ from konigmatch import (
 from konigmatch.errors import InvalidMatching
 from konigmatch.corpus import cached_corpus
 from konigmatch.experiments import random_maximal_matching
-from konigmatch.oracle import all_matchings, maximum_matching_size_brute_force
+from konigmatch.oracle import all_matchings
 
-from conftest import matching_by_labels, reference_maximize
+from conftest import (matching_by_labels, maximum_matching_size_brute_force,
+                      reference_maximize)
 
 
 @st.composite

@@ -20,11 +20,10 @@ from konigmatch.oracle import (
     all_maximal_matchings,
     all_minimum_covers,
     iter_maximal_matchings,
-    maximum_matching_size_brute_force,
-    minimum_covers_by_subset_scan,
 )
 
-from conftest import labeled
+from conftest import (labeled, maximum_matching_size_brute_force,
+                      minimum_covers_by_subset_scan)
 
 # room for the studded graphs of cached_corpus(6), 31 vertices at most
 STUDDED_BUDGET = OracleBudget(max_vertices=31, max_subsets=2 ** 21)

@@ -103,7 +103,7 @@ def test_sweep_enumerates_augmenting_paths_once_per_matching(monkeypatch,
 
     monkeypatch.setattr("konigmatch.paths.enumerate_augmenting_paths",
                         recording)
-    assert sweep(6).ok
+    assert sweep(6, jobs=1).ok
     matchings = [m for g in cached_corpus(6) for m in all_maximal_matchings(g)]
     assert len(matchings) == 127
     assert calls == [m for m in matchings if enumerated(m)]
@@ -367,8 +367,9 @@ def test_the_structure_check_reports_what_the_reference_reports(monkeypatch,
     if fault is not None:
         fault(monkeypatch)
     reference = verify.SweepResult("path-structure-properties")
-    for g in cached_corpus(8):
-        reference_path_structure_properties(verify.GraphRecord(g), reference)
+    for i, g in enumerate(cached_corpus(8)):
+        reference_path_structure_properties(verify.GraphRecord(g, i),
+                                            reference)
     result = verify.sweep_path_structure_properties(8)
     assert result == reference
     assert result.cases == 21786

@@ -182,7 +182,7 @@ def test_the_reverse_sweep_splits_each_cover_once(monkeypatch):
 
     monkeypatch.setattr("konigmatch.verify.split_by_cover", counting_split)
     monkeypatch.setattr("konigmatch.verify.reverse_konig", counting_reverse)
-    result = verify.sweep_reverse_round_trip(6)
+    result = verify.sweep_reverse_round_trip(6, jobs=1)
     assert result.ok
     covers = sum(len(all_minimum_covers(g)) for g in cached_corpus(6))
     assert len(splits) == covers == 51
@@ -224,7 +224,7 @@ def test_reverse_konig_matches_the_reference_over_the_sweeps_orders(
         return m
 
     monkeypatch.setattr("konigmatch.verify.reverse_konig", pinned_reverse)
-    result = verify.sweep_reverse_round_trip(8)
+    result = verify.sweep_reverse_round_trip(8, jobs=1)
     assert result.ok and result.cases == 3228
     assert mismatched == []
 

@@ -52,8 +52,9 @@ def test_star_stud_shape(p4):
         left = ssg.full.left
         assert (center in left) != (v in left)
         assert all((leaf in left) == (v in left) for leaf in leaves)
-        assert ssg.full.has_edge(v, center)
-        assert all(ssg.full.has_edge(leaf, center) for leaf in leaves)
+        assert ssg.full.edge_key(v, center) in ssg.full.edges
+        assert all(ssg.full.edge_key(leaf, center) in ssg.full.edges
+                   for leaf in leaves)
 
 
 def test_star_stud_labels_are_derived(p4):

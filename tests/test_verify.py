@@ -1,14 +1,16 @@
 """The corpus walk behind the sweeps: one walk reports what the single
 sweeps report, faults included; it enumerates each graph's oracle data
-at most once and keeps none of it past the graph; and a single sweep
-fetches only what its own check reads."""
+at most once and keeps none of it past the graph; a single sweep
+fetches only what its own check reads; and a walk split across forked
+workers reports what one walk reports and leaves no process behind."""
 
+import os
 import weakref
 from collections import Counter
 
 import pytest
 
-from konigmatch import konig_vertices, split_by_cover, verify
+from konigmatch import konig_vertices, reverse_konig, split_by_cover, verify
 from konigmatch.corpus import cached_corpus
 from konigmatch.oracle import all_maximal_matchings
 
@@ -73,6 +75,98 @@ def test_one_walk_reports_what_the_single_sweeps_report(monkeypatch, fault):
                 "one-endpoint-and-minimal"} <= set(failing)
 
 
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+forking = pytest.mark.skipif(not hasattr(os, "fork"),
+                             reason="the walk shards only where it can fork")
+
+
+@forking
+@pytest.mark.parametrize("fault, n", [(None, 8), (_stale_split, 6),
+                                      (_dropped_vertex, 6)],
+                         ids=["clean", "stale-split", "dropped-vertex"])
+def test_two_shards_report_what_one_walk_reports(monkeypatch, fault, n):
+    if fault is not None:
+        fault(monkeypatch)
+    serial = verify.corpus_verify(n, jobs=1)
+    # names, cases and every violation, in the same order
+    assert verify.corpus_verify(n, jobs=2) == serial
+    assert all(r.ok for r in serial) == (fault is None)
+    _assert_no_child_left()
+
+
+@forking
+def test_two_shards_print_the_pinned_counts_at_nine_vertices():
+    # the block CI pins for `corpus-verify --max-vertices 9 --jobs 1`
+    assert [(r.name, r.cases, len(r.violations))
+            for r in verify.corpus_verify(9, jobs=2)] == [
+        ("konig-equality", 1966, 0),
+        ("reverse-round-trip", 10254, 0),
+        ("surjectivity", 983, 0),
+        ("cycle-fibers", 50819, 0),
+        ("one-endpoint-and-minimal", 231269, 0),
+        ("classification", 20552, 0),
+        ("path-structure-properties", 237388, 0),
+        ("hall-consistency", 1966, 0),
+        ("star-studded", 142, 0),
+    ]
+    _assert_no_child_left()
+
+
+class _WorkerFault(Exception):
+    """Raised by a check on one graph."""
+
+
+@forking
+@pytest.mark.parametrize("index", [0, 1], ids=["caller", "worker"])
+def test_a_failing_check_raises_in_the_caller_and_leaves_no_child(
+        monkeypatch, index):
+    # at two jobs, graph 0 is walked by the caller and graph 1 by the
+    # forked worker
+    target = cached_corpus(6)[index]
+    real = verify.hall_condition
+
+    def failing(g, b=None):
+        if g is target:
+            raise _WorkerFault(f"graph {index}")
+        return real(g, b)
+
+    monkeypatch.setattr(verify, "hall_condition", failing)
+    with pytest.raises(_WorkerFault, match=f"graph {index}"):
+        verify.corpus_verify(6, jobs=2)
+    _assert_no_child_left()
+
+
+@forking
+def test_a_graph_draws_the_same_reverse_orders_in_any_shard(monkeypatch,
+                                                            tmp_path):
+    # every call appends its graph, cover and visit order to one file,
+    # from whichever process walks the graph
+    log = tmp_path / "orders"
+    index = {id(g): i for i, g in enumerate(cached_corpus(6))}
+
+    def logging_reverse(split, visit_order=None):
+        with open(log, "a", encoding="utf-8") as out:
+            out.write(f"{index[id(split.graph)]};{sorted(split.cover)};"
+                      f"{visit_order}\n")
+        return reverse_konig(split, visit_order)
+
+    monkeypatch.setattr(verify, "reverse_konig", logging_reverse)
+    orders = {}
+    for jobs in (1, 2):
+        log.write_text("")
+        assert verify.sweep_reverse_round_trip(6, seed=7, jobs=jobs).ok
+        per_graph = {}
+        for line in log.read_text().splitlines():
+            per_graph.setdefault(line.split(";")[0], []).append(line)
+        orders[jobs] = per_graph
+    assert orders[1] == orders[2]
+    assert sum(map(len, orders[1].values())) == 6 * 51
+
+
 def test_corpus_verify_pins_every_case_count_at_eight_vertices():
     # the nine lines CI pins for `corpus-verify --max-vertices 8`
     assert [(r.name, r.cases, len(r.violations))
@@ -92,7 +186,7 @@ def test_corpus_verify_pins_every_case_count_at_eight_vertices():
 def test_the_walk_enumerates_each_graph_once(monkeypatch):
     calls = _count_enumerations(monkeypatch)
     graphs = cached_corpus(7)
-    assert all(r.ok for r in verify.corpus_verify(7))
+    assert all(r.ok for r in verify.corpus_verify(7, jobs=1))
     once = Counter(map(id, graphs))
     for name in ENUMERATIONS:
         assert calls[name] == once, name
@@ -136,7 +230,7 @@ def test_the_walk_keeps_nothing_across_graphs(monkeypatch):
         monkeypatch.setattr(verify, name, enumerating)
     monkeypatch.setattr(verify, "konig_vertices", lambda m: track(
         m.graph, _TrackedCover(konig_vertices(m))))
-    assert all(r.ok for r in verify.corpus_verify(7))
+    assert all(r.ok for r in verify.corpus_verify(7, jobs=1))
     assert alive() == []
     graphs = len(cached_corpus(7))
     assert kinds["_TrackedList"] == 2 * graphs
@@ -161,7 +255,7 @@ SINGLE_SWEEPS = [
 def test_a_single_sweep_fetches_only_what_its_check_reads(monkeypatch, sweep,
                                                           fetched):
     calls = _count_enumerations(monkeypatch)
-    assert sweep(6).ok
+    assert sweep(6, jobs=1).ok
     once = Counter(map(id, cached_corpus(6)))
     for name in ENUMERATIONS:
         assert calls[name] == (once if name in fetched else Counter()), name
