@@ -13,9 +13,7 @@ from .graph import (
     procedure_sides,
 )
 from .matching import (
-    AugmentingPath,
     Matching,
-    augment,
     is_maximal,
     matching_number,
     maximize,
@@ -41,13 +39,13 @@ from .paths import (
     classify_matching,
     enumerate_augmenting_paths,
     hat_vertices,
+    is_augmenting_path,
     path_structures,
     verify_classification_witness,
 )
 from .stars import (
     StarStuddedGraph,
     is_enumeratively_konig_egervary,
-    lift_cover,
     maximal_witness,
     restrict_cover,
     star_stud,

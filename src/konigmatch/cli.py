@@ -86,7 +86,7 @@ def _cmd_classify(args) -> int:
     m = gio.load_matching(g, args.matching)
     verdict = classify_matching(m)
     if verdict.is_minimum:
-        witness = {"augmenting_paths": [[g.labels[v] for v in p.vertices]
+        witness = {"augmenting_paths": [[g.labels[v] for v in p]
                                         for p in verdict.witness]}
     else:
         witness = {"smaller_cover": gio.vertex_set_to_json(g, verdict.witness)}

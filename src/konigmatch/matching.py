@@ -1,11 +1,12 @@
-"""Matchings and augmenting paths, and growing a matching to maximum.
+"""Matchings, and growing a matching to maximum.
 
 Everything here is a pure function over immutable values; a matching
-never mutates after construction.  A matching records its graph and a
-path records its matching, so functions take the matching (or path)
-alone and read the rest from it.  Only augmenting paths are modelled:
-a path that is not one cannot be constructed, so ``augment`` needs no
-check.
+never mutates after construction.  A matching records its graph, so
+functions take the matching alone and read the graph from it.  An
+augmenting path is a plain tuple of vertex ids; ``maximize`` flips each
+path it finds into a new ``Matching``, whose constructor checks the
+result, and ``paths.is_augmenting_path`` judges a path given from
+outside.
 """
 
 from __future__ import annotations
@@ -87,85 +88,10 @@ class Matching:
         return f"Matching({sorted(self.edges)})"
 
 
-class AugmentingPath:
-    """A simple path between two unsaturated vertices whose edges
-    alternate out of and into a matching, so M △ P is a larger matching.
-
-    Any other vertex sequence raises ``InvalidMatching``.  ``edges``
-    holds the path's edges in the stored ``(left, right)`` order.
-    """
-
-    __slots__ = ("vertices", "matching", "edges")
-
-    def __init__(self, vertices: Sequence[int], matching: Matching):
-        g = matching.graph
-        verts = tuple(vertices)
-        if len(verts) < 2:
-            raise InvalidMatching("a path needs at least two vertices")
-        if len(set(verts)) != len(verts):
-            raise InvalidMatching("path vertices must be distinct")
-        if matching.saturates(verts[0]) or matching.saturates(verts[-1]):
-            raise InvalidMatching("path endpoints must be unsaturated")
-        keys = []
-        for a, b in zip(verts, verts[1:]):
-            e = g.edge_key(a, b)
-            if e not in g.edges:
-                raise InvalidMatching(f"({a}, {b}) is not an edge")
-            keys.append(e)
-        # unsaturated endpoints put the first and last edges outside M, so
-        # alternation also gives an odd edge count
-        in_matching = [e in matching.edges for e in keys]
-        for prev, cur in zip(in_matching, in_matching[1:]):
-            if prev == cur:
-                raise InvalidMatching("path does not alternate")
-        self.vertices = verts
-        self.matching = matching
-        self.edges = frozenset(keys)
-
-    @classmethod
-    def _unchecked(cls, vertices: tuple[int, ...],
-                   matching: Matching) -> AugmentingPath:
-        """An augmenting path built without validation.
-
-        Precondition: ``vertices`` are distinct vertices of
-        ``matching.graph``, consecutive ones are adjacent, the first and
-        last are unsaturated, and the edges alternate out of and into
-        ``matching``.  Only for enumerators that guarantee this by
-        construction; everything else goes through ``AugmentingPath(...)``.
-        """
-        key = matching.graph.edge_key
-        p = cls.__new__(cls)
-        p.vertices = vertices
-        p.matching = matching
-        p.edges = frozenset(key(a, b) for a, b in zip(vertices, vertices[1:]))
-        return p
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AugmentingPath):
-            return NotImplemented
-        return (self.vertices == other.vertices
-                and self.matching == other.matching)
-
-    def __hash__(self) -> int:
-        return hash((self.vertices, self.matching))
-
-    def __repr__(self) -> str:
-        return f"AugmentingPath({list(self.vertices)})"
-
-
 def is_maximal(m: Matching) -> bool:
     """True iff no edge of ``m``'s graph has both endpoints unsaturated."""
     partner = m._partner
     return all(u in partner or v in partner for u, v in m.graph.edges)
-
-
-def augment(path: AugmentingPath) -> Matching:
-    """The larger matching M △ P, for the augmenting path P of M."""
-    m = path.matching
-    return Matching(m.graph, m.edges ^ path.edges)
 
 
 def maximize(m: Matching) -> Matching:
@@ -173,9 +99,9 @@ def maximize(m: Matching) -> Matching:
 
     From each left vertex ``m`` leaves free, in ascending id order, a BFS
     follows non-matching edges to sorted neighbours and matching edges
-    back; the first free vertex it reaches ends an augmenting path, which
-    ``augment`` flips.  A vertex with no augmenting path gains none later,
-    so none remains (Berge's condition).  The size is kept as
+    back; the first free vertex it reaches ends an augmenting path P, and
+    M becomes the matching M △ P.  A vertex with no augmenting path gains
+    none later, so none remains (Berge's condition).  The size is kept as
     ``matching_number``.
     """
     g = m.graph
@@ -200,7 +126,9 @@ def maximize(m: Matching) -> Matching:
             path = [end]
             while path[-1] != start:
                 path.append(parent[path[-1]])
-            m = augment(AugmentingPath(path[::-1], m))
+            # the constructor re-checks M △ P, so a faulty search raises
+            m = Matching(g, m.edges.symmetric_difference(
+                map(g.edge_key, path, path[1:])))
     g._nu = len(m)
     return m
 

@@ -8,19 +8,23 @@ different root first joins P (``hat_vertices``), and the "check" keeps
 the part of the structure that is still reachable by alternating paths
 once P has been augmented.
 
+A path is a tuple of vertex ids, from one unsaturated end to the
+other.  ``is_augmenting_path`` judges a path given from outside; the
+enumerator's depth-first search finds only augmenting paths, so its
+paths are not judged again.
+
 ``path_structures(m)`` enumerates the augmenting paths of ``m`` once
 and builds every structure from that one list, lazily.  A structure
-stores its base path (which records its matching, and so the graph),
-its family, their vertex union and Z(M △ P), so K(M △ P) = U △ Z
-needs no second augmentation; the stranded set and the hat's cut
-vertex are derived when read.  Structures are vertex sets only: no
-graph is built for them, and no matching either.  The depth-first
-search guarantees that each path it finds augments, so the enumerator
-builds its paths without a second check, and Z(M △ P) is walked over
-M's partner map with P's edges flipped.
+stores its matching, its base path, its family, their vertex union and
+Z(M △ P), so K(M △ P) = U △ Z needs no second augmentation; the
+stranded set and the hat's cut vertex are derived when read.
+Structures are vertex sets only: no graph is built for them, and no
+matching either, since Z(M △ P) is walked over M's partner map with
+P's edges flipped.
 
 ``classify_matching`` enumerates no paths: it grows M to a maximum
-matching, and ``verify_classification_witness`` checks its witness.
+matching, and ``verify_classification_witness`` checks its witness,
+every path included.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 from .errors import NotMaximal, PathExplosion
 from .graph import procedure_sides
 from .konig import _alternating_closure, is_vertex_cover, konig_vertices
-from .matching import AugmentingPath, Matching, is_maximal, maximize
+from .matching import Matching, is_maximal, maximize
 
 # building structures is quadratic in the path count; the corpus has at
 # most 64 paths per maximal matching at 10 vertices and 128 at 11
@@ -42,15 +46,17 @@ DEFAULT_PATH_LIMIT = 4096
 class PathStructure:
     """The union of all augmenting paths vertex-wise intersecting a base path.
 
-    A structure stores what defines it: the ``family`` of paths meeting
-    ``base_path``, their vertex union ``vertices``, and ``z_after``, the
+    A structure stores what defines it: the ``matching`` M, the
+    ``family`` of its augmenting paths meeting ``base_path``, their
+    vertex union ``vertices``, and ``z_after``, the
     alternating-reachability set Z(M △ P) once the base path P has been
     augmented.  ``stranded`` and ``hat_cut_vertex`` are derived on each
     read.
     """
 
-    base_path: AugmentingPath
-    family: tuple[AugmentingPath, ...]
+    matching: Matching
+    base_path: tuple[int, ...]
+    family: tuple[tuple[int, ...], ...]
     vertices: frozenset[int]
     z_after: frozenset[int]
 
@@ -59,7 +65,7 @@ class PathStructure:
         """The unsaturated V-vertices outside the check part, which
         augmenting the base path strands; only the structure sweep reads
         them."""
-        m = self.base_path.matching
+        m = self.matching
         v_side = procedure_sides(m.graph)[1]
         # the partner map's keys are the saturated vertices
         return ((self.vertices - self.z_after) & v_side).difference(
@@ -72,12 +78,12 @@ class PathStructure:
         endpoint; None when every such path starts at its own root."""
         p = self.base_path
         others = [q for q in _representatives(p, self.family)
-                  if q.vertices[0] != p.vertices[0]]
+                  if q[0] != p[0]]
         if not others:
             return None
-        rank = {v: i for i, v in enumerate(p.vertices)}
+        rank = {v: i for i, v in enumerate(p)}
         # a representative shares p's endpoint, so each has a first join
-        joins = [min((v for v in q.vertices if v in rank),
+        joins = [min((v for v in q if v in rank),
                      key=rank.__getitem__)
                  for q in others]
         return max(joins, key=rank.__getitem__)
@@ -93,10 +99,29 @@ class ClassificationVerdict:
     """
 
     is_minimum: bool
-    witness: tuple[AugmentingPath, ...] | frozenset[int]
+    witness: tuple[tuple[int, ...], ...] | frozenset[int]
 
 
-def enumerate_augmenting_paths(m: Matching) -> list[AugmentingPath]:
+def is_augmenting_path(m: Matching, path: Sequence[int]) -> bool:
+    """Whether ``path`` is an augmenting path of ``m``: at least two
+    vertices, all distinct, both ends unsaturated, consecutive vertices
+    adjacent, and the edges alternating out of and into ``m``, so that
+    M △ P is a matching one edge larger."""
+    g = m.graph
+    if len(path) < 2 or len(set(path)) != len(path):
+        return False
+    if m.saturates(path[0]) or m.saturates(path[-1]):
+        return False
+    # unsaturated ends put the first and last edges outside M, so
+    # alternation also gives an odd edge count
+    for i, (a, b) in enumerate(zip(path, path[1:])):
+        e = g.edge_key(a, b)
+        if e not in g.edges or (e in m.edges) != (i % 2 == 1):
+            return False
+    return True
+
+
+def enumerate_augmenting_paths(m: Matching) -> list[tuple[int, ...]]:
     """All simple augmenting paths starting at unsaturated U-vertices.
 
     Depth-first with an explicit stack, so long paths need no recursion.
@@ -139,7 +164,7 @@ def enumerate_augmenting_paths(m: Matching) -> list[AugmentingPath]:
                     del path[-2:]
     # each path is simple, alternates and joins two unsaturated vertices
     # by construction, so it needs no second check
-    return [AugmentingPath._unchecked(vs, m) for vs in found]
+    return found
 
 
 def path_structures(m: Matching) -> Iterator[PathStructure]:
@@ -152,7 +177,7 @@ def path_structures(m: Matching) -> Iterator[PathStructure]:
     drawn.
     """
     paths = enumerate_augmenting_paths(m)
-    vertex_sets = [frozenset(p.vertices) for p in paths]
+    vertex_sets = [frozenset(p) for p in paths]
     roots = m.unsaturated(procedure_sides(m.graph)[0])
     for p, p_vertices in zip(paths, vertex_sets):
         family = []
@@ -161,31 +186,29 @@ def path_structures(m: Matching) -> Iterator[PathStructure]:
             if not p_vertices.isdisjoint(q_vertices):
                 family.append(q)
                 vertices |= q_vertices
-        yield PathStructure(p, tuple(family), frozenset(vertices),
-                            _z_after(p, roots))
+        yield PathStructure(m, p, tuple(family), frozenset(vertices),
+                            _z_after(m, p, roots))
 
 
-def _z_after(p: AugmentingPath, roots: list[int]) -> frozenset[int]:
+def _z_after(m: Matching, p: tuple[int, ...],
+             roots: list[int]) -> frozenset[int]:
     """Z(M △ P) without building M △ P: the alternating closure over M's
     partner map with P's edges flipped, from ``roots``, the unsaturated
     U-vertices of M, less P's root (P's other end is a V-vertex)."""
-    m = p.matching
-    vs = p.vertices
     partner = dict(m._partner)
     # P's edges out of M are its (U, V) steps; they replace M's edges there
-    for u, v in zip(vs[::2], vs[1::2]):
+    for u, v in zip(p[::2], p[1::2]):
         partner[u] = v
         partner[v] = u
     return frozenset(_alternating_closure(
-        m.graph._adjacency, partner, [u for u in roots if u != vs[0]]))
+        m.graph._adjacency, partner, [u for u in roots if u != p[0]]))
 
 
-def _representatives(p: AugmentingPath,
-                     family: Sequence[AugmentingPath],
-                     ) -> list[AugmentingPath]:
+def _representatives(p: tuple[int, ...],
+                     family: Sequence[tuple[int, ...]],
+                     ) -> list[tuple[int, ...]]:
     """Family paths sharing p's final (unsaturated V) endpoint."""
-    end = p.vertices[-1]
-    return [q for q in family if q.vertices[-1] == end]
+    return [q for q in family if q[-1] == p[-1]]
 
 
 def hat_vertices(ps: PathStructure) -> frozenset[int]:
@@ -199,9 +222,8 @@ def hat_vertices(ps: PathStructure) -> frozenset[int]:
         return ps.vertices
     selected: set[int] = set()
     for q in _representatives(ps.base_path, ps.family):
-        if bound in q.vertices:
-            cut = q.vertices.index(bound)
-            selected.update(q.vertices[:cut + 1])
+        if bound in q:
+            selected.update(q[:q.index(bound) + 1])
     return ps.vertices - selected
 
 
@@ -226,7 +248,7 @@ def classify_matching(m: Matching) -> ClassificationVerdict:
             while m.saturates(walk[-1]):
                 x = m.partner(walk[-1])
                 walk += (x, grown.partner(x))
-            paths.append(AugmentingPath(walk, m))
+            paths.append(tuple(walk))
     return ClassificationVerdict(True, tuple(paths))
 
 
@@ -235,17 +257,22 @@ def verify_classification_witness(m: Matching,
     """Whether ``verdict.witness`` proves ``verdict`` for ``m``, by weak
     duality: |K(M)| − |M| vertex-disjoint augmenting paths of ``m`` grow
     it to |K(M)| edges, so the cover K(M) is minimum; a smaller cover
-    shows it is not.  Each path was checked when it was built.
+    shows it is not.  Every path is judged by ``is_augmenting_path``.  A
+    witness of the wrong shape (a cover that is not a frozenset, paths
+    that are not a tuple of tuples) is answered False, not raised on.
     """
     g = m.graph
     k = konig_vertices(m)
     witness = verdict.witness
     if not verdict.is_minimum:
-        return (witness <= g.vertices and is_vertex_cover(g, witness)
-                and len(witness) < len(k))
+        return (isinstance(witness, frozenset) and witness <= g.vertices
+                and is_vertex_cover(g, witness) and len(witness) < len(k))
+    if not isinstance(witness, tuple):
+        return False
     used: set[int] = set()
     for p in witness:
-        if p.matching != m or not used.isdisjoint(p.vertices):
+        if not (isinstance(p, tuple) and is_augmenting_path(m, p)
+                and used.isdisjoint(p)):
             return False
-        used.update(p.vertices)
+        used.update(p)
     return len(m) + len(witness) == len(k) and is_vertex_cover(g, k)

@@ -100,7 +100,8 @@ def reverse_konig(split: CoverSplit,
         order = sorted(roots)
     else:
         order = list(visit_order)
-        if set(order) != set(roots):
+        # a repeated root would pass the set comparison alone
+        if len(order) != len(roots) or set(order) != set(roots):
             raise NotMinimumCover(
                 "visit_order must be a permutation of the uncovered U side")
     partner: dict[int, int] = {}

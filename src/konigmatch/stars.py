@@ -48,10 +48,6 @@ class StarStuddedGraph:
     full: BipartiteGraph
     attachment: dict[int, tuple[int, int, int, int]]
 
-    @property
-    def centers(self) -> frozenset[int]:
-        return frozenset(c for c, _, _, _ in self.attachment.values())
-
 
 def star_stud(h: BipartiteGraph) -> StarStuddedGraph:
     """Attach a fresh three-leaf star to every vertex of ``h``.
@@ -89,17 +85,6 @@ def star_stud(h: BipartiteGraph) -> StarStuddedGraph:
         attachment[v] = (center,) + leaves
     full = BipartiteGraph(left, right, edges, labels)
     return StarStuddedGraph(h, full, attachment)
-
-
-def lift_cover(ssg: StarStuddedGraph, c) -> frozenset[int]:
-    """Minimum cover of the base → minimum cover of the studded graph.
-
-    The lift adds every star center; no leaf is ever needed.
-    """
-    cset = frozenset(c)
-    if not is_minimum_cover(ssg.base, cset):
-        raise NotMinimumCover("input is not a minimum cover of the base")
-    return cset | ssg.centers
 
 
 def restrict_cover(ssg: StarStuddedGraph, c) -> frozenset[int]:

@@ -388,13 +388,20 @@ def _path_structure_properties(record: GraphRecord,
         if len(m) == len(u_side):
             continue
         k_before = None  # K(M), read only once m has a path
+        # each path's steps, built once per matching; a step names its
+        # edge, since every path walks M's edges V to U and the others
+        # U to V
+        steps: dict[tuple[int, ...], frozenset[tuple[int, int]]] = {}
         for ps in path_structures(m):
             if k_before is None:
                 k_before = konig_vertices(m)
             p = ps.base_path
+            for q in ps.family:
+                if q not in steps:
+                    steps[q] = frozenset(zip(q, q[1:]))
 
             def where() -> str:
-                return f"{_describe(g)} {sorted(m.edges)} p={list(p.vertices)}"
+                return f"{_describe(g)} {sorted(m.edges)} p={list(p)}"
 
             structure = ps.vertices
             k_after = u_side ^ ps.z_after  # K(M △ P)
@@ -410,9 +417,8 @@ def _path_structure_properties(record: GraphRecord,
             # cover keeps its cardinality under augmentation
             sub = set()
             for q in ps.family:
-                if (q.vertices[0] == p.vertices[0]
-                        and q.vertices[-1] == p.vertices[-1]):
-                    sub.update(q.vertices)
+                if q[0] == p[0] and q[-1] == p[-1]:
+                    sub.update(q)
             result.check(len(k_before & sub) == len(k_after & sub),
                          lambda: f"{where()}: unique-root restricted "
                                  "equality fails")
@@ -430,14 +436,13 @@ def _path_structure_properties(record: GraphRecord,
             # vertex-wise intersection implies edge-wise or endpoints
             # only; each pair of meeting paths is checked once, from
             # the earlier one (paths are enumerated in sorted order)
-            p_vertices = frozenset(p.vertices)
+            p_vertices = frozenset(p)
             for q in ps.family:
-                if q.vertices <= p.vertices:
+                if q <= p:
                     continue
-                shared = p_vertices.intersection(q.vertices)
-                if not (p.edges & q.edges):
-                    endpoints = {p.vertices[0], p.vertices[-1]} & \
-                        {q.vertices[0], q.vertices[-1]}
+                shared = p_vertices.intersection(q)
+                if steps[p].isdisjoint(steps[q]):
+                    endpoints = {p[0], p[-1]} & {q[0], q[-1]}
                     result.check(shared <= endpoints,
                                  lambda: f"{_describe(g)}: paths share "
                                          "interior vertices without "
@@ -447,8 +452,8 @@ def _path_structure_properties(record: GraphRecord,
                     # vertices, but never as exact reverses; that
                     # would splice into a path between two unsaturated
                     # vertices of the same side
-                    in_p = [v for v in p.vertices if v in shared]
-                    in_q = [v for v in q.vertices if v in shared]
+                    in_p = [v for v in p if v in shared]
+                    in_q = [v for v in q if v in shared]
                     result.check(in_p != in_q[::-1],
                                  lambda: f"{_describe(g)}: shared "
                                          "vertices in exactly reversed order")

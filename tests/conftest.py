@@ -5,16 +5,16 @@ from pathlib import Path
 import pytest
 
 from konigmatch import (
-    AugmentingPath,
     Matching,
-    augment,
     build_graph,
     hat_vertices,
+    is_augmenting_path,
+    is_minimum_cover,
     konig_vertices,
     path_structures,
     procedure_sides,
 )
-from konigmatch.errors import BudgetExceeded
+from konigmatch.errors import BudgetExceeded, NotMinimumCover
 from konigmatch.oracle import OracleBudget, all_matchings
 from konigmatch.verify import _describe
 
@@ -50,6 +50,17 @@ def ladder(k):
     return g, Matching(g, [(a, 2 * n + b) for a, b in matched])
 
 
+def _edges(g, path):
+    """The stored edge keys of a vertex tuple's steps."""
+    return {g.edge_key(a, b) for a, b in zip(path, path[1:])}
+
+
+def flip(m, path):
+    """M △ P: the matching ``m`` with the edges of the vertex tuple
+    ``path`` flipped, checked by the ``Matching`` constructor."""
+    return Matching(m.graph, m.edges ^ _edges(m.graph, path))
+
+
 def reference_augmenting_path(m, start):
     """The augmenting-path search ``maximize`` runs, kept as a separate
     function so the tests can pin ``maximize`` to it: BFS from the free
@@ -69,8 +80,7 @@ def reference_augmenting_path(m, start):
                 path = [y]
                 while path[-1] != start:
                     path.append(parent[path[-1]])
-                path.reverse()
-                return AugmentingPath(path, m)
+                return tuple(reversed(path))
             z = m.partner(y)
             if z not in parent:
                 parent[z] = y
@@ -80,11 +90,13 @@ def reference_augmenting_path(m, start):
 
 def reference_maximize(m):
     """``maximize`` as a loop over ``reference_augmenting_path``: one
-    search from each left vertex ``m`` leaves free, in ascending order."""
+    search from each left vertex ``m`` leaves free, in ascending order;
+    each path it finds must pass ``is_augmenting_path``."""
     for u in m.unsaturated(m.graph.left):
         path = reference_augmenting_path(m, u)
         if path is not None:
-            m = augment(path)
+            assert is_augmenting_path(m, path)
+            m = flip(m, path)
     return m
 
 
@@ -134,6 +146,21 @@ def reference_greedy_maximal(g, edge_order):
     return Matching(g, chosen)
 
 
+def star_centers(ssg):
+    """The star centers of the studded graph ``ssg``."""
+    return frozenset(c for c, _, _, _ in ssg.attachment.values())
+
+
+def lift_cover(ssg, c):
+    """The paper's lift: a minimum cover of the base → a minimum cover of
+    the studded graph ``ssg``, by adding every star center; no leaf is
+    ever needed."""
+    cset = frozenset(c)
+    if not is_minimum_cover(ssg.base, cset):
+        raise NotMinimumCover("input is not a minimum cover of the base")
+    return cset | star_centers(ssg)
+
+
 def minimum_covers_by_subset_scan(g, b=None):
     """Dead-simple reference for ``all_minimum_covers``: scan all vertex
     subsets in increasing size, within ``b``'s vertex and subset budget."""
@@ -172,7 +199,7 @@ def reference_path_structure_properties(record, result):
             p = ps.base_path
 
             def where() -> str:
-                return f"{_describe(g)} {sorted(m.edges)} p={list(p.vertices)}"
+                return f"{_describe(g)} {sorted(m.edges)} p={list(p)}"
 
             structure = ps.vertices
             k_after = u_side ^ ps.z_after  # K(M △ P)
@@ -183,9 +210,8 @@ def reference_path_structure_properties(record, result):
                              lambda: f"{where()}: localization fails at {r}")
             sub = set()
             for q in ps.family:
-                if (q.vertices[0] == p.vertices[0]
-                        and q.vertices[-1] == p.vertices[-1]):
-                    sub.update(q.vertices)
+                if q[0] == p[0] and q[-1] == p[-1]:
+                    sub.update(q)
             result.check(len(k_before & sub) == len(k_after & sub),
                          lambda: f"{where()}: unique-root restricted "
                                  "equality fails")
@@ -198,21 +224,20 @@ def reference_path_structure_properties(record, result):
             hat_eq = len(k_before & hat) == len(k_after & hat)
             result.check(full_eq == hat_eq,
                          lambda: f"{where()}: hat reduction disagrees")
-            p_vertices = frozenset(p.vertices)
+            p_vertices = frozenset(p)
             for q in ps.family:
-                if q.vertices <= p.vertices:
+                if q <= p:
                     continue
-                shared = p_vertices.intersection(q.vertices)
-                if not (p.edges & q.edges):
-                    endpoints = {p.vertices[0], p.vertices[-1]} & \
-                        {q.vertices[0], q.vertices[-1]}
+                shared = p_vertices.intersection(q)
+                if not (_edges(g, p) & _edges(g, q)):
+                    endpoints = {p[0], p[-1]} & {q[0], q[-1]}
                     result.check(shared <= endpoints,
                                  lambda: f"{_describe(g)}: paths share "
                                          "interior vertices without "
                                          "sharing edges")
                 if len(shared) >= 2:
-                    in_p = [v for v in p.vertices if v in shared]
-                    in_q = [v for v in q.vertices if v in shared]
+                    in_p = [v for v in p if v in shared]
+                    in_q = [v for v in q if v in shared]
                     result.check(in_p != in_q[::-1],
                                  lambda: f"{_describe(g)}: shared "
                                          "vertices in exactly reversed order")

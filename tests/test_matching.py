@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from konigmatch import (
-    AugmentingPath,
     Matching,
-    augment,
     build_graph,
     enumerate_augmenting_paths,
+    is_augmenting_path,
     is_maximal,
     matching_number,
     maximize,
@@ -19,8 +18,8 @@ from konigmatch.corpus import cached_corpus
 from konigmatch.experiments import random_maximal_matching
 from konigmatch.oracle import all_matchings
 
-from conftest import (matching_by_labels, maximum_matching_size_brute_force,
-                      reference_maximize)
+from conftest import (flip, matching_by_labels,
+                      maximum_matching_size_brute_force, reference_maximize)
 
 
 @st.composite
@@ -58,21 +57,21 @@ def test_matching_queries(p4):
 
 def test_alternating_path_validation(p4):
     m = matching_by_labels(p4, [("2", "3")])
-    path = AugmentingPath((0, 2, 1, 3), m)
-    assert path.edges == {(0, 2), (1, 2), (1, 3)}
-    with pytest.raises(InvalidMatching):
-        AugmentingPath((0, 2), m)  # 2 is saturated
-    with pytest.raises(InvalidMatching):
-        AugmentingPath((0, 2, 1), m)  # ends at the saturated 3
-    with pytest.raises(InvalidMatching):
-        AugmentingPath((0,), m)
-    with pytest.raises(InvalidMatching):
-        AugmentingPath((0, 3), m)  # not an edge
-    with pytest.raises(InvalidMatching):
-        AugmentingPath((0, 2, 1, 0), m)  # 0 twice
+    path = (0, 2, 1, 3)
+    assert is_augmenting_path(m, path)
+    # M △ (M △ P) is P's edge set
+    assert m.edges ^ flip(m, path).edges == {(0, 2), (1, 2), (1, 3)}
+    assert is_augmenting_path(m, (0, 2)) is False  # 2 is saturated
+    assert is_augmenting_path(m, (0, 2, 1)) is False  # ends at the saturated 3
+    assert is_augmenting_path(m, (0,)) is False
+    assert is_augmenting_path(m, (0, 3)) is False  # not an edge
+    assert is_augmenting_path(m, (0, 2, 1, 0)) is False  # 0 twice
     empty = Matching(p4, ())
-    with pytest.raises(InvalidMatching):
-        AugmentingPath((0, 2, 1), empty)  # two non-matching edges in a row
+    # two non-matching edges in a row
+    assert is_augmenting_path(empty, (0, 2, 1)) is False
+    # 3-4 augments the matching {1-2}, but not m, which saturates 3
+    assert is_augmenting_path(Matching(p4, [(0, 2)]), (1, 3))
+    assert is_augmenting_path(m, (1, 3)) is False
 
 
 def test_maximize_augments_along_the_path_graph(p4):
@@ -84,9 +83,11 @@ def test_maximize_augments_along_the_path_graph(p4):
 
 
 def test_augment_rejects_non_augmenting(p4):
+    # flipping a path that does not augment gives no matching, and the
+    # constructor that checks each M △ P of maximize raises
     m = matching_by_labels(p4, [("2", "3")])
     with pytest.raises(InvalidMatching):
-        augment(AugmentingPath((0, 2), m))
+        flip(m, (0, 2))
 
 
 def test_maximum_matching_on_fork(fork):

@@ -3,14 +3,13 @@ import dataclasses
 import pytest
 
 from konigmatch import (
-    AugmentingPath,
     BipartiteGraph,
     Matching,
-    augment,
     build_graph,
     classify_matching,
     enumerate_augmenting_paths,
     hat_vertices,
+    is_augmenting_path,
     konig_cover,
     konig_vertices,
     path_structures,
@@ -26,7 +25,7 @@ from konigmatch.oracle import all_maximal_matchings
 from konigmatch.paths import ClassificationVerdict
 
 import conftest
-from conftest import (labeled, ladder, matching_by_labels,
+from conftest import (flip, labeled, ladder, matching_by_labels,
                       reference_path_structure_properties)
 
 
@@ -36,7 +35,7 @@ def fork_matching(fork):
 
 
 def _path_labels(g, p):
-    return [g.labels[v] for v in p.vertices]
+    return [g.labels[v] for v in p]
 
 
 def test_enumerate_augmenting_paths_on_the_fork(fork, fork_matching):
@@ -44,8 +43,8 @@ def test_enumerate_augmenting_paths_on_the_fork(fork, fork_matching):
     assert len(paths) == 6
     assert _path_labels(fork, paths[0]) == ["a1", "b1", "c1", "d1"]
     # lexicographic in vertex ids, each path once
-    sequences = [p.vertices for p in paths]
-    assert sequences == sorted(set(sequences))
+    assert all(type(p) is tuple for p in paths)
+    assert paths == sorted(set(paths))
 
 
 def test_enumeration_limit():
@@ -66,7 +65,8 @@ def test_fork_structure_pins(fork, fork_matching):
 def test_a_structure_stores_only_its_defining_data(fork, fork_matching):
     ps = next(path_structures(fork_matching))
     assert [f.name for f in dataclasses.fields(ps)] == [
-        "base_path", "family", "vertices", "z_after"]
+        "matching", "base_path", "family", "vertices", "z_after"]
+    assert ps.matching is fork_matching
     assert ps.stranded == labeled(fork, "d1", "d2", "d3")
 
 
@@ -168,7 +168,7 @@ def test_forged_classification_witnesses_are_rejected(fork, fork_matching):
     g, m = ladder(1)
 
     def path(*labels):
-        return AugmentingPath([g.vertex_by_label(x) for x in labels], m)
+        return tuple(g.vertex_by_label(x) for x in labels)
 
     via_p0 = path("x0", "p0", "x1", "p1")
     assert verify_classification_witness(m, ClassificationVerdict(
@@ -186,6 +186,32 @@ def test_forged_classification_witnesses_are_rejected(fork, fork_matching):
             fork_matching, ClassificationVerdict(False, forged))
 
 
+def test_the_witness_check_judges_every_path(p4):
+    # the README's path graph: K(M) = {2, 4} is minimum, proved by the
+    # one path 1-2-3-4
+    m = matching_by_labels(p4, [("2", "3")])
+    assert verify_classification_witness(
+        m, ClassificationVerdict(True, ((0, 2, 1, 3),)))
+    for forged in [(0, 3),  # 1-4 is not an edge
+                   (0, 2, 1, 0)]:  # 1 twice
+        assert verify_classification_witness(
+            m, ClassificationVerdict(True, (forged,))) is False
+
+
+def test_the_witness_check_answers_a_malformed_witness(p4, fork,
+                                                       fork_matching):
+    m = matching_by_labels(p4, [("2", "3")])
+    for verdict in [ClassificationVerdict(True, frozenset({0, 3})),
+                    ClassificationVerdict(True, [(0, 2, 1, 3)]),
+                    ClassificationVerdict(True, ([0, 2, 1, 3],)),
+                    ClassificationVerdict(False, ((0, 2, 1, 3),))]:
+        assert verify_classification_witness(m, verdict) is False
+    # a path tuple is not a cover, though it names a covering set
+    assert verify_classification_witness(
+        fork_matching, ClassificationVerdict(
+            False, tuple(labeled(fork, "b1", "c1")))) is False
+
+
 def test_single_root_preserves_cover_size_but_not_the_cover_set(p4):
     # augmenting 1-2-3-4 moves the cover from {2,4} to {1,3}: with a
     # single unsaturated root the cover *cardinality* is invariant on the
@@ -193,7 +219,7 @@ def test_single_root_preserves_cover_size_but_not_the_cover_set(p4):
     m = matching_by_labels(p4, [("2", "3")])
     (p,) = enumerate_augmenting_paths(m)
     before = konig_cover(m).vertices
-    after = konig_cover(Matching(p4, m.edges ^ p.edges)).vertices
+    after = konig_cover(flip(m, p)).vertices
     assert before == labeled(p4, "2", "4")
     assert after == labeled(p4, "1", "3")
     assert before != after
@@ -205,9 +231,10 @@ def test_augmentation_can_flip_the_whole_cover():
     # other side, so no per-vertex membership statement survives it
     g = build_graph(3, 3, [(0, 0), (0, 1), (0, 2), (1, 1), (2, 0)])
     m = Matching(g, [(0, 4), (2, 3)])
-    p = AugmentingPath((1, 4, 0, 5), m)
+    p = (1, 4, 0, 5)
+    assert is_augmenting_path(m, p)
     assert konig_cover(m).vertices == g.right
-    assert konig_cover(Matching(g, m.edges ^ p.edges)).vertices == g.left
+    assert konig_cover(flip(m, p)).vertices == g.left
 
 
 def _five_thousand_vertex_path():
@@ -223,7 +250,7 @@ def test_a_5000_vertex_augmenting_path_needs_no_recursion():
     half = 2500
     m = _five_thousand_vertex_path()
     (p,) = enumerate_augmenting_paths(m)
-    assert p.vertices == tuple(v for i in range(half) for v in (i, half + i))
+    assert p == tuple(v for i in range(half) for v in (i, half + i))
     assert classify_matching(m).witness == (p,)
 
 
@@ -244,13 +271,13 @@ def test_classification_on_the_smallest_nine_vertex_counterexample():
 def _reference_hat(ps):
     """The hat's vertices cut independently: drop every prefix, up to the
     hat cut vertex, of a family path into the base path's endpoint."""
-    vertices = set().union(*(q.vertices for q in ps.family))
+    vertices = set().union(*ps.family)
     if ps.hat_cut_vertex is not None:
-        end = ps.base_path.vertices[-1]
+        end = ps.base_path[-1]
         for q in ps.family:
-            if q.vertices[-1] == end and ps.hat_cut_vertex in q.vertices:
-                cut = q.vertices.index(ps.hat_cut_vertex)
-                vertices.difference_update(q.vertices[:cut + 1])
+            if q[-1] == end and ps.hat_cut_vertex in q:
+                cut = q.index(ps.hat_cut_vertex)
+                vertices.difference_update(q[:cut + 1])
     return vertices
 
 
@@ -263,12 +290,11 @@ def test_structures_match_the_reference_graphs_on_the_corpus():
             built = list(path_structures(m))
             assert [ps.base_path for ps in built] == paths
             for p, ps in zip(paths, built):
-                assert ps.family == tuple(
-                    q for q in paths if set(p.vertices) & set(q.vertices))
-                assert ps.vertices == set().union(*(q.vertices
-                                                    for q in ps.family))
+                assert ps.matching is m
+                assert ps.family == tuple(q for q in paths if set(p) & set(q))
+                assert ps.vertices == set().union(*ps.family)
                 assert hat_vertices(ps) == _reference_hat(ps)
-                augmented = augment(p)
+                augmented = flip(m, p)
                 assert ps.z_after == z_set(augmented)
                 assert u_side ^ ps.z_after == konig_vertices(augmented)
                 structures += 1
@@ -315,21 +341,19 @@ def test_drawing_structures_builds_no_matching(monkeypatch):
             structures += 1
     assert (structures, built) == (253, [])
     # the counters do see a matching being built
-    augment(enumerate_augmenting_paths(ladder_matching)[0])
+    flip(ladder_matching, enumerate_augmenting_paths(ladder_matching)[0])
     assert built == ["__init__"]
 
 
-def test_enumerated_paths_equal_the_checked_constructor():
-    # the enumerator builds its paths unchecked; each must be the path
-    # the checked constructor accepts, with the same edges
+def test_enumerated_paths_pass_the_augmenting_path_check():
+    # the enumerator does not judge its paths; each must be a vertex
+    # tuple that is_augmenting_path accepts
     matchings = [m for g in cached_corpus(8) for m in all_maximal_matchings(g)]
     matchings += [ladder(5)[1], _five_thousand_vertex_path()]
     paths = 0
     for m in matchings:
         for p in enumerate_augmenting_paths(m):
-            checked = AugmentingPath(p.vertices, m)
-            assert ((p.vertices, p.edges, p.matching)
-                    == (checked.vertices, checked.edges, checked.matching))
+            assert type(p) is tuple and is_augmenting_path(m, p)
             paths += 1
     assert paths == 3685 + 2 ** 7 + 1
 
@@ -352,8 +376,8 @@ def _drop_from_z_after(monkeypatch):
     # every Z(M △ P) loses its smallest vertex, if it has one
     real = paths_module._z_after
 
-    def dropping(p, roots):
-        z = real(p, roots)
+    def dropping(m, p, roots):
+        z = real(m, p, roots)
         return z - {min(z, default=None)}
 
     monkeypatch.setattr(paths_module, "_z_after", dropping)

@@ -43,7 +43,7 @@ def test_the_quick_tour_gives_the_values_its_comments_state():
         assert (type(value), value) == (type(stated), stated), \
             ast.unparse(statement)
         checked += 1
-    assert checked == 4
+    assert checked == 5
 
 
 def test_every_documented_command_line_parses():

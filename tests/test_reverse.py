@@ -85,6 +85,22 @@ def test_visit_order_must_cover_the_roots(fork):
             reverse_konig(split, order)
 
 
+def test_a_visit_order_that_repeats_a_root_is_rejected():
+    orders = 0
+    for g in cached_corpus(6):
+        u_side, _ = procedure_sides(g)
+        for cover in all_minimum_covers(g):
+            roots = sorted(u_side - cover)
+            if not roots:
+                continue
+            split = split_by_cover(g, cover)
+            with pytest.raises(NotMinimumCover):
+                reverse_konig(split, roots + roots[:1])
+            orders += 1
+    # compared as sets, each of these orders would round-trip
+    assert orders == 25
+
+
 def test_round_trip_on_the_path_graph(p4):
     for cover_labels in (("1", "3"), ("2", "3"), ("2", "4")):
         cover = labeled(p4, *cover_labels)

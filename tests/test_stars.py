@@ -7,7 +7,6 @@ from konigmatch import (
     is_maximal,
     konig_cover,
     konig_vertices,
-    lift_cover,
     matching_number,
     maximal_witness,
     maximum_matching,
@@ -27,7 +26,7 @@ BUDGET = OracleBudget(max_vertices=26, max_subsets=2 ** 21)
 # room for the studded graphs of cached_corpus(6), 31 vertices at most
 WITNESS_BUDGET = OracleBudget(max_vertices=31, max_subsets=2 ** 21)
 
-from conftest import labeled
+from conftest import labeled, lift_cover, star_centers
 
 
 def reached_minimum_covers(matchings):
@@ -47,7 +46,7 @@ def test_star_stud_shape(p4):
     assert ssg.base == p4
     assert len(ssg.full.vertices) == 4 + 4 * 4
     assert len(ssg.full.edges) == 3 + 4 * 4
-    assert len(ssg.centers) == 4
+    assert len(star_centers(ssg)) == 4
     for v, (center, *leaves) in ssg.attachment.items():
         left = ssg.full.left
         assert (center in left) != (v in left)
@@ -74,7 +73,7 @@ def test_lift_and_restrict_are_inverse(p4):
     ssg = star_stud(p4)
     for base_cover in all_minimum_covers(p4):
         lifted = lift_cover(ssg, base_cover)
-        assert lifted == base_cover | ssg.centers
+        assert lifted == base_cover | star_centers(ssg)
         assert restrict_cover(ssg, lifted) == base_cover
 
 
@@ -83,7 +82,7 @@ def test_lift_and_restrict_validate_their_input(p4):
     with pytest.raises(NotMinimumCover):
         lift_cover(ssg, labeled(p4, "1", "4"))
     with pytest.raises(NotMinimumCover):
-        restrict_cover(ssg, ssg.centers)
+        restrict_cover(ssg, star_centers(ssg))
 
 
 def test_studded_minimum_covers_are_exactly_the_lifts():
@@ -91,7 +90,7 @@ def test_studded_minimum_covers_are_exactly_the_lifts():
     for h in cached_corpus(6):
         ssg = star_stud(h)
         assert len(maximum_matching(ssg.full)) == \
-            len(maximum_matching(h)) + len(ssg.centers)
+            len(maximum_matching(h)) + len(star_centers(ssg))
         lifted = {lift_cover(ssg, c) for c in all_minimum_covers(h)}
         assert all_minimum_covers(ssg.full, WITNESS_BUDGET) == lifted
 
