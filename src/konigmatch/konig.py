@@ -6,6 +6,9 @@ side of each component, ties keeping the designated left side).  The
 formula is evaluated for arbitrary matchings; its result always covers,
 since N(Z ∩ U) ⊆ Z, and the cover verdict checks this, not assumes it.
 Each function takes the matching alone and reads its graph from it.
+A matching's Kőnig set is computed once: ``konig_vertices`` walks Z on
+its first read and keeps K(M) in the matching's ``_konig`` slot, and
+``z_set`` and ``konig_cover`` read it from there.
 Minimality is defined once, for ``konig_cover`` and ``is_minimal_cover``
 alike: no vertex of the set has its whole neighborhood inside it.  A set
 that does not cover is neither minimal nor minimum.
@@ -45,17 +48,13 @@ class VertexCover:
 
 def z_set(m: Matching) -> frozenset[int]:
     """Z: the closure of the unsaturated U-vertices under alternating
-    reachability.
+    reachability, read as U △ K(M) from the matching's kept K(M).
 
     From a U-vertex every non-matching edge is followed; from a V-vertex
     only the matching edge (if any).  A U-vertex in Z is unsaturated or
     was reached from its partner, so the walk follows all its edges.
     """
-    g = m.graph
-    u_side, _ = procedure_sides(g)
-    partner = m._partner
-    return frozenset(_alternating_closure(
-        g._adjacency, partner, [u for u in u_side if u not in partner]))
+    return procedure_sides(m.graph)[0] ^ konig_vertices(m)
 
 
 def _alternating_closure(adjacency: dict[int, frozenset[int]],
@@ -123,8 +122,16 @@ def is_minimum_cover(g: BipartiteGraph, s: Iterable[int]) -> bool:
 
 
 def konig_vertices(m: Matching) -> frozenset[int]:
-    """K(M) = (U \\ Z) ∪ (V ∩ Z) = U △ Z, without the verdicts."""
-    return procedure_sides(m.graph)[0] ^ z_set(m)
+    """K(M) = (U \\ Z) ∪ (V ∩ Z) = U △ Z, without the verdicts; Z is
+    walked on the first read and K(M) kept on ``m`` for every later one."""
+    k = m._konig
+    if k is None:
+        g = m.graph
+        u_side, _ = procedure_sides(g)
+        partner = m._partner
+        k = m._konig = u_side ^ _alternating_closure(
+            g._adjacency, partner, [u for u in u_side if u not in partner])
+    return k
 
 
 def konig_cover(m: Matching) -> VertexCover:
@@ -136,7 +143,9 @@ def konig_cover(m: Matching) -> VertexCover:
     """
     g = m.graph
     u_side, _ = procedure_sides(g)
-    k = u_side ^ z_set(m)  # konig_vertices, keeping U for the check
+    # konig_vertices, keeping U for the check; Z comes through z_set,
+    # which a test replaces to feed the verdicts sets that do not cover
+    k = u_side ^ z_set(m)
     cover = _covers(g, u_side, k)
     minimal = cover and _irredundant(g, k)
     minimum = cover and len(k) == matching_number(g)

@@ -7,6 +7,10 @@ augmenting path is a plain tuple of vertex ids; ``maximize`` flips each
 path it finds into a new ``Matching``, whose constructor checks the
 result, and ``paths.is_augmenting_path`` judges a path given from
 outside.
+
+Being immutable, a matching keeps what is derived from it: its Kőnig set
+K(M) is computed once, by ``konig.konig_vertices`` on first read, and
+held in the ``_konig`` slot, which both constructors set to None.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .graph import BipartiteGraph, Edge
 class Matching:
     """A set of pairwise vertex-disjoint edges of a host graph."""
 
-    __slots__ = ("graph", "edges", "_partner")
+    __slots__ = ("graph", "edges", "_partner", "_konig")
 
     def __init__(self, graph: BipartiteGraph, edges: Iterable[Edge]):
         normalized = set()
@@ -40,6 +44,7 @@ class Matching:
         self.graph = graph
         self.edges = frozenset(normalized)
         self._partner = partner
+        self._konig = None
 
     @classmethod
     def _unchecked(cls, graph: BipartiteGraph,
@@ -59,6 +64,7 @@ class Matching:
         m.graph = graph
         m.edges = frozenset(edges)
         m._partner = partner
+        m._konig = None
         return m
 
     def saturates(self, v: int) -> bool:

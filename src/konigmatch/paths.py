@@ -106,9 +106,14 @@ def is_augmenting_path(m: Matching, path: Sequence[int]) -> bool:
     """Whether ``path`` is an augmenting path of ``m``: at least two
     vertices, all distinct, both ends unsaturated, consecutive vertices
     adjacent, and the edges alternating out of and into ``m``, so that
-    M △ P is a matching one edge larger."""
+    M △ P is a matching one edge larger.  An unhashable entry names no
+    vertex, so it gives False."""
     g = m.graph
-    if len(path) < 2 or len(set(path)) != len(path):
+    try:
+        distinct = len(set(path)) == len(path)
+    except TypeError:
+        return False
+    if len(path) < 2 or not distinct:
         return False
     if m.saturates(path[0]) or m.saturates(path[-1]):
         return False

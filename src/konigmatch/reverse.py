@@ -100,33 +100,38 @@ def reverse_konig(split: CoverSplit,
         order = sorted(roots)
     else:
         order = list(visit_order)
-        # a repeated root would pass the set comparison alone
-        if len(order) != len(roots) or set(order) != set(roots):
+        try:
+            # a repeated root would pass the set comparison alone
+            permutation = len(order) == len(roots) and set(order) == roots
+        except TypeError:  # an unhashable entry is no root
+            permutation = False
+        if not permutation:
             raise NotMinimumCover(
                 "visit_order must be a permutation of the uncovered U side")
-    partner: dict[int, int] = {}
+    saturated: set[int] = set()
+    up_edges: list[tuple[int, int]] = []
     for root in order:
-        if root in partner:
+        if root in saturated:
             continue
         # one iterator over sorted neighbors per vertex on the walk; the
         # walk resumes a vertex's scan once everything below it is done
         stack = [iter(sorted(up.neighbors(root)))]
         while stack:
             for v in stack[-1]:
-                if v in partner:
+                if v in saturated:
                     continue
                 w = next((w for w in sorted(up.neighbors(v))
-                          if w != root and w not in partner), None)
+                          if w != root and w not in saturated), None)
                 if w is None:
                     continue
-                partner[v] = w
-                partner[w] = v
+                saturated.update((v, w))
+                up_edges.append((v, w))
                 stack.append(iter(sorted(up.neighbors(w))))
                 break
             else:
                 stack.pop()
-    combined = Matching(split.graph,
-                        [*partner.items(), *split.m_down.edges])
+    # each up edge once; the constructor checks every edge
+    combined = Matching(split.graph, [*up_edges, *split.m_down.edges])
     produced = konig_vertices(combined)
     if produced != split.cover:
         raise RoundTripFailed(

@@ -5,7 +5,12 @@ Each check tests one theorem-backed invariant on one graph's
 the exhaustive connected-bipartite corpus once and runs every check on
 each graph; a ``sweep_*`` runs its one check over the same walk.  The
 record computes, once per graph, what several checks read, and is
-dropped before the next graph.  The CLI and acceptance tests wrap these.
+dropped before the next graph: ``minimum_covers`` (the oracle's),
+``matchings`` (every matching) and ``maximal_matchings``.  A check reads
+K(M) with ``konig_vertices(m)``, which a matching computes once and
+keeps, so checks that share a matching share its K(M), and a check
+reads it only where it compares it.  The CLI and acceptance tests wrap
+these.
 
 The walk is split into ``jobs`` shards, shard k holding every jobs-th
 graph from the k-th.  The calling process walks shard 0 and ``os.fork``
@@ -83,9 +88,8 @@ class GraphRecord:
         return all_minimum_covers(self.graph)
 
     @cached_property
-    def matching_covers(self) -> list[tuple[Matching, frozenset[int]]]:
-        """Every matching M with K(M), without the cover verdicts."""
-        return [(m, konig_vertices(m)) for m in all_matchings(self.graph)]
+    def matchings(self) -> list[Matching]:
+        return all_matchings(self.graph)
 
     @cached_property
     def maximal_matchings(self) -> list[Matching]:
@@ -291,7 +295,8 @@ def _surjectivity(record: GraphRecord, result: SweepResult) -> None:
     g = record.graph
     # K(M) always covers, so it is minimum iff it has ν(G) vertices
     nu = matching_number(g)
-    reached = {k for _, k in record.matching_covers if len(k) == nu}
+    reached = {k for k in map(konig_vertices, record.matchings)
+               if len(k) == nu}
     result.check(reached == record.minimum_covers,
                  lambda: f"{_describe(g)}: reached "
                          f"{sorted(map(sorted, reached))} != oracle "
@@ -317,14 +322,16 @@ def sweep_cycle_fibers(max_vertices: int = 8,
 
 def _cycle_fibers(record: GraphRecord, result: SweepResult) -> None:
     g = record.graph
-    by_saturated: dict[frozenset[int], list] = {}
-    for m, k in record.matching_covers:
-        saturated = frozenset(v for edge in m.edges for v in edge)
-        by_saturated.setdefault(saturated, []).append((m, k))
+    by_saturated: dict[frozenset[int], list[Matching]] = {}
+    for m in record.matchings:
+        # the partner map's keys are the saturated vertices
+        by_saturated.setdefault(frozenset(m._partner), []).append(m)
     for group in by_saturated.values():
-        for i, (m1, cover1) in enumerate(group):
-            for m2, cover2 in group[i + 1:]:
-                result.check(cover1 == cover2,
+        # a matching alone in its group is compared with none, so its
+        # K(M) is never read
+        for i, m1 in enumerate(group):
+            for m2 in group[i + 1:]:
+                result.check(konig_vertices(m1) == konig_vertices(m2),
                              lambda: f"{_describe(g)}: {sorted(m1.edges)} vs "
                                      f"{sorted(m2.edges)} give "
                                      "different covers")
@@ -340,7 +347,8 @@ def sweep_one_endpoint_and_minimal(max_vertices: int = 8,
 def _one_endpoint_and_minimal(record: GraphRecord,
                               result: SweepResult) -> None:
     g = record.graph
-    for m, k in record.matching_covers:
+    for m in record.matchings:
+        k = konig_vertices(m)
         for u, v in m.edges:
             result.check((u in k) != (v in k),
                          lambda: f"{_describe(g)} {sorted(m.edges)}: "

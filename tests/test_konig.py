@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from konigmatch import konig
 from konigmatch import (
     Matching,
     build_graph,
@@ -129,6 +130,29 @@ def test_z_set_alternating_closure(p4):
     assert z_set(m) == labeled(p4, "1", "2", "3", "4")
     m2 = matching_by_labels(p4, [("3", "4")])
     assert z_set(m2) == labeled(p4, "1", "2")
+
+
+def test_a_matching_walks_z_once(p4, monkeypatch):
+    closures = []
+    real = konig._alternating_closure
+
+    def counting(*args):
+        closures.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(konig, "_alternating_closure", counting)
+    m = matching_by_labels(p4, [("2", "3")])
+    k = konig_vertices(m)
+    assert konig_vertices(m) is k
+    assert z_set(m) == procedure_sides(p4)[0] ^ k == labeled(p4, "1", "2",
+                                                             "3", "4")
+    assert konig_cover(m).vertices == k == labeled(p4, "2", "4")
+    assert len(closures) == 1
+    # the kept set is the object's own: an equal matching walks Z again,
+    # and equality and hashing ignore it
+    again = matching_by_labels(p4, [("2", "3")])
+    assert (again, hash(again)) == (m, hash(m))
+    assert konig_vertices(again) == k and len(closures) == 2
 
 
 def test_z_set_empty_for_perfect_matching(c4):

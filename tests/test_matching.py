@@ -66,6 +66,7 @@ def test_alternating_path_validation(p4):
     assert is_augmenting_path(m, (0,)) is False
     assert is_augmenting_path(m, (0, 3)) is False  # not an edge
     assert is_augmenting_path(m, (0, 2, 1, 0)) is False  # 0 twice
+    assert is_augmenting_path(m, ([0], 2)) is False  # [0] is no vertex
     empty = Matching(p4, ())
     # two non-matching edges in a row
     assert is_augmenting_path(empty, (0, 2, 1)) is False

@@ -204,6 +204,7 @@ def test_the_witness_check_answers_a_malformed_witness(p4, fork,
     for verdict in [ClassificationVerdict(True, frozenset({0, 3})),
                     ClassificationVerdict(True, [(0, 2, 1, 3)]),
                     ClassificationVerdict(True, ([0, 2, 1, 3],)),
+                    ClassificationVerdict(True, ((0, [2], 1),)),
                     ClassificationVerdict(False, ((0, 2, 1, 3),))]:
         assert verify_classification_witness(m, verdict) is False
     # a path tuple is not a cover, though it names a covering set

@@ -83,6 +83,12 @@ def test_visit_order_must_cover_the_roots(fork):
                   sorted(labeled(fork, "a1", "a2", "b1"))):
         with pytest.raises(NotMinimumCover):
             reverse_konig(split, order)
+    # an unhashable entry is no root, even in an order of the right length
+    g, cover = next((g, c) for g in cached_corpus(5)
+                    for c in all_minimum_covers(g)
+                    if len(procedure_sides(g)[0] - c) == 1)
+    with pytest.raises(NotMinimumCover):
+        reverse_konig(split_by_cover(g, cover), [[0]])
 
 
 def test_a_visit_order_that_repeats_a_root_is_rejected():
@@ -268,11 +274,12 @@ def test_reverse_konig_builds_one_matching_per_call(fork, monkeypatch):
     init = Matching.__init__
 
     def counting_init(self, graph, edges):
-        built.append(graph)
+        built.append((graph, len(edges)))
         init(self, graph, edges)
 
     monkeypatch.setattr(Matching, "__init__", counting_init)
     roots = sorted(split.up_roots)
-    for order in (None, roots, roots[::-1]):
-        reverse_konig(split, order)
-    assert built == [fork] * 3
+    sizes = [len(reverse_konig(split, order))
+             for order in (None, roots, roots[::-1])]
+    # one matching per call, given each of its edges once
+    assert built == [(fork, size) for size in sizes]

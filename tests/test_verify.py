@@ -10,7 +10,8 @@ from collections import Counter
 
 import pytest
 
-from konigmatch import konig_vertices, reverse_konig, split_by_cover, verify
+from konigmatch import (konig, konig_vertices, reverse_konig,
+                        split_by_cover, verify)
 from konigmatch.corpus import cached_corpus
 from konigmatch.oracle import all_maximal_matchings
 
@@ -277,3 +278,31 @@ def test_the_minimality_verdict_reads_the_records_konig_vertices(monkeypatch):
     assert len(result.violations) == len(imperfect) > 0
     assert all(v.endswith("maximal matching gave non-minimal result")
                for v in result.violations)
+
+
+# Z walks per sweep at 8 vertices.  Classification: one per maximal
+# matching (3,166), and one for the smaller cover of each of the 197
+# non-minimum verdicts.  Cycle fibers: one per matching that shares its
+# saturated set with another; the other 6,550 of the 11,618 matchings are
+# compared with none.  Reverse round trip: one per round trip.
+CLOSURES = [
+    (verify.sweep_classification, 3166 + 197),
+    (verify.sweep_cycle_fibers, 5068),
+    (verify.sweep_reverse_round_trip, 3228),
+]
+
+
+@pytest.mark.parametrize("sweep, closures", CLOSURES,
+                         ids=[sweep.__name__ for sweep, _ in CLOSURES])
+def test_a_sweep_walks_each_matchings_z_at_most_once(monkeypatch, sweep,
+                                                     closures):
+    calls = []
+    real = konig._alternating_closure
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(konig, "_alternating_closure", counting)
+    assert sweep(8, jobs=1).ok
+    assert len(calls) == closures
