@@ -143,8 +143,8 @@ def konig_cover(m: Matching) -> VertexCover:
     """
     g = m.graph
     u_side, _ = procedure_sides(g)
-    # konig_vertices, keeping U for the check; Z comes through z_set,
-    # which a test replaces to feed the verdicts sets that do not cover
+    # K(M), keeping U for the check; read through z_set, so that a
+    # replaced z_set feeds the verdicts sets that do not cover
     k = u_side ^ z_set(m)
     cover = _covers(g, u_side, k)
     minimal = cover and _irredundant(g, k)

@@ -1,10 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from konigmatch import konig
 from konigmatch import (
     Matching,
     build_graph,
+    konig,
     is_minimal_cover,
     is_minimum_cover,
     is_vertex_cover,
