@@ -59,7 +59,7 @@ def z_set(m: Matching) -> frozenset[int]:
 
 def _alternating_closure(adjacency: dict[int, frozenset[int]],
                          partner: dict[int, int],
-                         roots: list[int]) -> set[int]:
+                         roots: Iterable[int]) -> set[int]:
     """The vertices reachable from the U-vertices ``roots`` by alternating
     paths, ``roots`` included: from a U-vertex every edge is followed,
     from a V-vertex only its matching edge (if any).  ``adjacency`` is
@@ -129,8 +129,10 @@ def konig_vertices(m: Matching) -> frozenset[int]:
         g = m.graph
         u_side, _ = procedure_sides(g)
         partner = m._partner
+        # the roots are the U-vertices M leaves free: the partner map's
+        # keys are the saturated vertices
         k = m._konig = u_side ^ _alternating_closure(
-            g._adjacency, partner, [u for u in u_side if u not in partner])
+            g._adjacency, partner, u_side.difference(partner))
     return k
 
 

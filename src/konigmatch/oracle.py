@@ -13,17 +13,20 @@ a greedy matching, a sound floor without ν because no cover is smaller
 than any matching, so the search reads nothing of ``matching.py``'s
 search or of ``konig.py``.  Its budget counts search nodes.
 
-Matchings are enumerated lazily: ``iter_maximal_matchings`` yields each
-maximal matching as the walk reaches it, so an existence check (such as
-``stars.maximal_witness`` on one component) can stop the walk once it
-has its answer, and nothing it did not draw is ever built.
-``all_matchings`` and ``all_maximal_matchings`` collect the same walk
-into a list.
+Matchings are enumerated lazily, each built as the walk reaches it.
+The walk over all matchings keeps one stack entry per matching: its
+chosen edges and the bitmask of the later edges compatible with them,
+so each step yields a result.  The maximal walk decides the sorted edges
+one by one and cuts a branch once an edge can never be added:
+``iter_maximal_matchings`` yields each maximal matching as it reaches
+it, so an existence check (such as ``stars.maximal_witness`` on one
+component) can stop the walk once it has its answer, and nothing it did
+not draw is ever built.  ``all_matchings`` and ``all_maximal_matchings``
+collect their walks into a list, in the same order.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, combinations
@@ -111,35 +114,31 @@ def all_minimum_covers(g: BipartiteGraph,
         k += 1
 
 
-def _matchings(g: BipartiteGraph, maximal: bool, max_results: float,
-               max_steps: float, what: str) -> Iterator[Matching]:
-    """Yield the matchings (or, if ``maximal``, the maximal matchings) of
-    ``g``.
+def _maximal_matchings(g: BipartiteGraph,
+                       max_steps: int) -> Iterator[Matching]:
+    """Yield the maximal matchings of ``g``, in the order of
+    ``_all_matchings``.
 
     Decides the sorted edges one by one, skip before take, with an
-    explicit stack, so results come in the same order either way; the
-    used endpoints are one bitmask.  For ``maximal``, a vertex still free
-    when its last edge is skipped is *closed free*, and a branch is cut
-    as soon as two adjacent vertices are closed free: their edge can
+    explicit stack; the used endpoints are one bitmask.  A vertex still
+    free when its last edge is skipped is *closed free*, and a branch is
+    cut as soon as two adjacent vertices are closed free: their edge can
     never be added.  Every leaf reached is then maximal.  Raises
-    ``BudgetExceeded`` before yielding result ``max_results + 1``, or once
-    the visited nodes exceed ``max_steps``; the walk advances only as far
-    as the caller draws.
+    ``BudgetExceeded`` once the visited nodes exceed ``max_steps``; the
+    walk advances only as far as the caller draws.
     """
     edges = sorted(g.edges)
     last: dict[int, int] = {}  # vertex -> index of its last edge
     for i, (u, v) in enumerate(edges):
         last[u] = last[v] = i
     # vertex bit -> bitmask of its neighbours
-    near = {1 << x: sum(1 << y for y in g.neighbors(x))
-            for x in last} if maximal else {}
-    # per edge: its endpoints' bitmask, the edge, and (if maximal) the
-    # bitmask of the endpoints whose last edge it is
+    near = {1 << x: sum(1 << y for y in g.neighbors(x)) for x in last}
+    # per edge: its endpoints' bitmask, the edge, and the bitmask of the
+    # endpoints whose last edge it is
     plan = [((1 << u) | (1 << v), (u, v),
-             sum(1 << x for x in (u, v) if maximal and last[x] == i))
+             sum(1 << x for x in (u, v) if last[x] == i))
             for i, (u, v) in enumerate(edges)]
     n = len(plan)
-    found = 0
     steps = 0
     # (next edge, used bitmask, closed-free bitmask, chosen edges)
     stack: list[tuple] = [(0, 0, 0, ())]
@@ -159,20 +158,53 @@ def _matchings(g: BipartiteGraph, maximal: bool, max_results: float,
                     break
                 closed_free |= newly
         else:
-            found += 1
-            if found > max_results:
-                raise BudgetExceeded(f"{what} enumeration exceeded budget")
             yield Matching._unchecked(g, chosen)
         steps += i - start + 1
         if steps > max_steps:
-            raise BudgetExceeded(f"{what} enumeration exceeded budget")
+            raise BudgetExceeded("maximal-matching enumeration exceeded "
+                                 "budget")
 
 
-def _iter_matchings(g: BipartiteGraph,
-                    b: OracleBudget | None) -> Iterator[Matching]:
-    b = b or OracleBudget()
-    _check_vertex_budget(g, b)
-    return _matchings(g, False, b.max_subsets, math.inf, "matching")
+def _all_matchings(g: BipartiteGraph,
+                   max_results: int) -> Iterator[Matching]:
+    """Yield every matching of ``g``: the subsets of the sorted edges in
+    skip-before-take order, the empty matching first.
+
+    Each stack entry is one matching, its chosen edges and the bitmask of
+    the later edges compatible with all of them (sharing no endpoint).  A
+    pop yields that matching and pushes one child per compatible edge, in
+    ascending edge order, so the child with the highest edge is popped
+    first: after a matching come the matchings that extend it, the ones
+    adding a later edge before the ones adding an earlier edge, which is
+    the skip-before-take order.  Raises ``BudgetExceeded`` before building
+    result ``max_results + 1``.
+    """
+    edges = sorted(g.edges)
+    every = (1 << len(edges)) - 1
+    incident = dict.fromkeys(g.vertices, 0)  # vertex -> its edges' bits
+    for i, (u, v) in enumerate(edges):
+        incident[u] |= 1 << i
+        incident[v] |= 1 << i
+    # edge bit -> the edge, and the bitmask of the edges that share no
+    # endpoint with it
+    plan = {1 << i: ((u, v), every & ~(incident[u] | incident[v]))
+            for i, (u, v) in enumerate(edges)}
+    found = 0
+    # (chosen edges, bitmask of the later edges that can still be added)
+    stack: list[tuple] = [((), every)]
+    while stack:
+        chosen, addable = stack.pop()
+        found += 1
+        if found > max_results:
+            raise BudgetExceeded("matching enumeration exceeded budget")
+        yield Matching._unchecked(g, chosen)
+        while addable:
+            bit = addable & -addable
+            # the edges are taken in ascending order, so what is left of
+            # addable lies above this one
+            addable ^= bit
+            edge, compatible = plan[bit]
+            stack.append((chosen + (edge,), addable & compatible))
 
 
 def all_matchings(g: BipartiteGraph,
@@ -181,7 +213,9 @@ def all_matchings(g: BipartiteGraph,
 
     Raises ``BudgetExceeded`` beyond ``b.max_subsets`` matchings.
     """
-    return list(_iter_matchings(g, b))
+    b = b or OracleBudget()
+    _check_vertex_budget(g, b)
+    return list(_all_matchings(g, b.max_subsets))
 
 
 def iter_maximal_matchings(g: BipartiteGraph,
@@ -199,8 +233,7 @@ def iter_maximal_matchings(g: BipartiteGraph,
     """
     b = b or OracleBudget()
     _check_vertex_budget(g, b)
-    return _matchings(g, True, math.inf, 64 * b.max_subsets,
-                      "maximal-matching")
+    return _maximal_matchings(g, 64 * b.max_subsets)
 
 
 def all_maximal_matchings(g: BipartiteGraph,

@@ -9,8 +9,10 @@ dropped before the next graph: ``minimum_covers`` (the oracle's),
 ``matchings`` (every matching) and ``maximal_matchings``.  A check reads
 K(M) with ``konig_vertices(m)``, which a matching computes once and
 keeps, so checks that share a matching share its K(M), and a check
-reads it only where it compares it.  The CLI and acceptance tests wrap
-these.
+reads it only where it compares it.  A check with one case per element
+(a matched edge, a vertex outside a structure, a pair of meeting paths)
+adds the element count at once and builds a message only for an element
+that fails.  The CLI and acceptance tests wrap these.
 
 The walk is split into ``jobs`` shards, shard k holding every jobs-th
 graph from the k-th.  The calling process walks shard 0 and ``os.fork``
@@ -349,10 +351,13 @@ def _one_endpoint_and_minimal(record: GraphRecord,
     g = record.graph
     for m in record.matchings:
         k = konig_vertices(m)
+        # one case per matched edge, counted at once
+        result.cases += len(m.edges)
         for u, v in m.edges:
-            result.check((u in k) != (v in k),
-                         lambda: f"{_describe(g)} {sorted(m.edges)}: "
-                                 f"edge ({u},{v}) not split by cover")
+            if (u in k) == (v in k):
+                result.violations.append(
+                    f"{_describe(g)} {sorted(m.edges)}: "
+                    f"edge ({u},{v}) not split by cover")
         if is_maximal(m):
             result.check(is_minimal_cover(g, k),
                          lambda: f"{_describe(g)} {sorted(m.edges)}: "
@@ -395,31 +400,33 @@ def _path_structure_properties(record: GraphRecord,
         # saturates it and leaves no root for an augmenting path
         if len(m) == len(u_side):
             continue
+        partner = m._partner
         k_before = None  # K(M), read only once m has a path
-        # each path's steps, built once per matching; a step names its
-        # edge, since every path walks M's edges V to U and the others
-        # U to V
-        steps: dict[tuple[int, ...], frozenset[tuple[int, int]]] = {}
+        # each path's vertex set and steps, built once per matching and
+        # shared by its structures; a step names its edge, since every
+        # path walks M's edges V to U and the others U to V
+        table: dict[tuple[int, ...],
+                    tuple[frozenset[int], frozenset[tuple[int, int]]]] = {}
         for ps in path_structures(m):
             if k_before is None:
                 k_before = konig_vertices(m)
             p = ps.base_path
             for q in ps.family:
-                if q not in steps:
-                    steps[q] = frozenset(zip(q, q[1:]))
-
-            def where() -> str:
-                return f"{_describe(g)} {sorted(m.edges)} p={list(p)}"
-
+                if q not in table:
+                    table[q] = (frozenset(q), frozenset(zip(q, q[1:])))
             structure = ps.vertices
             k_after = u_side ^ ps.z_after  # K(M △ P)
             # localization: outside the structure, membership of a
-            # matched pair (or a lone unmatched vertex) is preserved
-            for r in sorted(vertices - structure):
-                partner = m.partner(r)  # None is in neither cover
-                result.check((r in k_before or partner in k_before)
-                             == (r in k_after or partner in k_after),
-                             lambda: f"{where()}: localization fails at {r}")
+            # matched pair (or a lone unmatched vertex) is preserved;
+            # one case per vertex, counted at once
+            outside = vertices - structure
+            result.cases += len(outside)
+            for r in sorted(outside):
+                x = partner.get(r)  # None is in neither cover
+                if ((r in k_before or x in k_before)
+                        != (r in k_after or x in k_after)):
+                    result.violations.append(
+                        f"{_where(g, m, p)}: localization fails at {r}")
             # the substructure of paths sharing p's root and endpoint
             # has a unique unsaturated root; restricted to it, the
             # cover keeps its cardinality under augmentation
@@ -428,43 +435,56 @@ def _path_structure_properties(record: GraphRecord,
                 if q[0] == p[0] and q[-1] == p[-1]:
                     sub.update(q)
             result.check(len(k_before & sub) == len(k_after & sub),
-                         lambda: f"{where()}: unique-root restricted "
-                                 "equality fails")
+                         lambda: f"{_where(g, m, p)}: unique-root "
+                                 "restricted equality fails")
             # two stranded unsaturated V-vertices iff strict decrease
             result.check((len(ps.stranded) >= 2)
                          == (len(k_before) > len(k_after)),
-                         lambda: f"{where()}: stranded count and cover "
-                                 "decrease disagree")
+                         lambda: f"{_where(g, m, p)}: stranded count and "
+                                 "cover decrease disagree")
             # hat reduction preserves the cardinality equality
             hat = hat_vertices(ps)
             full_eq = len(k_before & structure) == len(k_after & structure)
             hat_eq = len(k_before & hat) == len(k_after & hat)
             result.check(full_eq == hat_eq,
-                         lambda: f"{where()}: hat reduction disagrees")
+                         lambda: f"{_where(g, m, p)}: hat reduction "
+                                 "disagrees")
             # vertex-wise intersection implies edge-wise or endpoints
             # only; each pair of meeting paths is checked once, from
-            # the earlier one (paths are enumerated in sorted order)
-            p_vertices = frozenset(p)
+            # the earlier one (paths are enumerated in sorted order),
+            # and its cases are counted at once
+            p_vertices, p_steps = table[p]
             for q in ps.family:
                 if q <= p:
                     continue
-                shared = p_vertices.intersection(q)
-                if steps[p].isdisjoint(steps[q]):
-                    endpoints = {p[0], p[-1]} & {q[0], q[-1]}
-                    result.check(shared <= endpoints,
-                                 lambda: f"{_describe(g)}: paths share "
-                                         "interior vertices without "
-                                         "sharing edges")
+                q_vertices, q_steps = table[q]
+                shared = p_vertices & q_vertices
+                if p_steps.isdisjoint(q_steps):
+                    result.cases += 1
+                    if not shared <= {p[0], p[-1]} & {q[0], q[-1]}:
+                        result.violations.append(
+                            f"{_describe(g)}: paths share interior "
+                            "vertices without sharing edges")
                 if len(shared) >= 2:
                     # the two path orders may disagree on the shared
                     # vertices, but never as exact reverses; that
                     # would splice into a path between two unsaturated
-                    # vertices of the same side
+                    # vertices of the same side.  Paths with the same
+                    # root or the same endpoint agree at that end, which
+                    # two or more distinct vertices in reverse cannot
+                    result.cases += 1
+                    if p[0] == q[0] or p[-1] == q[-1]:
+                        continue
                     in_p = [v for v in p if v in shared]
                     in_q = [v for v in q if v in shared]
-                    result.check(in_p != in_q[::-1],
-                                 lambda: f"{_describe(g)}: shared "
-                                         "vertices in exactly reversed order")
+                    if in_p == in_q[::-1]:
+                        result.violations.append(
+                            f"{_describe(g)}: shared vertices in exactly "
+                            "reversed order")
+
+
+def _where(g: BipartiteGraph, m: Matching, p: tuple[int, ...]) -> str:
+    return f"{_describe(g)} {sorted(m.edges)} p={list(p)}"
 
 
 def sweep_hall_consistency(max_vertices: int = 8,

@@ -9,6 +9,8 @@ from konigmatch import (
     build_graph,
     hat_vertices,
     is_augmenting_path,
+    is_maximal,
+    is_minimal_cover,
     is_minimum_cover,
     konig_vertices,
     path_structures,
@@ -185,11 +187,29 @@ def maximum_matching_size_brute_force(g, b=None):
     return max(map(len, all_matchings(g, b)))
 
 
+def reference_one_endpoint_and_minimal(record, result):
+    """The one-endpoint check as it was before it counted its edge cases
+    in bulk, kept so the tests can pin the check to it: one
+    ``result.check`` per matched edge, then one per maximal matching."""
+    g = record.graph
+    for m in record.matchings:
+        k = konig_vertices(m)
+        for u, v in m.edges:
+            result.check((u in k) != (v in k),
+                         lambda: f"{_describe(g)} {sorted(m.edges)}: "
+                                 f"edge ({u},{v}) not split by cover")
+        if is_maximal(m):
+            result.check(is_minimal_cover(g, k),
+                         lambda: f"{_describe(g)} {sorted(m.edges)}: "
+                                 "maximal matching gave non-minimal result")
+
+
 def reference_path_structure_properties(record, result):
     """The path-structure check as it was before it skipped matchings
-    that saturate U and read K(M) only for matchings with a path, kept so
-    the tests can pin the check to it: every maximal matching's
-    structures are drawn and K(M) is computed for each."""
+    that saturate U, read K(M) only for matchings with a path and counted
+    its localization and pair cases in bulk, kept so the tests can pin
+    the check to it: every maximal matching's structures are drawn, K(M)
+    is computed for each, and every case is one ``result.check``."""
     g = record.graph
     u_side, _ = procedure_sides(g)
     vertices = g.vertices

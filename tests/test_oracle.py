@@ -222,8 +222,9 @@ def test_the_cover_search_counts_its_nodes_against_the_subset_budget(c4):
 
 
 def test_enumerations_match_the_set_based_reference_in_order():
-    for g in cached_corpus(8):
+    for g in cached_corpus(9):
         assert_same_enumeration(g, all_matchings(g), reference_matchings(g))
+    for g in cached_corpus(8):
         assert_same_enumeration(g, all_maximal_matchings(g),
                                 reference_maximal_matchings(g))
     for h in cached_corpus(5):
@@ -232,12 +233,28 @@ def test_enumerations_match_the_set_based_reference_in_order():
                                 reference_maximal_matchings(g))
 
 
-def test_matching_enumerations_enforce_their_budgets(c4):
+def test_matching_enumerations_enforce_their_budgets(monkeypatch, c4):
     # all_matchings counts results: the 3 x 3 complete graph has 34
     k33 = build_graph(3, 3, [(i, j) for i in range(3) for j in range(3)])
     assert len(all_matchings(k33, OracleBudget(max_subsets=34))) == 34
     with pytest.raises(BudgetExceeded):
         all_matchings(k33, OracleBudget(max_subsets=33))
+    # the walk builds each result as it pops it, so a budget of 34 builds
+    # exactly the 34 matchings, and 33 raises before building the 34th
+    built = []
+    unchecked = Matching._unchecked
+
+    def counting(graph, edges):
+        built.append(edges)
+        return unchecked(graph, edges)
+
+    monkeypatch.setattr(Matching, "_unchecked", staticmethod(counting))
+    all_matchings(k33, OracleBudget(max_subsets=34))
+    assert len(built) == 34
+    built.clear()
+    with pytest.raises(BudgetExceeded):
+        all_matchings(k33, OracleBudget(max_subsets=33))
+    assert len(built) == 33
     # all_maximal_matchings counts visited nodes, 64 per subset allowed
     assert len(all_maximal_matchings(c4, OracleBudget(max_subsets=1))) == 2
     with pytest.raises(BudgetExceeded):

@@ -15,6 +15,9 @@ from konigmatch import (konig, konig_vertices, reverse_konig,
 from konigmatch.corpus import cached_corpus
 from konigmatch.oracle import all_maximal_matchings
 
+import conftest
+from conftest import reference_one_endpoint_and_minimal
+
 ENUMERATIONS = ("all_matchings", "all_maximal_matchings",
                 "all_minimum_covers")
 
@@ -280,15 +283,45 @@ def test_the_minimality_verdict_reads_the_records_konig_vertices(monkeypatch):
                for v in result.violations)
 
 
+@pytest.mark.parametrize("fault", [None, "dropped-vertex"],
+                         ids=["clean", "dropped-vertex"])
+def test_the_one_endpoint_check_reports_what_the_reference_reports(
+        monkeypatch, fault):
+    if fault is not None:
+        # K(M) loses its smallest vertex on the last graph of the corpus,
+        # in the check and in the reference alike
+        target = cached_corpus(8)[-1]
+
+        def dropping(m):
+            k = konig_vertices(m)
+            return k - {min(k)} if m.graph is target else k
+
+        monkeypatch.setattr(verify, "konig_vertices", dropping)
+        monkeypatch.setattr(conftest, "konig_vertices", dropping)
+    reference = verify.SweepResult("one-endpoint-and-minimal")
+    for i, g in enumerate(cached_corpus(8)):
+        reference_one_endpoint_and_minimal(verify.GraphRecord(g, i),
+                                           reference)
+    result = verify.sweep_one_endpoint_and_minimal(8)
+    # the same cases and every violation, in the same order
+    assert result == reference
+    assert result.cases == 27826
+    # 136 matched edges left unsplit and 24 non-minimal results
+    assert len(result.violations) == {None: 0, "dropped-vertex": 160}[fault]
+
+
 # Z walks per sweep at 8 vertices.  Classification: one per maximal
 # matching (3,166), and one for the smaller cover of each of the 197
 # non-minimum verdicts.  Cycle fibers: one per matching that shares its
 # saturated set with another; the other 6,550 of the 11,618 matchings are
 # compared with none.  Reverse round trip: one per round trip.
+# Surjectivity and one-endpoint: one per matching.
 CLOSURES = [
     (verify.sweep_classification, 3166 + 197),
     (verify.sweep_cycle_fibers, 5068),
     (verify.sweep_reverse_round_trip, 3228),
+    (verify.sweep_surjectivity, 11618),
+    (verify.sweep_one_endpoint_and_minimal, 11618),
 ]
 
 
