@@ -1,5 +1,6 @@
 from collections import deque
-from itertools import combinations
+from collections.abc import Sequence
+from itertools import combinations, combinations_with_replacement, permutations
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from konigmatch import (
     path_structures,
     procedure_sides,
 )
+from konigmatch.corpus import _is_connected
 from konigmatch.errors import BudgetExceeded, NotMinimumCover
 from konigmatch.oracle import OracleBudget, all_matchings
 from konigmatch.verify import _describe
@@ -185,6 +187,47 @@ def minimum_covers_by_subset_scan(g, b=None):
 def maximum_matching_size_brute_force(g, b=None):
     """Largest matching cardinality by full enumeration."""
     return max(map(len, all_matchings(g, b)))
+
+
+def scan_block(nl, nr):
+    """The corpus block as it was generated before orderly generation,
+    kept so the tests can pin ``corpus._block`` to it: scan every
+    non-increasing tuple of nr nonempty left sets, keep the connected ones
+    that no left relabeling (and, when nl == nr, no relabeling of the
+    transpose) gives a smaller edge mask, and build them in mask order."""
+    full = (1 << nl) - 1
+    # spread[c]: edge bits of the left set c as column 0
+    spread = [sum(1 << i * nr for i in range(nl) if c >> i & 1)
+              for c in range(full + 1)]
+    # relabelings[k][c]: the left set c under the k-th left permutation
+    relabelings = [[sum(1 << p[i] for i in range(nl) if c >> i & 1)
+                    for c in range(full + 1)]
+                   for p in permutations(range(nl))]
+
+    def edge_mask(cols: Sequence[int]) -> int:
+        return sum(spread[c] << j for j, c in enumerate(cols))
+
+    def beaten(cols: tuple[int, ...], mask: int) -> bool:
+        """Does some left relabeling of ``cols`` have a smaller mask?"""
+        return any(edge_mask(sorted(map(r.__getitem__, cols), reverse=True))
+                   < mask for r in relabelings)
+
+    found = []
+    for cols in combinations_with_replacement(range(full, 0, -1), nr):
+        if not _is_connected(cols, full):
+            continue
+        mask = edge_mask(cols)
+        if beaten(cols, mask):
+            continue
+        if nl == nr:
+            rows = tuple(sum(1 << j for j, c in enumerate(cols) if c >> i & 1)
+                         for i in range(nl))
+            if beaten(rows, mask):
+                continue
+        found.append((mask, cols))
+    return [build_graph(nl, nr, [(i, j) for j, c in enumerate(cols)
+                                 for i in range(nl) if c >> i & 1])
+            for _, cols in sorted(found)]
 
 
 def reference_one_endpoint_and_minimal(record, result):

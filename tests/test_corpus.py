@@ -1,9 +1,18 @@
 from collections import Counter
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
+from conftest import scan_block
+from konigmatch import corpus
 from konigmatch.corpus import cached_corpus, connected_bipartite_graphs
 from konigmatch.graph import build_graph, connected_components
+
+
+def blocks(max_vertices):
+    """The corpus blocks (nl, nr), nl ≤ nr, with at most max_vertices."""
+    return [(nl, nr) for nl in range(1, max_vertices)
+            for nr in range(nl, max_vertices - nl + 1)]
 
 
 def test_known_corpus_sizes():
@@ -52,9 +61,54 @@ def test_cache_returns_the_same_tuple():
 
 
 def test_counts_per_size_match_oeis_a005142():
-    # connected bipartite graphs on n nodes, n = 2..9 (4032 follow at 10)
-    sizes = Counter(len(g.vertices) for g in connected_bipartite_graphs(9))
-    assert [sizes[n] for n in range(2, 10)] == [1, 1, 3, 5, 17, 44, 182, 730]
+    # connected bipartite graphs on n nodes, n = 2..10 (25598 follow at 11)
+    sizes = Counter(len(g.vertices) for g in connected_bipartite_graphs(10))
+    assert [sizes[n] for n in range(2, 11)] == [1, 1, 3, 5, 17, 44, 182, 730,
+                                                4032]
+
+
+@pytest.mark.parametrize("nl, nr", blocks(9))
+def test_the_generator_yields_the_scanned_graphs(nl, nr):
+    # same graphs, same labels, same order as the scan it replaced
+    ours, scanned = corpus._block(nl, nr), scan_block(nl, nr)
+    assert ours == scanned
+    assert [g.labels for g in ours] == [g.labels for g in scanned]
+
+
+def _edge_mask(cols, nl, nr):
+    return sum(1 << i * nr + j for j, c in enumerate(cols)
+               for i in range(nl) if c >> i & 1)
+
+
+def _least_edge_mask(cols, nl, nr):
+    """The least edge mask over all nl! left relabelings of ``cols``, its
+    columns re-sorted, and of its transpose when nl == nr."""
+    sides = [cols]
+    if nl == nr:
+        sides.append([sum(1 << j for j, c in enumerate(cols) if c >> i & 1)
+                      for i in range(nl)])
+    return min(_edge_mask(sorted((sum(1 << p[i] for i in range(nl)
+                                      if c >> i & 1) for c in side),
+                                 reverse=True), nl, nr)
+               for side in sides for p in permutations(range(nl)))
+
+
+@pytest.mark.parametrize("nl, nr", blocks(8))
+def test_the_canonicity_search_agrees_with_brute_force(nl, nr):
+    # every non-increasing tuple of nonempty left sets, connected or not
+    full, tried = (1 << nr) - 1, 0
+    for cols in combinations_with_replacement(range((1 << nl) - 1, 0, -1),
+                                              nr):
+        # the rows top first, as column bitmasks
+        rows = tuple(sum(1 << j for j, c in enumerate(cols) if c >> i & 1)
+                     for i in reversed(range(nl)))
+        beaten = (corpus._beaten(rows, rows, full)
+                  or nl == nr and corpus._beaten(cols, rows, full))
+        least = _least_edge_mask(cols, nl, nr) == _edge_mask(cols, nl, nr)
+        assert beaten != least, cols
+        tried += 1
+    if (nl, nr) == (4, 4):
+        assert tried == 3060
 
 
 def test_the_graph_atlas_matches_the_seven_vertex_corpus():
