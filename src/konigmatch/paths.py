@@ -22,6 +22,14 @@ Structures are vertex sets only: no graph is built for them, and no
 matching either, since Z(M △ P) is walked over M's partner map with
 P's edges flipped.
 
+The rules are defined once, over vertex masks (ints with bit v for
+vertex v): ``_PathMasks`` enumerates a matching's paths and yields each
+structure's family, vertex mask and Z(M △ P); ``_stranded``,
+``_hat_cut`` and ``_hat`` derive the stranded set and the hat.
+``path_structures``, ``PathStructure.stranded`` and ``hat_vertices``
+read them and return vertex sets; the structure check in ``verify``
+reads the masks directly and counts its cases by popcount.
+
 ``classify_matching`` enumerates no paths: it grows M to a maximum
 matching, and ``verify_classification_witness`` checks its witness,
 every path included.
@@ -29,7 +37,7 @@ every path included.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .errors import NotMaximal, PathExplosion
@@ -51,7 +59,7 @@ class PathStructure:
     vertex union ``vertices``, and ``z_after``, the
     alternating-reachability set Z(M △ P) once the base path P has been
     augmented.  ``stranded`` and ``hat_cut_vertex`` are derived on each
-    read.
+    read, by the mask rules the structure check applies.
     """
 
     matching: Matching
@@ -63,30 +71,19 @@ class PathStructure:
     @property
     def stranded(self) -> frozenset[int]:
         """The unsaturated V-vertices outside the check part, which
-        augmenting the base path strands; only the structure sweep reads
-        them."""
+        augmenting the base path strands."""
         m = self.matching
-        v_side = procedure_sides(m.graph)[1]
         # the partner map's keys are the saturated vertices
-        return ((self.vertices - self.z_after) & v_side).difference(
-            m._partner)
+        free_v = _mask(procedure_sides(m.graph)[1]) & ~_mask(m._partner)
+        return frozenset(_bits(_stranded(
+            _mask(self.vertices), _mask(self.z_after), free_v)))
 
     @property
     def hat_cut_vertex(self) -> int | None:
         """v̂: the highest first-intersection with the base path over the
         family paths that run from a different unsaturated root to its
         endpoint; None when every such path starts at its own root."""
-        p = self.base_path
-        others = [q for q in _representatives(p, self.family)
-                  if q[0] != p[0]]
-        if not others:
-            return None
-        rank = {v: i for i, v in enumerate(p)}
-        # a representative shares p's endpoint, so each has a first join
-        joins = [min((v for v in q if v in rank),
-                     key=rank.__getitem__)
-                 for q in others]
-        return max(joins, key=rank.__getitem__)
+        return _hat_cut(self.base_path, _into_endpoint(self))
 
 
 @dataclass(frozen=True)
@@ -135,20 +132,23 @@ def enumerate_augmenting_paths(m: Matching) -> list[tuple[int, ...]]:
     lexicographic vertex-sequence order.  More than
     ``DEFAULT_PATH_LIMIT`` paths raises ``PathExplosion``.
     """
-    g = m.graph
-    u_side, _ = procedure_sides(g)
+    adjacency = m.graph._adjacency
+    partner = m._partner
+    u_side, _ = procedure_sides(m.graph)
     found: list[tuple[int, ...]] = []
+    # each U-vertex's neighbours, sorted once per call
+    ordered: dict[int, list[int]] = {}
     for u in m.unsaturated(u_side):
         path = [u]
         on_path = {u}
         # one iterator over the sorted neighbours of each U-vertex on path
-        stack = [iter(sorted(g.neighbors(u)))]
+        stack = [iter(sorted(adjacency[u]))]
         while stack:
             for y in stack[-1]:
                 # the matched edge at path[-1] leads back to path[-2]
                 if y in on_path:
                     continue
-                z = m.partner(y)
+                z = partner.get(y)
                 if z is None:
                     found.append((*path, y))
                     if len(found) > DEFAULT_PATH_LIMIT:
@@ -160,7 +160,9 @@ def enumerate_augmenting_paths(m: Matching) -> list[tuple[int, ...]]:
                 # while y, z's partner, is off it
                 path += (y, z)
                 on_path.update((y, z))
-                stack.append(iter(sorted(g.neighbors(z))))
+                if z not in ordered:
+                    ordered[z] = sorted(adjacency[z])
+                stack.append(iter(ordered[z]))
                 break
             else:
                 stack.pop()
@@ -172,27 +174,64 @@ def enumerate_augmenting_paths(m: Matching) -> list[tuple[int, ...]]:
     return found
 
 
+def _mask(vertices: Iterable[int]) -> int:
+    """A vertex set as an int: bit v stands for vertex v."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The vertices of a vertex mask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _PathMasks:
+    """The augmenting paths of a matching, enumerated once, with the
+    vertex mask of each: ``masks[i]`` is that of ``paths[i]``."""
+
+    __slots__ = ("matching", "paths", "masks")
+
+    def __init__(self, m: Matching):
+        self.matching = m
+        self.paths = enumerate_augmenting_paths(m)
+        self.masks = [_mask(p) for p in self.paths]
+
+    def structures(self) -> Iterator[tuple[int, list[int], int,
+                                          frozenset[int]]]:
+        """Per path P, in enumeration order: its index; its family, the
+        ascending indices of the paths sharing a vertex with P, P's
+        own included; the family's vertex union as a vertex mask; and
+        Z(M △ P)."""
+        m = self.matching
+        masks = self.masks
+        roots = m.unsaturated(procedure_sides(m.graph)[0])
+        for i, (p, p_mask) in enumerate(zip(self.paths, masks)):
+            family = [j for j, q_mask in enumerate(masks) if p_mask & q_mask]
+            vertices = 0
+            for j in family:
+                vertices |= masks[j]
+            yield i, family, vertices, _z_after(m, p, roots)
+
+
 def path_structures(m: Matching) -> Iterator[PathStructure]:
     """The structure of each augmenting path of ``m``, in enumeration
     order: the union of every augmenting path sharing at least one
     vertex with it (including the path itself).
 
-    The paths and their vertex sets are built once, on the first draw,
-    and shared by all the structures; each structure is built when it is
+    The paths and their masks are built once, on the first draw, and
+    shared by all the structures; each structure is built when it is
     drawn.
     """
-    paths = enumerate_augmenting_paths(m)
-    vertex_sets = [frozenset(p) for p in paths]
-    roots = m.unsaturated(procedure_sides(m.graph)[0])
-    for p, p_vertices in zip(paths, vertex_sets):
-        family = []
-        vertices: set[int] = set()
-        for q, q_vertices in zip(paths, vertex_sets):
-            if not p_vertices.isdisjoint(q_vertices):
-                family.append(q)
-                vertices |= q_vertices
-        yield PathStructure(m, p, tuple(family), frozenset(vertices),
-                            _z_after(m, p, roots))
+    table = _PathMasks(m)
+    paths = table.paths
+    for i, family, vertices, z_after in table.structures():
+        yield PathStructure(m, paths[i], tuple(paths[j] for j in family),
+                            frozenset(_bits(vertices)), z_after)
 
 
 def _z_after(m: Matching, p: tuple[int, ...],
@@ -209,11 +248,46 @@ def _z_after(m: Matching, p: tuple[int, ...],
         m.graph._adjacency, partner, [u for u in roots if u != p[0]]))
 
 
-def _representatives(p: tuple[int, ...],
-                     family: Sequence[tuple[int, ...]],
-                     ) -> list[tuple[int, ...]]:
-    """Family paths sharing p's final (unsaturated V) endpoint."""
-    return [q for q in family if q[-1] == p[-1]]
+def _stranded(vertices: int, z_after: int, free_v: int) -> int:
+    """The stranded vertex mask: the unsaturated V-vertices (``free_v``)
+    of the structure's ``vertices`` outside Z(M △ P)."""
+    return vertices & free_v & ~z_after
+
+
+
+def _into_endpoint(ps: PathStructure) -> _Masked:
+    """The family paths sharing the base path's (unsaturated V)
+    endpoint, with their vertex masks."""
+    end = ps.base_path[-1]
+    return [(q, _mask(q)) for q in ps.family if q[-1] == end]
+
+
+def _hat_cut(p: tuple[int, ...], into_end: _Masked) -> int | None:
+    """v̂ for the base path ``p``, from ``into_end``, the augmenting paths
+    into p's endpoint with their vertex masks: over those from another
+    root, the latest along p of their first vertices on p."""
+    cut = -1
+    for q, q_mask in into_end:
+        if q[0] != p[0]:
+            # q shares p's endpoint, so it meets p
+            for i, v in enumerate(p):
+                if q_mask >> v & 1:
+                    break
+            cut = max(cut, i)
+    return p[cut] if cut >= 0 else None
+
+
+def _hat(p: tuple[int, ...], into_end: _Masked, vertices: int) -> int:
+    """The hat's vertex mask: ``vertices`` less the prefix, up to v̂, of
+    each path into p's endpoint that passes through v̂.  With no path
+    from a second root nothing is cut away."""
+    cut = _hat_cut(p, into_end)
+    if cut is None:
+        return vertices
+    for q, q_mask in into_end:
+        if q_mask >> cut & 1:
+            vertices &= ~_mask(q[:q.index(cut) + 1])
+    return vertices
 
 
 def hat_vertices(ps: PathStructure) -> frozenset[int]:
@@ -222,14 +296,8 @@ def hat_vertices(ps: PathStructure) -> frozenset[int]:
     The prefixes cut away run along the paths into p's endpoint that pass
     through v̂.  With no path from a second root nothing is cut away.
     """
-    bound = ps.hat_cut_vertex
-    if bound is None:
-        return ps.vertices
-    selected: set[int] = set()
-    for q in _representatives(ps.base_path, ps.family):
-        if bound in q:
-            selected.update(q[:q.index(bound) + 1])
-    return ps.vertices - selected
+    return frozenset(_bits(_hat(ps.base_path, _into_endpoint(ps),
+                                _mask(ps.vertices))))
 
 
 def classify_matching(m: Matching) -> ClassificationVerdict:

@@ -11,8 +11,15 @@ K(M) with ``konig_vertices(m)``, which a matching computes once and
 keeps, so checks that share a matching share its K(M), and a check
 reads it only where it compares it.  A check with one case per element
 (a matched edge, a vertex outside a structure, a pair of meeting paths)
-adds the element count at once and builds a message only for an element
-that fails.  The CLI and acceptance tests wrap these.
+counts its elements without a ``SweepResult.check`` call each and builds
+a message only for an element that fails.  The path-structure check
+holds every vertex set it compares (K(M), K(M △ P), each path, the
+structure, its single-root substructure, the hat and the stranded set)
+as a vertex mask, an int with bit v for vertex v, from the mask helper
+of ``paths``; it compares cardinalities by popcount, counts the
+vertices outside a structure as the vertex count less the structure's
+popcount, and walks a mask's bits only to name a failing vertex.  The
+CLI and acceptance tests wrap these.
 
 The walk is split into ``jobs`` shards, shard k holding every jobs-th
 graph from the k-th.  The calling process walks shard 0 and ``os.fork``
@@ -50,8 +57,15 @@ from .oracle import (
     all_minimum_covers,
     hall_condition,
 )
-from .paths import (classify_matching, hat_vertices, path_structures,
-                    verify_classification_witness)
+from .paths import (
+    _bits,
+    _hat,
+    _mask,
+    _PathMasks,
+    _stranded,
+    classify_matching,
+    verify_classification_witness,
+)
 from .reverse import reverse_konig, split_by_cover
 from .stars import maximal_witness, restrict_cover, star_stud
 
@@ -393,94 +407,114 @@ def sweep_path_structure_properties(max_vertices: int = 8,
 def _path_structure_properties(record: GraphRecord,
                                result: SweepResult) -> None:
     g = record.graph
-    u_side, _ = procedure_sides(g)
-    vertices = g.vertices
+    u_side, v_side = procedure_sides(g)
+    u_mask, v_mask = _mask(u_side), _mask(v_side)
+    n = len(g._adjacency)
+    cases = 0  # added to the result at once
     for m in record.maximal_matchings:
         # every edge has one endpoint in U, so a matching as large as U
         # saturates it and leaves no root for an augmenting path
         if len(m) == len(u_side):
             continue
-        partner = m._partner
-        k_before = None  # K(M), read only once m has a path
-        # each path's vertex set and steps, built once per matching and
-        # shared by its structures; a step names its edge, since every
-        # path walks M's edges V to U and the others U to V
-        table: dict[tuple[int, ...],
-                    tuple[frozenset[int], frozenset[tuple[int, int]]]] = {}
-        for ps in path_structures(m):
-            if k_before is None:
-                k_before = konig_vertices(m)
-            p = ps.base_path
-            for q in ps.family:
-                if q not in table:
-                    table[q] = (frozenset(q), frozenset(zip(q, q[1:])))
-            structure = ps.vertices
-            k_after = u_side ^ ps.z_after  # K(M △ P)
+        table = _PathMasks(m)
+        paths, masks = table.paths, table.masks
+        if not paths:
+            continue
+        # each path's steps, and the paths into each endpoint with their
+        # vertex masks; a step names its edge, since every path walks
+        # M's edges V to U and the others U to V
+        steps = [frozenset(zip(q, q[1:])) for q in paths]
+        into_end: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+        for q, q_mask in zip(paths, masks):
+            into_end.setdefault(q[-1], []).append((q, q_mask))
+        # Kp: K with the M-partners of its vertices added, so a vertex
+        # is in Kp iff it or its partner is in K
+        matched = [1 << u | 1 << v for u, v in m.edges]
+        k_before = _mask(konig_vertices(m))
+        kp_before = _with_partners(k_before, matched)
+        free_v = v_mask & ~_mask(m._partner)
+        for i, family, structure, z_after in table.structures():
+            p = paths[i]
+            root, end = p[0], p[-1]
+            z_mask = _mask(z_after)
+            k_after = u_mask ^ z_mask  # K(M △ P)
             # localization: outside the structure, membership of a
             # matched pair (or a lone unmatched vertex) is preserved;
-            # one case per vertex, counted at once
-            outside = vertices - structure
-            result.cases += len(outside)
-            for r in sorted(outside):
-                x = partner.get(r)  # None is in neither cover
-                if ((r in k_before or x in k_before)
-                        != (r in k_after or x in k_after)):
-                    result.violations.append(
-                        f"{_where(g, m, p)}: localization fails at {r}")
+            # one case per vertex.  These and the three cases below are
+            # counted at once
+            cases += n + 3 - structure.bit_count()
+            moved = (kp_before ^ _with_partners(k_after, matched)) & ~structure
+            for r in _bits(moved):
+                result.violations.append(
+                    f"{_where(g, m, p)}: localization fails at {r}")
             # the substructure of paths sharing p's root and endpoint
             # has a unique unsaturated root; restricted to it, the
             # cover keeps its cardinality under augmentation
-            sub = set()
-            for q in ps.family:
-                if q[0] == p[0] and q[-1] == p[-1]:
-                    sub.update(q)
-            result.check(len(k_before & sub) == len(k_after & sub),
-                         lambda: f"{_where(g, m, p)}: unique-root "
-                                 "restricted equality fails")
+            group = into_end[end]
+            sub = 0
+            for q, q_mask in group:
+                if q[0] == root:
+                    sub |= q_mask
+            if (k_before & sub).bit_count() != (k_after & sub).bit_count():
+                result.violations.append(
+                    f"{_where(g, m, p)}: unique-root restricted equality "
+                    "fails")
             # two stranded unsaturated V-vertices iff strict decrease
-            result.check((len(ps.stranded) >= 2)
-                         == (len(k_before) > len(k_after)),
-                         lambda: f"{_where(g, m, p)}: stranded count and "
-                                 "cover decrease disagree")
+            stranded = _stranded(structure, z_mask, free_v)
+            if ((stranded.bit_count() >= 2)
+                    != (k_before.bit_count() > k_after.bit_count())):
+                result.violations.append(
+                    f"{_where(g, m, p)}: stranded count and cover decrease "
+                    "disagree")
             # hat reduction preserves the cardinality equality
-            hat = hat_vertices(ps)
-            full_eq = len(k_before & structure) == len(k_after & structure)
-            hat_eq = len(k_before & hat) == len(k_after & hat)
-            result.check(full_eq == hat_eq,
-                         lambda: f"{_where(g, m, p)}: hat reduction "
-                                 "disagrees")
+            hat = _hat(p, group, structure)
+            full_eq = ((k_before & structure).bit_count()
+                       == (k_after & structure).bit_count())
+            hat_eq = (k_before & hat).bit_count() == (k_after & hat).bit_count()
+            if full_eq != hat_eq:
+                result.violations.append(
+                    f"{_where(g, m, p)}: hat reduction disagrees")
             # vertex-wise intersection implies edge-wise or endpoints
             # only; each pair of meeting paths is checked once, from
-            # the earlier one (paths are enumerated in sorted order),
-            # and its cases are counted at once
-            p_vertices, p_steps = table[p]
-            for q in ps.family:
-                if q <= p:
-                    continue
-                q_vertices, q_steps = table[q]
-                shared = p_vertices & q_vertices
-                if p_steps.isdisjoint(q_steps):
-                    result.cases += 1
-                    if not shared <= {p[0], p[-1]} & {q[0], q[-1]}:
+            # the earlier one (paths are enumerated in sorted order)
+            p_mask, p_steps = masks[i], steps[i]
+            p_ends = 1 << root | 1 << end
+            for j in family[family.index(i) + 1:]:
+                q = paths[j]
+                shared = p_mask & masks[j]
+                if p_steps.isdisjoint(steps[j]):
+                    cases += 1
+                    if shared & ~(p_ends & (1 << q[0] | 1 << q[-1])):
                         result.violations.append(
                             f"{_describe(g)}: paths share interior "
                             "vertices without sharing edges")
-                if len(shared) >= 2:
+                if shared.bit_count() >= 2:
                     # the two path orders may disagree on the shared
                     # vertices, but never as exact reverses; that
                     # would splice into a path between two unsaturated
                     # vertices of the same side.  Paths with the same
-                    # root or the same endpoint agree at that end, which
-                    # two or more distinct vertices in reverse cannot
-                    result.cases += 1
-                    if p[0] == q[0] or p[-1] == q[-1]:
+                    # root or the same endpoint agree at that end,
+                    # which two or more distinct vertices in reverse
+                    # cannot
+                    cases += 1
+                    if q[0] == root or q[-1] == end:
                         continue
-                    in_p = [v for v in p if v in shared]
-                    in_q = [v for v in q if v in shared]
+                    in_p = [v for v in p if shared >> v & 1]
+                    in_q = [v for v in q if shared >> v & 1]
                     if in_p == in_q[::-1]:
                         result.violations.append(
                             f"{_describe(g)}: shared vertices in exactly "
                             "reversed order")
+    result.cases += cases
+
+
+def _with_partners(k: int, matched: list[int]) -> int:
+    """The vertex mask ``k`` with the partners of its saturated vertices
+    added; ``matched`` holds each matched edge as a vertex mask."""
+    for edge in matched:
+        if k & edge:
+            k |= edge
+    return k
 
 
 def _where(g: BipartiteGraph, m: Matching, p: tuple[int, ...]) -> str:

@@ -1,5 +1,6 @@
 from collections import deque
 from collections.abc import Sequence
+from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, permutations
 from pathlib import Path
 
@@ -8,15 +9,15 @@ import pytest
 from konigmatch import (
     Matching,
     build_graph,
-    hat_vertices,
+    enumerate_augmenting_paths,
     is_augmenting_path,
     is_maximal,
     is_minimal_cover,
     is_minimum_cover,
     konig_vertices,
-    path_structures,
     procedure_sides,
 )
+from konigmatch import paths as paths_module
 from konigmatch.corpus import _is_connected
 from konigmatch.errors import BudgetExceeded, NotMinimumCover
 from konigmatch.oracle import OracleBudget, all_matchings
@@ -247,18 +248,65 @@ def reference_one_endpoint_and_minimal(record, result):
                                  "maximal matching gave non-minimal result")
 
 
+@dataclass(frozen=True)
+class ReferenceStructure:
+    """One structure as ``reference_structures`` builds it."""
+
+    base_path: tuple[int, ...]
+    family: tuple[tuple[int, ...], ...]
+    vertices: frozenset[int]
+    z_after: frozenset[int]
+    stranded: frozenset[int]
+    hat_cut_vertex: int | None
+    hat: frozenset[int]
+
+
+def reference_structures(m):
+    """The structures of ``m`` on vertex sets, as they were built before
+    the mask helper, kept so the tests can pin the helper, its views and
+    the structure check to them.  Per augmenting path P, in enumeration
+    order: the family (the paths sharing a vertex with P), its vertex
+    union, Z(M △ P) (read through ``paths._z_after``, which the fault
+    tests replace), the unsaturated V-vertices of the union outside
+    Z(M △ P), the hat's cut vertex (over the paths into P's endpoint
+    from another root, the latest along P of their first vertices on P)
+    and the hat (the union less the prefix, up to the cut, of each path
+    into P's endpoint through the cut)."""
+    u_side, v_side = procedure_sides(m.graph)
+    paths = enumerate_augmenting_paths(m)
+    roots = m.unsaturated(u_side)
+    for p in paths:
+        family = tuple(q for q in paths if not set(p).isdisjoint(q))
+        vertices = frozenset().union(*family)
+        z_after = paths_module._z_after(m, p, roots)
+        stranded = frozenset(v for v in (vertices - z_after) & v_side
+                             if not m.saturates(v))
+        into_end = [q for q in family if q[-1] == p[-1]]
+        rank = {v: i for i, v in enumerate(p)}
+        joins = [min((v for v in q if v in rank), key=rank.__getitem__)
+                 for q in into_end if q[0] != p[0]]
+        cut = max(joins, key=rank.__getitem__, default=None)
+        hat = set(vertices)
+        for q in into_end:
+            if cut in q:
+                hat.difference_update(q[:q.index(cut) + 1])
+        yield ReferenceStructure(p, family, vertices, z_after, stranded, cut,
+                                 frozenset(hat))
+
+
 def reference_path_structure_properties(record, result):
     """The path-structure check as it was before it skipped matchings
-    that saturate U, read K(M) only for matchings with a path and counted
-    its localization and pair cases in bulk, kept so the tests can pin
-    the check to it: every maximal matching's structures are drawn, K(M)
-    is computed for each, and every case is one ``result.check``."""
+    that saturate U, read K(M) only for matchings with a path, counted
+    its localization and pair cases in bulk and held its sets as masks,
+    kept so the tests can pin the check to it: every maximal matching's
+    structures are drawn from ``reference_structures``, K(M) is computed
+    for each, and every case is one ``result.check``."""
     g = record.graph
     u_side, _ = procedure_sides(g)
     vertices = g.vertices
     for m in record.maximal_matchings:
         k_before = konig_vertices(m)
-        for ps in path_structures(m):
+        for ps in reference_structures(m):
             p = ps.base_path
 
             def where() -> str:
@@ -282,7 +330,7 @@ def reference_path_structure_properties(record, result):
                          == (len(k_before) > len(k_after)),
                          lambda: f"{where()}: stranded count and cover "
                                  "decrease disagree")
-            hat = hat_vertices(ps)
+            hat = ps.hat
             full_eq = len(k_before & structure) == len(k_after & structure)
             hat_eq = len(k_before & hat) == len(k_after & hat)
             result.check(full_eq == hat_eq,

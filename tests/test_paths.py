@@ -384,19 +384,80 @@ def _drop_from_z_after(monkeypatch):
     monkeypatch.setattr(paths_module, "_z_after", dropping)
 
 
-@pytest.mark.parametrize("fault", [None, _drop_from_konig_vertices,
-                                   _drop_from_z_after],
-                         ids=["clean", "konig-vertices", "z-after"])
+@pytest.mark.parametrize("fault, n", [
+    (None, 8), (_drop_from_konig_vertices, 8), (_drop_from_z_after, 8),
+    (None, 9),
+], ids=["clean", "konig-vertices", "z-after", "clean-9"])
 def test_the_structure_check_reports_what_the_reference_reports(monkeypatch,
-                                                                fault):
+                                                                fault, n):
     if fault is not None:
         fault(monkeypatch)
     reference = verify.SweepResult("path-structure-properties")
-    for i, g in enumerate(cached_corpus(8)):
+    for i, g in enumerate(cached_corpus(n)):
         reference_path_structure_properties(verify.GraphRecord(g, i),
                                             reference)
-    result = verify.sweep_path_structure_properties(8)
+    result = verify.sweep_path_structure_properties(n)
     assert result == reference
-    assert result.cases == 21786
+    assert result.cases == {8: 21786, 9: 237388}[n]
     assert len(result.violations) == {None: 0, _drop_from_konig_vertices: 90,
                                       _drop_from_z_after: 816}[fault]
+
+
+def _off_the_corpus(source):
+    """Maximal matchings outside the corpus: the ladder with six rungs
+    (2^7 paths from two roots, so hats are cut) and the 5000-vertex path
+    (vertex ids far above 64 bits)."""
+    return {"ladder": lambda: ladder(5)[1],
+            "5000-vertex-path": _five_thousand_vertex_path}[source]()
+
+
+@pytest.mark.parametrize("source, structures, cuts", [
+    ("corpus-9", 32553, 1998),
+    ("ladder", 128, 128),
+    ("5000-vertex-path", 1, 0),
+])
+def test_the_mask_views_equal_the_set_definitions(source, structures, cuts):
+    # every structure's family, vertex set, Z(M △ P), stranded set, hat
+    # cut and hat, read through the mask helper, equal the set-built ones
+    if source == "corpus-9":
+        matchings = [m for g in cached_corpus(9)
+                     for m in all_maximal_matchings(g)]
+    else:
+        matchings = [_off_the_corpus(source)]
+    built = [ps for m in matchings for ps in path_structures(m)]
+    expected = [ref for m in matchings
+                for ref in conftest.reference_structures(m)]
+    assert len(built) == len(expected) == structures
+    for ps, ref in zip(built, expected):
+        assert ps.base_path == ref.base_path
+        assert ps.family == ref.family
+        assert ps.vertices == ref.vertices
+        assert ps.z_after == ref.z_after
+        assert ps.stranded == ref.stranded
+        assert ps.hat_cut_vertex == ref.hat_cut_vertex
+        assert hat_vertices(ps) == ref.hat
+    assert sum(ref.hat_cut_vertex is not None for ref in expected) == cuts
+
+
+@pytest.mark.parametrize("fault", [None, _drop_from_z_after],
+                         ids=["clean", "z-after"])
+@pytest.mark.parametrize("source", ["ladder", "5000-vertex-path"])
+def test_the_structure_check_agrees_with_the_reference_off_the_corpus(
+        monkeypatch, source, fault):
+    # augmenting the one path of the 5000-vertex path leaves no root, so
+    # its Z(M △ P) is empty and the fault changes nothing there
+    if fault is not None:
+        fault(monkeypatch)
+    m = _off_the_corpus(source)
+    reference = verify.SweepResult("path-structure-properties")
+    result = verify.SweepResult("path-structure-properties")
+    for judge, sweep in [(reference_path_structure_properties, reference),
+                         (verify._path_structure_properties, result)]:
+        record = verify.GraphRecord(m.graph, 0)
+        record.maximal_matchings = [m]
+        judge(record, sweep)
+    assert result == reference
+    assert (result.cases, len(result.violations)) == {
+        ("ladder", None): (8512, 0), ("ladder", _drop_from_z_after): (8512, 192),
+        ("5000-vertex-path", None): (3, 0),
+        ("5000-vertex-path", _drop_from_z_after): (3, 0)}[source, fault]
