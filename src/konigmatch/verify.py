@@ -16,10 +16,10 @@ a message only for an element that fails.  The path-structure check
 holds every vertex set it compares (K(M), K(M △ P), each path, the
 structure, its single-root substructure, the hat and the stranded set)
 as a vertex mask, an int with bit v for vertex v, from the mask helper
-of ``paths``; it compares cardinalities by popcount, counts the
-vertices outside a structure as the vertex count less the structure's
-popcount, and walks a mask's bits only to name a failing vertex.  The
-CLI and acceptance tests wrap these.
+of ``paths``, and each path's edges as an edge mask; it compares
+cardinalities by popcount, counts the vertices outside a structure as
+the vertex count less the structure's popcount, and walks a mask's bits
+only to name a failing vertex.  The CLI and acceptance tests wrap these.
 
 The walk is split into ``jobs`` shards, shard k holding every jobs-th
 graph from the k-th.  The calling process walks shard 0 and ``os.fork``
@@ -411,6 +411,10 @@ def _path_structure_properties(record: GraphRecord,
     u_mask, v_mask = _mask(u_side), _mask(v_side)
     n = len(g._adjacency)
     cases = 0  # added to the result at once
+    # a bit per edge, under both orders of its ends
+    edge_bit: dict[tuple[int, int], int] = {}
+    for k, (a, b) in enumerate(g.edges):
+        edge_bit[a, b] = edge_bit[b, a] = 1 << k
     for m in record.maximal_matchings:
         # every edge has one endpoint in U, so a matching as large as U
         # saturates it and leaves no root for an augmenting path
@@ -420,10 +424,11 @@ def _path_structure_properties(record: GraphRecord,
         paths, masks = table.paths, table.masks
         if not paths:
             continue
-        # each path's steps, and the paths into each endpoint with their
-        # vertex masks; a step names its edge, since every path walks
-        # M's edges V to U and the others U to V
-        steps = [frozenset(zip(q, q[1:])) for q in paths]
+        # each path's edges as a mask (a simple path's edges are
+        # distinct, so their sum is their union), and the paths into
+        # each endpoint with their vertex masks
+        edges = [sum(map(edge_bit.__getitem__, zip(q, q[1:])))
+                 for q in paths]
         into_end: dict[int, list[tuple[tuple[int, ...], int]]] = {}
         for q, q_mask in zip(paths, masks):
             into_end.setdefault(q[-1], []).append((q, q_mask))
@@ -432,6 +437,7 @@ def _path_structure_properties(record: GraphRecord,
         matched = [1 << u | 1 << v for u, v in m.edges]
         k_before = _mask(konig_vertices(m))
         kp_before = _with_partners(k_before, matched)
+        # the partner map's keys are the saturated vertices
         free_v = v_mask & ~_mask(m._partner)
         for i, family, structure, z_after in table.structures():
             p = paths[i]
@@ -444,9 +450,10 @@ def _path_structure_properties(record: GraphRecord,
             # counted at once
             cases += n + 3 - structure.bit_count()
             moved = (kp_before ^ _with_partners(k_after, matched)) & ~structure
-            for r in _bits(moved):
-                result.violations.append(
-                    f"{_where(g, m, p)}: localization fails at {r}")
+            if moved:
+                for r in _bits(moved):
+                    result.violations.append(
+                        f"{_where(g, m, p)}: localization fails at {r}")
             # the substructure of paths sharing p's root and endpoint
             # has a unique unsaturated root; restricted to it, the
             # cover keeps its cardinality under augmentation
@@ -477,12 +484,12 @@ def _path_structure_properties(record: GraphRecord,
             # vertex-wise intersection implies edge-wise or endpoints
             # only; each pair of meeting paths is checked once, from
             # the earlier one (paths are enumerated in sorted order)
-            p_mask, p_steps = masks[i], steps[i]
+            p_mask, p_edges = masks[i], edges[i]
             p_ends = 1 << root | 1 << end
             for j in family[family.index(i) + 1:]:
                 q = paths[j]
                 shared = p_mask & masks[j]
-                if p_steps.isdisjoint(steps[j]):
+                if not p_edges & edges[j]:
                     cases += 1
                     if shared & ~(p_ends & (1 << q[0] | 1 << q[-1])):
                         result.violations.append(
