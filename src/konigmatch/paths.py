@@ -254,6 +254,9 @@ def _stranded(vertices: int, z_after: int, free_v: int) -> int:
     return vertices & free_v & ~z_after
 
 
+# paths with their vertex masks
+_Masked = list[tuple[tuple[int, ...], int]]
+
 
 def _into_endpoint(ps: PathStructure) -> _Masked:
     """The family paths sharing the base path's (unsaturated V)

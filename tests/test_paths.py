@@ -404,11 +404,12 @@ def test_the_structure_check_reports_what_the_reference_reports(monkeypatch,
 
 
 def _off_the_corpus(source):
-    """Maximal matchings outside the corpus: the ladder with six rungs
-    (2^7 paths from two roots, so hats are cut) and the 5000-vertex path
+    """A maximal matching outside the corpus: the ladder with six rungs
+    (2^7 paths from two roots, so hats are cut) or the 5000-vertex path
     (vertex ids far above 64 bits)."""
-    return {"ladder": lambda: ladder(5)[1],
-            "5000-vertex-path": _five_thousand_vertex_path}[source]()
+    if source == "ladder":
+        return ladder(5)[1]
+    return _five_thousand_vertex_path()
 
 
 @pytest.mark.parametrize("source, structures, cuts", [
