@@ -145,9 +145,7 @@ def konig_cover(m: Matching) -> VertexCover:
     """
     g = m.graph
     u_side, _ = procedure_sides(g)
-    # K(M), keeping U for the check; read through z_set, so that a
-    # replaced z_set feeds the verdicts sets that do not cover
-    k = u_side ^ z_set(m)
+    k = konig_vertices(m)
     cover = _covers(g, u_side, k)
     minimal = cover and _irredundant(g, k)
     minimum = cover and len(k) == matching_number(g)

@@ -2,11 +2,11 @@
 
 For an augmenting path P, the structure graph collects every augmenting
 path (from an unsaturated U-vertex) sharing at least one vertex with P.
-Two truncations isolate the part responsible for cover-size loss: the
+Two derived sets isolate the part responsible for cover-size loss: the
 "hat" cuts away everything below the highest point where a path from a
-different root first joins P (``hat_vertices``), and the "check" keeps
-the part of the structure that is still reachable by alternating paths
-once P has been augmented.
+different root first joins P (``hat_vertices``), and the stranded set
+holds the structure's unsaturated V-vertices that alternating paths no
+longer reach once P has been augmented.
 
 A path is a tuple of vertex ids, from one unsaturated end to the
 other.  ``is_augmenting_path`` judges a path given from outside; the
@@ -16,19 +16,19 @@ paths are not judged again.
 ``path_structures(m)`` enumerates the augmenting paths of ``m`` once
 and builds every structure from that one list, lazily.  A structure
 stores its matching, its base path, its family, their vertex union and
-Z(M △ P), so K(M △ P) = U △ Z needs no second augmentation; the
-stranded set and the hat's cut vertex are derived when read.
-Structures are vertex sets only: no graph is built for them, and no
-matching either, since Z(M △ P) is walked over M's partner map with
-P's edges flipped.
+Z(M △ P), so K(M △ P) = U △ Z needs no second augmentation, and with
+them the stranded set, the hat's cut vertex and the hat, each computed
+once, as the structure is built.  Structures are vertex sets only: no
+graph is built for them, and no matching either, since Z(M △ P) is
+walked over M's partner map with P's edges flipped.
 
-The rules are defined once, over vertex masks (ints with bit v for
-vertex v): ``_PathMasks`` enumerates a matching's paths and yields each
-structure's family, vertex mask and Z(M △ P); ``_stranded``,
-``_hat_cut`` and ``_hat`` derive the stranded set and the hat.
-``path_structures``, ``PathStructure.stranded`` and ``hat_vertices``
-read them and return vertex sets; the structure check in ``verify``
-reads the masks directly and counts its cases by popcount.
+Every structure rule lives in ``_PathMasks``, over vertex masks (ints
+with bit v for vertex v): it enumerates a matching's paths once, groups
+them by endpoint, and yields per path its family, vertex union,
+Z(M △ P), single-root substructure, stranded set, hat cut vertex and
+hat.  ``path_structures`` turns each yield into a ``PathStructure`` of
+vertex sets; the structure check in ``verify`` reads the same yields as
+masks and only compares them, counting its cases by popcount.
 
 ``classify_matching`` enumerates no paths: it grows M to a maximum
 matching, and ``verify_classification_witness`` checks its witness,
@@ -54,12 +54,17 @@ DEFAULT_PATH_LIMIT = 4096
 class PathStructure:
     """The union of all augmenting paths vertex-wise intersecting a base path.
 
-    A structure stores what defines it: the ``matching`` M, the
-    ``family`` of its augmenting paths meeting ``base_path``, their
-    vertex union ``vertices``, and ``z_after``, the
-    alternating-reachability set Z(M △ P) once the base path P has been
-    augmented.  ``stranded`` and ``hat_cut_vertex`` are derived on each
-    read, by the mask rules the structure check applies.
+    A structure stores the ``matching`` M, the ``family`` of its
+    augmenting paths meeting ``base_path``, their vertex union
+    ``vertices``, and ``z_after``, the alternating-reachability set
+    Z(M △ P) once the base path P has been augmented.  What the paper
+    derives from these is computed once, with them: ``stranded``, the
+    unsaturated V-vertices of the union outside Z(M △ P), which
+    augmenting P strands; ``hat_cut_vertex``, v̂, the highest
+    first-intersection with the base path over the family paths that
+    run from a different unsaturated root to its endpoint (None when
+    every such path starts at its own root); and the hat, which
+    ``hat_vertices`` reads.
     """
 
     matching: Matching
@@ -67,23 +72,9 @@ class PathStructure:
     family: tuple[tuple[int, ...], ...]
     vertices: frozenset[int]
     z_after: frozenset[int]
-
-    @property
-    def stranded(self) -> frozenset[int]:
-        """The unsaturated V-vertices outside the check part, which
-        augmenting the base path strands."""
-        m = self.matching
-        # the partner map's keys are the saturated vertices
-        free_v = _mask(procedure_sides(m.graph)[1]) & ~_mask(m._partner)
-        return frozenset(_bits(_stranded(
-            _mask(self.vertices), _mask(self.z_after), free_v)))
-
-    @property
-    def hat_cut_vertex(self) -> int | None:
-        """v̂: the highest first-intersection with the base path over the
-        family paths that run from a different unsaturated root to its
-        endpoint; None when every such path starts at its own root."""
-        return _hat_cut(self.base_path, _into_endpoint(self))
+    stranded: frozenset[int]
+    hat_cut_vertex: int | None
+    _hat: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -201,21 +192,60 @@ class _PathMasks:
         self.paths = enumerate_augmenting_paths(m)
         self.masks = [_mask(p) for p in self.paths]
 
-    def structures(self) -> Iterator[tuple[int, list[int], int,
-                                          frozenset[int]]]:
+    def structures(self) -> Iterator[tuple[int, list[int], int, int, int,
+                                          int, int | None, int]]:
         """Per path P, in enumeration order: its index; its family, the
-        ascending indices of the paths sharing a vertex with P, P's
-        own included; the family's vertex union as a vertex mask; and
-        Z(M △ P)."""
+        ascending indices of the paths sharing a vertex with P, P's own
+        included; then, as vertex masks, the family's vertex union,
+        Z(M △ P), the single-root substructure (the union of the paths
+        sharing P's root and endpoint) and the stranded set; v̂, the
+        hat's cut vertex, or None; and the hat's vertex mask."""
         m = self.matching
-        masks = self.masks
+        paths, masks = self.paths, self.masks
         roots = m.unsaturated(procedure_sides(m.graph)[0])
-        for i, (p, p_mask) in enumerate(zip(self.paths, masks)):
+        # the paths into each endpoint, with their vertex masks
+        into_end: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+        for q, q_mask in zip(paths, masks):
+            into_end.setdefault(q[-1], []).append((q, q_mask))
+        # every vertex of a path but its ends is saturated, so the
+        # unsaturated V-vertices of a structure are among the endpoints
+        free_v = _mask(into_end)
+        for i, (p, p_mask) in enumerate(zip(paths, masks)):
             family = [j for j, q_mask in enumerate(masks) if p_mask & q_mask]
             vertices = 0
             for j in family:
                 vertices |= masks[j]
-            yield i, family, vertices, _z_after(m, p, roots)
+            z_after = _mask(_z_after(m, p, roots))
+            # stranded: the unsaturated V-vertices outside Z(M △ P)
+            stranded = vertices & free_v & ~z_after
+            # the substructure of the paths into p's endpoint from p's
+            # root, and v̂: over those from another root, the latest
+            # along p of their first vertices on p
+            root = p[0]
+            group = into_end[p[-1]]
+            sub = 0
+            at = -1  # v̂'s index along p
+            for q, q_mask in group:
+                if q[0] == root:
+                    sub |= q_mask
+                    continue
+                # q shares p's endpoint, so it meets p
+                for k, v in enumerate(p):
+                    if q_mask >> v & 1:
+                        break
+                if k > at:
+                    at = k
+            # the hat: the union less the prefix, up to v̂, of each path
+            # into p's endpoint that passes through v̂.  With no path
+            # from a second root nothing is cut away
+            hat = vertices
+            cut = None
+            if at >= 0:
+                cut = p[at]
+                for q, q_mask in group:
+                    if q_mask >> cut & 1:
+                        hat &= ~_mask(q[:q.index(cut) + 1])
+            yield i, family, vertices, z_after, sub, stranded, cut, hat
 
 
 def path_structures(m: Matching) -> Iterator[PathStructure]:
@@ -229,9 +259,13 @@ def path_structures(m: Matching) -> Iterator[PathStructure]:
     """
     table = _PathMasks(m)
     paths = table.paths
-    for i, family, vertices, z_after in table.structures():
+    for (i, family, vertices, z_after, _, stranded, cut,
+         hat) in table.structures():
         yield PathStructure(m, paths[i], tuple(paths[j] for j in family),
-                            frozenset(_bits(vertices)), z_after)
+                            frozenset(_bits(vertices)),
+                            frozenset(_bits(z_after)),
+                            frozenset(_bits(stranded)), cut,
+                            frozenset(_bits(hat)))
 
 
 def _z_after(m: Matching, p: tuple[int, ...],
@@ -248,59 +282,13 @@ def _z_after(m: Matching, p: tuple[int, ...],
         m.graph._adjacency, partner, [u for u in roots if u != p[0]]))
 
 
-def _stranded(vertices: int, z_after: int, free_v: int) -> int:
-    """The stranded vertex mask: the unsaturated V-vertices (``free_v``)
-    of the structure's ``vertices`` outside Z(M △ P)."""
-    return vertices & free_v & ~z_after
-
-
-# paths with their vertex masks
-_Masked = list[tuple[tuple[int, ...], int]]
-
-
-def _into_endpoint(ps: PathStructure) -> _Masked:
-    """The family paths sharing the base path's (unsaturated V)
-    endpoint, with their vertex masks."""
-    end = ps.base_path[-1]
-    return [(q, _mask(q)) for q in ps.family if q[-1] == end]
-
-
-def _hat_cut(p: tuple[int, ...], into_end: _Masked) -> int | None:
-    """v̂ for the base path ``p``, from ``into_end``, the augmenting paths
-    into p's endpoint with their vertex masks: over those from another
-    root, the latest along p of their first vertices on p."""
-    cut = -1
-    for q, q_mask in into_end:
-        if q[0] != p[0]:
-            # q shares p's endpoint, so it meets p
-            for i, v in enumerate(p):
-                if q_mask >> v & 1:
-                    break
-            cut = max(cut, i)
-    return p[cut] if cut >= 0 else None
-
-
-def _hat(p: tuple[int, ...], into_end: _Masked, vertices: int) -> int:
-    """The hat's vertex mask: ``vertices`` less the prefix, up to v̂, of
-    each path into p's endpoint that passes through v̂.  With no path
-    from a second root nothing is cut away."""
-    cut = _hat_cut(p, into_end)
-    if cut is None:
-        return vertices
-    for q, q_mask in into_end:
-        if q_mask >> cut & 1:
-            vertices &= ~_mask(q[:q.index(cut) + 1])
-    return vertices
-
-
 def hat_vertices(ps: PathStructure) -> frozenset[int]:
     """The vertices of Ĝ: the structure with everything up to v̂ removed.
 
     The prefixes cut away run along the paths into p's endpoint that pass
     through v̂.  With no path from a second root nothing is cut away.
     """
-    return frozenset(_bits(_hat(ps.base_path, _into_endpoint(ps),
-                                _mask(ps.vertices))))
+    return ps._hat
 
 
 def classify_matching(m: Matching) -> ClassificationVerdict:

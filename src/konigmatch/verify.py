@@ -6,17 +6,19 @@ the exhaustive connected-bipartite corpus once and runs every check on
 each graph; a ``sweep_*`` runs its one check over the same walk.  The
 record computes, once per graph, what several checks read, and is
 dropped before the next graph: ``minimum_covers`` (the oracle's),
-``matchings`` (every matching) and ``maximal_matchings``.  A check reads
+``matchings`` (every matching), ``maximal_matchings`` and
+``maximum_matching`` (one search per graph).  A check reads
 K(M) with ``konig_vertices(m)``, which a matching computes once and
 keeps, so checks that share a matching share its K(M), and a check
 reads it only where it compares it.  A check with one case per element
 (a matched edge, a vertex outside a structure, a pair of meeting paths)
 counts its elements without a ``SweepResult.check`` call each and builds
 a message only for an element that fails.  The path-structure check
-holds every vertex set it compares (K(M), K(M △ P), each path, the
-structure, its single-root substructure, the hat and the stranded set)
-as a vertex mask, an int with bit v for vertex v, from the mask helper
-of ``paths``, and each path's edges as an edge mask; it compares
+derives no structure itself: it reads each path, the structure,
+Z(M △ P), the single-root substructure, the stranded set and the hat
+from the mask table of ``paths``, as vertex masks (ints with bit v for
+vertex v), and only compares them.  It holds K(M) and K(M △ P) as
+vertex masks and each path's edges as an edge mask; it compares
 cardinalities by popcount, counts the vertices outside a structure as
 the vertex count less the structure's popcount, and walks a mask's bits
 only to name a failing vertex.  The CLI and acceptance tests wrap these.
@@ -59,10 +61,8 @@ from .oracle import (
 )
 from .paths import (
     _bits,
-    _hat,
     _mask,
     _PathMasks,
-    _stranded,
     classify_matching,
     verify_classification_witness,
 )
@@ -110,6 +110,10 @@ class GraphRecord:
     @cached_property
     def maximal_matchings(self) -> list[Matching]:
         return all_maximal_matchings(self.graph)
+
+    @cached_property
+    def maximum_matching(self) -> Matching:
+        return maximum_matching(self.graph)
 
 
 def available_cpus() -> int:
@@ -248,7 +252,7 @@ def sweep_konig_equality(max_vertices: int = 8,
 
 def _konig_equality(record: GraphRecord, result: SweepResult) -> None:
     g = record.graph
-    mm = maximum_matching(g)
+    mm = record.maximum_matching
     min_size = len(next(iter(record.minimum_covers)))
     result.check(len(mm) == min_size,
                  lambda: f"{_describe(g)}: matching {len(mm)} != "
@@ -407,8 +411,8 @@ def sweep_path_structure_properties(max_vertices: int = 8,
 def _path_structure_properties(record: GraphRecord,
                                result: SweepResult) -> None:
     g = record.graph
-    u_side, v_side = procedure_sides(g)
-    u_mask, v_mask = _mask(u_side), _mask(v_side)
+    u_side, _ = procedure_sides(g)
+    u_mask = _mask(u_side)
     n = len(g._adjacency)
     cases = 0  # added to the result at once
     # a bit per edge, under both orders of its ends
@@ -425,25 +429,20 @@ def _path_structure_properties(record: GraphRecord,
         if not paths:
             continue
         # each path's edges as a mask (a simple path's edges are
-        # distinct, so their sum is their union), and the paths into
-        # each endpoint with their vertex masks
+        # distinct, so their sum is their union)
         edges = [sum(map(edge_bit.__getitem__, zip(q, q[1:])))
                  for q in paths]
-        into_end: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-        for q, q_mask in zip(paths, masks):
-            into_end.setdefault(q[-1], []).append((q, q_mask))
         # Kp: K with the M-partners of its vertices added, so a vertex
         # is in Kp iff it or its partner is in K
         matched = [1 << u | 1 << v for u, v in m.edges]
         k_before = _mask(konig_vertices(m))
         kp_before = _with_partners(k_before, matched)
-        # the partner map's keys are the saturated vertices
-        free_v = v_mask & ~_mask(m._partner)
-        for i, family, structure, z_after in table.structures():
+        k_size = k_before.bit_count()
+        for (i, family, structure, z_after, sub, stranded, _,
+             hat) in table.structures():
             p = paths[i]
             root, end = p[0], p[-1]
-            z_mask = _mask(z_after)
-            k_after = u_mask ^ z_mask  # K(M △ P)
+            k_after = u_mask ^ z_after  # K(M △ P)
             # localization: outside the structure, membership of a
             # matched pair (or a lone unmatched vertex) is preserved;
             # one case per vertex.  These and the three cases below are
@@ -457,30 +456,25 @@ def _path_structure_properties(record: GraphRecord,
             # the substructure of paths sharing p's root and endpoint
             # has a unique unsaturated root; restricted to it, the
             # cover keeps its cardinality under augmentation
-            group = into_end[end]
-            sub = 0
-            for q, q_mask in group:
-                if q[0] == root:
-                    sub |= q_mask
             if (k_before & sub).bit_count() != (k_after & sub).bit_count():
                 result.violations.append(
                     f"{_where(g, m, p)}: unique-root restricted equality "
                     "fails")
             # two stranded unsaturated V-vertices iff strict decrease
-            stranded = _stranded(structure, z_mask, free_v)
-            if ((stranded.bit_count() >= 2)
-                    != (k_before.bit_count() > k_after.bit_count())):
+            if (stranded.bit_count() >= 2) != (k_size > k_after.bit_count()):
                 result.violations.append(
                     f"{_where(g, m, p)}: stranded count and cover decrease "
                     "disagree")
-            # hat reduction preserves the cardinality equality
-            hat = _hat(p, group, structure)
-            full_eq = ((k_before & structure).bit_count()
-                       == (k_after & structure).bit_count())
-            hat_eq = (k_before & hat).bit_count() == (k_after & hat).bit_count()
-            if full_eq != hat_eq:
-                result.violations.append(
-                    f"{_where(g, m, p)}: hat reduction disagrees")
+            # hat reduction preserves the cardinality equality, at once
+            # when nothing is cut away
+            if hat != structure:
+                full_eq = ((k_before & structure).bit_count()
+                           == (k_after & structure).bit_count())
+                hat_eq = ((k_before & hat).bit_count()
+                          == (k_after & hat).bit_count())
+                if full_eq != hat_eq:
+                    result.violations.append(
+                        f"{_where(g, m, p)}: hat reduction disagrees")
             # vertex-wise intersection implies edge-wise or endpoints
             # only; each pair of meeting paths is checked once, from
             # the earlier one (paths are enumerated in sorted order)
@@ -536,7 +530,7 @@ def sweep_hall_consistency(max_vertices: int = 8,
 
 def _hall_consistency(record: GraphRecord, result: SweepResult) -> None:
     g = record.graph
-    mm = maximum_matching(g)
+    mm = record.maximum_matching
     for side, vertices, hall in zip(("left", "right"), (g.left, g.right),
                                     hall_condition(g)):
         saturated = all(mm.saturates(v) for v in vertices)

@@ -5,6 +5,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from konigmatch import (
     Matching,
@@ -24,6 +25,11 @@ from konigmatch.oracle import OracleBudget, all_matchings
 from konigmatch.verify import _describe
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# the same examples on every run, and no example database written into
+# the checkout; example counts stay at their defaults
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 def labeled(g, *labels):

@@ -68,11 +68,11 @@ def test_the_check_sees_a_third_party_import():
 # Public definitions nothing else in the package uses, kept on purpose.
 UNREFERENCED_BY_DESIGN = {
     "is_enumeratively_konig_egervary": "the paper's enumerative property",
+    # konig_cover reads K(M) itself, which the matching keeps
+    "z_set": "the public view of the procedure's Z-set",
     # the structure check reads the masks these views are built from
     "path_structures": "the public view of a matching's structures",
     "hat_vertices": "the public view of a structure's hat",
-    "PathStructure.stranded": "the public view of the stranded set",
-    "PathStructure.hat_cut_vertex": "the public view of the hat's cut",
 }
 
 

@@ -72,10 +72,10 @@ def test_konig_layer_is_pinned_on_every_corpus_matching(monkeypatch):
         results.append((g, m, k))
     # K(M) always covers, so the verdicts are also checked on the 45,956
     # sets one vertex short of it, each of which leaves an edge uncovered:
-    # Z is replaced by U △ K' so that the procedure yields K'
+    # K(M) is replaced by K' so that the procedure yields K'
     short = {}
-    monkeypatch.setattr("konigmatch.konig.z_set",
-                        lambda m: procedure_sides(m.graph)[0] ^ short["k"])
+    monkeypatch.setattr("konigmatch.konig.konig_vertices",
+                        lambda m: short["k"])
     uncovered = 0
     for g, m, full in results:
         for r in full:

@@ -189,11 +189,21 @@ def test_corpus_verify_pins_every_case_count_at_eight_vertices():
 
 def test_the_walk_enumerates_each_graph_once(monkeypatch):
     calls = _count_enumerations(monkeypatch)
+    searches = Counter()
+    real_search = verify.maximum_matching
+
+    def counting_search(g):
+        searches[id(g)] += 1
+        return real_search(g)
+
+    monkeypatch.setattr(verify, "maximum_matching", counting_search)
     graphs = cached_corpus(7)
     assert all(r.ok for r in verify.corpus_verify(7, jobs=1))
     once = Counter(map(id, graphs))
     for name in ENUMERATIONS:
         assert calls[name] == once, name
+    # the konig-equality and Hall checks share one search per graph
+    assert searches == once
     # the star-studded sweep's own oracle calls: one on each studded
     # graph and one on its base graph
     assert calls["budgeted"].total() == 2 * len(graphs)
