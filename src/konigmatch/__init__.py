@@ -38,7 +38,6 @@ from .paths import (
     PathStructure,
     classify_matching,
     enumerate_augmenting_paths,
-    hat_vertices,
     is_augmenting_path,
     path_structures,
     verify_classification_witness,

@@ -53,11 +53,6 @@ class NotMinimumCover(DomainError):
     pass
 
 
-class SaturationImpossible(DomainError):
-    """The down-subgraph admits no matching saturating its cover side;
-    the supplied cover cannot have been minimum."""
-
-
 class RoundTripFailed(DomainError):
     """Reverse procedure output did not map back to the input cover.
     Signals an implementation defect, never expected on valid input."""

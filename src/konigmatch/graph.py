@@ -7,8 +7,8 @@ never larger than the right side; induced subgraphs keep their parent's
 vertex ids and side designation.
 
 A graph never changes after construction, so data derived from it (the
-procedure sides, the matching number ν, the label index) is computed on
-first use and kept in the graph's own slots.
+procedure sides, the edges of a maximum matching, the label index) is
+computed on first use and kept in the graph's own slots.
 """
 
 from __future__ import annotations
@@ -32,13 +32,16 @@ class BipartiteGraph:
     Equality and hashing consider only the structure (sides and edges),
     not the labels.
 
-    ``_sides``, ``_nu`` and ``_by_label`` are memo slots, left unset by
-    ``__init__`` and filled on first use by ``procedure_sides``,
-    ``matching.maximum_matching`` and ``vertex_by_label``.
+    ``_sides``, ``_maximum`` and ``_by_label`` are memo slots, left unset
+    by ``__init__`` and filled on first use by ``procedure_sides``,
+    ``matching.maximum_matching`` and ``vertex_by_label``.  ``_maximum``
+    holds a maximum matching's edges, not the ``Matching``: a matching
+    refers to its graph, so a graph holding one would form a cycle that
+    only the cycle collector frees.
     """
 
     __slots__ = ("left", "right", "edges", "labels",
-                 "_adjacency", "_hash", "_sides", "_nu", "_by_label")
+                 "_adjacency", "_hash", "_sides", "_maximum", "_by_label")
 
     def __init__(
         self,

@@ -10,7 +10,10 @@ outside.
 
 Being immutable, a matching keeps what is derived from it: its Kőnig set
 K(M) is computed once, by ``konig.konig_vertices`` on first read, and
-held in the ``_konig`` slot, which both constructors set to None.
+held in the ``_konig`` slot, which both constructors set to None.  A
+graph keeps its maximum matching's edges likewise, so
+``maximum_matching`` searches once per graph; ``maximize`` writes
+nothing into the graph.
 """
 
 from __future__ import annotations
@@ -53,8 +56,9 @@ class Matching:
 
         Precondition: ``edges`` are stored edge keys of ``graph`` (the
         ``(left, right)`` tuples in ``graph.edges``) and no two of them
-        share an endpoint.  Only for enumerators that guarantee this by
-        construction; everything else goes through ``Matching(...)``.
+        share an endpoint.  Only for callers that guarantee this by
+        construction, such as enumerators and the edges of a checked
+        matching; everything else goes through ``Matching(...)``.
         """
         partner: dict[int, int] = {}
         for u, v in edges:
@@ -107,8 +111,7 @@ def maximize(m: Matching) -> Matching:
     follows non-matching edges to sorted neighbours and matching edges
     back; the first free vertex it reaches ends an augmenting path P, and
     M becomes the matching M △ P.  A vertex with no augmenting path gains
-    none later, so none remains (Berge's condition).  The size is kept as
-    ``matching_number``.
+    none later, so none remains (Berge's condition).
     """
     g = m.graph
     for start in m.unsaturated(g.left):
@@ -135,18 +138,25 @@ def maximize(m: Matching) -> Matching:
             # the constructor re-checks M △ P, so a faulty search raises
             m = Matching(g, m.edges.symmetric_difference(
                 map(g.edge_key, path, path[1:])))
-    g._nu = len(m)
     return m
 
 
 def maximum_matching(g: BipartiteGraph) -> Matching:
-    """A maximum-cardinality matching: ``maximize`` from the empty one."""
-    return maximize(Matching(g, ()))
+    """A maximum-cardinality matching: ``maximize`` from the empty one,
+    searched once per graph; later calls rebuild it from the edges the
+    graph keeps."""
+    try:
+        edges = g._maximum
+    except AttributeError:
+        m = maximize(Matching(g, ()))
+        g._maximum = m.edges
+        return m
+    return Matching._unchecked(g, edges)
 
 
 def matching_number(g: BipartiteGraph) -> int:
-    """ν(G), the size of a maximum matching, computed once per graph."""
+    """ν(G), the size of the graph's one maximum matching."""
     try:
-        return g._nu
+        return len(g._maximum)
     except AttributeError:
         return len(maximum_matching(g))

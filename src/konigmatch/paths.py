@@ -4,7 +4,7 @@ For an augmenting path P, the structure graph collects every augmenting
 path (from an unsaturated U-vertex) sharing at least one vertex with P.
 Two derived sets isolate the part responsible for cover-size loss: the
 "hat" cuts away everything below the highest point where a path from a
-different root first joins P (``hat_vertices``), and the stranded set
+different root first joins P (the ``hat`` field), and the stranded set
 holds the structure's unsaturated V-vertices that alternating paths no
 longer reach once P has been augmented.
 
@@ -63,8 +63,10 @@ class PathStructure:
     augmenting P strands; ``hat_cut_vertex``, v̂, the highest
     first-intersection with the base path over the family paths that
     run from a different unsaturated root to its endpoint (None when
-    every such path starts at its own root); and the hat, which
-    ``hat_vertices`` reads.
+    every such path starts at its own root); and ``hat``, the vertices
+    of Ĝ: the structure with everything up to v̂ removed.  The prefixes
+    cut away run along the paths into p's endpoint that pass through v̂;
+    with no path from a second root nothing is cut away.
     """
 
     matching: Matching
@@ -74,7 +76,7 @@ class PathStructure:
     z_after: frozenset[int]
     stranded: frozenset[int]
     hat_cut_vertex: int | None
-    _hat: frozenset[int]
+    hat: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -280,15 +282,6 @@ def _z_after(m: Matching, p: tuple[int, ...],
         partner[v] = u
     return frozenset(_alternating_closure(
         m.graph._adjacency, partner, [u for u in roots if u != p[0]]))
-
-
-def hat_vertices(ps: PathStructure) -> frozenset[int]:
-    """The vertices of Ĝ: the structure with everything up to v̂ removed.
-
-    The prefixes cut away run along the paths into p's endpoint that pass
-    through v̂.  With no path from a second root nothing is cut away.
-    """
-    return ps._hat
 
 
 def classify_matching(m: Matching) -> ClassificationVerdict:

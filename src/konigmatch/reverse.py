@@ -3,11 +3,14 @@
 The cover splits the graph into an *up* part (cover vertices on the V
 side together with the uncovered U vertices), a *down* part (cover
 vertices on the U side together with the uncovered V vertices), and the
-cut edges with both endpoints in the cover.  A saturating matching is
-found on the down part; on the up part a depth-first procedure grows a
-matching while keeping each visited root unsaturated.  Applying Kőnig's
-procedure to the union reproduces the input cover; this is asserted and
-a violation raises ``RoundTripFailed``.
+cut edges with both endpoints in the cover.  The down part needs no
+search of its own: a minimum cover holds exactly one end of each edge
+of a maximum matching M*, and every cover vertex lies on an M* edge
+(Kőnig; Dulmage and Mendelsohn, 1958), so the M* edges at U ∩ C form a
+matching of the down part saturating U ∩ C.  On the up part a
+depth-first procedure grows a matching while keeping each visited root
+unsaturated.  Applying Kőnig's procedure to the union reproduces the
+input cover; this is asserted and a violation raises ``RoundTripFailed``.
 
 The split and its down matching depend on the cover alone; only the up
 walk depends on the order in which roots are visited.  So a split is a
@@ -16,8 +19,8 @@ value: it records the graph and cover it was made for, and
 caller try many visit orders on one split.  It walks the up part and
 builds one matching of the whole graph, whose up half is
 ``m.edges - split.m_down.edges``.  A split stores its up part, the up
-part's roots and the down matching, which records the down part as its
-graph.
+part's roots and the down matching, part of the graph's maximum
+matching and a matching of the graph itself.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .errors import NotMinimumCover, RoundTripFailed, SaturationImpossible
+from .errors import NotMinimumCover, RoundTripFailed
 from .graph import BipartiteGraph, induced_subgraph, procedure_sides
 from .konig import VertexCover, is_minimum_cover, konig_vertices
 from .matching import Matching, maximum_matching
@@ -37,8 +40,8 @@ class CoverSplit:
 
     ``graph`` and ``cover`` name what the split was made for, so
     ``reverse_konig`` checks its round trip against the right cover.
-    ``m_down`` is the down part's matching saturating U ∩ C, found once
-    with the split; its graph is the down part.
+    ``m_down`` is the matching of ``graph`` that saturates U ∩ C: the
+    edges of ``maximum_matching(graph)`` whose U-end is in the cover.
     """
 
     graph: BipartiteGraph
@@ -54,23 +57,19 @@ def split_by_cover(g: BipartiteGraph,
 
     U here is the procedure side (smaller side per component), matching
     the convention ``konig_cover`` uses, so the round trip is consistent.
-    A cover that is not minimum raises ``NotMinimumCover``.  The down
-    matching saturates every cover vertex of U; it exists by Hall's
-    condition when the cover is minimum, so ``SaturationImpossible``
-    signals a defect.
+    A cover that is not minimum raises ``NotMinimumCover``.
     """
     cset = frozenset(c)
     if not is_minimum_cover(g, cset):
         raise NotMinimumCover("input set is not a minimum vertex cover")
     u_side, v_side = procedure_sides(g)
     up = induced_subgraph(g, (v_side & cset) | (u_side - cset))
-    down = induced_subgraph(g, (u_side & cset) | (v_side - cset))
-    m_down = maximum_matching(down)
-    missed = [v for v in u_side & cset if not m_down.saturates(v)]
-    if missed:
-        raise SaturationImpossible(
-            f"down part cannot saturate {sorted(missed)}; "
-            "cover was not minimum")
+    # the cover holds one end of each maximum-matching edge, and each of
+    # its vertices is matched, so these edges saturate U ∩ C and their
+    # V-ends lie outside C
+    m_down = Matching._unchecked(g, [
+        (a, b) for a, b in maximum_matching(g).edges
+        if (a if a in u_side else b) in cset])
     return CoverSplit(g, cset, up, u_side - cset, m_down)
 
 

@@ -6,8 +6,9 @@ the exhaustive connected-bipartite corpus once and runs every check on
 each graph; a ``sweep_*`` runs its one check over the same walk.  The
 record computes, once per graph, what several checks read, and is
 dropped before the next graph: ``minimum_covers`` (the oracle's),
-``matchings`` (every matching), ``maximal_matchings`` and
-``maximum_matching`` (one search per graph).  A check reads
+``matchings`` (every matching) and ``maximal_matchings``.  The graph
+itself keeps the edges of its one maximum matching, so the checks that
+read it call ``maximum_matching(record.graph)``.  A check reads
 K(M) with ``konig_vertices(m)``, which a matching computes once and
 keeps, so checks that share a matching share its K(M), and a check
 reads it only where it compares it.  A check with one case per element
@@ -110,10 +111,6 @@ class GraphRecord:
     @cached_property
     def maximal_matchings(self) -> list[Matching]:
         return all_maximal_matchings(self.graph)
-
-    @cached_property
-    def maximum_matching(self) -> Matching:
-        return maximum_matching(self.graph)
 
 
 def available_cpus() -> int:
@@ -252,7 +249,7 @@ def sweep_konig_equality(max_vertices: int = 8,
 
 def _konig_equality(record: GraphRecord, result: SweepResult) -> None:
     g = record.graph
-    mm = record.maximum_matching
+    mm = maximum_matching(g)
     min_size = len(next(iter(record.minimum_covers)))
     result.check(len(mm) == min_size,
                  lambda: f"{_describe(g)}: matching {len(mm)} != "
@@ -530,7 +527,7 @@ def sweep_hall_consistency(max_vertices: int = 8,
 
 def _hall_consistency(record: GraphRecord, result: SweepResult) -> None:
     g = record.graph
-    mm = record.maximum_matching
+    mm = maximum_matching(g)
     for side, vertices, hall in zip(("left", "right"), (g.left, g.right),
                                     hall_condition(g)):
         saturated = all(mm.saturates(v) for v in vertices)

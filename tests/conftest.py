@@ -1,3 +1,4 @@
+import tempfile
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from konigmatch import (
     Matching,
@@ -30,6 +32,10 @@ FIXTURES = Path(__file__).parent / "fixtures"
 # the checkout; example counts stay at their defaults
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.load_profile("tier1")
+# what hypothesis still stores (its constants cache) goes to a directory
+# removed when the run ends, not to .hypothesis/ in the checkout
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 def labeled(g, *labels):

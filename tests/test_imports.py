@@ -72,7 +72,6 @@ UNREFERENCED_BY_DESIGN = {
     "z_set": "the public view of the procedure's Z-set",
     # the structure check reads the masks these views are built from
     "path_structures": "the public view of a matching's structures",
-    "hat_vertices": "the public view of a structure's hat",
 }
 
 

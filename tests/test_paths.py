@@ -8,7 +8,6 @@ from konigmatch import (
     build_graph,
     classify_matching,
     enumerate_augmenting_paths,
-    hat_vertices,
     is_augmenting_path,
     konig_cover,
     konig_vertices,
@@ -68,20 +67,20 @@ def test_a_structure_stores_only_its_defining_data(fork, fork_matching):
     ps = next(path_structures(fork_matching))
     assert [f.name for f in dataclasses.fields(ps)] == [
         "matching", "base_path", "family", "vertices", "z_after",
-        "stranded", "hat_cut_vertex", "_hat"]
+        "stranded", "hat_cut_vertex", "hat"]
     assert ps.matching is fork_matching
     assert ps.stranded == labeled(fork, "d1", "d2", "d3")
 
 
 def test_fork_hat_and_check_subgraphs(fork, fork_matching):
     ps = next(path_structures(fork_matching))
-    assert hat_vertices(ps) == labeled(fork, "c1", "d1", "d2", "d3")
+    assert ps.hat == labeled(fork, "c1", "d1", "d2", "d3")
 
 
 def test_structure_without_second_root_keeps_everything(p4):
     (ps,) = path_structures(matching_by_labels(p4, [("2", "3")]))
     assert ps.hat_cut_vertex is None
-    assert hat_vertices(ps) == ps.vertices
+    assert ps.hat == ps.vertices
 
 
 def _leaves_u_free(m):
@@ -325,7 +324,7 @@ def test_drawing_structures_builds_no_matching(monkeypatch):
     for m in matchings:
         for ps in path_structures(m):
             # reading the derived sets builds none either
-            assert hat_vertices(ps) and ps.stranded <= ps.vertices
+            assert ps.hat and ps.stranded <= ps.vertices
             structures += 1
     assert (structures, built) == (253, [])
     # the counters do see a matching being built
@@ -423,7 +422,7 @@ def test_the_mask_views_equal_the_set_definitions(source, structures, cuts):
         assert ps.z_after == ref.z_after
         assert ps.stranded == ref.stranded
         assert ps.hat_cut_vertex == ref.hat_cut_vertex
-        assert hat_vertices(ps) == ref.hat
+        assert ps.hat == ref.hat
     assert sum(ref.hat_cut_vertex is not None for ref in expected) == cuts
 
 

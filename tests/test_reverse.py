@@ -25,8 +25,8 @@ def test_split_by_cover_on_the_fork(fork):
     cover = labeled(fork, "b1", "c1")
     split = split_by_cover(fork, cover)
     assert split.up.vertices == labeled(fork, "a1", "a2", "b1")
-    assert split.m_down.graph.vertices == labeled(fork, "c1", "d1", "d2",
-                                                  "d3")
+    # the down half: the maximum matching's edge at c1, the cover's U-end
+    assert split.m_down == matching_by_labels(fork, [("c1", "d1")])
     assert split.up_roots == labeled(fork, "a1", "a2")
 
 
@@ -52,6 +52,28 @@ def test_down_part_saturates_the_cover_side(fork):
     (c1,) = labeled(fork, "c1")
     assert m_down.saturates(c1)
     assert len(m_down) == 1
+
+
+def test_the_down_matching_is_the_maximum_matching_at_the_cover():
+    # a minimum cover holds one end of each edge of the maximum matching
+    # M*, and each of its vertices lies on an M* edge, so the M* edges at
+    # U ∩ C saturate U ∩ C and leave C at their V-ends
+    budget = OracleBudget(max_vertices=26, max_subsets=2 ** 21)
+    graphs = [*cached_corpus(9),
+              *(star_stud(h).full for h in cached_corpus(5))]
+    covers = 0
+    for g in graphs:
+        u_side, _ = procedure_sides(g)
+        for cover in all_minimum_covers(g, budget):
+            m_down = split_by_cover(g, cover).m_down
+            assert m_down.graph is g
+            assert m_down.edges <= maximum_matching(g).edges
+            for a, b in m_down.edges:
+                u, v = (a, b) if a in u_side else (b, a)
+                assert u in cover and v not in cover
+            assert m_down.unsaturated(u_side & cover) == []
+            covers += 1
+    assert covers == 1709 + 15  # the 9-vertex corpus, the studded graphs
 
 
 def test_up_part_keeps_roots_unsaturated(fork):
@@ -175,10 +197,11 @@ def test_the_split_records_its_graph_cover_and_down_matching(fork):
     split = split_by_cover(fork, cover)
     assert split.graph is fork
     assert split.cover == cover
-    # the down matching's graph is the down part
-    (c1,) = labeled(fork, "c1")
-    assert split.m_down.graph.neighbors(c1) == labeled(fork, "d1", "d2",
-                                                       "d3")
+    # the down matching is a matching of the graph itself: the edge of
+    # its maximum matching at c1
+    assert split.m_down.graph is fork
+    assert split.m_down.edges == matching_by_labels(fork,
+                                                    [("c1", "d1")]).edges
     assert reverse_konig(split).graph is fork
 
 

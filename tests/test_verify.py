@@ -10,9 +10,9 @@ from collections import Counter
 
 import pytest
 
-from konigmatch import (konig, konig_vertices, reverse_konig,
+from konigmatch import (konig, konig_vertices, matching, reverse_konig,
                         split_by_cover, verify)
-from konigmatch.corpus import cached_corpus
+from konigmatch.corpus import cached_corpus, connected_bipartite_graphs
 from konigmatch.oracle import all_maximal_matchings
 
 import conftest
@@ -190,20 +190,23 @@ def test_corpus_verify_pins_every_case_count_at_eight_vertices():
 def test_the_walk_enumerates_each_graph_once(monkeypatch):
     calls = _count_enumerations(monkeypatch)
     searches = Counter()
-    real_search = verify.maximum_matching
+    real_maximize = matching.maximize
 
-    def counting_search(g):
-        searches[id(g)] += 1
-        return real_search(g)
+    def counting_maximize(m):
+        searches[id(m.graph)] += 1
+        return real_maximize(m)
 
-    monkeypatch.setattr(verify, "maximum_matching", counting_search)
-    graphs = cached_corpus(7)
+    # maximum_matching's own search, on graphs no earlier test searched
+    monkeypatch.setattr(matching, "maximize", counting_maximize)
+    graphs = tuple(connected_bipartite_graphs(7))
+    monkeypatch.setattr(verify, "cached_corpus", lambda n: graphs)
     assert all(r.ok for r in verify.corpus_verify(7, jobs=1))
     once = Counter(map(id, graphs))
     for name in ENUMERATIONS:
         assert calls[name] == once, name
-    # the konig-equality and Hall checks share one search per graph
-    assert searches == once
+    # the konig-equality and Hall checks and every split share one
+    # search per graph
+    assert [searches[id(g)] for g in graphs] == [1] * len(graphs)
     # the star-studded sweep's own oracle calls: one on each studded
     # graph and one on its base graph
     assert calls["budgeted"].total() == 2 * len(graphs)
