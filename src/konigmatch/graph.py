@@ -89,9 +89,6 @@ class BipartiteGraph:
     def vertices(self) -> frozenset[int]:
         return self.left | self.right
 
-    def __contains__(self, v: int) -> bool:
-        return v in self._adjacency
-
     def neighbors(self, v: int) -> frozenset[int]:
         """Exact adjacency set of ``v``."""
         try:

@@ -6,6 +6,8 @@ Two graph formats are supported:
   "edges": [["a1", "b1"], ...]}``
 * plain edge list: one ``u v`` pair per line; sides are inferred by
   two-coloring and an error is raised if the graph is not bipartite.
+  The colored sides and the edges, as labels, then go through the JSON
+  reader, so both formats build their graphs by one route.
 
 Matchings and covers serialize as JSON arrays of external labels.
 """
@@ -93,15 +95,11 @@ def graph_from_edge_list(text: str) -> BipartiteGraph:
                         f"edge ({x!r}, {y!r}) closes an odd cycle")
     left = sorted(v for v in adjacency if color[v] == 0)
     right = sorted(v for v in adjacency if color[v] == 1)
-    left_index = {lab: i for i, lab in enumerate(left)}
-    right_index = {lab: i for i, lab in enumerate(right)}
-    edges = set()
-    for a, ns in adjacency.items():
-        for b in ns:
-            if color[a] == 0:
-                edges.add((left_index[a], right_index[b]))
-    return build_graph(len(left), len(right), edges,
-                       left_labels=left, right_labels=right)
+    return graph_from_json_dict({
+        "left": left,
+        "right": right,
+        "edges": [[a, b] for a in left for b in adjacency[a]],
+    })
 
 
 def _read_text(path: str) -> str:

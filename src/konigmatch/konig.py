@@ -9,9 +9,12 @@ Each function takes the matching alone and reads its graph from it.
 A matching's Kőnig set is computed once: ``konig_vertices`` walks Z on
 its first read and keeps K(M) in the matching's ``_konig`` slot, and
 ``z_set`` and ``konig_cover`` read it from there.
-Minimality is defined once, for ``konig_cover`` and ``is_minimal_cover``
-alike: no vertex of the set has its whole neighborhood inside it.  A set
-that does not cover is neither minimal nor minimum.
+``_covers`` tests covering for ``konig_cover`` and ``is_vertex_cover``
+alike, over the graph's left side, which holds an endpoint of every
+edge; the U side decides only K(M).  Minimality is defined once, for
+``konig_cover`` and ``is_minimal_cover`` alike: no vertex of the set
+has its whole neighborhood inside it.  A set that does not cover is
+neither minimal nor minimum.
 """
 
 from __future__ import annotations
@@ -78,12 +81,11 @@ def _alternating_closure(adjacency: dict[int, frozenset[int]],
     return z
 
 
-def _covers(g: BipartiteGraph, u_side: frozenset[int],
-            s: frozenset[int]) -> bool:
-    """True iff ``s`` covers every edge of ``g``; ``u_side`` holds one
+def _covers(g: BipartiteGraph, s: frozenset[int]) -> bool:
+    """True iff ``s`` covers every edge of ``g``; the left side holds one
     endpoint of each edge, so checking its vertices outside ``s`` is enough."""
     adjacency = g._adjacency
-    return all(adjacency[x] <= s for x in u_side - s)
+    return all(adjacency[x] <= s for x in g.left - s)
 
 
 def is_vertex_cover(g: BipartiteGraph, s: Iterable[int]) -> bool:
@@ -91,7 +93,7 @@ def is_vertex_cover(g: BipartiteGraph, s: Iterable[int]) -> bool:
     sset = frozenset(s)
     if not sset <= g.vertices:
         raise UnknownVertex("cover candidate uses unknown vertices")
-    return _covers(g, g.left, sset)
+    return _covers(g, sset)
 
 
 def _irredundant(g: BipartiteGraph, s: frozenset[int]) -> bool:
@@ -144,9 +146,8 @@ def konig_cover(m: Matching) -> VertexCover:
     fields record exactly what holds.
     """
     g = m.graph
-    u_side, _ = procedure_sides(g)
     k = konig_vertices(m)
-    cover = _covers(g, u_side, k)
+    cover = _covers(g, k)
     minimal = cover and _irredundant(g, k)
     minimum = cover and len(k) == matching_number(g)
     return VertexCover(k, cover, minimal, minimum)

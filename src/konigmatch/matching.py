@@ -6,7 +6,8 @@ functions take the matching alone and read the graph from it.  An
 augmenting path is a plain tuple of vertex ids; ``maximize`` flips each
 path it finds into a new ``Matching``, whose constructor checks the
 result, and ``paths.is_augmenting_path`` judges a path given from
-outside.
+outside.  The search's BFS skips a neighbour only if it was reached
+already, which is where a left vertex's matching edge leads.
 
 Being immutable, a matching keeps what is derived from it: its Kőnig set
 K(M) is computed once, by ``konig.konig_vertices`` on first read, and
@@ -121,7 +122,9 @@ def maximize(m: Matching) -> Matching:
         while queue and end is None:
             x = queue.popleft()
             for y in sorted(g.neighbors(x)):
-                if y in parent or (x, y) in m:
+                # x is the free start or the partner of a y already in
+                # parent, so its matching edge never leads anywhere new
+                if y in parent:
                     continue
                 parent[y] = x
                 if not m.saturates(y):

@@ -13,16 +13,17 @@ a greedy matching, a sound floor without ν because no cover is smaller
 than any matching, so the search reads nothing of ``matching.py``'s
 search or of ``konig.py``.  Its budget counts search nodes.
 
-Matchings are enumerated lazily, each built as the walk reaches it.
-The walk over all matchings keeps one stack entry per matching: its
-chosen edges and the bitmask of the later edges compatible with them,
-so each step yields a result.  The maximal walk decides the sorted edges
-one by one and cuts a branch once an edge can never be added:
-``iter_maximal_matchings`` yields each maximal matching as it reaches
-it, so an existence check (such as ``stars.maximal_witness`` on one
-component) can stop the walk once it has its answer, and nothing it did
-not draw is ever built.  ``all_matchings`` and ``all_maximal_matchings``
-collect their walks into a list, in the same order.
+Each matching is built as a walk reaches it.  The walk over all
+matchings keeps one stack entry per matching: its chosen edges and the
+bitmask of the later edges compatible with them, so each step lists a
+result; ``all_matchings`` runs it and lists as it walks.  Only the
+maximal walk is lazy.  It decides the sorted edges one by one and cuts a
+branch once an edge can never be added: ``iter_maximal_matchings``
+yields each maximal matching as it reaches it, so an existence check
+(such as ``stars.maximal_witness`` on one component) can stop the walk
+once it has its answer, and nothing it did not draw is ever built.
+``all_maximal_matchings`` collects that walk into a list, in the order
+``all_matchings`` lists the same matchings.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def all_minimum_covers(g: BipartiteGraph,
 def _maximal_matchings(g: BipartiteGraph,
                        max_steps: int) -> Iterator[Matching]:
     """Yield the maximal matchings of ``g``, in the order of
-    ``_all_matchings``.
+    ``all_matchings``.
 
     Decides the sorted edges one by one, skip before take, with an
     explicit stack; the used endpoints are one bitmask.  A vertex still
@@ -165,20 +166,23 @@ def _maximal_matchings(g: BipartiteGraph,
                                  "budget")
 
 
-def _all_matchings(g: BipartiteGraph,
-                   max_results: int) -> Iterator[Matching]:
-    """Yield every matching of ``g``: the subsets of the sorted edges in
-    skip-before-take order, the empty matching first.
+def all_matchings(g: BipartiteGraph,
+                  b: OracleBudget | None = None) -> list[Matching]:
+    """Every edge subset that is a matching, the empty one included: the
+    subsets of the sorted edges in skip-before-take order, the empty
+    matching first.
 
     Each stack entry is one matching, its chosen edges and the bitmask of
     the later edges compatible with all of them (sharing no endpoint).  A
-    pop yields that matching and pushes one child per compatible edge, in
+    pop lists that matching and pushes one child per compatible edge, in
     ascending edge order, so the child with the highest edge is popped
     first: after a matching come the matchings that extend it, the ones
     adding a later edge before the ones adding an earlier edge, which is
     the skip-before-take order.  Raises ``BudgetExceeded`` before building
-    result ``max_results + 1``.
+    matching ``b.max_subsets + 1``.
     """
+    b = b or OracleBudget()
+    _check_vertex_budget(g, b)
     edges = sorted(g.edges)
     every = (1 << len(edges)) - 1
     incident = dict.fromkeys(g.vertices, 0)  # vertex -> its edges' bits
@@ -189,15 +193,14 @@ def _all_matchings(g: BipartiteGraph,
     # endpoint with it
     plan = {1 << i: ((u, v), every & ~(incident[u] | incident[v]))
             for i, (u, v) in enumerate(edges)}
-    found = 0
+    found: list[Matching] = []
     # (chosen edges, bitmask of the later edges that can still be added)
     stack: list[tuple] = [((), every)]
     while stack:
         chosen, addable = stack.pop()
-        found += 1
-        if found > max_results:
+        if len(found) == b.max_subsets:
             raise BudgetExceeded("matching enumeration exceeded budget")
-        yield Matching._unchecked(g, chosen)
+        found.append(Matching._unchecked(g, chosen))
         while addable:
             bit = addable & -addable
             # the edges are taken in ascending order, so what is left of
@@ -205,17 +208,7 @@ def _all_matchings(g: BipartiteGraph,
             addable ^= bit
             edge, compatible = plan[bit]
             stack.append((chosen + (edge,), addable & compatible))
-
-
-def all_matchings(g: BipartiteGraph,
-                  b: OracleBudget | None = None) -> list[Matching]:
-    """Every edge subset that is a matching, the empty one included.
-
-    Raises ``BudgetExceeded`` beyond ``b.max_subsets`` matchings.
-    """
-    b = b or OracleBudget()
-    _check_vertex_budget(g, b)
-    return list(_all_matchings(g, b.max_subsets))
+    return found
 
 
 def iter_maximal_matchings(g: BipartiteGraph,

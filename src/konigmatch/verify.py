@@ -148,7 +148,8 @@ def _walk(max_vertices: int, names: list[str] | None = None,
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if not hasattr(os, "fork"):
         jobs = 1
-    jobs = min(jobs, len(corpus))
+    # one shard at least, so an empty corpus walks to empty tallies
+    jobs = max(1, min(jobs, len(corpus)))
     walk_shard = partial(_walk_shard, corpus, jobs,
                          [checks[name] for name in names])
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)

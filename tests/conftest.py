@@ -38,6 +38,12 @@ _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
 set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
+def pytest_unconfigure(config):
+    # removed here, so the directory is never left to the finalizer,
+    # which would warn that it cleans it up implicitly
+    _HYPOTHESIS_HOME.cleanup()
+
+
 def labeled(g, *labels):
     """Vertex ids for the given labels, as a frozenset."""
     return frozenset(g.vertex_by_label(lab) for lab in labels)

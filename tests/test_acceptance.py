@@ -126,7 +126,8 @@ def test_randomized_trials_run_fast_and_agree_with_the_oracle(tmp_path):
         with out.open("w", newline="") as fh:
             report = run_trials(cfg, fh)
         rates[p] = report.hit_rate
-        rows = list(csv.reader(out.open()))
+        with out.open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == CSV_COLUMNS
         assert len(rows) == 10 ** 4 + 1
         assert sum(int(r[8]) for r in rows[1:]) == report.minimum_hits

@@ -174,7 +174,8 @@ def test_experiment_writes_csv(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "hit_rate=" in captured.err
-    rows = list(csv.reader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.reader(fh))
     assert rows[0][0] == "seed"
     assert len(rows) == 26
 
@@ -191,7 +192,8 @@ def test_experiment_writes_csv_to_stdout(tmp_path, capsys):
     out = tmp_path / "trials.csv"
     assert run(argv + ["--out", str(out)]) == 0
     capsys.readouterr()
-    assert rows == list(csv.reader(out.open()))
+    with out.open() as fh:
+        assert rows == list(csv.reader(fh))
     assert rows[0][0] == "seed" and len(rows) == 26
 
 

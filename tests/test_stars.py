@@ -12,9 +12,10 @@ from konigmatch import (
     maximum_matching,
     restrict_cover,
     star_stud,
+    stars,
 )
 from konigmatch.corpus import cached_corpus
-from konigmatch.errors import EmptyGraph, NotMinimumCover
+from konigmatch.errors import EmptyGraph, NotMinimumCover, RoundTripFailed
 from konigmatch.oracle import (
     OracleBudget,
     all_maximal_matchings,
@@ -150,6 +151,17 @@ def test_every_witness_is_a_maximal_matching_giving_its_cover(witnesses):
             assert isinstance(w, Matching) and w.graph == g
             assert is_maximal(w)
             assert konig_vertices(w) == c
+
+
+def test_a_witness_giving_another_cover_raises(monkeypatch, p4):
+    # {1, 3} has the witness {1-2, 3-4}; a K(M) missing a vertex makes
+    # the final check refuse it
+    cover = labeled(p4, "1", "3")
+    assert konig_vertices(maximal_witness(p4, cover)) == cover
+    monkeypatch.setattr(stars, "konig_vertices",
+                        lambda m: konig_vertices(m) - {min(cover)})
+    with pytest.raises(RoundTripFailed):
+        maximal_witness(p4, cover)
 
 
 def test_the_witness_search_needs_a_minimum_cover(p4):

@@ -10,8 +10,8 @@ from collections import Counter
 
 import pytest
 
-from konigmatch import (konig, konig_vertices, matching, reverse_konig,
-                        split_by_cover, verify)
+from konigmatch import (Matching, konig, konig_vertices, matching, paths,
+                        reverse_konig, split_by_cover, verify)
 from konigmatch.corpus import cached_corpus, connected_bipartite_graphs
 from konigmatch.oracle import all_maximal_matchings
 
@@ -142,6 +142,72 @@ def test_a_failing_check_raises_in_the_caller_and_leaves_no_child(
     with pytest.raises(_WorkerFault, match=f"graph {index}"):
         verify.corpus_verify(6, jobs=2)
     _assert_no_child_left()
+
+
+@forking
+def test_a_worker_ending_without_a_result_raises_in_the_caller(monkeypatch):
+    real = verify._walk_shard
+
+    def exiting(corpus, jobs, checks, k):
+        if k >= 1:  # the forked worker ends before it sends anything
+            os._exit(0)
+        return real(corpus, jobs, checks, k)
+
+    monkeypatch.setattr(verify, "_walk_shard", exiting)
+    with pytest.raises(RuntimeError,
+                       match="a corpus worker ended without a result"):
+        verify.corpus_verify(6, jobs=2)
+    _assert_no_child_left()
+
+
+def _no_fork(monkeypatch):
+    def refusing(walk_shard, k):
+        raise AssertionError(f"shard {k} was forked")
+
+    monkeypatch.setattr(verify, "_fork_shard", refusing)
+
+
+def test_zero_jobs_are_refused_before_any_fork(monkeypatch):
+    _no_fork(monkeypatch)
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        verify.corpus_verify(6, jobs=0)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_an_empty_corpus_walks_to_empty_results(monkeypatch, n):
+    # below two vertices the corpus holds no graph; the walk keeps one
+    # shard and forks nothing, whatever the CPU count
+    _no_fork(monkeypatch)
+    results = verify.corpus_verify(n)
+    results += [sweep(n) for sweep in verify.ALL_SWEEPS]
+    results.append(verify.sweep_star_studded(n))
+    assert len(results) == 18
+    assert all((r.cases, r.violations) == (0, []) for r in results)
+
+
+def test_the_path_pair_checks_report_faulty_paths(monkeypatch, fork):
+    # with b1-c1 matched, every augmenting path runs a1 or a2, b1, c1, d;
+    # two walks added to the enumeration meet them wrongly: d2-c1-d3
+    # shares c1 with the paths into d1 but none of their edges, and
+    # d2-c1-b1-a2 runs through b1 and c1 in the reverse order
+    m = Matching(fork, [(fork.vertex_by_label("b1"),
+                         fork.vertex_by_label("c1"))])
+    record = verify.GraphRecord(fork, 0)
+    record.maximal_matchings = [m]
+    clean = verify.SweepResult("path-structure-properties")
+    verify._path_structure_properties(record, clean)
+    assert clean.cases > 0 and clean.ok
+    real = paths.enumerate_augmenting_paths
+    walks = [tuple(fork.vertex_by_label(lab) for lab in walk)
+             for walk in (("d2", "c1", "d3"), ("d2", "c1", "b1", "a2"))]
+    monkeypatch.setattr(paths, "enumerate_augmenting_paths",
+                        lambda m: real(m) + walks)
+    faulty = verify.SweepResult("path-structure-properties")
+    verify._path_structure_properties(record, faulty)
+    assert {v.split(": ", 1)[1] for v in faulty.violations} == {
+        "paths share interior vertices without sharing edges",
+        "shared vertices in exactly reversed order",
+    }
 
 
 @forking
