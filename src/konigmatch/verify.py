@@ -26,16 +26,21 @@ only to name a failing vertex.  The CLI and acceptance tests wrap these.
 
 The walk is split into ``jobs`` shards, shard k holding every jobs-th
 graph from the k-th.  The calling process walks shard 0 and ``os.fork``
-children walk the others; the children inherit the cached corpus and
-send back, through a pipe, each check's case count and the violations
-of each graph that has any.  These are merged in corpus order, so a
-sweep's result is the same for every ``jobs``.  ``jobs=None`` means the
-CPUs this process may run on (``available_cpus``); ``jobs=1``, or a
-platform without ``os.fork``, walks in-process and starts no process.
-Each graph draws its reverse visit orders from the seed and its corpus
-index alone, so every shard draws the orders the serial walk draws.
-A test that monkeypatches the package to count calls sees only what
-the calling process runs, so such tests pass ``jobs=1``.
+children walk the others.  Before it forks, the calling process derives
+the procedure sides and the maximum matching of every graph a child
+will walk, so the children inherit the cached corpus with these graphs'
+sides and maximum matchings, and every later walk finds them set.  The
+children send back, through a pipe, each check's case count and the
+violations of each graph that has any.  These are merged in corpus
+order, so a sweep's result is the same for every ``jobs``.
+``jobs=None`` means the CPUs this process may run on
+(``available_cpus``); ``jobs=1``, or a platform without ``os.fork``,
+walks in-process and starts no process.  Each graph draws its reverse
+visit orders from the seed and its corpus index alone, so every shard
+draws the orders the serial walk draws.  A test that monkeypatches the
+package to count calls sees only what the calling process runs.  Every
+maximum-matching search runs there, so a count of searches per graph
+holds for any ``jobs``; other per-graph counts need ``jobs=1``.
 """
 
 from __future__ import annotations
@@ -150,6 +155,14 @@ def _walk(max_vertices: int, names: list[str] | None = None,
         jobs = 1
     # one shard at least, so an empty corpus walks to empty tallies
     jobs = max(1, min(jobs, len(corpus)))
+    # the sides and maximum matching of each worker's graphs, derived
+    # here: the workers inherit them, and this process keeps them for
+    # later walks
+    if jobs > 1:
+        for index, g in enumerate(corpus):
+            if index % jobs:
+                procedure_sides(g)
+                matching_number(g)
     walk_shard = partial(_walk_shard, corpus, jobs,
                          [checks[name] for name in names])
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)

@@ -278,6 +278,28 @@ def test_the_walk_enumerates_each_graph_once(monkeypatch):
     assert calls["budgeted"].total() == 2 * len(graphs)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_each_graph_is_searched_once_for_any_jobs(monkeypatch, jobs):
+    # the caller searches every graph, a worker's ones before the fork,
+    # and a second walk finds every graph's maximum matching kept
+    searches = Counter()
+    real_maximize = matching.maximize
+
+    def counting_maximize(m):
+        searches[id(m.graph)] += 1
+        return real_maximize(m)
+
+    monkeypatch.setattr(matching, "maximize", counting_maximize)
+    graphs = tuple(connected_bipartite_graphs(7))
+    monkeypatch.setattr(verify, "cached_corpus", lambda n: graphs)
+    assert all(r.ok for r in verify.corpus_verify(7, jobs=jobs))
+    assert [searches[id(g)] for g in graphs] == [1] * len(graphs)
+    # the star-studded sweep searches studded graphs it builds anew
+    searches.clear()
+    assert all(r.ok for r in verify.corpus_verify(7, jobs=jobs))
+    assert [searches[id(g)] for g in graphs] == [0] * len(graphs)
+
+
 class _TrackedList(list):
     """A list that can be weakly referenced."""
 
