@@ -10,7 +10,6 @@ from .graph import (
     build_graph,
     connected_components,
     induced_subgraph,
-    procedure_sides,
 )
 from .matching import (
     Matching,

@@ -96,6 +96,9 @@ def _cmd_classify(args) -> int:
 
 def _cmd_starstud(args) -> int:
     h = gio.load_graph(args.graph)
+    # star labels are strings, and a graph's labels may not mix the two
+    if not all(isinstance(lab, str) for lab in h.labels.values()):
+        raise InputError("starstud needs string vertex labels")
     ssg = star_stud(h)
     _emit({
         "graph": gio.graph_to_json_dict(ssg.full),

@@ -1,14 +1,16 @@
 """Bipartite graph representation, validation, and basic queries.
 
 Vertices are identified by dense non-negative integers.  A graph keeps a
-designated *left* side (the set searched from by Kőnig's procedure) and a
+designated *left* side, which holds an endpoint of every edge, and a
 *right* side.  ``build_graph`` normalizes inputs so that the left side is
 never larger than the right side; induced subgraphs keep their parent's
 vertex ids and side designation.
 
-A graph never changes after construction, so data derived from it (the
-procedure sides, the edges of a maximum matching, the label index) is
-computed on first use and kept in the graph's own slots.
+Kőnig's procedure searches from ``u_side``, U: in each connected
+component the smaller side, ties keeping the left side; V, the other
+vertices, is never stored.  A graph never changes: ``__init__``
+computes U, and the other data derived from the graph (the edges of a
+maximum matching, the label index) is computed on first use and kept.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ class BipartiteGraph:
     Equality and hashing consider only the structure (sides and edges),
     not the labels.
 
-    ``_sides``, ``_maximum`` and ``_by_label`` are memo slots, left unset
-    by ``__init__`` and filled on first use by ``procedure_sides``,
+    ``u_side`` is the U side of Kőnig's procedure (see the module
+    docstring).  ``_maximum`` and ``_by_label`` are memo slots, left unset
+    by ``__init__`` and filled on first use by
     ``matching.maximum_matching`` and ``vertex_by_label``.  ``_maximum``
     holds a maximum matching's edges, not the ``Matching``: a matching
     refers to its graph, so a graph holding one would form a cycle that
@@ -41,7 +44,7 @@ class BipartiteGraph:
     """
 
     __slots__ = ("left", "right", "edges", "labels",
-                 "_adjacency", "_hash", "_sides", "_maximum", "_by_label")
+                 "u_side", "_adjacency", "_hash", "_maximum", "_by_label")
 
     def __init__(
         self,
@@ -81,6 +84,12 @@ class BipartiteGraph:
         else:
             self.labels = {v: labels[v] for v in vertices}
         self._adjacency = adjacency
+        u: set[int] = set()
+        for comp in _components(self):
+            left = left_set.intersection(comp)
+            u |= left if 2 * len(left) <= len(comp) else set(comp) - left
+        # U is the left side in every connected graph build_graph makes
+        self.u_side = left_set if u == left_set else frozenset(u)
         self._hash = hash((self.left, self.right, self.edges))
 
     # -- basic queries -------------------------------------------------
@@ -172,7 +181,8 @@ def build_graph(
 
 def induced_subgraph(g: BipartiteGraph,
                      vertices: Iterable[int]) -> BipartiteGraph:
-    """Subgraph induced by ``vertices``, preserving parent ids and sides."""
+    """Subgraph induced by ``vertices``, preserving parent ids and sides;
+    its ``u_side`` is its own, chosen per component of the subgraph."""
     vset = set(vertices)
     unknown = vset - g.vertices
     if unknown:
@@ -207,29 +217,3 @@ def connected_components(g: BipartiteGraph) -> list[BipartiteGraph]:
     """Partition ``g`` into connected components, ordered by least vertex."""
     return [induced_subgraph(g, comp)
             for comp in sorted(_components(g), key=min)]
-
-
-def procedure_sides(g: BipartiteGraph) -> tuple[frozenset[int], frozenset[int]]:
-    """Effective (U, V) sides for Kőnig's procedure, chosen per component.
-
-    Within each connected component the smaller of the two sides plays the
-    role of U; ties keep the graph's designated left side.  Computed once
-    per graph.
-    """
-    try:
-        return g._sides
-    except AttributeError:
-        pass
-    u_side: list[int] = []
-    v_side: list[int] = []
-    for comp in _components(g):
-        left = [v for v in comp if v in g.left]
-        right = [v for v in comp if v not in g.left]
-        if len(left) <= len(right):
-            u_side += left
-            v_side += right
-        else:
-            u_side += right
-            v_side += left
-    g._sides = (frozenset(u_side), frozenset(v_side))
-    return g._sides

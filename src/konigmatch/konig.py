@@ -23,7 +23,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .errors import UnknownVertex
-from .graph import BipartiteGraph, procedure_sides
+from .graph import BipartiteGraph
 from .matching import Matching, matching_number
 
 
@@ -57,7 +57,7 @@ def z_set(m: Matching) -> frozenset[int]:
     only the matching edge (if any).  A U-vertex in Z is unsaturated or
     was reached from its partner, so the walk follows all its edges.
     """
-    return procedure_sides(m.graph)[0] ^ konig_vertices(m)
+    return m.graph.u_side ^ konig_vertices(m)
 
 
 def _alternating_closure(adjacency: dict[int, frozenset[int]],
@@ -129,7 +129,7 @@ def konig_vertices(m: Matching) -> frozenset[int]:
     k = m._konig
     if k is None:
         g = m.graph
-        u_side, _ = procedure_sides(g)
+        u_side = g.u_side
         partner = m._partner
         # the roots are the U-vertices M leaves free: the partner map's
         # keys are the saturated vertices

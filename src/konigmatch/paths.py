@@ -41,7 +41,6 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .errors import NotMaximal, PathExplosion
-from .graph import procedure_sides
 from .konig import _alternating_closure, is_vertex_cover, konig_vertices
 from .matching import Matching, is_maximal, maximize
 
@@ -127,11 +126,10 @@ def enumerate_augmenting_paths(m: Matching) -> list[tuple[int, ...]]:
     """
     adjacency = m.graph._adjacency
     partner = m._partner
-    u_side, _ = procedure_sides(m.graph)
     found: list[tuple[int, ...]] = []
     # each U-vertex's neighbours, sorted once per call
     ordered: dict[int, list[int]] = {}
-    for u in m.unsaturated(u_side):
+    for u in m.unsaturated(m.graph.u_side):
         path = [u]
         on_path = {u}
         # one iterator over the sorted neighbours of each U-vertex on path
@@ -204,7 +202,7 @@ class _PathMasks:
         hat's cut vertex, or None; and the hat's vertex mask."""
         m = self.matching
         paths, masks = self.paths, self.masks
-        roots = m.unsaturated(procedure_sides(m.graph)[0])
+        roots = m.unsaturated(m.graph.u_side)
         # the paths into each endpoint, with their vertex masks
         into_end: dict[int, list[tuple[tuple[int, ...], int]]] = {}
         for q, q_mask in zip(paths, masks):

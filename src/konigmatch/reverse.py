@@ -29,7 +29,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .errors import NotMinimumCover, RoundTripFailed
-from .graph import BipartiteGraph, induced_subgraph, procedure_sides
+from .graph import BipartiteGraph, induced_subgraph
 from .konig import VertexCover, is_minimum_cover, konig_vertices
 from .matching import Matching, maximum_matching
 
@@ -55,15 +55,16 @@ def split_by_cover(g: BipartiteGraph,
                    c: VertexCover | Iterable[int]) -> CoverSplit:
     """Split ``g`` along a minimum cover and match its down part.
 
-    U here is the procedure side (smaller side per component), matching
+    U here is ``g.u_side`` (the smaller side per component), matching
     the convention ``konig_cover`` uses, so the round trip is consistent.
     A cover that is not minimum raises ``NotMinimumCover``.
     """
     cset = frozenset(c)
     if not is_minimum_cover(g, cset):
         raise NotMinimumCover("input set is not a minimum vertex cover")
-    u_side, v_side = procedure_sides(g)
-    up = induced_subgraph(g, (v_side & cset) | (u_side - cset))
+    u_side = g.u_side
+    # (V ∩ C) ∪ (U \ C) = C △ U
+    up = induced_subgraph(g, cset ^ u_side)
     # the cover holds one end of each maximum-matching edge, and each of
     # its vertices is matched, so these edges saturate U ∩ C and their
     # V-ends lie outside C

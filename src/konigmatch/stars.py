@@ -27,7 +27,12 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .errors import EmptyGraph, NotMinimumCover, RoundTripFailed
+from .errors import (
+    DuplicateVertex,
+    EmptyGraph,
+    NotMinimumCover,
+    RoundTripFailed,
+)
 from .graph import BipartiteGraph, connected_components
 from .konig import _alternating_closure, is_minimum_cover, konig_vertices
 from .matching import Matching, is_maximal
@@ -54,7 +59,8 @@ def star_stud(h: BipartiteGraph) -> StarStuddedGraph:
 
     New vertices get ids after the base ids, in ascending base-vertex
     order, center first then the three leaves, so the labeling is
-    reproducible.
+    reproducible.  A star label equal to a label already given (base
+    labels ``a`` and ``a*c``) raises ``DuplicateVertex``.
     """
     if not h.left or not h.right:
         raise EmptyGraph("base graph needs both sides nonempty")
@@ -63,15 +69,20 @@ def star_stud(h: BipartiteGraph) -> StarStuddedGraph:
     right = set(h.right)
     edges = set(h.edges)
     labels = dict(h.labels)
+    taken = set(labels.values())
     attachment: dict[int, tuple[int, int, int, int]] = {}
     for v in sorted(h.vertices):
         center = next_id
         leaves = (next_id + 1, next_id + 2, next_id + 3)
         next_id += 4
         base_label = h.labels[v]
-        labels[center] = f"{base_label}*c"
-        for k, leaf in enumerate(leaves, start=1):
-            labels[leaf] = f"{base_label}*l{k}"
+        for w, suffix in zip((center,) + leaves, ("c", "l1", "l2", "l3")):
+            label = f"{base_label}*{suffix}"
+            if label in taken:
+                raise DuplicateVertex(
+                    f"star label {label!r} is already a vertex label")
+            taken.add(label)
+            labels[w] = label
         if v in h.left:
             right.add(center)
             left.update(leaves)

@@ -26,13 +26,13 @@ only to name a failing vertex.  The CLI and acceptance tests wrap these.
 
 The walk is split into ``jobs`` shards, shard k holding every jobs-th
 graph from the k-th.  The calling process walks shard 0 and ``os.fork``
-children walk the others.  Before it forks, the calling process derives
-the procedure sides and the maximum matching of every graph a child
-will walk, so the children inherit the cached corpus with these graphs'
-sides and maximum matchings, and every later walk finds them set.  The
-children send back, through a pipe, each check's case count and the
-violations of each graph that has any.  These are merged in corpus
-order, so a sweep's result is the same for every ``jobs``.
+children walk the others.  A graph comes with its U side.  Before it
+forks, the calling process searches the maximum matching of every graph
+a child will walk, so the children inherit the cached corpus with ν
+set, and every later walk finds it set.  The children send back,
+through a pipe, each check's case count and the violations of each
+graph that has any.  These are merged in corpus order, so a sweep's
+result is the same for every ``jobs``.
 ``jobs=None`` means the CPUs this process may run on
 (``available_cpus``); ``jobs=1``, or a platform without ``os.fork``,
 walks in-process and starts no process.  Each graph draws its reverse
@@ -55,7 +55,7 @@ from functools import cached_property, partial
 from operator import itemgetter
 
 from .corpus import cached_corpus
-from .graph import BipartiteGraph, procedure_sides
+from .graph import BipartiteGraph
 from .konig import is_minimal_cover, konig_cover, konig_vertices
 from .matching import Matching, is_maximal, matching_number, maximum_matching
 from .oracle import (
@@ -155,13 +155,11 @@ def _walk(max_vertices: int, names: list[str] | None = None,
         jobs = 1
     # one shard at least, so an empty corpus walks to empty tallies
     jobs = max(1, min(jobs, len(corpus)))
-    # the sides and maximum matching of each worker's graphs, derived
-    # here: the workers inherit them, and this process keeps them for
-    # later walks
+    # the maximum matching of each worker's graphs, searched here: the
+    # workers inherit it, and this process keeps it for later walks
     if jobs > 1:
         for index, g in enumerate(corpus):
             if index % jobs:
-                procedure_sides(g)
                 matching_number(g)
     walk_shard = partial(_walk_shard, corpus, jobs,
                          [checks[name] for name in names])
@@ -290,10 +288,9 @@ def _reverse_round_trip(seed: int, record: GraphRecord,
                         result: SweepResult) -> None:
     g = record.graph
     rng = random.Random(f"{seed}:{record.index}")
-    u_side, _ = procedure_sides(g)
     for cover in sorted(record.minimum_covers, key=sorted):
         orders = [None]
-        roots = sorted(u_side - cover)
+        roots = sorted(g.u_side - cover)
         for _ in range(SAMPLED_ORDERS):
             shuffled = roots[:]
             rng.shuffle(shuffled)
@@ -422,7 +419,7 @@ def sweep_path_structure_properties(max_vertices: int = 8,
 def _path_structure_properties(record: GraphRecord,
                                result: SweepResult) -> None:
     g = record.graph
-    u_side, _ = procedure_sides(g)
+    u_side = g.u_side
     u_mask = _mask(u_side)
     n = len(g._adjacency)
     cases = 0  # added to the result at once

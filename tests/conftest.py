@@ -18,7 +18,6 @@ from konigmatch import (
     is_minimal_cover,
     is_minimum_cover,
     konig_vertices,
-    procedure_sides,
 )
 from konigmatch import paths as paths_module
 from konigmatch.corpus import _is_connected
@@ -290,9 +289,10 @@ def reference_structures(m):
     from another root, the latest along P of their first vertices on P)
     and the hat (the union less the prefix, up to the cut, of each path
     into P's endpoint through the cut)."""
-    u_side, v_side = procedure_sides(m.graph)
+    g = m.graph
+    v_side = g.vertices - g.u_side
     paths = enumerate_augmenting_paths(m)
-    roots = m.unsaturated(u_side)
+    roots = m.unsaturated(g.u_side)
     for p in paths:
         family = tuple(q for q in paths if not set(p).isdisjoint(q))
         vertices = frozenset().union(*family)
@@ -320,7 +320,7 @@ def reference_path_structure_properties(record, result):
     structures are drawn from ``reference_structures``, K(M) is computed
     for each, and every case is one ``result.check``."""
     g = record.graph
-    u_side, _ = procedure_sides(g)
+    u_side = g.u_side
     vertices = g.vertices
     for m in record.maximal_matchings:
         k_before = konig_vertices(m)

@@ -12,7 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from konigmatch import build_graph, cli
 from konigmatch.cli import run
-from konigmatch.io import graph_to_json_dict, matching_to_json
+from konigmatch.io import (
+    graph_from_json_dict,
+    graph_to_json_dict,
+    matching_to_json,
+)
 from konigmatch.verify import available_cpus
 
 from conftest import FIXTURES, ladder
@@ -129,6 +133,7 @@ def test_starstud_output(capsys):
     assert code == 0
     g = data["graph"]
     assert len(g["left"]) + len(g["right"]) == 20
+    assert len(graph_from_json_dict(g).vertices) == 20
     assert data["attachment"]["2"] == ["2*c", "2*l1", "2*l2", "2*l3"]
 
 
@@ -292,6 +297,12 @@ EXPERIMENT = ["experiment", "--nl", "4", "--nr", "4", "--seed", "1"]
                  id="not-utf8-cover"),
     pytest.param(["starstud", "--graph"], '{"left": [1], "right": ["b"], '
                  '"edges": [[1, "b"]]}', id="mixed-labels"),
+    # a star label would repeat a base label, or mix strings and numbers
+    pytest.param(["starstud", "--graph"], '{"left": ["a", "a*c"], '
+                 '"right": ["b"], "edges": [["a", "b"], ["a*c", "b"]]}',
+                 id="starstud-label-collision"),
+    pytest.param(["starstud", "--graph"], '{"left": [1], "right": [2], '
+                 '"edges": [[1, 2]]}', id="starstud-numeric-labels"),
     pytest.param(EXPERIMENT + ["--p", "0.5", "--trials", "0"], None,
                  id="trials-0"),
     pytest.param(EXPERIMENT + ["--p", "2", "--trials", "5"], None, id="p-2"),

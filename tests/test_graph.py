@@ -6,7 +6,6 @@ from konigmatch import (
     build_graph,
     connected_components,
     induced_subgraph,
-    procedure_sides,
 )
 from konigmatch.errors import (
     DuplicateVertex,
@@ -107,9 +106,8 @@ def test_connected_components_partition():
 def test_procedure_sides_chosen_per_component():
     # first component: sides tie, left stays U; second: right is smaller
     g = BipartiteGraph({0, 1, 2}, {3, 4}, [(0, 3), (1, 4), (2, 4)])
-    u_side, v_side = procedure_sides(g)
-    assert u_side == {0, 4}
-    assert v_side == {3, 1, 2}
+    assert g.u_side == {0, 4}
+    assert g.vertices - g.u_side == {3, 1, 2}
 
 
 @st.composite
@@ -134,5 +132,5 @@ def test_procedure_sides_match_the_per_component_definition(g):
         else:
             u_side |= comp.right
             v_side |= comp.left
-    assert procedure_sides(g) == (u_side, v_side)
-    assert procedure_sides(g) is procedure_sides(g)  # computed once
+    assert g.u_side == u_side
+    assert g.vertices - g.u_side == v_side

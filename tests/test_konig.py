@@ -12,7 +12,6 @@ from konigmatch import (
     konig_vertices,
     matching_number,
     maximum_matching,
-    procedure_sides,
     z_set,
 )
 from konigmatch.corpus import cached_corpus
@@ -34,7 +33,7 @@ def graphs(draw):
 def reference_z_set(g, m):
     """Z by its two rules, one vertex at a time: non-matching edges out of
     U-vertices, the matching edge out of V-vertices."""
-    u_side, _ = procedure_sides(g)
+    u_side = g.u_side
     z = {u for u in u_side if not m.saturates(u)}
     stack = list(z)
     while stack:
@@ -112,7 +111,7 @@ def test_konig_size_identity_on_every_maximal_corpus_matching():
     """
     cases = 0
     for g in cached_corpus(8):
-        _, v_side = procedure_sides(g)
+        v_side = g.vertices - g.u_side
         nu = matching_number(g)
         for m in all_maximal_matchings(g):
             free_reached = {v for v in z_set(m) & v_side
@@ -144,8 +143,7 @@ def test_a_matching_walks_z_once(p4, monkeypatch):
     m = matching_by_labels(p4, [("2", "3")])
     k = konig_vertices(m)
     assert konig_vertices(m) is k
-    assert z_set(m) == procedure_sides(p4)[0] ^ k == labeled(p4, "1", "2",
-                                                             "3", "4")
+    assert z_set(m) == p4.u_side ^ k == labeled(p4, "1", "2", "3", "4")
     assert konig_cover(m).vertices == k == labeled(p4, "2", "4")
     assert len(closures) == 1
     # the kept set is the object's own: an equal matching walks Z again,
@@ -195,6 +193,7 @@ def test_non_maximal_matching_can_overshoot_the_minimum():
 def test_is_vertex_cover(p4):
     assert is_vertex_cover(p4, labeled(p4, "1", "3"))
     assert not is_vertex_cover(p4, labeled(p4, "1", "4"))
+    assert is_vertex_cover(p4, p4.vertices)  # the whole vertex set is known
     with pytest.raises(UnknownVertex):
         is_vertex_cover(p4, {99})
 

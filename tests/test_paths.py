@@ -12,7 +12,6 @@ from konigmatch import (
     konig_cover,
     konig_vertices,
     path_structures,
-    procedure_sides,
     verify_classification_witness,
     z_set,
 )
@@ -84,7 +83,7 @@ def test_structure_without_second_root_keeps_everything(p4):
 
 
 def _leaves_u_free(m):
-    return len(m) < len(procedure_sides(m.graph)[0])
+    return len(m) < len(m.graph.u_side)
 
 
 @pytest.mark.parametrize("sweep, enumerated, expected", [
@@ -277,7 +276,7 @@ def test_structures_match_the_reference_graphs_on_the_corpus():
     # matching
     structures = hat_cuts = 0
     for g in cached_corpus(7):
-        u_side, _ = procedure_sides(g)
+        u_side = g.u_side
         for m in all_maximal_matchings(g):
             for ps in path_structures(m):
                 assert ps.matching is m

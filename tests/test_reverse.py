@@ -15,7 +15,6 @@ from konigmatch import (
 from konigmatch import verify
 from konigmatch.corpus import cached_corpus
 from konigmatch.errors import DomainError, NotMinimumCover, RoundTripFailed
-from konigmatch.graph import procedure_sides
 from konigmatch.oracle import OracleBudget, all_minimum_covers
 
 from conftest import labeled, matching_by_labels, reference_reverse_up
@@ -63,7 +62,7 @@ def test_the_down_matching_is_the_maximum_matching_at_the_cover():
               *(star_stud(h).full for h in cached_corpus(5))]
     covers = 0
     for g in graphs:
-        u_side, _ = procedure_sides(g)
+        u_side = g.u_side
         for cover in all_minimum_covers(g, budget):
             m_down = split_by_cover(g, cover).m_down
             assert m_down.graph is g
@@ -108,7 +107,7 @@ def test_visit_order_must_cover_the_roots(fork):
     # an unhashable entry is no root, even in an order of the right length
     g, cover = next((g, c) for g in cached_corpus(5)
                     for c in all_minimum_covers(g)
-                    if len(procedure_sides(g)[0] - c) == 1)
+                    if len(g.u_side - c) == 1)
     with pytest.raises(NotMinimumCover):
         reverse_konig(split_by_cover(g, cover), [[0]])
 
@@ -116,9 +115,8 @@ def test_visit_order_must_cover_the_roots(fork):
 def test_a_visit_order_that_repeats_a_root_is_rejected():
     orders = 0
     for g in cached_corpus(6):
-        u_side, _ = procedure_sides(g)
         for cover in all_minimum_covers(g):
-            roots = sorted(u_side - cover)
+            roots = sorted(g.u_side - cover)
             if not roots:
                 continue
             split = split_by_cover(g, cover)
@@ -170,7 +168,7 @@ def test_reverse_walks_a_long_path_without_recursion():
 
 def _visit_orders(g, cover, rng):
     """The default order and five shuffles of the uncovered U side."""
-    roots = sorted(procedure_sides(g)[0] - cover)
+    roots = sorted(g.u_side - cover)
     orders = [None]
     for _ in range(5):
         rng.shuffle(roots)
