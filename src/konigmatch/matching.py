@@ -13,8 +13,13 @@ Being immutable, a matching keeps what is derived from it: its Kőnig set
 K(M) is computed once, by ``konig.konig_vertices`` on first read, and
 held in the ``_konig`` slot, which both constructors set to None.  A
 graph keeps its maximum matching's edges likewise, so
-``maximum_matching`` searches once per graph; ``maximize`` writes
-nothing into the graph.
+``maximum_matching`` searches once per graph.  That search grows the
+matching its caller already holds, when there is one (a trial's maximal
+matching, a matching to classify), so it reaches ν with fewer
+augmentations than from the empty matching; ``maximize`` itself writes
+nothing into the graph.  Which maximum matching a graph keeps thus
+depends on its first caller; ν, and every verdict read from it, does
+not.
 """
 
 from __future__ import annotations
@@ -144,14 +149,20 @@ def maximize(m: Matching) -> Matching:
     return m
 
 
-def maximum_matching(g: BipartiteGraph) -> Matching:
-    """A maximum-cardinality matching: ``maximize`` from the empty one,
-    searched once per graph; later calls rebuild it from the edges the
-    graph keeps."""
+def maximum_matching(g: BipartiteGraph,
+                     start: Matching | None = None) -> Matching:
+    """A maximum-cardinality matching, searched once per graph: ``maximize``
+    grows ``start``, a matching of ``g`` the caller holds, or the empty
+    matching, and the graph keeps the result's edges.  Once they are kept,
+    ``start`` is ignored and the matching is rebuilt from them."""
     try:
         edges = g._maximum
     except AttributeError:
-        m = maximize(Matching(g, ()))
+        if start is None:
+            start = Matching(g, ())
+        elif start.graph is not g:
+            raise InvalidMatching("start is a matching of another graph")
+        m = maximize(start)
         g._maximum = m.edges
         return m
     return Matching._unchecked(g, edges)

@@ -30,9 +30,11 @@ hat.  ``path_structures`` turns each yield into a ``PathStructure`` of
 vertex sets; the structure check in ``verify`` reads the same yields as
 masks and only compares them, counting its cases by popcount.
 
-``classify_matching`` enumerates no paths: it grows M to a maximum
-matching, and ``verify_classification_witness`` checks its witness,
-every path included.
+``classify_matching`` enumerates no paths: it reads the augmenting
+paths of M off M △ M*, where M* is the graph's one maximum matching
+(``maximum_matching`` grows it from M when the graph keeps none yet),
+and ``verify_classification_witness`` checks its witness, every path
+included.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 
 from .errors import NotMaximal, PathExplosion
 from .konig import _alternating_closure, is_vertex_cover, konig_vertices
-from .matching import Matching, is_maximal, maximize
+from .matching import Matching, is_maximal, maximum_matching
 
 # building structures is quadratic in the path count; the corpus has at
 # most 64 paths per maximal matching at 10 vertices and 128 at 11
@@ -286,23 +288,28 @@ def classify_matching(m: Matching) -> ClassificationVerdict:
     """Decide whether Kőnig's procedure on the maximal matching ``m``
     yields a minimum vertex cover, with a witness.
 
-    ``m`` is grown to a maximum matching.  If that is smaller than K(M),
-    its Kőnig cover is the witness; otherwise the witness is the
-    vertex-disjoint augmenting paths of ``m`` that make up the symmetric
-    difference, walked from the left vertices ``m`` leaves free.
+    M* is the graph's one maximum matching: kept already, or grown from
+    ``m`` by ``maximum_matching``.  If it is smaller than K(M), its Kőnig
+    cover is the witness.  Otherwise the witness is the augmenting paths
+    of ``m`` among the components of M △ M*, walked from the left
+    vertices ``m`` leaves free; a walk that ends at a vertex M* leaves
+    free is an even path, not an augmenting one, and is skipped.  By
+    Berge, ν − |M| paths remain.
     """
     if not is_maximal(m):
         raise NotMaximal("classification applies to maximal matchings only")
-    grown = maximize(m)
-    if len(grown) < len(konig_vertices(m)):
-        return ClassificationVerdict(False, konig_vertices(grown))
+    star = maximum_matching(m.graph, m)
+    if len(star) < len(konig_vertices(m)):
+        return ClassificationVerdict(False, konig_vertices(star))
     paths = []
     for u in m.unsaturated(m.graph.left):
-        if grown.saturates(u):
-            walk = [u, grown.partner(u)]
-            while m.saturates(walk[-1]):
-                x = m.partner(walk[-1])
-                walk += (x, grown.partner(x))
+        v = star.partner(u)
+        walk = [u, v]
+        while v is not None and m.saturates(v):
+            x = m.partner(v)
+            v = star.partner(x)
+            walk += (x, v)
+        if v is not None:
             paths.append(tuple(walk))
     return ClassificationVerdict(True, tuple(paths))
 

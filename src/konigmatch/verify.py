@@ -8,7 +8,8 @@ record computes, once per graph, what several checks read, and is
 dropped before the next graph: ``minimum_covers`` (the oracle's),
 ``matchings`` (every matching) and ``maximal_matchings``.  The graph
 itself keeps the edges of its one maximum matching, so the checks that
-read it call ``maximum_matching(record.graph)``.  A check reads
+read it call ``maximum_matching(record.graph)``, and classification
+reads it through ``classify_matching``.  A check reads
 K(M) with ``konig_vertices(m)``, which a matching computes once and
 keeps, so checks that share a matching share its K(M), and a check
 reads it only where it compares it.  A check with one case per element

@@ -10,6 +10,7 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from konigmatch import (
+    BipartiteGraph,
     Matching,
     build_graph,
     enumerate_augmenting_paths,
@@ -19,6 +20,7 @@ from konigmatch import (
     is_minimum_cover,
     konig_vertices,
 )
+from konigmatch import matching as matching_module
 from konigmatch import paths as paths_module
 from konigmatch.corpus import _is_connected
 from konigmatch.errors import BudgetExceeded, NotMinimumCover
@@ -75,6 +77,27 @@ def ladder(k):
 def _edges(g, path):
     """The stored edge keys of a vertex tuple's steps."""
     return {g.edge_key(a, b) for a, b in zip(path, path[1:])}
+
+
+def rebuilt(g):
+    """A copy of ``g`` that keeps no maximum matching yet.  A graph keeps
+    the one its first caller grew, so a shared corpus graph may keep one
+    grown from a maximal matching rather than from the empty one."""
+    return BipartiteGraph(g.left, g.right, g.edges, g.labels)
+
+
+def count_searches(monkeypatch):
+    """The list of starts ``matching.maximize`` is called with from here
+    on, in call order: one per maximum-matching search."""
+    starts = []
+    real_maximize = matching_module.maximize
+
+    def counting_maximize(m):
+        starts.append(m)
+        return real_maximize(m)
+
+    monkeypatch.setattr(matching_module, "maximize", counting_maximize)
+    return starts
 
 
 def flip(m, path):

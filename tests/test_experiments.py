@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import random
 
@@ -13,7 +14,7 @@ from konigmatch.experiments import (
 )
 from konigmatch.oracle import all_minimum_covers
 
-from conftest import reference_greedy_maximal
+from conftest import count_searches, reference_greedy_maximal
 
 
 def test_config_validation():
@@ -105,3 +106,30 @@ def test_random_maximal_matching_is_the_reference_greedy_scan():
         assert m.edges == reference_greedy_maximal(g, order).edges
         # the same draws, so seeded trials replay row for row
         assert draws.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_each_trial_graph_is_searched_once_from_its_maximal_matching(
+        monkeypatch, seed):
+    starts = count_searches(monkeypatch)
+    cfg = TrialConfig(20, 20, 0.3, 25, seed)
+    run_trials(cfg)
+    # replay the rng stream: each search starts from that trial's matching
+    rng = random.Random(seed)
+    expected = []
+    for _ in range(cfg.trials):
+        g = random_bipartite(cfg, rng)
+        expected.append(random_maximal_matching(g, rng))
+    assert len(starts) == 25
+    assert starts == expected
+
+
+def test_trial_csvs_are_pinned():
+    # any change in a trial's graph, matching, cover or ν changes the digest
+    buf = io.StringIO()
+    for args in [(20, 20, 0.1, 200, 1), (20, 20, 0.3, 200, 2),
+                 (20, 20, 0.5, 200, 3), (7, 13, 0.4, 300, 4),
+                 (60, 40, 0.05, 50, 5), (1, 1, 1.0, 5, 6)]:
+        run_trials(TrialConfig(*args), buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == \
+        "d1a92694476a8d261c5b29d2b5258df92735aa08deb5792dc657e4c46fbcbf1d"

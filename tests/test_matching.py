@@ -18,8 +18,9 @@ from konigmatch.corpus import cached_corpus
 from konigmatch.experiments import random_maximal_matching
 from konigmatch.oracle import all_matchings
 
-from conftest import (flip, matching_by_labels,
-                      maximum_matching_size_brute_force, reference_maximize)
+from conftest import (count_searches, flip, matching_by_labels,
+                      maximum_matching_size_brute_force, rebuilt,
+                      reference_maximize)
 
 
 @st.composite
@@ -129,7 +130,8 @@ def _random_graph(rng, max_side):
 
 
 def test_maximum_matching_is_the_reference_search():
-    graphs = list(cached_corpus(8))
+    # rebuilt, so that each search here starts from the empty matching
+    graphs = [rebuilt(g) for g in cached_corpus(8)]
     rng = random.Random(2024)
     graphs += [_random_graph(rng, 80) for _ in range(80)]
     # the path p0 - p1 - ... - p2999, even positions on the left
@@ -145,6 +147,35 @@ def test_maximize_is_the_reference_search_from_every_matching():
     for g in cached_corpus(6):
         for m in all_matchings(g):
             assert maximize(m).edges == reference_maximize(m).edges
+
+
+def test_maximum_matching_grows_the_start_once(monkeypatch, p4):
+    starts = count_searches(monkeypatch)
+    m = matching_by_labels(p4, [("2", "3")])
+    grown = maximum_matching(p4, m)
+    assert starts == [m]
+    assert grown.edges == reference_maximize(m).edges
+    assert len(grown) == matching_number(p4) == 2
+    # once the graph keeps its maximum matching, a start is ignored
+    other = Matching(p4, [(0, 2)])
+    assert maximum_matching(p4, other).edges == grown.edges
+    assert maximum_matching(p4).edges == grown.edges
+    assert starts == [m]
+
+
+def test_maximum_matching_refuses_a_start_of_another_graph(monkeypatch,
+                                                            p4, fork):
+    starts = count_searches(monkeypatch)
+    # an equal graph is another graph too: the result would not be p4's
+    twin = build_graph(2, 2, [(0, 0), (1, 0), (1, 1)])
+    assert twin == p4 and twin is not p4
+    for start in (Matching(fork, ()), Matching(twin, [(0, 2)])):
+        with pytest.raises(InvalidMatching):
+            maximum_matching(p4, start)
+    assert starts == []
+    # a refused start keeps nothing: the next call searches from empty
+    assert len(maximum_matching(p4)) == 2
+    assert starts == [Matching(p4, ())]
 
 
 @given(graphs())

@@ -11,6 +11,7 @@ from konigmatch import (
     is_augmenting_path,
     konig_cover,
     konig_vertices,
+    maximum_matching,
     path_structures,
     verify_classification_witness,
     z_set,
@@ -23,7 +24,7 @@ from konigmatch.oracle import all_maximal_matchings
 from konigmatch.paths import ClassificationVerdict
 
 import conftest
-from conftest import (flip, labeled, ladder, matching_by_labels,
+from conftest import (flip, labeled, ladder, matching_by_labels, rebuilt,
                       reference_path_structure_properties)
 
 
@@ -90,7 +91,7 @@ def _leaves_u_free(m):
     # a matching that saturates U has no augmenting path, so the sweep
     # does not enumerate its paths
     (verify.sweep_path_structure_properties, _leaves_u_free, 30),
-    # classification grows each matching to maximum and enumerates nothing
+    # classification reads M △ M* and enumerates nothing
     (verify.sweep_classification, lambda m: False, 0),
 ], ids=["sweep_path_structure_properties", "sweep_classification"])
 def test_sweep_enumerates_augmenting_paths_once_per_matching(monkeypatch,
@@ -254,6 +255,69 @@ def test_a_5000_vertex_augmenting_path_needs_no_recursion():
     (p,) = enumerate_augmenting_paths(m)
     assert p == tuple(v for i in range(half) for v in (i, half + i))
     assert classify_matching(m).witness == (p,)
+
+
+def _even_walks(m, star):
+    """The components of M △ M* walked from the left vertices ``m`` leaves
+    free that end at a vertex ``star`` leaves free: even paths."""
+    walks = []
+    for u in m.unsaturated(m.graph.left):
+        walk = [u]
+        v = star.partner(u)
+        while v is not None:
+            walk.append(v)
+            if not m.saturates(v):
+                break
+            walk.append(m.partner(v))
+            v = star.partner(walk[-1])
+        if v is None and len(walk) > 1:
+            walks.append(tuple(walk))
+    return walks
+
+
+def test_classification_skips_an_even_component_of_the_kept_matching():
+    # the corpus's first case, to 6 vertices, whose kept M* differs from M
+    # by an even path out of an M-free left vertex: 1-3-2 ends at 2, which
+    # M* leaves free, so it augments nothing
+    cases = []
+    for g in cached_corpus(6):
+        h = rebuilt(g)
+        star = maximum_matching(h)  # kept, from the empty matching
+        cases += [(m, star) for m in all_maximal_matchings(h)
+                  if _even_walks(m, star)]
+    m, star = cases[0]
+    g = m.graph
+    assert (sorted(g.left), sorted(g.right), sorted(g.edges)) == (
+        [0, 1, 2], [3, 4, 5], [(0, 3), (0, 4), (0, 5), (1, 3), (2, 3)])
+    assert (sorted(m.edges), sorted(star.edges)) == (
+        [(0, 5), (2, 3)], [(0, 4), (1, 3)])
+    assert _even_walks(m, star) == [(1, 3, 2)]
+    verdict = classify_matching(m)
+    assert verdict == ClassificationVerdict(True, ())
+    assert verify_classification_witness(m, verdict)
+
+
+def test_classification_reads_the_kept_matching_as_it_grows_its_own():
+    # M* kept from the empty search, or grown from M on a rebuilt graph
+    # that keeps none: the same verdict, and each witness proves it
+    matchings = minimum = even = 0
+    for g in cached_corpus(8):
+        kept = rebuilt(g)
+        star = maximum_matching(kept)
+        for m in all_maximal_matchings(kept):
+            even += bool(_even_walks(m, star))
+            fresh = Matching(rebuilt(g), m.edges)
+            a, b = classify_matching(m), classify_matching(fresh)
+            assert a.is_minimum == b.is_minimum
+            assert verify_classification_witness(m, a)
+            assert verify_classification_witness(fresh, b)
+            if a.is_minimum:
+                excess = len(konig_vertices(m)) - len(m)
+                assert len(a.witness) == len(b.witness) == excess
+                minimum += 1
+            matchings += 1
+    # the walk over the kept M* skips an even component on 54 of them
+    assert (matchings, minimum, even) == (3166, 2969, 54)
 
 
 def test_classification_on_the_smallest_nine_vertex_counterexample():

@@ -270,8 +270,8 @@ def test_the_walk_enumerates_each_graph_once(monkeypatch):
     once = Counter(map(id, graphs))
     for name in ENUMERATIONS:
         assert calls[name] == once, name
-    # the konig-equality and Hall checks and every split share one
-    # search per graph
+    # the konig-equality, classification and Hall checks and every split
+    # share one search per graph
     assert [searches[id(g)] for g in graphs] == [1] * len(graphs)
     # the star-studded sweep's own oracle calls: one on each studded
     # graph and one on its base graph
