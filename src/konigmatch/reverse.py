@@ -7,20 +7,19 @@ cut edges with both endpoints in the cover.  The down part needs no
 search of its own: a minimum cover holds exactly one end of each edge
 of a maximum matching M*, and every cover vertex lies on an M* edge
 (Kőnig; Dulmage and Mendelsohn, 1958), so the M* edges at U ∩ C form a
-matching of the down part saturating U ∩ C.  On the up part a
-depth-first procedure grows a matching while keeping each visited root
-unsaturated.  Applying Kőnig's procedure to the union reproduces the
-input cover; this is asserted and a violation raises ``RoundTripFailed``.
+matching of the down part saturating U ∩ C.  The up part needs no graph
+of its own: a root u ∈ U \\ C has N(u) ⊆ V ∩ C, as C covers its edges,
+and v ∈ V ∩ C has up neighbours N(v) ∩ (U \\ C).  On it a depth-first
+procedure grows a matching while keeping each visited root unsaturated.
+Kőnig's procedure on the union must give back the input cover.
 
 The split and its down matching depend on the cover alone; only the up
 walk depends on the order in which roots are visited.  So a split is a
-value: it records the graph and cover it was made for, and
-``reverse_konig`` takes a split, not a graph and a cover, which lets a
-caller try many visit orders on one split.  It walks the up part and
-builds one matching of the whole graph, whose up half is
-``m.edges - split.m_down.edges``.  A split stores its up part, the up
-part's roots and the down matching, part of the graph's maximum
-matching and a matching of the graph itself.
+value: the graph and cover it was made for, the roots U \\ C and the
+down matching.  ``reverse_konig`` takes a split, not a graph and a
+cover, which lets a caller try many visit orders on one split.  It
+walks the graph's own adjacency and builds one matching of the whole
+graph, whose up half is ``m.edges - split.m_down.edges``.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .errors import NotMinimumCover, RoundTripFailed
-from .graph import BipartiteGraph, induced_subgraph
+from .graph import BipartiteGraph
 from .konig import VertexCover, is_minimum_cover, konig_vertices
 from .matching import Matching, maximum_matching
 
@@ -42,11 +41,11 @@ class CoverSplit:
     ``reverse_konig`` checks its round trip against the right cover.
     ``m_down`` is the matching of ``graph`` that saturates U ∩ C: the
     edges of ``maximum_matching(graph)`` whose U-end is in the cover.
+    The up part is no field: ``reverse_konig`` reads it off ``graph``.
     """
 
     graph: BipartiteGraph
     cover: frozenset[int]
-    up: BipartiteGraph
     up_roots: frozenset[int]       # U \ C, the up part's non-cover side
     m_down: Matching
 
@@ -57,21 +56,20 @@ def split_by_cover(g: BipartiteGraph,
 
     U here is ``g.u_side`` (the smaller side per component), matching
     the convention ``konig_cover`` uses, so the round trip is consistent.
-    A cover that is not minimum raises ``NotMinimumCover``.
+    A cover that is not minimum raises ``NotMinimumCover``.  ``m_down``
+    follows the maximum matching ``g``'s first search grew and keeps.
     """
     cset = frozenset(c)
     if not is_minimum_cover(g, cset):
         raise NotMinimumCover("input set is not a minimum vertex cover")
     u_side = g.u_side
-    # (V ∩ C) ∪ (U \ C) = C △ U
-    up = induced_subgraph(g, cset ^ u_side)
     # the cover holds one end of each maximum-matching edge, and each of
     # its vertices is matched, so these edges saturate U ∩ C and their
     # V-ends lie outside C
     m_down = Matching._unchecked(g, [
         (a, b) for a, b in maximum_matching(g).edges
         if (a if a in u_side else b) in cset])
-    return CoverSplit(g, cset, up, u_side - cset, m_down)
+    return CoverSplit(g, cset, u_side - cset, m_down)
 
 
 def reverse_konig(split: CoverSplit,
@@ -83,8 +81,8 @@ def reverse_konig(split: CoverSplit,
     Roots (the uncovered U vertices) are visited in ``visit_order``
     (default ascending id); an order that is not a permutation of them
     raises ``NotMinimumCover``.  From a root ``u``, each unsaturated
-    neighbor ``v`` is matched to one of its own unsaturated neighbors
-    ``w`` other than the root, and the walk continues depth-first from
+    neighbor ``v`` is matched to its first unsaturated neighbor ``w``
+    among the other roots, and the walk continues depth-first from
     ``w``.  Saturation is re-checked immediately before every insertion.
     The up and down parts share no vertex, so the union is a matching.
 
@@ -92,9 +90,11 @@ def reverse_konig(split: CoverSplit,
     many visit orders can share one split.  The round trip is verified
     against the split's cover before returning; a mismatch raises
     ``RoundTripFailed`` (a defect, or a split whose parts belong to
-    another cover).
+    another cover).  Through ``split.m_down`` the matching can depend on
+    the graph's first search; its cover never does, and the CLI loads a
+    fresh graph per command.
     """
-    up = split.up
+    adjacency = split.graph._adjacency
     roots = split.up_roots
     if visit_order is None:
         order = sorted(roots)
@@ -115,18 +115,18 @@ def reverse_konig(split: CoverSplit,
             continue
         # one iterator over sorted neighbors per vertex on the walk; the
         # walk resumes a vertex's scan once everything below it is done
-        stack = [iter(sorted(up.neighbors(root)))]
+        stack = [iter(sorted(adjacency[root]))]
         while stack:
             for v in stack[-1]:
                 if v in saturated:
                     continue
-                w = next((w for w in sorted(up.neighbors(v))
+                w = next((w for w in sorted(adjacency[v] & roots)
                           if w != root and w not in saturated), None)
                 if w is None:
                     continue
                 saturated.update((v, w))
                 up_edges.append((v, w))
-                stack.append(iter(sorted(up.neighbors(w))))
+                stack.append(iter(sorted(adjacency[w])))
                 break
             else:
                 stack.pop()

@@ -7,7 +7,7 @@ every minimum cover is reachable from a maximal matching by Kőnig's
 procedure.
 
 That check is decided per minimum cover C by ``maximal_witness``, from
-C's split alone.  If K(M) = C for a matching M, then Z(M) = U △ C, the
+C and its split.  If K(M) = C for a matching M, then Z(M) = U △ C, the
 vertex set of the up part.  So M has no edge between U ∩ C and V ∩ C
 (a V ∩ C vertex in Z brings its partner into Z, and U ∩ C is outside
 Z), and every U ∩ C vertex is saturated (a free U-vertex is in Z), so
@@ -33,7 +33,7 @@ from .errors import (
     NotMinimumCover,
     RoundTripFailed,
 )
-from .graph import BipartiteGraph, connected_components
+from .graph import BipartiteGraph, connected_components, induced_subgraph
 from .konig import _alternating_closure, is_minimum_cover, konig_vertices
 from .matching import Matching, is_maximal
 from .oracle import OracleBudget, all_minimum_covers, iter_maximal_matchings
@@ -115,17 +115,17 @@ def maximal_witness(g: BipartiteGraph,
 
     ``cover`` must be a minimum cover (``NotMinimumCover`` otherwise).
     The down half is the split's matching; the up half takes, in each
-    connected component of the up part, the first maximal matching
-    whose alternating closure from its free U-vertices is the whole
-    component.  Each component's maximal matchings are walked lazily
-    under ``budget``.  The union is checked on the whole graph before
-    it is returned; a failed check raises ``RoundTripFailed``.
+    component of the up part (the subgraph on C △ U), the first maximal
+    matching whose alternating closure from its free U-vertices is the
+    whole component.  Each component's maximal matchings are walked
+    lazily under ``budget``.  The union is checked on the whole graph
+    before it is returned; a failed check raises ``RoundTripFailed``.
     """
     split = split_by_cover(g, cover)
-    roots = split.up_roots
     edges = set(split.m_down.edges)
-    for comp in connected_components(split.up):
-        comp_roots = comp.vertices & roots
+    up = induced_subgraph(g, split.cover ^ g.u_side)
+    for comp in connected_components(up):
+        comp_roots = comp.vertices & split.up_roots
         for m in iter_maximal_matchings(comp, budget):
             partner = m._partner
             free = [u for u in comp_roots if u not in partner]

@@ -14,6 +14,7 @@ from konigmatch import (
     Matching,
     build_graph,
     enumerate_augmenting_paths,
+    induced_subgraph,
     is_augmenting_path,
     is_maximal,
     is_minimal_cover,
@@ -146,13 +147,15 @@ def reference_maximize(m):
 
 
 def reference_reverse_up(split, visit_order=None):
-    """The up walk of ``reverse_konig`` as it was before it was folded in,
-    kept as a separate function so the tests can pin ``reverse_konig`` to
-    it: roots in ``visit_order`` (default ascending), saturated roots
+    """The up walk of ``reverse_konig`` on the up part built as a graph,
+    kept as a separate function so the tests can pin ``reverse_konig``,
+    which reads the parent graph, to it: the subgraph induced on
+    C △ U, roots in ``visit_order`` (default ascending), saturated roots
     skipped, sorted neighbours, each unsaturated neighbour ``v`` of the
     walk matched to its first unsaturated neighbour other than the root.
     Returns the matching on the up part."""
-    up = split.up
+    g = split.graph
+    up = induced_subgraph(g, split.cover ^ g.u_side)
     order = sorted(split.up_roots) if visit_order is None else visit_order
     assert sorted(order) == sorted(split.up_roots)
     partner = {}

@@ -4,9 +4,11 @@ import random
 import pytest
 
 from konigmatch import (
+    BipartiteGraph,
     Matching,
     build_graph,
     konig_cover,
+    konig_vertices,
     maximum_matching,
     reverse_konig,
     split_by_cover,
@@ -15,15 +17,26 @@ from konigmatch import (
 from konigmatch import verify
 from konigmatch.corpus import cached_corpus
 from konigmatch.errors import DomainError, NotMinimumCover, RoundTripFailed
-from konigmatch.oracle import OracleBudget, all_minimum_covers
+from konigmatch.oracle import (
+    OracleBudget,
+    all_maximal_matchings,
+    all_minimum_covers,
+)
 
-from conftest import labeled, matching_by_labels, reference_reverse_up
+from conftest import (
+    labeled,
+    matching_by_labels,
+    rebuilt,
+    reference_reverse_up,
+)
 
 
 def test_split_by_cover_on_the_fork(fork):
     cover = labeled(fork, "b1", "c1")
     split = split_by_cover(fork, cover)
-    assert split.up.vertices == labeled(fork, "a1", "a2", "b1")
+    # the up half lies in the up part, C △ U
+    up_half = reverse_konig(split).edges - split.m_down.edges
+    assert set().union(*up_half) <= labeled(fork, "a1", "a2", "b1")
     # the down half: the maximum matching's edge at c1, the cover's U-end
     assert split.m_down == matching_by_labels(fork, [("c1", "d1")])
     assert split.up_roots == labeled(fork, "a1", "a2")
@@ -32,7 +45,7 @@ def test_split_by_cover_on_the_fork(fork):
 def test_a_split_stores_only_its_defining_data(fork):
     split = split_by_cover(fork, labeled(fork, "b1", "c1"))
     assert [f.name for f in dataclasses.fields(split)] == [
-        "graph", "cover", "up", "up_roots", "m_down"]
+        "graph", "cover", "up_roots", "m_down"]
 
 
 def test_split_rejects_non_minimum_covers(fork):
@@ -210,6 +223,22 @@ def test_a_split_whose_parts_belong_to_another_cover_does_not_round_trip(p4):
     with pytest.raises(RoundTripFailed):
         reverse_konig(stale)
     assert issubclass(RoundTripFailed, DomainError)
+    # every ordered pair of distinct minimum covers, across the corpus:
+    # the walk stays on the roots of the split's own cover, so it never
+    # meets U ∩ C vertices that the down matching already holds
+    budget = OracleBudget(max_vertices=40, max_subsets=2 ** 21)
+    graphs = [*cached_corpus(8),
+              *(star_stud(h).full for h in cached_corpus(4))]
+    pairs = 0
+    for g in graphs:
+        covers = all_minimum_covers(g, budget)
+        for a in covers:
+            split = split_by_cover(g, a)
+            for b in covers - {a}:
+                with pytest.raises(RoundTripFailed):
+                    reverse_konig(dataclasses.replace(split, cover=b))
+                pairs += 1
+    assert pairs == 1186
 
 
 def test_the_reverse_sweep_splits_each_cover_once(monkeypatch):
@@ -304,3 +333,43 @@ def test_reverse_konig_builds_one_matching_per_call(fork, monkeypatch):
              for order in (None, roots, roots[::-1])]
     # one matching per call, given each of its edges once
     assert built == [(fork, size) for size in sizes]
+
+
+def test_splitting_and_reversing_build_no_graphs(monkeypatch, fork):
+    cached_corpus(7)  # the sweep's graphs, built before the patch
+
+    def no_graphs(*args, **kwargs):
+        raise AssertionError("an up-part graph was built")
+
+    monkeypatch.setattr(BipartiteGraph, "__init__", no_graphs)
+    assert verify.sweep_reverse_round_trip(7, jobs=1).ok
+    split = split_by_cover(fork, labeled(fork, "b1", "c1"))
+    assert konig_vertices(reverse_konig(split)) == split.cover
+
+
+def test_the_kept_maximum_matching_moves_the_matching_but_not_its_cover():
+    # a graph keeps the maximum matching M* its first search grew, and
+    # the down matching follows it: grown from each maximal matching M,
+    # the split's down matching lies in that M*, and every cover still
+    # round-trips, though the matching often differs from the one a
+    # search from the empty matching leads to
+    pairs = moved = 0
+    graphs_moved = set()
+    for index, g in enumerate(cached_corpus(8)):
+        empty_start = rebuilt(g)
+        covers = sorted(all_minimum_covers(g), key=sorted)
+        from_empty = [reverse_konig(split_by_cover(empty_start, c)).edges
+                      for c in covers]
+        for m in all_maximal_matchings(g):
+            rg = rebuilt(g)
+            m_star = maximum_matching(rg, Matching(rg, m.edges))
+            for cover, edges in zip(covers, from_empty):
+                split = split_by_cover(rg, cover)
+                assert split.m_down.edges <= m_star.edges
+                reversed_m = reverse_konig(split)
+                assert konig_vertices(reversed_m) == cover
+                if reversed_m.edges != edges:
+                    moved += 1
+                    graphs_moved.add(index)
+                pairs += 1
+    assert (pairs, moved, len(graphs_moved)) == (5969, 3081, 232)

@@ -5,6 +5,7 @@ fetches only what its own check reads; and a walk split across forked
 workers reports what one walk reports and leaves no process behind."""
 
 import os
+import re
 import weakref
 from collections import Counter
 
@@ -33,6 +34,18 @@ def _count_enumerations(monkeypatch):
             return _real(g, b)
         monkeypatch.setattr(verify, name, counting)
     return calls
+
+
+def _pinned(max_vertices):
+    """The block CI pins for ``corpus-verify --max-vertices`` at this
+    size, ``tests/fixtures/corpus-verify-<size>.txt``, as (sweep, cases,
+    violations) triples; every line must read ``[ok]``."""
+    text = (conftest.FIXTURES / f"corpus-verify-{max_vertices}.txt"
+            ).read_text(encoding="utf-8")
+    return [(name, int(cases), int(violations))
+            for name, cases, violations in re.findall(
+                r"^(\S+): (\d+) cases, (\d+) violations \[ok\]$", text,
+                re.M)]
 
 
 def _stale_split(monkeypatch):
@@ -106,17 +119,7 @@ def test_two_shards_report_what_one_walk_reports(monkeypatch, fault, n):
 def test_two_shards_print_the_pinned_counts_at_nine_vertices():
     # the block CI pins for `corpus-verify --max-vertices 9 --jobs 1`
     assert [(r.name, r.cases, len(r.violations))
-            for r in verify.corpus_verify(9, jobs=2)] == [
-        ("konig-equality", 1966, 0),
-        ("reverse-round-trip", 10254, 0),
-        ("surjectivity", 983, 0),
-        ("cycle-fibers", 50819, 0),
-        ("one-endpoint-and-minimal", 231269, 0),
-        ("classification", 20552, 0),
-        ("path-structure-properties", 237388, 0),
-        ("hall-consistency", 1966, 0),
-        ("star-studded", 142, 0),
-    ]
+            for r in verify.corpus_verify(9, jobs=2)] == _pinned(9)
     _assert_no_child_left()
 
 
@@ -240,17 +243,7 @@ def test_a_graph_draws_the_same_reverse_orders_in_any_shard(monkeypatch,
 def test_corpus_verify_pins_every_case_count_at_eight_vertices():
     # the nine lines CI pins for `corpus-verify --max-vertices 8`
     assert [(r.name, r.cases, len(r.violations))
-            for r in verify.corpus_verify(8)] == [
-        ("konig-equality", 506, 0),
-        ("reverse-round-trip", 3228, 0),
-        ("surjectivity", 253, 0),
-        ("cycle-fibers", 5114, 0),
-        ("one-endpoint-and-minimal", 27826, 0),
-        ("classification", 3166, 0),
-        ("path-structure-properties", 21786, 0),
-        ("hall-consistency", 506, 0),
-        ("star-studded", 142, 0),
-    ]
+            for r in verify.corpus_verify(8)] == _pinned(8)
 
 
 def test_the_walk_enumerates_each_graph_once(monkeypatch):
