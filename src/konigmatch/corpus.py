@@ -28,7 +28,7 @@ where a tuple is kept only if it is connected (so it has no zero column)
 and, when nl == nr, is not beaten by its transpose under the same
 search.  A block lists its graphs by increasing edge mask, that is, by
 their rows read from the top.  Sizes above ``MAX_CORPUS_VERTICES`` are
-refused.
+refused.  ``cached_corpus`` hands out each graph with its U and M* set.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from itertools import groupby, product
 
 from .errors import BudgetExceeded
 from .graph import BipartiteGraph, build_graph
+from .matching import maximum_matching
 
 MAX_CORPUS_VERTICES = 11
 
@@ -149,5 +150,9 @@ def connected_bipartite_graphs(max_vertices: int) -> list[BipartiteGraph]:
 
 @lru_cache(maxsize=4)
 def cached_corpus(max_vertices: int) -> tuple[BipartiteGraph, ...]:
-    """Memoized corpus, so the sweeps of one process share one build."""
-    return tuple(connected_bipartite_graphs(max_vertices))
+    """Memoized corpus, so the sweeps of one process share one build;
+    each graph's M* is searched here, from the empty matching."""
+    corpus = tuple(connected_bipartite_graphs(max_vertices))
+    for g in corpus:
+        maximum_matching(g)
+    return corpus

@@ -85,7 +85,7 @@ class BipartiteGraph:
             self.labels = {v: labels[v] for v in vertices}
         self._adjacency = adjacency
         u: set[int] = set()
-        for comp in _components(self):
+        for comp in _components(adjacency):
             left = left_set.intersection(comp)
             u |= left if 2 * len(left) <= len(comp) else set(comp) - left
         # U is the left side in every connected graph build_graph makes
@@ -195,10 +195,8 @@ def induced_subgraph(g: BipartiteGraph,
     )
 
 
-def _components(g: BipartiteGraph) -> Iterator[list[int]]:
-    """The vertex list of each connected component, by breadth-first search
-    over the adjacency sets."""
-    adjacency = g._adjacency
+def _components(adjacency: Mapping[int, Iterable[int]]) -> Iterator[list[int]]:
+    """Each connected component's vertex list, by BFS on ``adjacency``."""
     seen: set[int] = set()
     for start in adjacency:
         if start in seen:
@@ -213,7 +211,12 @@ def _components(g: BipartiteGraph) -> Iterator[list[int]]:
         yield comp
 
 
-def connected_components(g: BipartiteGraph) -> list[BipartiteGraph]:
-    """Partition ``g`` into connected components, ordered by least vertex."""
+def connected_components(g: BipartiteGraph,
+                         vertices: Iterable[int]) -> list[BipartiteGraph]:
+    """The components, by least vertex, of the subgraph on ``vertices``,
+    walked on ``g``'s adjacency: only they are built.  A vertex not in
+    ``g`` raises ``UnknownVertex``."""
+    vset = set(vertices)
+    adjacency = {v: g.neighbors(v) & vset for v in vset}
     return [induced_subgraph(g, comp)
-            for comp in sorted(_components(g), key=min)]
+            for comp in sorted(_components(adjacency), key=min)]

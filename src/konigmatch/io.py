@@ -117,8 +117,8 @@ def load_graph(path: str) -> BipartiteGraph:
         data = json.loads(text)
     except json.JSONDecodeError:
         return graph_from_edge_list(text)
-    except RecursionError:
-        raise InputError("graph JSON is nested too deeply") from None
+    except (RecursionError, ValueError) as exc:  # deep, or a huge int
+        raise InputError(f"malformed graph JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("graph JSON must be an object")
     return graph_from_json_dict(data)
@@ -145,7 +145,7 @@ def _load_json_array(path: str, what: str) -> list:
     """The JSON array in ``path``; ``what`` names the document in errors."""
     try:
         data = json.loads(_read_text(path))
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (RecursionError, ValueError) as exc:  # JSONDecodeError too
         raise InputError(f"malformed {what} JSON: {exc}") from exc
     if not isinstance(data, list):
         raise InputError(f"{what} JSON must be an array")

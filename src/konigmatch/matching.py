@@ -17,9 +17,9 @@ graph keeps its maximum matching's edges likewise, so
 matching its caller already holds, when there is one (a trial's maximal
 matching, a matching to classify), so it reaches ν with fewer
 augmentations than from the empty matching; ``maximize`` itself writes
-nothing into the graph.  Which maximum matching a graph keeps thus
-depends on its first caller; ν, and every verdict read from it, does
-not.
+nothing into the graph.  Which maximum matching a fresh graph keeps
+thus depends on its first caller (``corpus.cached_corpus`` searches its
+graphs from the empty matching); ν, and every verdict, does not.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from .errors import (
     NotMinimumCover,
     RoundTripFailed,
 )
-from .graph import BipartiteGraph, connected_components, induced_subgraph
+from .graph import BipartiteGraph, connected_components
 from .konig import _alternating_closure, is_minimum_cover, konig_vertices
 from .matching import Matching, is_maximal
 from .oracle import OracleBudget, all_minimum_covers, iter_maximal_matchings
@@ -117,14 +117,13 @@ def maximal_witness(g: BipartiteGraph,
     The down half is the split's matching; the up half takes, in each
     component of the up part (the subgraph on C △ U), the first maximal
     matching whose alternating closure from its free U-vertices is the
-    whole component.  Each component's maximal matchings are walked
-    lazily under ``budget``.  The union is checked on the whole graph
-    before it is returned; a failed check raises ``RoundTripFailed``.
+    whole component.  Only the component graphs are built, and their
+    maximal matchings are walked lazily under ``budget``.  The union is
+    checked on the whole graph; a failed check raises ``RoundTripFailed``.
     """
     split = split_by_cover(g, cover)
     edges = set(split.m_down.edges)
-    up = induced_subgraph(g, split.cover ^ g.u_side)
-    for comp in connected_components(up):
+    for comp in connected_components(g, split.cover ^ g.u_side):
         comp_roots = comp.vertices & split.up_roots
         for m in iter_maximal_matchings(comp, budget):
             partner = m._partner

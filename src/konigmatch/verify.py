@@ -7,9 +7,10 @@ each graph; a ``sweep_*`` runs its one check over the same walk.  The
 record computes, once per graph, what several checks read, and is
 dropped before the next graph: ``minimum_covers`` (the oracle's),
 ``matchings`` (every matching) and ``maximal_matchings``.  The graph
-itself keeps the edges of its one maximum matching, so the checks that
-read it call ``maximum_matching(record.graph)``, and classification
-reads it through ``classify_matching``.  A check reads
+itself keeps the edges of its one maximum matching, searched from the
+empty matching when the corpus is built, so the checks that read it
+call ``maximum_matching(record.graph)``, and classification reads it
+through ``classify_matching``.  A check reads
 K(M) with ``konig_vertices(m)``, which a matching computes once and
 keeps, so checks that share a matching share its K(M), and a check
 reads it only where it compares it.  A check with one case per element
@@ -27,10 +28,9 @@ only to name a failing vertex.  The CLI and acceptance tests wrap these.
 
 The walk is split into ``jobs`` shards, shard k holding every jobs-th
 graph from the k-th.  The calling process walks shard 0 and ``os.fork``
-children walk the others.  A graph comes with its U side.  Before it
-forks, the calling process searches the maximum matching of every graph
-a child will walk, so the children inherit the cached corpus with ν
-set, and every later walk finds it set.  The children send back,
+children walk the others.  A corpus graph comes with its U side and
+its maximum matching, so the children inherit both and the walk
+searches no graph.  The children send back,
 through a pipe, each check's case count and the violations of each
 graph that has any.  These are merged in corpus order, so a sweep's
 result is the same for every ``jobs``.
@@ -39,9 +39,8 @@ result is the same for every ``jobs``.
 walks in-process and starts no process.  Each graph draws its reverse
 visit orders from the seed and its corpus index alone, so every shard
 draws the orders the serial walk draws.  A test that monkeypatches the
-package to count calls sees only what the calling process runs.  Every
-maximum-matching search runs there, so a count of searches per graph
-holds for any ``jobs``; other per-graph counts need ``jobs=1``.
+package to count calls sees only what the calling process runs, so a
+per-graph count needs ``jobs=1``.
 """
 
 from __future__ import annotations
@@ -156,12 +155,6 @@ def _walk(max_vertices: int, names: list[str] | None = None,
         jobs = 1
     # one shard at least, so an empty corpus walks to empty tallies
     jobs = max(1, min(jobs, len(corpus)))
-    # the maximum matching of each worker's graphs, searched here: the
-    # workers inherit it, and this process keeps it for later walks
-    if jobs > 1:
-        for index, g in enumerate(corpus):
-            if index % jobs:
-                matching_number(g)
     walk_shard = partial(_walk_shard, corpus, jobs,
                          [checks[name] for name in names])
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)

@@ -6,7 +6,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from konigmatch import (
@@ -46,6 +46,16 @@ def pytest_unconfigure(config):
     _HYPOTHESIS_HOME.cleanup()
 
 
+@st.composite
+def graphs(draw):
+    """Graphs with 1 to 4 vertices a side and at least one edge."""
+    nl = draw(st.integers(1, 4))
+    nr = draw(st.integers(1, 4))
+    possible = [(i, j) for i in range(nl) for j in range(nr)]
+    edges = draw(st.sets(st.sampled_from(possible), min_size=1))
+    return build_graph(nl, nr, sorted(edges))
+
+
 def labeled(g, *labels):
     """Vertex ids for the given labels, as a frozenset."""
     return frozenset(g.vertex_by_label(lab) for lab in labels)
@@ -81,9 +91,10 @@ def _edges(g, path):
 
 
 def rebuilt(g):
-    """A copy of ``g`` that keeps no maximum matching yet.  A graph keeps
-    the one its first caller grew, so a shared corpus graph may keep one
-    grown from a maximal matching rather than from the empty one."""
+    """A copy of ``g`` that keeps no maximum matching yet, so the next
+    ``maximum_matching`` call on it searches, from its caller's start.
+    A ``cached_corpus`` graph keeps the empty-start one from the moment
+    it is built; a fresh graph keeps the one its first caller grew."""
     return BipartiteGraph(g.left, g.right, g.edges, g.labels)
 
 

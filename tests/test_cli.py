@@ -329,6 +329,22 @@ def test_bad_input_exits_2(argv, content, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                    reason="no digit limit on integer conversion")
+@pytest.mark.parametrize("argv, document", [
+    (["match", "--graph"], '{{"left": [{}], "right": ["b"], "edges": []}}'),
+    (["cover", "--graph", FORK, "--matching"], '[[{}, "c1"]]'),
+    (["reverse", "--graph", FORK, "--cover"], "[{}]"),
+], ids=["graph", "matching", "cover"])
+def test_an_integer_past_the_digit_limit_exits_2(argv, document, tmp_path,
+                                                 capsys):
+    path = tmp_path / "input.json"
+    path.write_text(document.format("9" * (sys.get_int_max_str_digits() + 1)))
+    assert run(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # numbers as well as strings, so some well-formed graphs mix the two
 LABELS = st.sampled_from(["a1", "a2", "b1", "c1", "d1", "1", "2", "3", "4",
                           1, 2, 3, 4])

@@ -26,7 +26,7 @@ def test_known_corpus_sizes():
 
 def test_every_graph_is_connected_and_normalized():
     for g in cached_corpus(6):
-        assert len(connected_components(g)) == 1
+        assert len(connected_components(g, g.vertices)) == 1
         assert len(g.left) <= len(g.right)
         assert all(g.neighbors(v) for v in g.vertices)
         assert 2 <= len(g.vertices) <= 6

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from konigmatch import TrialConfig, konig_cover, run_trials
+from konigmatch import TrialConfig, TrialReport, konig_cover, run_trials
 from konigmatch.experiments import (
     CSV_COLUMNS,
     MAX_POTENTIAL_EDGES,
@@ -55,6 +55,11 @@ def test_report_accounting():
     assert report.cover_excess_total == \
         sum(k * n for k, n in report.excess_histogram.items())
     assert 0.0 <= report.hit_rate <= 1.0
+
+
+def test_a_report_of_no_trials_reads_zero_rates():
+    report = TrialReport(TrialConfig(4, 4, 0.3, trials=40))
+    assert report.hit_rate == report.mean_cover_excess == 0.0
 
 
 def test_empty_graphs_always_hit():

@@ -37,6 +37,8 @@ def test_build_graph_rejects_out_of_range_indices():
         build_graph(2, 2, [(2, 0)])
     with pytest.raises(IndexOutOfRange):
         build_graph(2, 2, [(0, -1)])
+    with pytest.raises(IndexOutOfRange):
+        build_graph(-1, 1, [])
 
 
 def test_build_graph_rejects_duplicate_labels():
@@ -98,9 +100,14 @@ def test_induced_subgraph_keeps_parent_ids(p4):
 
 def test_connected_components_partition():
     g = BipartiteGraph({0, 1, 2}, {3, 4}, [(0, 3), (1, 4), (2, 4)])
-    comps = connected_components(g)
+    comps = connected_components(g, g.vertices)
     assert len(comps) == 2
     assert sorted(sorted(c.vertices) for c in comps) == [[0, 3], [1, 2, 4]]
+
+
+def test_connected_components_refuse_an_unknown_vertex(p4):
+    with pytest.raises(UnknownVertex):
+        connected_components(p4, {0, 99})
 
 
 def test_procedure_sides_chosen_per_component():
@@ -125,7 +132,7 @@ def graphs(draw):
 def test_procedure_sides_match_the_per_component_definition(g):
     u_side: set[int] = set()
     v_side: set[int] = set()
-    for comp in connected_components(g):
+    for comp in connected_components(g, g.vertices):
         if len(comp.left) <= len(comp.right):
             u_side |= comp.left
             v_side |= comp.right
@@ -134,3 +141,27 @@ def test_procedure_sides_match_the_per_component_definition(g):
             v_side |= comp.left
     assert g.u_side == u_side
     assert g.vertices - g.u_side == v_side
+
+
+def reference_components(h):
+    """The vertex sets of ``h``'s components, by least vertex, merged one
+    edge at a time."""
+    comp = {v: frozenset([v]) for v in h.vertices}
+    for u, v in h.edges:
+        merged = comp[u] | comp[v]
+        for x in merged:
+            comp[x] = merged
+    return sorted(set(comp.values()), key=min)
+
+
+@given(st.data())
+def test_components_of_a_vertex_subset_are_its_induced_subgraphs(data):
+    g = data.draw(graphs())
+    s = data.draw(st.sets(st.sampled_from(sorted(g.vertices))))
+    h = induced_subgraph(g, s)
+    comps = connected_components(g, s)
+    # a partition of s, in least-vertex order, into the components of h
+    assert [c.vertices for c in comps] == reference_components(h)
+    for c in comps:
+        assert c == induced_subgraph(h, c.vertices)
+        assert c.labels == {v: g.labels[v] for v in c.vertices}

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from konigmatch import (
     Matching,
@@ -18,16 +18,7 @@ from konigmatch.corpus import cached_corpus
 from konigmatch.errors import UnknownVertex
 from konigmatch.oracle import all_matchings, all_maximal_matchings
 
-from conftest import labeled, matching_by_labels
-
-
-@st.composite
-def graphs(draw):
-    nl = draw(st.integers(1, 4))
-    nr = draw(st.integers(1, 4))
-    possible = [(i, j) for i in range(nl) for j in range(nr)]
-    edges = draw(st.sets(st.sampled_from(possible), min_size=1))
-    return build_graph(nl, nr, sorted(edges))
+from conftest import graphs, labeled, matching_by_labels
 
 
 def reference_z_set(g, m):

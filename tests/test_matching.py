@@ -18,18 +18,9 @@ from konigmatch.corpus import cached_corpus
 from konigmatch.experiments import random_maximal_matching
 from konigmatch.oracle import all_matchings
 
-from conftest import (count_searches, flip, matching_by_labels,
+from conftest import (count_searches, flip, graphs, matching_by_labels,
                       maximum_matching_size_brute_force, rebuilt,
                       reference_maximize)
-
-
-@st.composite
-def graphs(draw):
-    nl = draw(st.integers(1, 4))
-    nr = draw(st.integers(1, 4))
-    possible = [(i, j) for i in range(nl) for j in range(nr)]
-    edges = draw(st.sets(st.sampled_from(possible), min_size=1))
-    return build_graph(nl, nr, sorted(edges))
 
 
 def test_matching_rejects_non_edges(p4):

@@ -143,7 +143,8 @@ def test_branch_and_bound_agrees_with_subset_scan():
     disconnected = isolated = 0
     for g in random_small_graphs(300, seed=15):
         assert all_minimum_covers(g) == minimum_covers_by_subset_scan(g)
-        disconnected += len(connected_components(g)) > 1 and bool(g.edges)
+        disconnected += (len(connected_components(g, g.vertices)) > 1
+                         and bool(g.edges))
         isolated += any(not g.neighbors(x) for x in g.vertices)
     assert disconnected and isolated
 

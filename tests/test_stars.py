@@ -13,6 +13,7 @@ from konigmatch import (
     restrict_cover,
     star_stud,
     stars,
+    verify,
 )
 from konigmatch.corpus import cached_corpus
 from konigmatch.errors import EmptyGraph, NotMinimumCover, RoundTripFailed
@@ -170,3 +171,19 @@ def test_the_witness_search_needs_a_minimum_cover(p4):
         maximal_witness(p4, labeled(p4, "1", "2", "3"))
     with pytest.raises(NotMinimumCover):
         maximal_witness(p4, labeled(p4, "1", "4"))
+
+
+def test_the_star_studded_sweep_builds_no_up_part_graph(monkeypatch):
+    cached_corpus(5)  # the base graphs, built before the count
+    builds = []
+    real_init = BipartiteGraph.__init__
+
+    def counting_init(self, *args):
+        builds.append(self)
+        real_init(self, *args)
+
+    monkeypatch.setattr(BipartiteGraph, "__init__", counting_init)
+    assert verify.sweep_star_studded(5).ok
+    # 10 studded graphs and the 23 components of their covers' up parts;
+    # building each up part too, before splitting it, made 48
+    assert len(builds) == 33

@@ -11,13 +11,15 @@ from collections import Counter
 
 import pytest
 
-from konigmatch import (Matching, konig, konig_vertices, matching, paths,
-                        reverse_konig, split_by_cover, verify)
+from konigmatch import (Matching, konig, konig_vertices, matching, maximize,
+                        maximum_matching, paths, reverse_konig,
+                        split_by_cover, verify)
+from konigmatch.cli import run
 from konigmatch.corpus import cached_corpus, connected_bipartite_graphs
-from konigmatch.oracle import all_maximal_matchings
+from konigmatch.oracle import all_maximal_matchings, all_minimum_covers
 
 import conftest
-from conftest import reference_one_endpoint_and_minimal
+from conftest import rebuilt, reference_one_endpoint_and_minimal
 
 ENUMERATIONS = ("all_matchings", "all_maximal_matchings",
                 "all_minimum_covers")
@@ -273,24 +275,61 @@ def test_the_walk_enumerates_each_graph_once(monkeypatch):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_each_graph_is_searched_once_for_any_jobs(monkeypatch, jobs):
-    # the caller searches every graph, a worker's ones before the fork,
-    # and a second walk finds every graph's maximum matching kept
+    # the corpus searches every graph as it builds them, and the walk
+    # searches none: the workers inherit each graph's maximum matching
     searches = Counter()
+    walked: set[int] = set()
     real_maximize = matching.maximize
 
     def counting_maximize(m):
         searches[id(m.graph)] += 1
+        # a worker's search raises there, and the caller re-raises it
+        assert id(m.graph) not in walked, "a walked graph was searched"
         return real_maximize(m)
 
     monkeypatch.setattr(matching, "maximize", counting_maximize)
-    graphs = tuple(connected_bipartite_graphs(7))
-    monkeypatch.setattr(verify, "cached_corpus", lambda n: graphs)
-    assert all(r.ok for r in verify.corpus_verify(7, jobs=jobs))
+    graphs = cached_corpus.__wrapped__(7)
     assert [searches[id(g)] for g in graphs] == [1] * len(graphs)
+    monkeypatch.setattr(verify, "cached_corpus", lambda n: graphs)
+    walked.update(map(id, graphs))
     # the star-studded sweep searches studded graphs it builds anew
     searches.clear()
     assert all(r.ok for r in verify.corpus_verify(7, jobs=jobs))
     assert [searches[id(g)] for g in graphs] == [0] * len(graphs)
+
+
+def test_corpus_graphs_keep_the_empty_start_matching_whatever_ran_first(
+        monkeypatch):
+    # a fresh corpus walked by classification alone, which would grow M*
+    # from a maximal matching on a graph that kept none yet
+    graphs = cached_corpus.__wrapped__(8)
+    monkeypatch.setattr(verify, "cached_corpus", lambda n: graphs)
+    assert verify.sweep_classification(8, jobs=1).ok
+    moved_graphs = sum(
+        maximum_matching(g).edges != maximize(Matching(rebuilt(g), ())).edges
+        for g in graphs)
+    results = moved = 0
+    for g in graphs:
+        h = rebuilt(g)
+        for c in all_minimum_covers(g):
+            results += 1
+            moved += (reverse_konig(split_by_cover(g, c)).edges
+                      != reverse_konig(split_by_cover(h, c)).edges)
+    assert (len(graphs), moved_graphs, results, moved) == (253, 0, 538, 0)
+
+
+def test_a_failing_corpus_verify_exits_1_and_prints_ten_violations_a_sweep(
+        monkeypatch, capsys):
+    _dropped_vertex(monkeypatch)
+    assert run(["corpus-verify", "--max-vertices", "6", "--jobs", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert [line for line in out.splitlines() if line.endswith("[FAIL]")] \
+        == ["reverse-round-trip: 306 cases, 12 violations [FAIL]",
+            "surjectivity: 27 cases, 1 violations [FAIL]",
+            "one-endpoint-and-minimal: 639 cases, 27 violations [FAIL]"]
+    # 10 + 1 + 10: each sweep prints its first ten
+    assert len(err.splitlines()) == 21
+    assert all(line.startswith("  G(") for line in err.splitlines())
 
 
 class _TrackedList(list):
