@@ -14,7 +14,13 @@ import sys
 
 from . import io as gio
 from .errors import DomainError, InputError
-from .experiments import TrialConfig, random_maximal_matching, run_trials
+from .experiments import (
+    MAX_EDGE_TRIALS,
+    TrialConfig,
+    random_maximal_matching,
+    run_trials,
+)
+from .graph import MAX_VERTICES
 from .konig import konig_cover
 from .matching import maximum_matching
 from .oracle import (
@@ -174,6 +180,8 @@ def _cmd_corpus_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    graph_help = (f"JSON or edge-list graph file of at most "
+                  f"{MAX_VERTICES:,} vertices (exit 1 above it)")
     parser = argparse.ArgumentParser(
         prog="konigmatch",
         description="Bipartite matchings, vertex covers, and the "
@@ -181,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("match", help="compute a matching")
-    p.add_argument("--graph", required=True)
+    p.add_argument("--graph", required=True, help=graph_help)
     p.add_argument("--maximal", action="store_true",
                    help="greedy maximal under a seeded random edge order "
                         "instead of maximum")
@@ -189,29 +197,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_match)
 
     p = sub.add_parser("cover", help="apply the cover-from-matching procedure")
-    p.add_argument("--graph", required=True)
+    p.add_argument("--graph", required=True, help=graph_help)
     p.add_argument("--matching", required=True)
     p.set_defaults(func=_cmd_cover)
 
     p = sub.add_parser("reverse",
                        help="recover a matching from a minimum cover")
-    p.add_argument("--graph", required=True)
+    p.add_argument("--graph", required=True, help=graph_help)
     p.add_argument("--cover", required=True,
                    help="JSON array of vertex labels")
     p.set_defaults(func=_cmd_reverse)
 
     p = sub.add_parser("classify",
                        help="does this maximal matching give a minimum cover?")
-    p.add_argument("--graph", required=True)
+    p.add_argument("--graph", required=True, help=graph_help)
     p.add_argument("--matching", required=True)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("starstud", help="attach a 3-leaf star to every vertex")
-    p.add_argument("--graph", required=True)
+    p.add_argument("--graph", required=True,
+                   help=f"graph file; the studded graph has five times its "
+                        f"vertices and at most {MAX_VERTICES:,} (exit 1 "
+                        f"above it)")
     p.set_defaults(func=_cmd_starstud)
 
     p = sub.add_parser("enumerate", help="brute-force oracle enumerations")
-    p.add_argument("--graph", required=True)
+    p.add_argument("--graph", required=True, help=graph_help)
     p.add_argument("--oracle", required=True,
                    choices=["min-covers", "matchings", "maximal-matchings",
                             "hall"])
@@ -219,10 +230,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("experiment", help="randomized hit-rate trials")
-    p.add_argument("--nl", type=int, required=True)
-    p.add_argument("--nr", type=int, required=True)
+    p.add_argument("--nl", type=int, required=True,
+                   help=f"left vertices; --nl + --nr may be at most "
+                        f"{MAX_VERTICES:,} (exit 1 above it)")
+    p.add_argument("--nr", type=int, required=True, help="right vertices")
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=int, required=True,
+                   help="trials to run; the expected edges of a trial "
+                        "(nl * nr * p) times the trials may be at most "
+                        f"{MAX_EDGE_TRIALS:,} (exit 1 above it)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_experiment)

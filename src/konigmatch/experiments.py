@@ -18,7 +18,8 @@ import random
 from dataclasses import dataclass, field
 from typing import IO
 
-from .graph import BipartiteGraph, build_graph
+from .errors import BudgetExceeded
+from .graph import MAX_VERTICES, BipartiteGraph, build_graph
 from .konig import konig_cover
 from .matching import Matching, maximum_matching
 
@@ -28,6 +29,10 @@ CSV_COLUMNS = ["seed", "n_left", "n_right", "p", "trial_index",
 # largest n_left * n_right a trial may draw edges over: ``random_bipartite``
 # draws one number per potential edge and may keep them all
 MAX_POTENTIAL_EDGES = 10 ** 7
+# largest expected edges (n_left * n_right * p) times trials a run may
+# ask for: the work budget of a whole run, checked before anything is
+# drawn; one trial at the potential-edge cap and p = 1 is refused
+MAX_EDGE_TRIALS = 5 * 10 ** 6
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,6 +53,16 @@ class TrialConfig:
         if self.n_left * self.n_right > MAX_POTENTIAL_EDGES:
             raise ValueError(
                 f"n_left * n_right must be at most {MAX_POTENTIAL_EDGES}")
+        work = (self.n_left * self.n_right * self.edge_probability
+                * self.trials)
+        if work > MAX_EDGE_TRIALS:
+            raise BudgetExceeded(
+                f"expected edges times trials is {work:.4g}, over the "
+                f"budget of {MAX_EDGE_TRIALS}")
+        if self.n_left + self.n_right > MAX_VERTICES:
+            raise BudgetExceeded(
+                f"n_left + n_right is {self.n_left + self.n_right}, over "
+                f"the budget of {MAX_VERTICES} vertices a graph")
 
 
 @dataclass(slots=True)

@@ -1,16 +1,32 @@
 """Bipartite graph representation, validation, and basic queries.
 
-Vertices are identified by dense non-negative integers.  A graph keeps a
-designated *left* side, which holds an endpoint of every edge, and a
-*right* side.  ``build_graph`` normalizes inputs so that the left side is
-never larger than the right side; induced subgraphs keep their parent's
-vertex ids and side designation.
+Vertices are identified by dense non-negative integers, and the
+constructor refuses any other id with ``IndexOutOfRange``: the package
+holds vertex sets as *vertex masks*, ints with bit v for vertex v
+(``_mask`` builds one, ``_bits`` lists one in ascending order).  A
+vertex's neighbour mask is as wide as its highest neighbour id, so a
+graph of n vertices may hold about n²/8 bytes of masks even when it is
+sparse; the constructor refuses an id of ``MAX_VERTICES`` or more with
+``BudgetExceeded``, before it builds any mask, which bounds the masks of
+any graph at ``MAX_VERTICES``²/8 bytes (50 MB) and the loaders' graphs,
+whose ids run from 0, at ``MAX_VERTICES`` vertices.  A graph
+keeps a designated *left* side, which holds an endpoint of every edge,
+and a *right* side.  ``build_graph`` normalizes inputs so that the left
+side is never larger than the right side; induced subgraphs keep their
+parent's vertex ids and side designation.
 
+The adjacency is one map from each vertex to its neighbour mask, built
+with the graph; ``neighbors(v)`` turns a mask into a frozenset for
+callers outside the package, which reads the masks themselves.
 Kőnig's procedure searches from ``u_side``, U: in each connected
 component the smaller side, ties keeping the left side; V, the other
 vertices, is never stored.  A graph never changes: ``__init__``
-computes U, and the other data derived from the graph (the edges of a
-maximum matching, the label index) is computed on first use and kept.
+computes U, as ``u_side`` and as the vertex mask ``u_mask``, and the
+other data derived from the graph (the edges of a maximum matching, the
+label index) is computed on first use and kept.  ``_covers`` and
+``_irredundant`` test a vertex mask against the neighbour masks: it
+covers every edge, and none of its vertices has its whole neighborhood
+inside it.
 """
 
 from __future__ import annotations
@@ -18,6 +34,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
+    BudgetExceeded,
     DuplicateVertex,
     IndexOutOfRange,
     SameSideEdge,
@@ -25,6 +42,13 @@ from .errors import (
 )
 
 Edge = tuple[int, int]
+
+# every vertex id is below this, so a graph's neighbour masks, each as
+# wide as its highest neighbour id, take at most MAX_VERTICES**2 / 8
+# bytes (50 MB); `match` on a 20,000-vertex path file peaks at 64 MiB
+# and `reverse` at 98 MiB, and a 40,000-vertex path holds 119 MiB of
+# masks
+MAX_VERTICES = 20_000
 
 
 class BipartiteGraph:
@@ -35,16 +59,17 @@ class BipartiteGraph:
     not the labels.
 
     ``u_side`` is the U side of Kőnig's procedure (see the module
-    docstring).  ``_maximum`` and ``_by_label`` are memo slots, left unset
-    by ``__init__`` and filled on first use by
+    docstring) and ``u_mask`` its vertex mask; ``_adjacency`` maps each
+    vertex to its neighbour mask.  ``_maximum`` and ``_by_label`` are
+    memo slots, left unset by ``__init__`` and filled on first use by
     ``matching.maximum_matching`` and ``vertex_by_label``.  ``_maximum``
     holds a maximum matching's edges, not the ``Matching``: a matching
     refers to its graph, so a graph holding one would form a cycle that
     only the cycle collector frees.
     """
 
-    __slots__ = ("left", "right", "edges", "labels",
-                 "u_side", "_adjacency", "_hash", "_maximum", "_by_label")
+    __slots__ = ("left", "right", "edges", "labels", "u_side", "u_mask",
+                 "_adjacency", "_hash", "_maximum", "_by_label")
 
     def __init__(
         self,
@@ -59,7 +84,17 @@ class BipartiteGraph:
             raise DuplicateVertex(
                 f"vertices on both sides: {sorted(left_set & right_set)}")
         vertices = left_set | right_set
-        adjacency: dict[int, set[int]] = {v: set() for v in vertices}
+        # a vertex is a bit of every mask, so its id must be a bit index
+        adjacency: dict[int, int] = {}
+        for v in vertices:
+            if not isinstance(v, int) or v < 0:
+                raise IndexOutOfRange(
+                    f"vertex id {v!r} is not a non-negative integer")
+            adjacency[v] = 0
+        if vertices and max(vertices) >= MAX_VERTICES:
+            raise BudgetExceeded(
+                f"a graph has at most {MAX_VERTICES:,} vertices, ids 0 to "
+                f"{MAX_VERTICES - 1}; this one has id {max(vertices)}")
         normalized = []
         for a, b in edges:
             if b in left_set and a in right_set:
@@ -71,11 +106,8 @@ class BipartiteGraph:
                         f"edge ({a}, {b}) joins one side to itself")
                 raise UnknownVertex(f"edge ({a}, {b}) uses unknown vertices")
             normalized.append((a, b))
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-        # frozen one set at a time, so the two copies never coexist
-        for v, ns in adjacency.items():
-            adjacency[v] = frozenset(ns)
+            adjacency[a] |= 1 << b
+            adjacency[b] |= 1 << a
         self.left = left_set
         self.right = right_set
         self.edges = frozenset(normalized)
@@ -84,12 +116,15 @@ class BipartiteGraph:
         else:
             self.labels = {v: labels[v] for v in vertices}
         self._adjacency = adjacency
-        u: set[int] = set()
-        for comp in _components(adjacency):
-            left = left_set.intersection(comp)
-            u |= left if 2 * len(left) <= len(comp) else set(comp) - left
+        left_mask = _mask(left_set)
+        u = 0
+        for comp in _components(adjacency, left_mask | _mask(right_set)):
+            side = comp & left_mask
+            u |= side if 2 * side.bit_count() <= comp.bit_count() \
+                else comp ^ side
+        self.u_mask = u
         # U is the left side in every connected graph build_graph makes
-        self.u_side = left_set if u == left_set else frozenset(u)
+        self.u_side = left_set if u == left_mask else frozenset(_bits(u))
         self._hash = hash((self.left, self.right, self.edges))
 
     # -- basic queries -------------------------------------------------
@@ -99,9 +134,9 @@ class BipartiteGraph:
         return self.left | self.right
 
     def neighbors(self, v: int) -> frozenset[int]:
-        """Exact adjacency set of ``v``."""
+        """Exact adjacency set of ``v``, built from its neighbour mask."""
         try:
-            return self._adjacency[v]
+            return frozenset(_bits(self._adjacency[v]))
         except KeyError:
             raise UnknownVertex(f"vertex {v} not in graph") from None
 
@@ -195,28 +230,77 @@ def induced_subgraph(g: BipartiteGraph,
     )
 
 
-def _components(adjacency: Mapping[int, Iterable[int]]) -> Iterator[list[int]]:
-    """Each connected component's vertex list, by BFS on ``adjacency``."""
-    seen: set[int] = set()
-    for start in adjacency:
-        if start in seen:
-            continue
-        seen.add(start)
-        comp = [start]
-        for x in comp:  # the list grows while it is walked: a BFS
-            for y in adjacency[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.append(y)
+def _mask(vertices: Iterable[int]) -> int:
+    """A vertex set as an int: bit v stands for vertex v."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The vertices of a vertex mask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _covers(g: BipartiteGraph, s: int) -> bool:
+    """True iff the vertex mask ``s`` covers every edge of ``g``; U holds
+    one endpoint of each edge, so checking its vertices outside ``s`` is
+    enough."""
+    adjacency = g._adjacency
+    rest = g.u_mask & ~s
+    while rest:
+        low = rest & -rest
+        if adjacency[low.bit_length() - 1] & ~s:
+            return False
+        rest ^= low
+    return True
+
+
+def _irredundant(g: BipartiteGraph, s: int) -> bool:
+    """True iff no vertex of the vertex mask ``s`` has its whole
+    neighborhood inside ``s``: a cover with this property loses an edge
+    when any single vertex is dropped, so it is minimal."""
+    adjacency = g._adjacency
+    outside = ~s
+    rest = s
+    while rest:
+        low = rest & -rest
+        if not adjacency[low.bit_length() - 1] & outside:
+            return False
+        rest ^= low
+    return True
+
+
+def _components(adjacency: Mapping[int, int], within: int) -> Iterator[int]:
+    """Each connected component of the subgraph on the vertex mask
+    ``within``, as a vertex mask, by least vertex: a BFS over the
+    neighbour masks ``adjacency``, one frontier mask per level."""
+    while within:
+        comp = frontier = within & -within
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adjacency[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & within & ~comp
+            comp |= frontier
+        within ^= comp
         yield comp
 
 
 def connected_components(g: BipartiteGraph,
                          vertices: Iterable[int]) -> list[BipartiteGraph]:
     """The components, by least vertex, of the subgraph on ``vertices``,
-    walked on ``g``'s adjacency: only they are built.  A vertex not in
-    ``g`` raises ``UnknownVertex``."""
+    walked on ``g``'s neighbour masks: only they are built.  A vertex not
+    in ``g`` raises ``UnknownVertex``."""
     vset = set(vertices)
-    adjacency = {v: g.neighbors(v) & vset for v in vset}
-    return [induced_subgraph(g, comp)
-            for comp in sorted(_components(adjacency), key=min)]
+    unknown = vset - g.vertices
+    if unknown:
+        raise UnknownVertex(f"vertices not in graph: {sorted(unknown)}")
+    return [induced_subgraph(g, _bits(comp))
+            for comp in _components(g._adjacency, _mask(vset))]

@@ -6,15 +6,19 @@ side of each component, ties keeping the designated left side).  The
 formula is evaluated for arbitrary matchings; its result always covers,
 since N(Z ∩ U) ⊆ Z, and the cover verdict checks this, not assumes it.
 Each function takes the matching alone and reads its graph from it.
-A matching's Kőnig set is computed once: ``konig_vertices`` walks Z on
-its first read and keeps K(M) in the matching's ``_konig`` slot, and
-``z_set`` and ``konig_cover`` read it from there.
-``_covers`` tests covering for ``konig_cover`` and ``is_vertex_cover``
-alike, over the graph's left side, which holds an endpoint of every
-edge; the U side decides only K(M).  Minimality is defined once, for
-``konig_cover`` and ``is_minimal_cover`` alike: no vertex of the set
-has its whole neighborhood inside it.  A set that does not cover is
-neither minimal nor minimum.
+
+Everything here runs on vertex masks (see ``graph``) and the graph's
+neighbour masks.  ``_alternating_closure`` is the one closure: the
+mask reachable from a root mask by alternating paths, which
+``_z_after`` in ``paths`` and ``maximal_witness`` in ``stars`` walk
+too.  A matching's Kőnig set is computed once: ``_konig_mask`` walks Z
+on its first read and keeps K(M), as a mask, in the matching's
+``_konig`` slot.  The package's checks read that mask;
+``konig_vertices``, ``z_set`` and ``konig_cover`` turn it into a
+frozenset for callers outside it.  ``konig_cover`` and the set verdicts
+alike test covering with ``graph._covers`` and minimality with
+``graph._irredundant``.  A set that does not cover is neither minimal
+nor minimum.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .errors import UnknownVertex
-from .graph import BipartiteGraph
+from .graph import BipartiteGraph, _bits, _covers, _irredundant, _mask
 from .matching import Matching, matching_number
 
 
@@ -57,58 +61,54 @@ def z_set(m: Matching) -> frozenset[int]:
     only the matching edge (if any).  A U-vertex in Z is unsaturated or
     was reached from its partner, so the walk follows all its edges.
     """
-    return m.graph.u_side ^ konig_vertices(m)
+    return frozenset(_bits(m.graph.u_mask ^ _konig_mask(m)))
 
 
-def _alternating_closure(adjacency: dict[int, frozenset[int]],
-                         partner: dict[int, int],
-                         roots: Iterable[int]) -> set[int]:
-    """The vertices reachable from the U-vertices ``roots`` by alternating
-    paths, ``roots`` included: from a U-vertex every edge is followed,
-    from a V-vertex only its matching edge (if any).  ``adjacency`` is
-    read only at U-vertices, so it may be that of any subgraph holding
-    their edges."""
-    stack = list(roots)
-    z = set(stack)
-    while stack:
-        for y in adjacency[stack.pop()]:
-            if y not in z:
-                z.add(y)
-                x = partner.get(y)
-                if x is not None:
-                    z.add(x)
-                    stack.append(x)
+def _alternating_closure(adjacency: dict[int, int], partner: dict[int, int],
+                         roots: int) -> int:
+    """The vertex mask reachable from the U-vertex mask ``roots`` by
+    alternating paths, ``roots`` included: from a U-vertex every edge is
+    followed, from a V-vertex only its matching edge (if any).  A V-vertex
+    is reached once, and its partner only through it, so each U-vertex
+    joins the frontier once.  ``adjacency`` holds neighbour masks and is
+    read only at U-vertices, so it may be that of any graph holding their
+    edges."""
+    z = frontier = roots
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = adjacency[low.bit_length() - 1] & ~z
+        z |= new
+        while new:
+            low = new & -new
+            new ^= low
+            x = partner.get(low.bit_length() - 1)
+            if x is not None:
+                x = 1 << x
+                z |= x
+                frontier |= x
     return z
 
 
-def _covers(g: BipartiteGraph, s: frozenset[int]) -> bool:
-    """True iff ``s`` covers every edge of ``g``; the left side holds one
-    endpoint of each edge, so checking its vertices outside ``s`` is enough."""
-    adjacency = g._adjacency
-    return all(adjacency[x] <= s for x in g.left - s)
+def _checked_mask(g: BipartiteGraph, s: Iterable[int]) -> int:
+    """The vertex set ``s`` of ``g`` as a vertex mask; a vertex not in
+    ``g`` raises ``UnknownVertex``."""
+    sset = frozenset(s)
+    if not sset <= g.vertices:
+        raise UnknownVertex("cover candidate uses unknown vertices")
+    return _mask(sset)
 
 
 def is_vertex_cover(g: BipartiteGraph, s: Iterable[int]) -> bool:
     """True iff every edge has at least one endpoint in ``s``."""
-    sset = frozenset(s)
-    if not sset <= g.vertices:
-        raise UnknownVertex("cover candidate uses unknown vertices")
-    return _covers(g, sset)
-
-
-def _irredundant(g: BipartiteGraph, s: frozenset[int]) -> bool:
-    """True iff no vertex of ``s`` has its whole neighborhood inside
-    ``s``: a cover with this property loses an edge when any single
-    vertex is dropped, so it is minimal."""
-    adjacency = g._adjacency
-    return not any(adjacency[r] <= s for r in s)
+    return _covers(g, _checked_mask(g, s))
 
 
 def is_minimal_cover(g: BipartiteGraph, s: Iterable[int]) -> bool:
     """True iff ``s`` covers and no single vertex can be dropped; a set
     that does not cover gives False."""
-    sset = frozenset(s)
-    return is_vertex_cover(g, sset) and _irredundant(g, sset)
+    mask = _checked_mask(g, s)
+    return _covers(g, mask) and _irredundant(g, mask)
 
 
 def is_minimum_cover(g: BipartiteGraph, s: Iterable[int]) -> bool:
@@ -117,25 +117,29 @@ def is_minimum_cover(g: BipartiteGraph, s: Iterable[int]) -> bool:
     The matching size is the polynomial certificate of minimality for
     bipartite graphs, so no enumeration is needed.
     """
-    sset = frozenset(s)
-    if not is_vertex_cover(g, sset):
-        return False
-    return len(sset) == matching_number(g)
+    mask = _checked_mask(g, s)
+    return _covers(g, mask) and mask.bit_count() == matching_number(g)
 
 
-def konig_vertices(m: Matching) -> frozenset[int]:
-    """K(M) = (U \\ Z) ∪ (V ∩ Z) = U △ Z, without the verdicts; Z is
-    walked on the first read and K(M) kept on ``m`` for every later one."""
+def _konig_mask(m: Matching) -> int:
+    """K(M) = U △ Z as a vertex mask; Z is walked on the first read and
+    K(M) kept on ``m`` for every later one."""
     k = m._konig
     if k is None:
         g = m.graph
-        u_side = g.u_side
+        u_mask = g.u_mask
         partner = m._partner
         # the roots are the U-vertices M leaves free: the partner map's
         # keys are the saturated vertices
-        k = m._konig = u_side ^ _alternating_closure(
-            g._adjacency, partner, u_side.difference(partner))
+        k = m._konig = u_mask ^ _alternating_closure(
+            g._adjacency, partner, u_mask & ~_mask(partner))
     return k
+
+
+def konig_vertices(m: Matching) -> frozenset[int]:
+    """K(M) = (U \\ Z) ∪ (V ∩ Z) = U △ Z, without the verdicts, as a
+    vertex set built from the mask the matching keeps."""
+    return frozenset(_bits(_konig_mask(m)))
 
 
 def konig_cover(m: Matching) -> VertexCover:
@@ -146,8 +150,8 @@ def konig_cover(m: Matching) -> VertexCover:
     fields record exactly what holds.
     """
     g = m.graph
-    k = konig_vertices(m)
+    k = _konig_mask(m)
     cover = _covers(g, k)
     minimal = cover and _irredundant(g, k)
-    minimum = cover and len(k) == matching_number(g)
-    return VertexCover(k, cover, minimal, minimum)
+    minimum = cover and k.bit_count() == matching_number(g)
+    return VertexCover(frozenset(_bits(k)), cover, minimal, minimum)

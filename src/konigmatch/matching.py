@@ -10,9 +10,11 @@ outside.  The search's BFS skips a neighbour only if it was reached
 already, which is where a left vertex's matching edge leads.
 
 Being immutable, a matching keeps what is derived from it: its Kőnig set
-K(M) is computed once, by ``konig.konig_vertices`` on first read, and
-held in the ``_konig`` slot, which both constructors set to None.  A
-graph keeps its maximum matching's edges likewise, so
+K(M) is computed once, by ``konig._konig_mask`` on first read, and
+held, as a vertex mask, in the ``_konig`` slot, which both constructors
+set to None.  ``is_maximal`` asks whether the saturated vertices cover
+every edge (``graph._covers``), and ``maximize`` walks the graph's
+neighbour masks.  A graph keeps its maximum matching's edges likewise, so
 ``maximum_matching`` searches once per graph.  That search grows the
 matching its caller already holds, when there is one (a trial's maximal
 matching, a matching to classify), so it reaches ν with fewer
@@ -28,7 +30,7 @@ from collections import deque
 from collections.abc import Iterable, Sequence
 
 from .errors import InvalidMatching
-from .graph import BipartiteGraph, Edge
+from .graph import BipartiteGraph, Edge, _covers, _mask
 
 
 class Matching:
@@ -105,28 +107,34 @@ class Matching:
 
 
 def is_maximal(m: Matching) -> bool:
-    """True iff no edge of ``m``'s graph has both endpoints unsaturated."""
-    partner = m._partner
-    return all(u in partner or v in partner for u, v in m.graph.edges)
+    """True iff no edge of ``m``'s graph has both endpoints unsaturated:
+    the saturated vertices cover every edge."""
+    return _covers(m.graph, _mask(m._partner))
 
 
 def maximize(m: Matching) -> Matching:
     """Grow ``m`` to a maximum-cardinality matching (Kuhn).
 
     From each left vertex ``m`` leaves free, in ascending id order, a BFS
-    follows non-matching edges to sorted neighbours and matching edges
-    back; the first free vertex it reaches ends an augmenting path P, and
-    M becomes the matching M △ P.  A vertex with no augmenting path gains
-    none later, so none remains (Berge's condition).
+    follows non-matching edges to neighbours in ascending order and
+    matching edges back; the first free vertex it reaches ends an
+    augmenting path P, and M becomes the matching M △ P.  A vertex with
+    no augmenting path gains none later, so none remains (Berge's
+    condition).
     """
     g = m.graph
+    adjacency = g._adjacency
     for start in m.unsaturated(g.left):
         parent: dict[int, int] = {start: -1}
         queue = deque([start])
         end = None
         while queue and end is None:
             x = queue.popleft()
-            for y in sorted(g.neighbors(x)):
+            near = adjacency[x]
+            while near:
+                low = near & -near
+                near ^= low
+                y = low.bit_length() - 1
                 # x is the free start or the partner of a y already in
                 # parent, so its matching edge never leads anywhere new
                 if y in parent:

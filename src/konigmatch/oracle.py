@@ -5,6 +5,8 @@ polynomial procedures, so the clever code paths can be checked against
 it.  Enumeration aborts cleanly once a budget is exceeded.  The searches
 keep their state on explicit stacks, not in self-referencing closures, so
 their results are freed by reference counting once the caller drops them.
+The searches read the graph's neighbour masks (``graph``) and build no
+adjacency of their own.
 
 Minimum covers are found by branching on vertices over bitmasks: at the
 first uncovered edge, its endpoint x of larger degree is in the cover, or
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 
 from .errors import BudgetExceeded
-from .graph import BipartiteGraph
+from .graph import BipartiteGraph, _bits
 from .matching import Matching
 
 
@@ -74,7 +76,7 @@ def all_minimum_covers(g: BipartiteGraph,
     b = b or OracleBudget()
     _check_vertex_budget(g, b)
     edges = sorted(g.edges)
-    near = {x: sum(1 << y for y in g.neighbors(x)) for x in g.vertices}
+    near = g._adjacency
     # per edge: its endpoints' bitmask, and the branching endpoint's bit
     # and neighbour bitmask
     plan = []
@@ -111,7 +113,7 @@ def all_minimum_covers(g: BipartiteGraph,
                     stack.append((chosen | added, grown, i + 1))
                 stack.append((chosen | bit, size + 1, i + 1))
         if out:
-            return {frozenset(x for x in near if c >> x & 1) for c in out}
+            return {frozenset(_bits(c)) for c in out}
         k += 1
 
 
@@ -132,8 +134,7 @@ def _maximal_matchings(g: BipartiteGraph,
     last: dict[int, int] = {}  # vertex -> index of its last edge
     for i, (u, v) in enumerate(edges):
         last[u] = last[v] = i
-    # vertex bit -> bitmask of its neighbours
-    near = {1 << x: sum(1 << y for y in g.neighbors(x)) for x in last}
+    near = g._adjacency
     # per edge: its endpoints' bitmask, the edge, and the bitmask of the
     # endpoints whose last edge it is
     plan = [((1 << u) | (1 << v), (u, v),
@@ -155,7 +156,8 @@ def _maximal_matchings(g: BipartiteGraph,
             newly = closing & ~used
             if newly:
                 # both endpoints closing free leave this very edge addable
-                if newly == mask or near[newly] & closed_free:
+                if newly == mask or near[newly.bit_length() - 1] \
+                        & closed_free:
                     break
                 closed_free |= newly
         else:
@@ -244,16 +246,17 @@ def hall_condition(g: BipartiteGraph,
     b = b or OracleBudget()
     _check_vertex_budget(g, b)
     verdicts = []
+    adjacency = g._adjacency
     for side in (g.left, g.right):
-        vertices = sorted(side)
-        if 2 ** len(vertices) > b.max_subsets:
+        near = [adjacency[x] for x in sorted(side)]
+        if 2 ** len(near) > b.max_subsets:
             raise BudgetExceeded("Hall subset scan exceeds budget")
-        for w in chain.from_iterable(combinations(vertices, size)
-                                     for size in range(1, len(vertices) + 1)):
-            neighborhood = set()
+        for w in chain.from_iterable(combinations(near, size)
+                                     for size in range(1, len(near) + 1)):
+            neighborhood = 0
             for x in w:
-                neighborhood |= g.neighbors(x)
-            if len(w) > len(neighborhood):
+                neighborhood |= x
+            if len(w) > neighborhood.bit_count():
                 verdicts.append(False)
                 break
         else:

@@ -20,11 +20,14 @@ Z(M △ P), so K(M △ P) = U △ Z needs no second augmentation, and with
 them the stranded set, the hat's cut vertex and the hat, each computed
 once, as the structure is built.  Structures are vertex sets only: no
 graph is built for them, and no matching either, since Z(M △ P) is
-walked over M's partner map with P's edges flipped.
+walked over M's partner map with P's edges flipped, by the one
+alternating closure of ``konig``, from a root mask to a vertex mask
+(``_z_after``).
 
 Every structure rule lives in ``_PathMasks``, over vertex masks (ints
-with bit v for vertex v): it enumerates a matching's paths once, groups
-them by endpoint, and yields per path its family, vertex union,
+with bit v for vertex v; see ``graph``): it enumerates a matching's
+paths once, walking each vertex's neighbour mask in ascending order,
+groups them by endpoint, and yields per path its family, vertex union,
 Z(M △ P), single-root substructure, stranded set, hat cut vertex and
 hat.  ``path_structures`` turns each yield into a ``PathStructure`` of
 vertex sets; the structure check in ``verify`` reads the same yields as
@@ -34,16 +37,22 @@ masks and only compares them, counting its cases by popcount.
 paths of M off M △ M*, where M* is the graph's one maximum matching
 (``maximum_matching`` grows it from M when the graph keeps none yet),
 and ``verify_classification_witness`` checks its witness, every path
-included.
+included.  Both read |K(M)| off the matching's kept K(M) mask.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .errors import NotMaximal, PathExplosion
-from .konig import _alternating_closure, is_vertex_cover, konig_vertices
+from .graph import _bits, _covers, _mask
+from .konig import (
+    _alternating_closure,
+    _konig_mask,
+    is_vertex_cover,
+    konig_vertices,
+)
 from .matching import Matching, is_maximal, maximum_matching
 
 # building structures is quadratic in the path count; the corpus has at
@@ -129,13 +138,14 @@ def enumerate_augmenting_paths(m: Matching) -> list[tuple[int, ...]]:
     adjacency = m.graph._adjacency
     partner = m._partner
     found: list[tuple[int, ...]] = []
-    # each U-vertex's neighbours, sorted once per call
+    # each U-vertex's neighbours, listed once per call
     ordered: dict[int, list[int]] = {}
     for u in m.unsaturated(m.graph.u_side):
         path = [u]
         on_path = {u}
-        # one iterator over the sorted neighbours of each U-vertex on path
-        stack = [iter(sorted(adjacency[u]))]
+        # one iterator over the ascending neighbours of each U-vertex on
+        # the path
+        stack = [_bits(adjacency[u])]
         while stack:
             for y in stack[-1]:
                 # the matched edge at path[-1] leads back to path[-2]
@@ -154,7 +164,7 @@ def enumerate_augmenting_paths(m: Matching) -> list[tuple[int, ...]]:
                 path += (y, z)
                 on_path.update((y, z))
                 if z not in ordered:
-                    ordered[z] = sorted(adjacency[z])
+                    ordered[z] = list(_bits(adjacency[z]))
                 stack.append(iter(ordered[z]))
                 break
             else:
@@ -165,22 +175,6 @@ def enumerate_augmenting_paths(m: Matching) -> list[tuple[int, ...]]:
     # each path is simple, alternates and joins two unsaturated vertices
     # by construction, so it needs no second check
     return found
-
-
-def _mask(vertices: Iterable[int]) -> int:
-    """A vertex set as an int: bit v stands for vertex v."""
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """The vertices of a vertex mask, in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class _PathMasks:
@@ -204,7 +198,8 @@ class _PathMasks:
         hat's cut vertex, or None; and the hat's vertex mask."""
         m = self.matching
         paths, masks = self.paths, self.masks
-        roots = m.unsaturated(m.graph.u_side)
+        # the unsaturated U-vertices: U less the partner map's keys
+        roots = m.graph.u_mask & ~_mask(m._partner)
         # the paths into each endpoint, with their vertex masks
         into_end: dict[int, list[tuple[tuple[int, ...], int]]] = {}
         for q, q_mask in zip(paths, masks):
@@ -217,7 +212,7 @@ class _PathMasks:
             vertices = 0
             for j in family:
                 vertices |= masks[j]
-            z_after = _mask(_z_after(m, p, roots))
+            z_after = _z_after(m, p, roots)
             # stranded: the unsaturated V-vertices outside Z(M △ P)
             stranded = vertices & free_v & ~z_after
             # the substructure of the paths into p's endpoint from p's
@@ -270,18 +265,18 @@ def path_structures(m: Matching) -> Iterator[PathStructure]:
                             frozenset(_bits(hat)))
 
 
-def _z_after(m: Matching, p: tuple[int, ...],
-             roots: list[int]) -> frozenset[int]:
-    """Z(M △ P) without building M △ P: the alternating closure over M's
-    partner map with P's edges flipped, from ``roots``, the unsaturated
-    U-vertices of M, less P's root (P's other end is a V-vertex)."""
+def _z_after(m: Matching, p: tuple[int, ...], roots: int) -> int:
+    """Z(M △ P) as a vertex mask, without building M △ P: the
+    alternating closure over M's partner map with P's edges flipped,
+    from ``roots``, the mask of M's unsaturated U-vertices, less P's
+    root (P's other end is a V-vertex)."""
     partner = dict(m._partner)
     # P's edges out of M are its (U, V) steps; they replace M's edges there
     for u, v in zip(p[::2], p[1::2]):
         partner[u] = v
         partner[v] = u
-    return frozenset(_alternating_closure(
-        m.graph._adjacency, partner, [u for u in roots if u != p[0]]))
+    return _alternating_closure(m.graph._adjacency, partner,
+                                roots & ~(1 << p[0]))
 
 
 def classify_matching(m: Matching) -> ClassificationVerdict:
@@ -299,7 +294,7 @@ def classify_matching(m: Matching) -> ClassificationVerdict:
     if not is_maximal(m):
         raise NotMaximal("classification applies to maximal matchings only")
     star = maximum_matching(m.graph, m)
-    if len(star) < len(konig_vertices(m)):
+    if len(star) < _konig_mask(m).bit_count():
         return ClassificationVerdict(False, konig_vertices(star))
     paths = []
     for u in m.unsaturated(m.graph.left):
@@ -324,11 +319,12 @@ def verify_classification_witness(m: Matching,
     that are not a tuple of tuples) is answered False, not raised on.
     """
     g = m.graph
-    k = konig_vertices(m)
+    k = _konig_mask(m)
     witness = verdict.witness
     if not verdict.is_minimum:
         return (isinstance(witness, frozenset) and witness <= g.vertices
-                and is_vertex_cover(g, witness) and len(witness) < len(k))
+                and is_vertex_cover(g, witness)
+                and len(witness) < k.bit_count())
     if not isinstance(witness, tuple):
         return False
     used: set[int] = set()
@@ -337,4 +333,4 @@ def verify_classification_witness(m: Matching,
                 and used.isdisjoint(p)):
             return False
         used.update(p)
-    return len(m) + len(witness) == len(k) and is_vertex_cover(g, k)
+    return len(m) + len(witness) == k.bit_count() and _covers(g, k)

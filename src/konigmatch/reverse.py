@@ -18,7 +18,8 @@ walk depends on the order in which roots are visited.  So a split is a
 value: the graph and cover it was made for, the roots U \\ C and the
 down matching.  ``reverse_konig`` takes a split, not a graph and a
 cover, which lets a caller try many visit orders on one split.  It
-walks the graph's own adjacency and builds one matching of the whole
+walks the graph's own neighbour masks, holding the walk's saturated
+vertices as one vertex mask, and builds one matching of the whole
 graph, whose up half is ``m.edges - split.m_down.edges``.
 """
 
@@ -28,8 +29,8 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .errors import NotMinimumCover, RoundTripFailed
-from .graph import BipartiteGraph
-from .konig import VertexCover, is_minimum_cover, konig_vertices
+from .graph import BipartiteGraph, _bits, _mask
+from .konig import VertexCover, _konig_mask, is_minimum_cover, konig_vertices
 from .matching import Matching, maximum_matching
 
 
@@ -82,8 +83,10 @@ def reverse_konig(split: CoverSplit,
     (default ascending id); an order that is not a permutation of them
     raises ``NotMinimumCover``.  From a root ``u``, each unsaturated
     neighbor ``v`` is matched to its first unsaturated neighbor ``w``
-    among the other roots, and the walk continues depth-first from
-    ``w``.  Saturation is re-checked immediately before every insertion.
+    among the other roots (the lowest bit of ``v``'s neighbour mask
+    among the roots, less ``u`` and the saturated vertices), and the walk
+    continues depth-first from ``w``.  Saturation is re-checked
+    immediately before every insertion.
     The up and down parts share no vertex, so the union is a matching.
 
     ``split`` is ``split_by_cover(g, c)`` for a minimum cover ``c``;
@@ -108,33 +111,38 @@ def reverse_konig(split: CoverSplit,
         if not permutation:
             raise NotMinimumCover(
                 "visit_order must be a permutation of the uncovered U side")
-    saturated: set[int] = set()
+    roots_mask = _mask(roots)
+    saturated = 0  # the vertex mask of the up walk's matched vertices
     up_edges: list[tuple[int, int]] = []
     for root in order:
-        if root in saturated:
+        bit = 1 << root
+        if saturated & bit:
             continue
-        # one iterator over sorted neighbors per vertex on the walk; the
-        # walk resumes a vertex's scan once everything below it is done
-        stack = [iter(sorted(adjacency[root]))]
+        free_roots = roots_mask & ~bit
+        # one iterator over the ascending neighbors per vertex on the
+        # walk; the walk resumes a vertex's scan once everything below
+        # it is done
+        stack = [_bits(adjacency[root])]
         while stack:
             for v in stack[-1]:
-                if v in saturated:
+                if saturated >> v & 1:
                     continue
-                w = next((w for w in sorted(adjacency[v] & roots)
-                          if w != root and w not in saturated), None)
-                if w is None:
+                # the first other root still unsaturated
+                near = adjacency[v] & free_roots & ~saturated
+                if not near:
                     continue
-                saturated.update((v, w))
+                low = near & -near
+                w = low.bit_length() - 1
+                saturated |= 1 << v | low
                 up_edges.append((v, w))
-                stack.append(iter(sorted(adjacency[w])))
+                stack.append(_bits(adjacency[w]))
                 break
             else:
                 stack.pop()
     # each up edge once; the constructor checks every edge
     combined = Matching(split.graph, [*up_edges, *split.m_down.edges])
-    produced = konig_vertices(combined)
-    if produced != split.cover:
+    if _konig_mask(combined) != _mask(split.cover):
         raise RoundTripFailed(
             f"expected cover {sorted(split.cover)}, procedure gave "
-            f"{sorted(produced)}")
+            f"{sorted(konig_vertices(combined))}")
     return combined

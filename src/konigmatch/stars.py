@@ -33,8 +33,8 @@ from .errors import (
     NotMinimumCover,
     RoundTripFailed,
 )
-from .graph import BipartiteGraph, connected_components
-from .konig import _alternating_closure, is_minimum_cover, konig_vertices
+from .graph import BipartiteGraph, _mask, connected_components
+from .konig import _alternating_closure, _konig_mask, is_minimum_cover
 from .matching import Matching, is_maximal
 from .oracle import OracleBudget, all_minimum_covers, iter_maximal_matchings
 from .reverse import split_by_cover
@@ -122,20 +122,25 @@ def maximal_witness(g: BipartiteGraph,
     checked on the whole graph; a failed check raises ``RoundTripFailed``.
     """
     split = split_by_cover(g, cover)
+    adjacency = g._adjacency
+    roots = _mask(split.up_roots)
     edges = set(split.m_down.edges)
     for comp in connected_components(g, split.cover ^ g.u_side):
-        comp_roots = comp.vertices & split.up_roots
+        comp_roots = roots & _mask(comp.vertices)
+        size = len(comp.vertices)
         for m in iter_maximal_matchings(comp, budget):
             partner = m._partner
-            free = [u for u in comp_roots if u not in partner]
-            if len(_alternating_closure(comp._adjacency, partner, free)) \
-                    == len(comp.vertices):
+            # the closure reads the parent's neighbour masks at U \ C
+            # only, whose neighbours all lie in the component
+            free = comp_roots & ~_mask(partner)
+            if _alternating_closure(adjacency, partner,
+                                    free).bit_count() == size:
                 edges |= m.edges
                 break
         else:
             return None
     witness = Matching(g, edges)
-    if not is_maximal(witness) or konig_vertices(witness) != split.cover:
+    if not is_maximal(witness) or _konig_mask(witness) != _mask(split.cover):
         raise RoundTripFailed(
             f"witness {sorted(witness.edges)} is not maximal or does not "
             f"give cover {sorted(split.cover)}")

@@ -10,17 +10,22 @@ dropped before the next graph: ``minimum_covers`` (the oracle's),
 itself keeps the edges of its one maximum matching, searched from the
 empty matching when the corpus is built, so the checks that read it
 call ``maximum_matching(record.graph)``, and classification reads it
-through ``classify_matching``.  A check reads
-K(M) with ``konig_vertices(m)``, which a matching computes once and
-keeps, so checks that share a matching share its K(M), and a check
-reads it only where it compares it.  A check with one case per element
+through ``classify_matching``.  A check reads K(M) as a vertex mask
+(an int with bit v for vertex v) with ``konig._konig_mask(m)``, which a
+matching computes once and keeps, so checks that share a matching share
+its K(M), and a check reads it only where it compares it.  The checks
+compare masks: surjectivity holds the reached K(M) against the oracle's
+covers as masks, the cycle fibers and the reverse round trip compare
+K(M) masks, the one-endpoint check tests each matched edge (u, v) as
+``(k >> u ^ k >> v) & 1``, and minimality runs the mask tests of
+``konig`` on K(M).  A check with one case per element
 (a matched edge, a vertex outside a structure, a pair of meeting paths)
 counts its elements without a ``SweepResult.check`` call each and builds
 a message only for an element that fails.  The path-structure check
 derives no structure itself: it reads each path, the structure,
 Z(M △ P), the single-root substructure, the stranded set and the hat
-from the mask table of ``paths``, as vertex masks (ints with bit v for
-vertex v), and only compares them.  It holds K(M) and K(M △ P) as
+from the mask table of ``paths``, as vertex masks, and only compares
+them.  It holds K(M) and K(M △ P) as
 vertex masks and each path's edges as an edge mask; it compares
 cardinalities by popcount, counts the vertices outside a structure as
 the vertex count less the structure's popcount, and walks a mask's bits
@@ -55,8 +60,8 @@ from functools import cached_property, partial
 from operator import itemgetter
 
 from .corpus import cached_corpus
-from .graph import BipartiteGraph
-from .konig import is_minimal_cover, konig_cover, konig_vertices
+from .graph import BipartiteGraph, _bits, _covers, _irredundant, _mask
+from .konig import _konig_mask, konig_cover
 from .matching import Matching, is_maximal, matching_number, maximum_matching
 from .oracle import (
     OracleBudget,
@@ -66,8 +71,6 @@ from .oracle import (
     hall_condition,
 )
 from .paths import (
-    _bits,
-    _mask,
     _PathMasks,
     classify_matching,
     verify_classification_witness,
@@ -283,6 +286,7 @@ def _reverse_round_trip(seed: int, record: GraphRecord,
     g = record.graph
     rng = random.Random(f"{seed}:{record.index}")
     for cover in sorted(record.minimum_covers, key=sorted):
+        cover_mask = _mask(cover)
         orders = [None]
         roots = sorted(g.u_side - cover)
         for _ in range(SAMPLED_ORDERS):
@@ -300,10 +304,10 @@ def _reverse_round_trip(seed: int, record: GraphRecord,
                              lambda: f"{_describe(g)} cover {sorted(cover)} "
                                      f"order {order}: {exc!r}")
                 continue
-            produced = konig_vertices(m)
-            result.check(produced == cover,
+            produced = _konig_mask(m)
+            result.check(produced == cover_mask,
                          lambda: f"{_describe(g)} cover {sorted(cover)} "
-                                 f"order {order}: got {sorted(produced)}")
+                                 f"order {order}: got {list(_bits(produced))}")
 
 
 def sweep_surjectivity(max_vertices: int = 8,
@@ -317,11 +321,13 @@ def _surjectivity(record: GraphRecord, result: SweepResult) -> None:
     g = record.graph
     # K(M) always covers, so it is minimum iff it has ν(G) vertices
     nu = matching_number(g)
-    reached = {k for k in map(konig_vertices, record.matchings)
-               if len(k) == nu}
-    result.check(reached == record.minimum_covers,
+    reached = {k for k in map(_konig_mask, record.matchings)
+               if k.bit_count() == nu}
+    oracle = set(map(_mask, record.minimum_covers))
+    result.check(reached == oracle,
                  lambda: f"{_describe(g)}: reached "
-                         f"{sorted(map(sorted, reached))} != oracle "
+                         f"{sorted(list(_bits(k)) for k in reached)} != "
+                         "oracle "
                          f"{sorted(map(sorted, record.minimum_covers))}")
 
 
@@ -353,7 +359,7 @@ def _cycle_fibers(record: GraphRecord, result: SweepResult) -> None:
         # K(M) is never read
         for i, m1 in enumerate(group):
             for m2 in group[i + 1:]:
-                result.check(konig_vertices(m1) == konig_vertices(m2),
+                result.check(_konig_mask(m1) == _konig_mask(m2),
                              lambda: f"{_describe(g)}: {sorted(m1.edges)} vs "
                                      f"{sorted(m2.edges)} give "
                                      "different covers")
@@ -370,16 +376,16 @@ def _one_endpoint_and_minimal(record: GraphRecord,
                               result: SweepResult) -> None:
     g = record.graph
     for m in record.matchings:
-        k = konig_vertices(m)
+        k = _konig_mask(m)
         # one case per matched edge, counted at once
         result.cases += len(m.edges)
         for u, v in m.edges:
-            if (u in k) == (v in k):
+            if not (k >> u ^ k >> v) & 1:
                 result.violations.append(
                     f"{_describe(g)} {sorted(m.edges)}: "
                     f"edge ({u},{v}) not split by cover")
         if is_maximal(m):
-            result.check(is_minimal_cover(g, k),
+            result.check(_covers(g, k) and _irredundant(g, k),
                          lambda: f"{_describe(g)} {sorted(m.edges)}: "
                                  "maximal matching gave non-minimal result")
 
@@ -413,8 +419,8 @@ def sweep_path_structure_properties(max_vertices: int = 8,
 def _path_structure_properties(record: GraphRecord,
                                result: SweepResult) -> None:
     g = record.graph
-    u_side = g.u_side
-    u_mask = _mask(u_side)
+    u_mask = g.u_mask
+    u_size = len(g.u_side)
     n = len(g._adjacency)
     cases = 0  # added to the result at once
     # a bit per edge, under both orders of its ends
@@ -424,7 +430,7 @@ def _path_structure_properties(record: GraphRecord,
     for m in record.maximal_matchings:
         # every edge has one endpoint in U, so a matching as large as U
         # saturates it and leaves no root for an augmenting path
-        if len(m) == len(u_side):
+        if len(m) == u_size:
             continue
         table = _PathMasks(m)
         paths, masks = table.paths, table.masks
@@ -437,7 +443,7 @@ def _path_structure_properties(record: GraphRecord,
         # Kp: K with the M-partners of its vertices added, so a vertex
         # is in Kp iff it or its partner is in K
         matched = [1 << u | 1 << v for u, v in m.edges]
-        k_before = _mask(konig_vertices(m))
+        k_before = _konig_mask(m)
         kp_before = _with_partners(k_before, matched)
         k_size = k_before.bit_count()
         for (i, family, structure, z_after, sub, stranded, _,

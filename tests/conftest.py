@@ -25,6 +25,7 @@ from konigmatch import matching as matching_module
 from konigmatch import paths as paths_module
 from konigmatch.corpus import _is_connected
 from konigmatch.errors import BudgetExceeded, NotMinimumCover
+from konigmatch.graph import _bits, _mask
 from konigmatch.oracle import OracleBudget, all_matchings
 from konigmatch.verify import _describe
 
@@ -320,20 +321,20 @@ def reference_structures(m):
     the mask helper, kept so the tests can pin the helper, its views and
     the structure check to them.  Per augmenting path P, in enumeration
     order: the family (the paths sharing a vertex with P), its vertex
-    union, Z(M △ P) (read through ``paths._z_after``, which the fault
-    tests replace), the unsaturated V-vertices of the union outside
-    Z(M △ P), the hat's cut vertex (over the paths into P's endpoint
-    from another root, the latest along P of their first vertices on P)
-    and the hat (the union less the prefix, up to the cut, of each path
-    into P's endpoint through the cut)."""
+    union, Z(M △ P) (read as a vertex mask through ``paths._z_after``,
+    which the fault tests replace), the unsaturated V-vertices of the
+    union outside Z(M △ P), the hat's cut vertex (over the paths into
+    P's endpoint from another root, the latest along P of their first
+    vertices on P) and the hat (the union less the prefix, up to the
+    cut, of each path into P's endpoint through the cut)."""
     g = m.graph
     v_side = g.vertices - g.u_side
     paths = enumerate_augmenting_paths(m)
-    roots = m.unsaturated(g.u_side)
+    roots = _mask(m.unsaturated(g.u_side))
     for p in paths:
         family = tuple(q for q in paths if not set(p).isdisjoint(q))
         vertices = frozenset().union(*family)
-        z_after = paths_module._z_after(m, p, roots)
+        z_after = frozenset(_bits(paths_module._z_after(m, p, roots)))
         stranded = frozenset(v for v in (vertices - z_after) & v_side
                              if not m.saturates(v))
         into_end = [q for q in family if q[-1] == p[-1]]

@@ -10,8 +10,9 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from konigmatch import build_graph, cli
+from konigmatch import BipartiteGraph, build_graph, cli
 from konigmatch.cli import run
+from konigmatch.graph import MAX_VERTICES
 from konigmatch.io import (
     graph_from_json_dict,
     graph_to_json_dict,
@@ -327,6 +328,103 @@ def test_bad_input_exits_2(argv, content, tmp_path, capsys):
         argv = argv + [str(path)]
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_an_experiment_over_the_work_budget_exits_1(monkeypatch, tmp_path,
+                                                    capsys):
+    # refused when the config is built: no graph is drawn and the output
+    # file is never opened
+    monkeypatch.setattr("konigmatch.experiments.random_bipartite",
+                        lambda cfg, rng: pytest.fail("a graph was drawn"))
+    out = tmp_path / "exp.csv"
+    assert run(["experiment", "--nl", "1000", "--nr", "1000", "--p", "1",
+                "--trials", "6", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and "5000000" in line
+
+
+def test_the_experiment_help_names_the_work_budget(capsys):
+    with pytest.raises(SystemExit):
+        run(["experiment", "--help"])
+    assert "5,000,000" in " ".join(capsys.readouterr().out.split())
+
+
+def _path_file(tmp_path, vertices, fmt):
+    """A graph file holding a path on ``vertices`` vertices."""
+    names = [f"p{i}" for i in range(vertices)]
+    pairs = list(zip(names, names[1:]))
+    path = tmp_path / f"path.{fmt}"
+    if fmt == "json":
+        path.write_text(json.dumps({
+            "left": names[0::2], "right": names[1::2],
+            "edges": [[a, b] if t % 2 == 0 else [b, a]
+                      for t, (a, b) in enumerate(pairs)]}), encoding="utf-8")
+    else:
+        path.write_text("".join(f"{a} {b}\n" for a, b in pairs),
+                        encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("fmt", ["json", "txt"])
+def test_a_graph_file_over_the_vertex_budget_exits_1(fmt, tmp_path, capsys):
+    # a path one vertex over the budget: every command that reads a graph
+    # refuses it when the graph is built, before its masks are
+    graph = _path_file(tmp_path, MAX_VERTICES + 1, fmt)
+    for argv in (["match", "--graph", graph],
+                 ["cover", "--graph", graph, "--matching", "unread.json"],
+                 ["reverse", "--graph", graph, "--cover", "unread.json"],
+                 ["classify", "--graph", graph, "--matching", "unread.json"],
+                 ["starstud", "--graph", graph],
+                 ["enumerate", "--graph", graph, "--oracle", "hall"]):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "20,000 vertices" in line
+
+
+def test_a_graph_file_at_the_vertex_budget_loads(tmp_path):
+    g = cli.gio.load_graph(_path_file(tmp_path, MAX_VERTICES, "json"))
+    assert len(g.vertices) == MAX_VERTICES and len(g.edges) == MAX_VERTICES - 1
+
+
+def test_a_studded_graph_over_the_vertex_budget_exits_1(tmp_path, capsys):
+    # the studded graph has five times the base's vertices
+    graph = _path_file(tmp_path, MAX_VERTICES // 5 + 1, "json")
+    assert run(["starstud", "--graph", graph]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "20,000 vertices" in captured.err
+
+
+def test_an_experiment_over_the_vertex_budget_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr("konigmatch.experiments.random_bipartite",
+                        lambda cfg, rng: pytest.fail("a graph was drawn"))
+    assert run(["experiment", "--nl", "1", "--nr", str(MAX_VERTICES),
+                "--p", "0.5", "--trials", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "20000 vertices" in captured.err
+
+
+@pytest.mark.parametrize("command", ["match", "cover", "reverse", "classify",
+                                     "starstud", "enumerate", "experiment"])
+def test_the_help_names_the_vertex_budget(command, capsys):
+    with pytest.raises(SystemExit):
+        run([command, "--help"])
+    assert "20,000" in " ".join(capsys.readouterr().out.split())
+
+
+def test_a_graph_with_a_negative_vertex_id_exits_2(monkeypatch, capsys):
+    # the loaders number vertices densely from 0, so a negative id reaches
+    # the CLI only from a graph built directly
+    monkeypatch.setattr(cli.gio, "load_graph",
+                        lambda path: BipartiteGraph({-1}, {0}, [(-1, 0)]))
+    assert run(["match", "--graph", "unused.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: vertex id -1 is not a non-negative "
+                            "integer\n")
 
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),

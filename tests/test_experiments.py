@@ -6,8 +6,11 @@ import random
 import pytest
 
 from konigmatch import TrialConfig, TrialReport, konig_cover, run_trials
+from konigmatch.errors import BudgetExceeded
+from konigmatch.graph import MAX_VERTICES
 from konigmatch.experiments import (
     CSV_COLUMNS,
+    MAX_EDGE_TRIALS,
     MAX_POTENTIAL_EDGES,
     random_bipartite,
     random_maximal_matching,
@@ -27,12 +30,40 @@ def test_config_validation():
 
 
 def test_config_refuses_graphs_above_the_edge_cap():
-    # building a config draws nothing, so the cap is probed at its edge
-    TrialConfig(MAX_POTENTIAL_EDGES // 10, 10, 0.5, trials=1)
+    # building a config draws nothing, so the cap is probed at its edge,
+    # with sides inside the vertex budget
+    TrialConfig(MAX_POTENTIAL_EDGES // 5000, 5000, 0.5, trials=1)
     with pytest.raises(ValueError):
-        TrialConfig(MAX_POTENTIAL_EDGES // 10 + 1, 10, 0.5, trials=1)
+        TrialConfig(MAX_POTENTIAL_EDGES // 5000 + 1, 5000, 0.5, trials=1)
     with pytest.raises(ValueError):
         TrialConfig(100_000, 100_000, 0.5, trials=1)
+
+
+def test_config_refuses_runs_above_the_work_budget(monkeypatch):
+    # the budget is checked when the config is built, so no graph is
+    # ever drawn for a refused run
+    monkeypatch.setattr("konigmatch.experiments.random_bipartite",
+                        lambda cfg, rng: pytest.fail("a graph was drawn"))
+    # expected edges 1000 * 1000 * 1.0 per trial: five trials fit exactly
+    TrialConfig(1000, 1000, 1.0, trials=5)
+    with pytest.raises(BudgetExceeded, match=str(MAX_EDGE_TRIALS)):
+        TrialConfig(1000, 1000, 1.0, trials=6)
+    # one trial at the potential-edge cap with every edge drawn
+    with pytest.raises(BudgetExceeded):
+        TrialConfig(MAX_POTENTIAL_EDGES // 10, 10, 1.0, trials=1)
+    # the pinned CLI run, 10^4 trials at 20 * 20 * 0.3, fits
+    TrialConfig(20, 20, 0.3, trials=10_000)
+    with pytest.raises(BudgetExceeded):
+        TrialConfig(20, 20, 0.3, trials=10 ** 9)
+    assert MAX_EDGE_TRIALS == 5 * 10 ** 6
+
+
+def test_config_refuses_graphs_above_the_vertex_budget(monkeypatch):
+    monkeypatch.setattr("konigmatch.experiments.random_bipartite",
+                        lambda cfg, rng: pytest.fail("a graph was drawn"))
+    TrialConfig(1, MAX_VERTICES - 1, 0.5, trials=1)
+    with pytest.raises(BudgetExceeded, match=str(MAX_VERTICES)):
+        TrialConfig(1, MAX_VERTICES, 0.5, trials=1)
 
 
 def test_trials_are_reproducible():

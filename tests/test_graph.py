@@ -7,7 +7,9 @@ from konigmatch import (
     connected_components,
     induced_subgraph,
 )
+from konigmatch.graph import MAX_VERTICES
 from konigmatch.errors import (
+    BudgetExceeded,
     DuplicateVertex,
     IndexOutOfRange,
     SameSideEdge,
@@ -49,6 +51,31 @@ def test_build_graph_rejects_duplicate_labels():
 def test_build_graph_rejects_wrong_label_counts():
     with pytest.raises(IndexOutOfRange):
         build_graph(2, 1, [(0, 0)], ["only-one"], ["r"])
+
+
+@pytest.mark.parametrize("left, right, edges", [
+    ({-1}, {0}, [(-1, 0)]),
+    ({0}, {-5}, []),
+    ({"a"}, {0}, [("a", 0)]),
+    ({0}, {1.0}, [(0, 1.0)]),
+], ids=["negative-left", "negative-right", "string", "float"])
+def test_vertex_ids_must_be_non_negative_integers(left, right, edges):
+    # every vertex is a bit of the graph's masks, so its id must be a bit
+    # index; the refusal comes before any mask is built
+    with pytest.raises(IndexOutOfRange, match="non-negative integer"):
+        BipartiteGraph(left, right, edges)
+
+
+def test_vertex_ids_must_lie_below_the_vertex_budget():
+    # a neighbour mask is as wide as the highest neighbour id, so the
+    # budget bounds every mask; the highest id allowed builds
+    g = BipartiteGraph({0}, {MAX_VERTICES - 1}, [(0, MAX_VERTICES - 1)])
+    assert g.neighbors(0) == {MAX_VERTICES - 1}
+    with pytest.raises(BudgetExceeded, match=f"{MAX_VERTICES:,} vertices"):
+        BipartiteGraph({0}, {MAX_VERTICES}, [(0, MAX_VERTICES)])
+    with pytest.raises(BudgetExceeded):
+        build_graph(1, MAX_VERTICES, [])
+    assert MAX_VERTICES == 20_000
 
 
 def test_same_side_edge_rejected():

@@ -16,6 +16,7 @@ from konigmatch import (
 )
 from konigmatch.corpus import cached_corpus
 from konigmatch.errors import UnknownVertex
+from konigmatch.graph import _mask
 from konigmatch.oracle import all_matchings, all_maximal_matchings
 
 from conftest import graphs, labeled, matching_by_labels
@@ -64,8 +65,8 @@ def test_konig_layer_is_pinned_on_every_corpus_matching(monkeypatch):
     # sets one vertex short of it, each of which leaves an edge uncovered:
     # K(M) is replaced by K' so that the procedure yields K'
     short = {}
-    monkeypatch.setattr("konigmatch.konig.konig_vertices",
-                        lambda m: short["k"])
+    monkeypatch.setattr("konigmatch.konig._konig_mask",
+                        lambda m: _mask(short["k"]))
     uncovered = 0
     for g, m, full in results:
         for r in full:
@@ -133,7 +134,10 @@ def test_a_matching_walks_z_once(p4, monkeypatch):
     monkeypatch.setattr(konig, "_alternating_closure", counting)
     m = matching_by_labels(p4, [("2", "3")])
     k = konig_vertices(m)
-    assert konig_vertices(m) is k
+    # the matching keeps K(M) as a mask, and every later read returns it
+    kept = m._konig
+    assert konig._konig_mask(m) is kept == _mask(k)
+    assert konig_vertices(m) == k
     assert z_set(m) == p4.u_side ^ k == labeled(p4, "1", "2", "3", "4")
     assert konig_cover(m).vertices == k == labeled(p4, "2", "4")
     assert len(closures) == 1

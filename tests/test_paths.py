@@ -20,6 +20,7 @@ from konigmatch import paths as paths_module
 from konigmatch import verify
 from konigmatch.corpus import cached_corpus
 from konigmatch.errors import NotMaximal, PathExplosion
+from konigmatch.konig import _konig_mask
 from konigmatch.oracle import all_maximal_matchings
 from konigmatch.paths import ClassificationVerdict
 
@@ -418,7 +419,12 @@ def _drop_from_konig_vertices(monkeypatch):
         k = konig_vertices(m)
         return k - {min(k)} if m.graph is target else k
 
-    monkeypatch.setattr(verify, "konig_vertices", dropping)
+    def dropping_mask(m):
+        k = _konig_mask(m)
+        # k & (k - 1) clears the lowest bit: the smallest vertex
+        return k & (k - 1) if m.graph is target else k
+
+    monkeypatch.setattr(verify, "_konig_mask", dropping_mask)
     monkeypatch.setattr(conftest, "konig_vertices", dropping)
 
 
@@ -428,7 +434,7 @@ def _drop_from_z_after(monkeypatch):
 
     def dropping(m, p, roots):
         z = real(m, p, roots)
-        return z - {min(z, default=None)}
+        return z & (z - 1)
 
     monkeypatch.setattr(paths_module, "_z_after", dropping)
 

@@ -17,6 +17,7 @@ from konigmatch import (
 )
 from konigmatch.corpus import cached_corpus
 from konigmatch.errors import EmptyGraph, NotMinimumCover, RoundTripFailed
+from konigmatch.konig import _konig_mask
 from konigmatch.oracle import (
     OracleBudget,
     all_maximal_matchings,
@@ -159,8 +160,8 @@ def test_a_witness_giving_another_cover_raises(monkeypatch, p4):
     # the final check refuse it
     cover = labeled(p4, "1", "3")
     assert konig_vertices(maximal_witness(p4, cover)) == cover
-    monkeypatch.setattr(stars, "konig_vertices",
-                        lambda m: konig_vertices(m) - {min(cover)})
+    monkeypatch.setattr(stars, "_konig_mask",
+                        lambda m: _konig_mask(m) & ~(1 << min(cover)))
     with pytest.raises(RoundTripFailed):
         maximal_witness(p4, cover)
 

@@ -16,6 +16,8 @@ from konigmatch import (Matching, konig, konig_vertices, matching, maximize,
                         split_by_cover, verify)
 from konigmatch.cli import run
 from konigmatch.corpus import cached_corpus, connected_bipartite_graphs
+from konigmatch.graph import _mask
+from konigmatch.konig import _konig_mask
 from konigmatch.oracle import all_maximal_matchings, all_minimum_covers
 
 import conftest
@@ -68,10 +70,11 @@ def _dropped_vertex(monkeypatch):
     target = cached_corpus(6)[-1]
 
     def dropping(m):
-        k = konig_vertices(m)
-        return k - {min(k)} if m.graph is target else k
+        k = _konig_mask(m)
+        # k & (k - 1) clears the lowest bit: the smallest vertex
+        return k & (k - 1) if m.graph is target else k
 
-    monkeypatch.setattr(verify, "konig_vertices", dropping)
+    monkeypatch.setattr(verify, "_konig_mask", dropping)
 
 
 @pytest.mark.parametrize("fault", [None, _stale_split, _dropped_vertex],
@@ -340,8 +343,22 @@ class _TrackedSet(set):
     """A set that can be weakly referenced."""
 
 
-class _TrackedCover(frozenset):
-    """A K(M) that can be weakly referenced."""
+class _MaskRef:
+    """Stands in for a weak reference to a K(M) mask, which an int cannot
+    have: it returns itself until the mask is freed, then None."""
+
+    def __init__(self):
+        self.alive = True
+
+    def __call__(self):
+        return self if self.alive else None
+
+
+class _TrackedMask(int):
+    """A K(M) mask that clears its ``_MaskRef`` when it is freed."""
+
+    def __del__(self):
+        self.ref.alive = False
 
 
 def test_the_walk_keeps_nothing_across_graphs(monkeypatch):
@@ -365,14 +382,20 @@ def test_the_walk_keeps_nothing_across_graphs(monkeypatch):
             assert alive(but=g) == []
             return track(g, _kind(_real(g)))
         monkeypatch.setattr(verify, name, enumerating)
-    monkeypatch.setattr(verify, "konig_vertices", lambda m: track(
-        m.graph, _TrackedCover(konig_vertices(m))))
+    def tracked_mask(m):
+        k = _TrackedMask(_konig_mask(m))
+        k.ref = _MaskRef()
+        held.append((m.graph, k.ref))
+        kinds["_TrackedMask"] += 1
+        return k
+
+    monkeypatch.setattr(verify, "_konig_mask", tracked_mask)
     assert all(r.ok for r in verify.corpus_verify(7, jobs=1))
     assert alive() == []
     graphs = len(cached_corpus(7))
     assert kinds["_TrackedList"] == 2 * graphs
     assert kinds["_TrackedSet"] == graphs
-    assert kinds["_TrackedCover"] > graphs
+    assert kinds["_TrackedMask"] > graphs
 
 
 SINGLE_SWEEPS = [
@@ -404,8 +427,8 @@ def test_the_minimality_verdict_reads_the_records_konig_vertices(monkeypatch):
     # U-vertex, or any free vertex once U is saturated), and a cover holds
     # every neighbour of a vertex it misses: exactly the imperfect maximal
     # matchings fail, and only on minimality
-    monkeypatch.setattr(verify, "konig_vertices", lambda m: konig_vertices(m)
-                        | set(m.unsaturated(m.graph.vertices)))
+    monkeypatch.setattr(verify, "_konig_mask", lambda m: _konig_mask(m)
+                        | _mask(m.unsaturated(m.graph.vertices)))
     result = verify.sweep_one_endpoint_and_minimal(6)
     maximal = [m for g in cached_corpus(6)
                for m in all_maximal_matchings(g)]
@@ -429,7 +452,11 @@ def test_the_one_endpoint_check_reports_what_the_reference_reports(
             k = konig_vertices(m)
             return k - {min(k)} if m.graph is target else k
 
-        monkeypatch.setattr(verify, "konig_vertices", dropping)
+        def dropping_mask(m):
+            k = _konig_mask(m)
+            return k & (k - 1) if m.graph is target else k
+
+        monkeypatch.setattr(verify, "_konig_mask", dropping_mask)
         monkeypatch.setattr(conftest, "konig_vertices", dropping)
     reference = verify.SweepResult("one-endpoint-and-minimal")
     for i, g in enumerate(cached_corpus(8)):
