@@ -79,7 +79,7 @@ def _cmd_reverse(args) -> int:
     _emit({
         "matching": gio.matching_to_json(m),
         # the order reverse_konig visits the roots in by default
-        "visit_order": [g.labels[v] for v in sorted(split.up_roots)],
+        "visit_order": gio.vertex_set_to_json(g, split.up_roots),
         # reverse_konig has checked that the procedure gives back ``cover``
         "round_trip_cover": gio.vertex_set_to_json(g, cover),
         "round_trip_ok": True,
@@ -92,7 +92,8 @@ def _cmd_classify(args) -> int:
     m = gio.load_matching(g, args.matching)
     verdict = classify_matching(m)
     if verdict.is_minimum:
-        witness = {"augmenting_paths": [[g.labels[v] for v in p]
+        labels = g.labels
+        witness = {"augmenting_paths": [[labels[v] for v in p]
                                         for p in verdict.witness]}
     else:
         witness = {"smaller_cover": gio.vertex_set_to_json(g, verdict.witness)}
@@ -102,14 +103,16 @@ def _cmd_classify(args) -> int:
 
 def _cmd_starstud(args) -> int:
     h = gio.load_graph(args.graph)
+    base = h.labels
     # star labels are strings, and a graph's labels may not mix the two
-    if not all(isinstance(lab, str) for lab in h.labels.values()):
+    if not all(isinstance(lab, str) for lab in base.values()):
         raise InputError("starstud needs string vertex labels")
     ssg = star_stud(h)
+    labels = ssg.full.labels
     _emit({
         "graph": gio.graph_to_json_dict(ssg.full),
         "attachment": {
-            h.labels[v]: [ssg.full.labels[w] for w in stars]
+            base[v]: [labels[w] for w in stars]
             for v, stars in sorted(ssg.attachment.items())
         },
     })

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import IO
 
 from .errors import BudgetExceeded
-from .graph import MAX_VERTICES, BipartiteGraph, build_graph
+from .graph import MAX_VERTICES, BipartiteGraph, _edge_list, build_graph
 from .konig import konig_cover
 from .matching import Matching, maximum_matching
 
@@ -100,7 +100,7 @@ def random_maximal_matching(g: BipartiteGraph,
     """Greedy maximal matching under a uniformly random edge permutation:
     one scan of the shuffled edges adds each edge whose endpoints are
     free."""
-    order = sorted(g.edges)
+    order = _edge_list(g)  # ascending
     rng.shuffle(order)
     used: set[int] = set()
     chosen = []

@@ -15,18 +15,23 @@ and a *right* side.  ``build_graph`` normalizes inputs so that the left
 side is never larger than the right side; induced subgraphs keep their
 parent's vertex ids and side designation.
 
-The adjacency is one map from each vertex to its neighbour mask, built
-with the graph; ``neighbors(v)`` turns a mask into a frozenset for
-callers outside the package, which reads the masks themselves.
-Kőnig's procedure searches from ``u_side``, U: in each connected
-component the smaller side, ties keeping the left side; V, the other
-vertices, is never stored.  A graph never changes: ``__init__``
-computes U, as ``u_side`` and as the vertex mask ``u_mask``, and the
-other data derived from the graph (the edges of a maximum matching, the
-label index) is computed on first use and kept.  ``_covers`` and
-``_irredundant`` test a vertex mask against the neighbour masks: it
-covers every edge, and none of its vertices has its whole neighborhood
-inside it.
+The neighbour masks are the graph.  It stores one map from each vertex
+to its neighbour mask, the left side and U (below) as vertex masks, and
+the labels only when its caller gives them; everything else is derived.
+``left``, ``right``, ``vertices``, ``edges``, ``u_side`` and the default
+labels (``str(v)``) are views, sets built from the masks on every read,
+so each read costs O(n + E); they are for callers outside the package,
+which reads the masks themselves, as ``neighbors(v)`` is.  ``_edge_list``
+lists the edges in ascending order and ``_edge`` tests one vertex pair,
+through a side table indexed by vertex id (``_sides``).  Kőnig's
+procedure searches from U: in each connected component the smaller
+side, ties keeping the left side; V, the other vertices, is never
+stored.  A graph never changes: ``__init__`` computes U as the vertex
+mask ``u_mask``, and the other data derived from the graph (the edges
+of a maximum matching, the hash, the side table, the label index) is
+computed on first use and kept.  ``_covers`` and ``_irredundant`` test
+a vertex mask against the neighbour masks: it covers every edge, and
+none of its vertices has its whole neighborhood inside it.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ Edge = tuple[int, int]
 # every vertex id is below this, so a graph's neighbour masks, each as
 # wide as its highest neighbour id, take at most MAX_VERTICES**2 / 8
 # bytes (50 MB); `match` on a 20,000-vertex path file peaks at 64 MiB
-# and `reverse` at 98 MiB, and a 40,000-vertex path holds 119 MiB of
+# and `reverse` at 97 MiB, and a 40,000-vertex path holds 119 MiB of
 # masks
 MAX_VERTICES = 20_000
 
@@ -54,22 +59,27 @@ MAX_VERTICES = 20_000
 class BipartiteGraph:
     """An immutable bipartite graph with a designated left/right bipartition.
 
-    Edges are stored as ``(u, v)`` pairs with ``u`` on the left side.
-    Equality and hashing consider only the structure (sides and edges),
-    not the labels.
+    Stored: ``_adjacency``, each vertex's neighbour mask (its keys are
+    the vertices); ``left_mask`` and ``u_mask``, the left side and the U
+    side of Kőnig's procedure (see the module docstring) as vertex
+    masks; and ``_labels``, the labels the caller gave, or None.
+    Derived on every read, in O(n + E): ``left``, ``right``,
+    ``vertices``, ``u_side`` and ``edges`` (``(u, v)`` pairs with ``u``
+    on the left side) as frozensets, and ``labels``, the given labels
+    or ``str(v)`` for each vertex.  Equality and hashing consider only
+    the structure (the left mask and the neighbour masks), not the
+    labels.
 
-    ``u_side`` is the U side of Kőnig's procedure (see the module
-    docstring) and ``u_mask`` its vertex mask; ``_adjacency`` maps each
-    vertex to its neighbour mask.  ``_maximum`` and ``_by_label`` are
-    memo slots, left unset by ``__init__`` and filled on first use by
-    ``matching.maximum_matching`` and ``vertex_by_label``.  ``_maximum``
-    holds a maximum matching's edges, not the ``Matching``: a matching
-    refers to its graph, so a graph holding one would form a cycle that
-    only the cycle collector frees.
+    ``_hash``, ``_side``, ``_maximum`` and ``_by_label`` are memo slots,
+    left unset by ``__init__`` and filled on first use by ``__hash__``,
+    ``_sides``, ``matching.maximum_matching`` and ``vertex_by_label``.
+    ``_maximum`` holds a maximum matching's edges as a tuple, not the
+    ``Matching``: a matching refers to its graph, so a graph holding one
+    would form a cycle that only the cycle collector frees.
     """
 
-    __slots__ = ("left", "right", "edges", "labels", "u_side", "u_mask",
-                 "_adjacency", "_hash", "_maximum", "_by_label")
+    __slots__ = ("_adjacency", "left_mask", "u_mask", "_labels",
+                 "_hash", "_side", "_maximum", "_by_label")
 
     def __init__(
         self,
@@ -91,11 +101,8 @@ class BipartiteGraph:
                 raise IndexOutOfRange(
                     f"vertex id {v!r} is not a non-negative integer")
             adjacency[v] = 0
-        if vertices and max(vertices) >= MAX_VERTICES:
-            raise BudgetExceeded(
-                f"a graph has at most {MAX_VERTICES:,} vertices, ids 0 to "
-                f"{MAX_VERTICES - 1}; this one has id {max(vertices)}")
-        normalized = []
+        if vertices:
+            _check_budget(max(vertices))
         for a, b in edges:
             if b in left_set and a in right_set:
                 a, b = b, a
@@ -105,33 +112,63 @@ class BipartiteGraph:
                     raise SameSideEdge(
                         f"edge ({a}, {b}) joins one side to itself")
                 raise UnknownVertex(f"edge ({a}, {b}) uses unknown vertices")
-            normalized.append((a, b))
             adjacency[a] |= 1 << b
             adjacency[b] |= 1 << a
-        self.left = left_set
-        self.right = right_set
-        self.edges = frozenset(normalized)
-        if labels is None:
-            self.labels = {v: str(v) for v in vertices}
-        else:
-            self.labels = {v: labels[v] for v in vertices}
+        if labels is not None:
+            labels = {v: labels[v] for v in adjacency}
+        self._store(adjacency, _mask(left_set), labels)
+
+    @classmethod
+    def _from_masks(cls, adjacency: dict[int, int], left_mask: int,
+                    labels: dict[int, str] | None) -> BipartiteGraph:
+        """A graph on checked masks: ``adjacency`` symmetric and keyed by
+        valid ids, ``left_mask`` holding one end of every edge, and
+        ``labels`` None or keyed by those ids."""
+        g = cls.__new__(cls)
+        g._store(adjacency, left_mask, labels)
+        return g
+
+    def _store(self, adjacency: dict[int, int], left_mask: int,
+               labels: dict[int, str] | None) -> None:
         self._adjacency = adjacency
-        left_mask = _mask(left_set)
+        self.left_mask = left_mask
+        self._labels = labels
         u = 0
-        for comp in _components(adjacency, left_mask | _mask(right_set)):
+        for comp in _components(adjacency, _mask(adjacency)):
             side = comp & left_mask
             u |= side if 2 * side.bit_count() <= comp.bit_count() \
                 else comp ^ side
         self.u_mask = u
-        # U is the left side in every connected graph build_graph makes
-        self.u_side = left_set if u == left_mask else frozenset(_bits(u))
-        self._hash = hash((self.left, self.right, self.edges))
 
-    # -- basic queries -------------------------------------------------
+    # -- views: sets built from the masks on each read ----------------
+
+    @property
+    def left(self) -> frozenset[int]:
+        return frozenset(_bits(self.left_mask))
+
+    @property
+    def right(self) -> frozenset[int]:
+        return frozenset(self._adjacency).difference(_bits(self.left_mask))
 
     @property
     def vertices(self) -> frozenset[int]:
-        return self.left | self.right
+        return frozenset(self._adjacency)
+
+    @property
+    def u_side(self) -> frozenset[int]:
+        return frozenset(_bits(self.u_mask))
+
+    @property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(_edge_list(self))
+
+    @property
+    def labels(self) -> dict[int, str]:
+        """The labels given to the constructor, or ``str(v)`` for each
+        vertex when none were."""
+        return self._labels or {v: str(v) for v in self._adjacency}
+
+    # -- basic queries -------------------------------------------------
 
     def neighbors(self, v: int) -> frozenset[int]:
         """Exact adjacency set of ``v``, built from its neighbour mask."""
@@ -141,10 +178,9 @@ class BipartiteGraph:
             raise UnknownVertex(f"vertex {v} not in graph") from None
 
     def edge_key(self, a: int, b: int) -> Edge:
-        """Normalize an endpoint pair to the stored ``(left, right)`` order."""
-        if a in self.left:
-            return (a, b)
-        return (b, a)
+        """Normalize an endpoint pair to the stored ``(left, right)``
+        order; a pair that is no edge comes back as given."""
+        return _edge(self, a, b) or (a, b)
 
     def vertex_by_label(self, label: str) -> int:
         try:
@@ -162,15 +198,29 @@ class BipartiteGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BipartiteGraph):
             return NotImplemented
-        return (self.left == other.left and self.right == other.right
-                and self.edges == other.edges)
+        return (self.left_mask == other.left_mask
+                and self._adjacency == other._adjacency)
 
     def __hash__(self) -> int:
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.left_mask,
+                               frozenset(self._adjacency.items())))
+            return self._hash
 
     def __repr__(self) -> str:
         return (f"BipartiteGraph(|left|={len(self.left)}, "
                 f"|right|={len(self.right)}, |edges|={len(self.edges)})")
+
+
+def _check_budget(top: int) -> None:
+    """Refuse a graph whose highest vertex id is ``top`` or more than the
+    vertex budget allows."""
+    if top >= MAX_VERTICES:
+        raise BudgetExceeded(
+            f"a graph has at most {MAX_VERTICES:,} vertices, ids 0 to "
+            f"{MAX_VERTICES - 1}; this one has id {top}")
 
 
 def build_graph(
@@ -186,7 +236,9 @@ def build_graph(
     Left vertices get ids ``0 .. left_count-1`` and right vertices
     ``left_count .. left_count+right_count-1``.  If the left side is
     larger than the right, the side roles are swapped (ids are unchanged),
-    so the given left vertices form the result's ``right``.
+    so the given left vertices form the result's ``right``.  A graph
+    given no labels keeps none and reads ``str(v)`` for vertex ``v``; a
+    side given none, beside one given labels, is labeled so too.
     """
     if left_count < 0 or right_count < 0:
         raise IndexOutOfRange("vertex counts must be non-negative")
@@ -197,18 +249,21 @@ def build_graph(
         if not (0 <= j < right_count):
             raise IndexOutOfRange(f"right index {j} out of range")
         edge_ids.append((i, left_count + j))
-    if left_labels is None:
-        left_labels = [f"u{i}" for i in range(left_count)]
-    if right_labels is None:
-        right_labels = [f"v{j}" for j in range(right_count)]
-    if len(left_labels) != left_count or len(right_labels) != right_count:
-        raise IndexOutOfRange("label sequences must match vertex counts")
-    all_labels = list(left_labels) + list(right_labels)
-    if len(set(all_labels)) != len(all_labels):
-        raise DuplicateVertex("vertex labels must be unique")
-    labels = dict(enumerate(all_labels))
     left_ids = range(left_count)
     right_ids = range(left_count, left_count + right_count)
+    labels = None
+    if left_labels is not None or right_labels is not None:
+        if left_labels is None:
+            left_labels = list(map(str, left_ids))
+        if right_labels is None:
+            right_labels = list(map(str, right_ids))
+        if len(left_labels) != left_count or \
+                len(right_labels) != right_count:
+            raise IndexOutOfRange("label sequences must match vertex counts")
+        all_labels = list(left_labels) + list(right_labels)
+        if len(set(all_labels)) != len(all_labels):
+            raise DuplicateVertex("vertex labels must be unique")
+        labels = dict(enumerate(all_labels))
     if left_count > right_count:
         return BipartiteGraph(right_ids, left_ids, edge_ids, labels)
     return BipartiteGraph(left_ids, right_ids, edge_ids, labels)
@@ -216,18 +271,83 @@ def build_graph(
 
 def induced_subgraph(g: BipartiteGraph,
                      vertices: Iterable[int]) -> BipartiteGraph:
-    """Subgraph induced by ``vertices``, preserving parent ids and sides;
-    its ``u_side`` is its own, chosen per component of the subgraph."""
-    vset = set(vertices)
-    unknown = vset - g.vertices
+    """Subgraph induced by ``vertices``, preserving parent ids, sides and
+    labels: each neighbour mask cut to ``vertices``.  Its U side is its
+    own, chosen per component of the subgraph."""
+    within = _known_mask(g, vertices)
+    adjacency = g._adjacency
+    labels = g._labels
+    kept = list(_bits(within))
+    return BipartiteGraph._from_masks(
+        {v: adjacency[v] & within for v in kept}, g.left_mask & within,
+        None if labels is None else {v: labels[v] for v in kept})
+
+
+def _known_mask(g: BipartiteGraph, vertices: Iterable[int]) -> int:
+    """``vertices`` as a vertex mask; an element that is no vertex id of
+    ``g`` (absent, or not an int, such as 2.0, which equals the id 2)
+    raises ``UnknownVertex``."""
+    adjacency = g._adjacency
+    mask = 0
+    unknown = []
+    for v in set(vertices):
+        if isinstance(v, int) and v in adjacency:
+            mask |= 1 << v
+        else:
+            unknown.append(v)
     if unknown:
         raise UnknownVertex(f"vertices not in graph: {sorted(unknown)}")
-    return BipartiteGraph(
-        g.left & vset,
-        g.right & vset,
-        {(u, v) for (u, v) in g.edges if u in vset and v in vset},
-        g.labels,
-    )
+    return mask
+
+
+def _sides(g: BipartiteGraph) -> bytes:
+    """The side table of ``g``: byte v is 1 at a left vertex v and 0 at
+    a right vertex or at an id that is no vertex; built on first use and
+    kept."""
+    try:
+        return g._side
+    except AttributeError:
+        side = bytearray(max(g._adjacency, default=-1) + 1)
+        for v in _bits(g.left_mask):
+            side[v] = 1
+        g._side = bytes(side)
+        return g._side
+
+
+def _edge(g: BipartiteGraph, a: object, b: object) -> Edge | None:
+    """The stored edge ``(left, right)`` joining ``a`` and ``b``, or None
+    if they are no edge's ends.  Ids that are no vertices of ``g`` (not
+    ints, negative, absent) are no edge's ends: the side table refuses a
+    non-int or a too-large id, and the neighbour masks a negative or an
+    absent one."""
+    side = _sides(g)
+    try:
+        if side[a]:
+            edge = g._adjacency[a] >> b & 1
+        else:
+            a, b = b, a
+            edge = side[a] and g._adjacency[a] >> b & 1
+    except (IndexError, KeyError, TypeError, ValueError):
+        edge = 0
+    return (a, b) if edge else None
+
+
+def _edge_list(g: BipartiteGraph) -> list[Edge]:
+    """The edges of ``g`` as ``(left, right)`` pairs, in ascending order,
+    read off the left vertices' neighbour masks."""
+    adjacency = g._adjacency
+    edges = []
+    left = g.left_mask
+    while left:
+        low = left & -left
+        left ^= low
+        u = low.bit_length() - 1
+        near = adjacency[u]
+        while near:
+            bit = near & -near
+            near ^= bit
+            edges.append((u, bit.bit_length() - 1))
+    return edges
 
 
 def _mask(vertices: Iterable[int]) -> int:
@@ -298,9 +418,5 @@ def connected_components(g: BipartiteGraph,
     """The components, by least vertex, of the subgraph on ``vertices``,
     walked on ``g``'s neighbour masks: only they are built.  A vertex not
     in ``g`` raises ``UnknownVertex``."""
-    vset = set(vertices)
-    unknown = vset - g.vertices
-    if unknown:
-        raise UnknownVertex(f"vertices not in graph: {sorted(unknown)}")
-    return [induced_subgraph(g, _bits(comp))
-            for comp in _components(g._adjacency, _mask(vset))]
+    return [induced_subgraph(g, _bits(comp)) for comp in
+            _components(g._adjacency, _known_mask(g, vertices))]

@@ -125,10 +125,11 @@ def load_graph(path: str) -> BipartiteGraph:
 
 
 def graph_to_json_dict(g: BipartiteGraph) -> dict:
+    labels = g.labels
     return {
-        "left": [g.labels[v] for v in sorted(g.left)],
-        "right": [g.labels[v] for v in sorted(g.right)],
-        "edges": [[g.labels[u], g.labels[v]] for u, v in sorted(g.edges)],
+        "left": [labels[v] for v in sorted(g.left)],
+        "right": [labels[v] for v in sorted(g.right)],
+        "edges": [[labels[u], labels[v]] for u, v in sorted(g.edges)],
     }
 
 
@@ -157,8 +158,8 @@ def load_matching(g: BipartiteGraph, path: str) -> Matching:
 
 
 def matching_to_json(m: Matching) -> list:
-    g = m.graph
-    return [[g.labels[u], g.labels[v]] for u, v in sorted(m.edges)]
+    labels = m.graph.labels
+    return [[labels[u], labels[v]] for u, v in sorted(m.edges)]
 
 
 def load_vertex_set(g: BipartiteGraph, path: str) -> frozenset[int]:
@@ -167,4 +168,5 @@ def load_vertex_set(g: BipartiteGraph, path: str) -> frozenset[int]:
 
 
 def vertex_set_to_json(g: BipartiteGraph, vertices: Iterable[int]) -> list:
-    return [g.labels[v] for v in sorted(vertices)]
+    labels = g.labels
+    return [labels[v] for v in sorted(vertices)]

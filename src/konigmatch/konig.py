@@ -26,8 +26,14 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .errors import UnknownVertex
-from .graph import BipartiteGraph, _bits, _covers, _irredundant, _mask
+from .graph import (
+    BipartiteGraph,
+    _bits,
+    _covers,
+    _irredundant,
+    _known_mask,
+    _mask,
+)
 from .matching import Matching, matching_number
 
 
@@ -90,24 +96,15 @@ def _alternating_closure(adjacency: dict[int, int], partner: dict[int, int],
     return z
 
 
-def _checked_mask(g: BipartiteGraph, s: Iterable[int]) -> int:
-    """The vertex set ``s`` of ``g`` as a vertex mask; a vertex not in
-    ``g`` raises ``UnknownVertex``."""
-    sset = frozenset(s)
-    if not sset <= g.vertices:
-        raise UnknownVertex("cover candidate uses unknown vertices")
-    return _mask(sset)
-
-
 def is_vertex_cover(g: BipartiteGraph, s: Iterable[int]) -> bool:
     """True iff every edge has at least one endpoint in ``s``."""
-    return _covers(g, _checked_mask(g, s))
+    return _covers(g, _known_mask(g, s))
 
 
 def is_minimal_cover(g: BipartiteGraph, s: Iterable[int]) -> bool:
     """True iff ``s`` covers and no single vertex can be dropped; a set
     that does not cover gives False."""
-    mask = _checked_mask(g, s)
+    mask = _known_mask(g, s)
     return _covers(g, mask) and _irredundant(g, mask)
 
 
@@ -117,7 +114,7 @@ def is_minimum_cover(g: BipartiteGraph, s: Iterable[int]) -> bool:
     The matching size is the polynomial certificate of minimality for
     bipartite graphs, so no enumeration is needed.
     """
-    mask = _checked_mask(g, s)
+    mask = _known_mask(g, s)
     return _covers(g, mask) and mask.bit_count() == matching_number(g)
 
 

@@ -2,7 +2,10 @@
 
 Everything here is a pure function over immutable values; a matching
 never mutates after construction.  A matching records its graph, so
-functions take the matching alone and read the graph from it.  An
+functions take the matching alone and read the graph from it.  The
+constructor tests each edge on the graph's neighbour masks, orienting
+it by the graph's side table, so an endpoint that is no vertex id
+(negative, not an int) names no edge.  An
 augmenting path is a plain tuple of vertex ids; ``maximize`` flips each
 path it finds into a new ``Matching``, whose constructor checks the
 result, and ``paths.is_augmenting_path`` judges a path given from
@@ -30,7 +33,7 @@ from collections import deque
 from collections.abc import Iterable, Sequence
 
 from .errors import InvalidMatching
-from .graph import BipartiteGraph, Edge, _covers, _mask
+from .graph import BipartiteGraph, Edge, _bits, _covers, _mask, _sides
 
 
 class Matching:
@@ -39,19 +42,31 @@ class Matching:
     __slots__ = ("graph", "edges", "_partner", "_konig")
 
     def __init__(self, graph: BipartiteGraph, edges: Iterable[Edge]):
-        normalized = set()
-        for a, b in edges:
-            e = graph.edge_key(a, b)
-            # an unknown vertex makes a key that is not a stored edge
-            if e not in graph.edges:
-                raise InvalidMatching(f"edge {e} not in host graph")
-            normalized.add(e)
+        # graph._edge's test, inlined: this loop is the hot path of
+        # maximize, which checks every M △ P it builds
+        side = _sides(graph)
+        adjacency = graph._adjacency
+        normalized = []
         partner: dict[int, int] = {}
-        for u, v in normalized:
-            if u in partner or v in partner:
-                raise InvalidMatching(f"edge ({u}, {v}) shares an endpoint")
-            partner[u] = v
-            partner[v] = u
+        for a, b in edges:
+            try:
+                if side[a]:
+                    edge = adjacency[a] >> b & 1
+                else:
+                    a, b = b, a
+                    edge = side[a] and adjacency[a] >> b & 1
+            except (IndexError, KeyError, TypeError, ValueError):
+                # an id that is no vertex (not an int, negative, absent)
+                edge = 0
+            if not edge:
+                raise InvalidMatching(f"edge {(a, b)!r} not in host graph")
+            if a in partner or b in partner:
+                if partner.get(a) == b:  # the same edge again
+                    continue
+                raise InvalidMatching(f"edge ({a}, {b}) shares an endpoint")
+            partner[a] = b
+            partner[b] = a
+            normalized.append((a, b))
         self.graph = graph
         self.edges = frozenset(normalized)
         self._partner = partner
@@ -62,11 +77,11 @@ class Matching:
                    edges: Sequence[Edge]) -> Matching:
         """A matching built without validation.
 
-        Precondition: ``edges`` are stored edge keys of ``graph`` (the
-        ``(left, right)`` tuples in ``graph.edges``) and no two of them
-        share an endpoint.  Only for callers that guarantee this by
-        construction, such as enumerators and the edges of a checked
-        matching; everything else goes through ``Matching(...)``.
+        Precondition: ``edges`` are edges of ``graph`` as ``(left,
+        right)`` tuples and no two of them share an endpoint.  Only for
+        callers that guarantee this by construction, such as enumerators
+        and the edges of a checked matching; everything else goes
+        through ``Matching(...)``.
         """
         partner: dict[int, int] = {}
         for u, v in edges:
@@ -124,7 +139,7 @@ def maximize(m: Matching) -> Matching:
     """
     g = m.graph
     adjacency = g._adjacency
-    for start in m.unsaturated(g.left):
+    for start in m.unsaturated(_bits(g.left_mask)):
         parent: dict[int, int] = {start: -1}
         queue = deque([start])
         end = None
@@ -151,9 +166,12 @@ def maximize(m: Matching) -> Matching:
             path = [end]
             while path[-1] != start:
                 path.append(parent[path[-1]])
+            # the path runs from a right end to the left start, so its
+            # odd places are its left vertices
+            lefts, rights = path[1::2], path[0::2]
             # the constructor re-checks M △ P, so a faulty search raises
             m = Matching(g, m.edges.symmetric_difference(
-                map(g.edge_key, path, path[1:])))
+                [*zip(lefts, rights), *zip(lefts, rights[1:])]))
     return m
 
 
@@ -171,7 +189,7 @@ def maximum_matching(g: BipartiteGraph,
         elif start.graph is not g:
             raise InvalidMatching("start is a matching of another graph")
         m = maximize(start)
-        g._maximum = m.edges
+        g._maximum = tuple(m.edges)
         return m
     return Matching._unchecked(g, edges)
 

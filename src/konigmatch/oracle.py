@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 
 from .errors import BudgetExceeded
-from .graph import BipartiteGraph, _bits
+from .graph import BipartiteGraph, _bits, _edge_list, _mask
 from .matching import Matching
 
 
@@ -47,9 +47,9 @@ class OracleBudget:
 
 
 def _check_vertex_budget(g: BipartiteGraph, b: OracleBudget) -> None:
-    if len(g.vertices) > b.max_vertices:
-        raise BudgetExceeded(
-            f"{len(g.vertices)} vertices exceeds budget {b.max_vertices}")
+    n = len(g._adjacency)
+    if n > b.max_vertices:
+        raise BudgetExceeded(f"{n} vertices exceeds budget {b.max_vertices}")
 
 
 def all_minimum_covers(g: BipartiteGraph,
@@ -75,14 +75,13 @@ def all_minimum_covers(g: BipartiteGraph,
     """
     b = b or OracleBudget()
     _check_vertex_budget(g, b)
-    edges = sorted(g.edges)
     near = g._adjacency
     # per edge: its endpoints' bitmask, and the branching endpoint's bit
     # and neighbour bitmask
     plan = []
     k = 0  # grows to the size of a greedy matching: the starting level
     matched = 0
-    for u, v in edges:
+    for u, v in _edge_list(g):
         mask = (1 << u) | (1 << v)
         x = v if near[v].bit_count() > near[u].bit_count() else u
         plan.append((mask, 1 << x, near[x]))
@@ -130,7 +129,7 @@ def _maximal_matchings(g: BipartiteGraph,
     ``BudgetExceeded`` once the visited nodes exceed ``max_steps``; the
     walk advances only as far as the caller draws.
     """
-    edges = sorted(g.edges)
+    edges = _edge_list(g)
     last: dict[int, int] = {}  # vertex -> index of its last edge
     for i, (u, v) in enumerate(edges):
         last[u] = last[v] = i
@@ -185,9 +184,9 @@ def all_matchings(g: BipartiteGraph,
     """
     b = b or OracleBudget()
     _check_vertex_budget(g, b)
-    edges = sorted(g.edges)
+    edges = _edge_list(g)
     every = (1 << len(edges)) - 1
-    incident = dict.fromkeys(g.vertices, 0)  # vertex -> its edges' bits
+    incident = dict.fromkeys(g._adjacency, 0)  # vertex -> its edges' bits
     for i, (u, v) in enumerate(edges):
         incident[u] |= 1 << i
         incident[v] |= 1 << i
@@ -247,8 +246,9 @@ def hall_condition(g: BipartiteGraph,
     _check_vertex_budget(g, b)
     verdicts = []
     adjacency = g._adjacency
-    for side in (g.left, g.right):
-        near = [adjacency[x] for x in sorted(side)]
+    left = g.left_mask
+    for side in (left, _mask(adjacency) ^ left):
+        near = [adjacency[x] for x in _bits(side)]
         if 2 ** len(near) > b.max_subsets:
             raise BudgetExceeded("Hall subset scan exceeds budget")
         for w in chain.from_iterable(combinations(near, size)

@@ -46,7 +46,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .errors import NotMaximal, PathExplosion
-from .graph import _bits, _covers, _mask
+from .graph import _bits, _covers, _edge, _mask
 from .konig import (
     _alternating_closure,
     _konig_mask,
@@ -120,8 +120,8 @@ def is_augmenting_path(m: Matching, path: Sequence[int]) -> bool:
     # unsaturated ends put the first and last edges outside M, so
     # alternation also gives an odd edge count
     for i, (a, b) in enumerate(zip(path, path[1:])):
-        e = g.edge_key(a, b)
-        if e not in g.edges or (e in m.edges) != (i % 2 == 1):
+        e = _edge(g, a, b)
+        if e is None or (e in m.edges) != (i % 2 == 1):
             return False
     return True
 
@@ -140,7 +140,7 @@ def enumerate_augmenting_paths(m: Matching) -> list[tuple[int, ...]]:
     found: list[tuple[int, ...]] = []
     # each U-vertex's neighbours, listed once per call
     ordered: dict[int, list[int]] = {}
-    for u in m.unsaturated(m.graph.u_side):
+    for u in m.unsaturated(_bits(m.graph.u_mask)):
         path = [u]
         on_path = {u}
         # one iterator over the ascending neighbours of each U-vertex on
@@ -297,7 +297,7 @@ def classify_matching(m: Matching) -> ClassificationVerdict:
     if len(star) < _konig_mask(m).bit_count():
         return ClassificationVerdict(False, konig_vertices(star))
     paths = []
-    for u in m.unsaturated(m.graph.left):
+    for u in m.unsaturated(_bits(m.graph.left_mask)):
         v = star.partner(u)
         walk = [u, v]
         while v is not None and m.saturates(v):
@@ -322,7 +322,8 @@ def verify_classification_witness(m: Matching,
     k = _konig_mask(m)
     witness = verdict.witness
     if not verdict.is_minimum:
-        return (isinstance(witness, frozenset) and witness <= g.vertices
+        return (isinstance(witness, frozenset)
+                and witness <= g._adjacency.keys()
                 and is_vertex_cover(g, witness)
                 and len(witness) < k.bit_count())
     if not isinstance(witness, tuple):

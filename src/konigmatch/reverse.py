@@ -55,7 +55,7 @@ def split_by_cover(g: BipartiteGraph,
                    c: VertexCover | Iterable[int]) -> CoverSplit:
     """Split ``g`` along a minimum cover and match its down part.
 
-    U here is ``g.u_side`` (the smaller side per component), matching
+    U here is ``g.u_mask`` (the smaller side per component), matching
     the convention ``konig_cover`` uses, so the round trip is consistent.
     A cover that is not minimum raises ``NotMinimumCover``.  ``m_down``
     follows ``g``'s kept M*, empty-start on a ``cached_corpus`` graph.
@@ -63,14 +63,15 @@ def split_by_cover(g: BipartiteGraph,
     cset = frozenset(c)
     if not is_minimum_cover(g, cset):
         raise NotMinimumCover("input set is not a minimum vertex cover")
-    u_side = g.u_side
+    u_mask = g.u_mask
+    down = u_mask & _mask(cset)  # U ∩ C
     # the cover holds one end of each maximum-matching edge, and each of
-    # its vertices is matched, so these edges saturate U ∩ C and their
-    # V-ends lie outside C
+    # its vertices is matched, so the edges with an end in U ∩ C (their
+    # U-end: an edge has one) saturate it, and their V-ends lie outside C
     m_down = Matching._unchecked(g, [
         (a, b) for a, b in maximum_matching(g).edges
-        if (a if a in u_side else b) in cset])
-    return CoverSplit(g, cset, u_side - cset, m_down)
+        if (down >> a | down >> b) & 1])
+    return CoverSplit(g, cset, frozenset(_bits(u_mask & ~down)), m_down)
 
 
 def reverse_konig(split: CoverSplit,

@@ -33,7 +33,14 @@ from .errors import (
     NotMinimumCover,
     RoundTripFailed,
 )
-from .graph import BipartiteGraph, _mask, connected_components
+from .graph import (
+    BipartiteGraph,
+    _bits,
+    _check_budget,
+    _mask,
+    _sides,
+    connected_components,
+)
 from .konig import _alternating_closure, _konig_mask, is_minimum_cover
 from .matching import Matching, is_maximal
 from .oracle import OracleBudget, all_minimum_covers, iter_maximal_matchings
@@ -60,22 +67,27 @@ def star_stud(h: BipartiteGraph) -> StarStuddedGraph:
     New vertices get ids after the base ids, in ascending base-vertex
     order, center first then the three leaves, so the labeling is
     reproducible.  A star label equal to a label already given (base
-    labels ``a`` and ``a*c``) raises ``DuplicateVertex``.
+    labels ``a`` and ``a*c``) raises ``DuplicateVertex``; a highest id
+    past the vertex budget raises ``BudgetExceeded`` before any star is
+    built.  The studded graph is built on neighbour masks: each base
+    mask gains its center, and each star's masks are written whole.
     """
-    if not h.left or not h.right:
+    base = h._adjacency
+    left_mask = h.left_mask
+    side = _sides(h)
+    if not left_mask or left_mask == _mask(base):
         raise EmptyGraph("base graph needs both sides nonempty")
-    next_id = max(h.vertices) + 1
-    left = set(h.left)
-    right = set(h.right)
-    edges = set(h.edges)
+    next_id = max(base) + 1
+    _check_budget(next_id + 4 * len(base) - 1)
+    adjacency = dict(base)
     labels = dict(h.labels)
     taken = set(labels.values())
     attachment: dict[int, tuple[int, int, int, int]] = {}
-    for v in sorted(h.vertices):
+    for v in sorted(base):
         center = next_id
         leaves = (next_id + 1, next_id + 2, next_id + 3)
         next_id += 4
-        base_label = h.labels[v]
+        base_label = labels[v]
         for w, suffix in zip((center,) + leaves, ("c", "l1", "l2", "l3")):
             label = f"{base_label}*{suffix}"
             if label in taken:
@@ -83,18 +95,18 @@ def star_stud(h: BipartiteGraph) -> StarStuddedGraph:
                     f"star label {label!r} is already a vertex label")
             taken.add(label)
             labels[w] = label
-        if v in h.left:
-            right.add(center)
-            left.update(leaves)
-            edges.add((v, center))
-            edges.update((leaf, center) for leaf in leaves)
+        # the leaves sit on v's side and the center on the other
+        leaf_mask = _mask(leaves)
+        if side[v]:
+            left_mask |= leaf_mask
         else:
-            left.add(center)
-            right.update(leaves)
-            edges.add((center, v))
-            edges.update((center, leaf) for leaf in leaves)
+            left_mask |= 1 << center
+        adjacency[v] |= 1 << center
+        adjacency[center] = 1 << v | leaf_mask
+        for leaf in leaves:
+            adjacency[leaf] = 1 << center
         attachment[v] = (center,) + leaves
-    full = BipartiteGraph(left, right, edges, labels)
+    full = BipartiteGraph._from_masks(adjacency, left_mask, labels)
     return StarStuddedGraph(h, full, attachment)
 
 
@@ -104,7 +116,7 @@ def restrict_cover(ssg: StarStuddedGraph, c) -> frozenset[int]:
     if not is_minimum_cover(ssg.full, cset):
         raise NotMinimumCover(
             "input is not a minimum cover of the studded graph")
-    return cset & ssg.base.vertices
+    return cset.intersection(ssg.base._adjacency)
 
 
 def maximal_witness(g: BipartiteGraph,
@@ -124,10 +136,12 @@ def maximal_witness(g: BipartiteGraph,
     split = split_by_cover(g, cover)
     adjacency = g._adjacency
     roots = _mask(split.up_roots)
+    cover_mask = _mask(split.cover)
     edges = set(split.m_down.edges)
-    for comp in connected_components(g, split.cover ^ g.u_side):
-        comp_roots = roots & _mask(comp.vertices)
-        size = len(comp.vertices)
+    for comp in connected_components(g, _bits(cover_mask ^ g.u_mask)):
+        within = _mask(comp._adjacency)
+        comp_roots = roots & within
+        size = len(comp._adjacency)
         for m in iter_maximal_matchings(comp, budget):
             partner = m._partner
             # the closure reads the parent's neighbour masks at U \ C
@@ -140,7 +154,7 @@ def maximal_witness(g: BipartiteGraph,
         else:
             return None
     witness = Matching(g, edges)
-    if not is_maximal(witness) or _konig_mask(witness) != _mask(split.cover):
+    if not is_maximal(witness) or _konig_mask(witness) != cover_mask:
         raise RoundTripFailed(
             f"witness {sorted(witness.edges)} is not maximal or does not "
             f"give cover {sorted(split.cover)}")

@@ -60,7 +60,14 @@ from functools import cached_property, partial
 from operator import itemgetter
 
 from .corpus import cached_corpus
-from .graph import BipartiteGraph, _bits, _covers, _irredundant, _mask
+from .graph import (
+    BipartiteGraph,
+    _bits,
+    _covers,
+    _edge_list,
+    _irredundant,
+    _mask,
+)
 from .konig import _konig_mask, konig_cover
 from .matching import Matching, is_maximal, matching_number, maximum_matching
 from .oracle import (
@@ -288,7 +295,7 @@ def _reverse_round_trip(seed: int, record: GraphRecord,
     for cover in sorted(record.minimum_covers, key=sorted):
         cover_mask = _mask(cover)
         orders = [None]
-        roots = sorted(g.u_side - cover)
+        roots = list(_bits(g.u_mask & ~cover_mask))
         for _ in range(SAMPLED_ORDERS):
             shuffled = roots[:]
             rng.shuffle(shuffled)
@@ -420,12 +427,12 @@ def _path_structure_properties(record: GraphRecord,
                                result: SweepResult) -> None:
     g = record.graph
     u_mask = g.u_mask
-    u_size = len(g.u_side)
+    u_size = u_mask.bit_count()
     n = len(g._adjacency)
     cases = 0  # added to the result at once
     # a bit per edge, under both orders of its ends
     edge_bit: dict[tuple[int, int], int] = {}
-    for k, (a, b) in enumerate(g.edges):
+    for k, (a, b) in enumerate(_edge_list(g)):
         edge_bit[a, b] = edge_bit[b, a] = 1 << k
     for m in record.maximal_matchings:
         # every edge has one endpoint in U, so a matching as large as U
@@ -538,10 +545,11 @@ def sweep_hall_consistency(max_vertices: int = 8,
 
 def _hall_consistency(record: GraphRecord, result: SweepResult) -> None:
     g = record.graph
-    mm = maximum_matching(g)
-    for side, vertices, hall in zip(("left", "right"), (g.left, g.right),
+    left = g.left_mask
+    free = _mask(g._adjacency) & ~_mask(maximum_matching(g)._partner)
+    for side, vertices, hall in zip(("left", "right"), (left, ~left),
                                     hall_condition(g)):
-        saturated = all(mm.saturates(v) for v in vertices)
+        saturated = not vertices & free
         result.check(hall == saturated,
                      lambda: f"{_describe(g)}: Hall mismatch on {side}")
 

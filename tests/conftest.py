@@ -48,13 +48,86 @@ def pytest_unconfigure(config):
 
 
 @st.composite
-def graphs(draw):
-    """Graphs with 1 to 4 vertices a side and at least one edge."""
-    nl = draw(st.integers(1, 4))
-    nr = draw(st.integers(1, 4))
+def graph_args(draw, max_side=4, min_edges=1):
+    """``build_graph``'s side counts and edges: 1 to ``max_side``
+    vertices a side and at least ``min_edges`` edges."""
+    nl = draw(st.integers(1, max_side))
+    nr = draw(st.integers(1, max_side))
     possible = [(i, j) for i in range(nl) for j in range(nr)]
-    edges = draw(st.sets(st.sampled_from(possible), min_size=1))
-    return build_graph(nl, nr, sorted(edges))
+    edges = draw(st.sets(st.sampled_from(possible), min_size=min_edges))
+    return nl, nr, sorted(edges)
+
+
+def graphs():
+    """Graphs with 1 to 4 vertices a side and at least one edge."""
+    return graph_args().map(lambda args: build_graph(*args))
+
+
+@dataclass(frozen=True)
+class Given:
+    """A graph as its constructor's input describes it, worked out from
+    that input alone: the sides, the edges as (left, right) pairs and
+    the labels.  The tests hold a graph's views, which are read off its
+    masks, against it."""
+
+    left: frozenset[int]
+    right: frozenset[int]
+    edges: frozenset[tuple[int, int]]
+    labels: dict[int, str]
+
+    @property
+    def vertices(self) -> frozenset[int]:
+        return self.left | self.right
+
+    def neighbors(self) -> dict[int, set[int]]:
+        near = {v: set() for v in self.vertices}
+        for u, v in self.edges:
+            near[u].add(v)
+            near[v].add(u)
+        return near
+
+    def components(self) -> list[frozenset[int]]:
+        """The vertex sets of the components, by least vertex, merged one
+        edge at a time."""
+        comp = {v: frozenset([v]) for v in self.vertices}
+        for u, v in self.edges:
+            merged = comp[u] | comp[v]
+            for x in merged:
+                comp[x] = merged
+        return sorted(set(comp.values()), key=min)
+
+    def u_side(self) -> frozenset[int]:
+        """Kőnig's U: in each component the smaller side, ties keeping
+        the left side."""
+        u = set()
+        for comp in self.components():
+            side = comp & self.left
+            u |= side if 2 * len(side) <= len(comp) else comp - side
+        return frozenset(u)
+
+    def induced(self, kept) -> "Given":
+        kept = frozenset(kept)
+        return Given(self.left & kept, self.right & kept,
+                     frozenset((u, v) for u, v in self.edges
+                               if u in kept and v in kept),
+                     {v: self.labels[v] for v in kept})
+
+
+def given_build(nl, nr, edges, left_labels=None, right_labels=None):
+    """What ``build_graph(nl, nr, edges, ...)`` is given, read by its
+    documented rule: left ids 0 .. nl-1, right ids after them, the side
+    roles swapped when the left side is larger, and ``str(v)`` for each
+    vertex given no label."""
+    left = frozenset(range(nl))
+    right = frozenset(range(nl, nl + nr))
+    pairs = frozenset((i, nl + j) for i, j in edges)
+    labels = {v: str(v) for v in left | right}
+    labels.update(zip(range(nl), left_labels or ()))
+    labels.update(zip(range(nl, nl + nr), right_labels or ()))
+    if nl > nr:
+        left, right = right, left
+        pairs = frozenset((b, a) for a, b in pairs)
+    return Given(left, right, pairs, labels)
 
 
 def labeled(g, *labels):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,7 +9,9 @@ from konigmatch import (
     connected_components,
     induced_subgraph,
 )
+from konigmatch.corpus import connected_bipartite_graphs
 from konigmatch.graph import MAX_VERTICES
+from konigmatch.matching import maximum_matching
 from konigmatch.errors import (
     BudgetExceeded,
     DuplicateVertex,
@@ -16,7 +20,7 @@ from konigmatch.errors import (
     UnknownVertex,
 )
 
-from conftest import labeled
+from conftest import given_build, graph_args, labeled
 
 
 def test_build_graph_assigns_dense_ids(p4):
@@ -123,6 +127,8 @@ def test_induced_subgraph_keeps_parent_ids(p4):
     assert sub.labels[p4.vertex_by_label("3")] == "3"
     with pytest.raises(UnknownVertex):
         induced_subgraph(p4, {0, 99})
+    with pytest.raises(UnknownVertex):  # 2.0 == 2, but no vertex id
+        induced_subgraph(p4, {0, 2.0})
 
 
 def test_connected_components_partition():
@@ -144,51 +150,145 @@ def test_procedure_sides_chosen_per_component():
     assert g.vertices - g.u_side == {3, 1, 2}
 
 
+def assert_views(g, ref):
+    """Every view of ``g`` equals, and has the type of, what ``ref``, its
+    constructor's input, describes."""
+    for name in ("left", "right", "vertices", "edges"):
+        view = getattr(g, name)
+        assert type(view) is frozenset
+        assert view == getattr(ref, name)
+    assert type(g.u_side) is frozenset
+    assert g.u_side == ref.u_side()
+    assert type(g.labels) is dict
+    assert g.labels == ref.labels
+
+
+# graphs possibly disconnected, with isolated vertices and with either
+# side the larger, which build_graph swaps
+SIDE_ARGS = graph_args(max_side=5, min_edges=0)
+
+
+@given(SIDE_ARGS, st.data())
+def test_the_views_read_back_the_constructor_input(args, data):
+    g = build_graph(*args)
+    ref = given_build(*args)
+    assert_views(g, ref)
+    # an induced subgraph, whose ids have gaps
+    kept = data.draw(st.sets(st.sampled_from(sorted(ref.vertices))))
+    assert_views(induced_subgraph(g, kept), ref.induced(kept))
+
+
+def test_the_views_of_a_swapped_build_read_back_its_input():
+    args = (3, 2, [(0, 0), (1, 0), (2, 1)], ["a", "b", "c"], ["d", "e"])
+    g = build_graph(*args)
+    assert g.left == {3, 4}  # the given right side
+    assert_views(g, given_build(*args))
+    assert_views(induced_subgraph(g, {0, 2, 4}),
+                 given_build(*args).induced({0, 2, 4}))
+
+
 @st.composite
-def graphs(draw):
-    """Small graphs, possibly disconnected, with isolated vertices and
-    with either side the larger."""
-    nl = draw(st.integers(1, 5))
-    nr = draw(st.integers(1, 5))
-    possible = [(i, j) for i in range(nl) for j in range(nr)]
-    edges = draw(st.sets(st.sampled_from(possible)))
-    return build_graph(nl, nr, sorted(edges))
+def structures(draw):
+    """A graph's structure: up to 6 of the ids 0..23, a side for each,
+    and a set of (left, right) edges.  Ids 8 apart collide in a small
+    set's table, so the order in which a set of them is iterated may
+    follow the order they were given in."""
+    ids = draw(st.lists(st.integers(0, 23), min_size=6, max_size=6,
+                        unique=True))
+    sides = draw(st.lists(st.sampled_from("LR-"), min_size=6, max_size=6))
+    left = [v for v, side in zip(ids, sides) if side == "L"]
+    right = [v for v, side in zip(ids, sides) if side == "R"]
+    edges = draw(st.sets(st.sampled_from(
+        [(u, v) for u in left for v in right] or [None])))
+    edges.discard(None)
+    return frozenset(left), frozenset(right), frozenset(edges)
 
 
-@given(graphs())
-def test_procedure_sides_match_the_per_component_definition(g):
-    u_side: set[int] = set()
-    v_side: set[int] = set()
-    for comp in connected_components(g, g.vertices):
-        if len(comp.left) <= len(comp.right):
-            u_side |= comp.left
-            v_side |= comp.right
-        else:
-            u_side |= comp.right
-            v_side |= comp.left
-    assert g.u_side == u_side
-    assert g.vertices - g.u_side == v_side
-
-
-def reference_components(h):
-    """The vertex sets of ``h``'s components, by least vertex, merged one
-    edge at a time."""
-    comp = {v: frozenset([v]) for v in h.vertices}
-    for u, v in h.edges:
-        merged = comp[u] | comp[v]
-        for x in merged:
-            comp[x] = merged
-    return sorted(set(comp.values()), key=min)
+@st.composite
+def inputs(draw, structure):
+    """One constructor input for ``structure``: the vertices and edges
+    in a drawn order, each edge's ends in either order, and labels of
+    any kind."""
+    left, right, edges = structure
+    pairs = [e if draw(st.booleans()) else e[::-1]
+             for e in draw(st.permutations(sorted(edges)))]
+    labels = draw(st.one_of(
+        st.none(),
+        st.builds(lambda tags: dict(zip(sorted(left | right), tags)),
+                  st.lists(st.text(max_size=2), min_size=6,
+                           max_size=6))))
+    return (draw(st.permutations(sorted(left))),
+            draw(st.permutations(sorted(right))), pairs, labels)
 
 
 @given(st.data())
-def test_components_of_a_vertex_subset_are_its_induced_subgraphs(data):
-    g = data.draw(graphs())
-    s = data.draw(st.sets(st.sampled_from(sorted(g.vertices))))
+def test_graphs_are_equal_exactly_when_their_structures_are(data):
+    first = data.draw(structures())
+    # the same structure again, or another drawn one, which may match it
+    second = first if data.draw(st.booleans()) else data.draw(structures())
+    g = BipartiteGraph(*data.draw(inputs(first)))
+    h = BipartiteGraph(*data.draw(inputs(second)))
+    # and a copy built from the masks, whose ids come in ascending order
+    copy = induced_subgraph(g, g.vertices)
+    assert copy == g and hash(copy) == hash(g)
+    assert (g == h) == (first == second)
+    if first == second:
+        assert hash(g) == hash(h)
+
+
+@given(SIDE_ARGS)
+def test_procedure_sides_match_the_per_component_definition(args):
+    g = build_graph(*args)
+    ref = given_build(*args)
+    assert g.u_side == ref.u_side()
+    assert g.vertices - g.u_side == ref.vertices - ref.u_side()
+
+
+@given(SIDE_ARGS, st.data())
+def test_components_of_a_vertex_subset_are_its_induced_subgraphs(args, data):
+    g = build_graph(*args)
+    ref = given_build(*args)
+    s = data.draw(st.sets(st.sampled_from(sorted(ref.vertices))))
     h = induced_subgraph(g, s)
     comps = connected_components(g, s)
     # a partition of s, in least-vertex order, into the components of h
-    assert [c.vertices for c in comps] == reference_components(h)
+    assert [c.vertices for c in comps] == ref.induced(s).components()
     for c in comps:
         assert c == induced_subgraph(h, c.vertices)
-        assert c.labels == {v: g.labels[v] for v in c.vertices}
+        assert c.labels == {v: ref.labels[v] for v in c.vertices}
+
+
+def holds_edges(value):
+    """Whether ``value`` is a set, or a collection holding tuples."""
+    if isinstance(value, (set, frozenset)):
+        return True
+    if isinstance(value, dict):
+        value = [*value, *value.values()]
+    return isinstance(value, (tuple, list)) and any(
+        isinstance(x, tuple) for x in value)
+
+
+def test_a_graph_stores_its_masks_and_no_sets():
+    # the graphs of the 8-vertex corpus, each with its maximum matching
+    # kept, as the corpus walk holds them
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        graphs = connected_bipartite_graphs(8)
+        for g in graphs:
+            maximum_matching(g)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # about 4 KB a graph when the sides, the edges and the labels were
+    # stored beside the masks
+    assert held / len(graphs) < 1500
+    for g in graphs:
+        for slot in BipartiteGraph.__slots__:
+            value = getattr(g, slot, None)
+            if slot == "_maximum":
+                # M*, a tuple of its edges, is the one collection of edges
+                assert type(value) is tuple
+                assert all(type(e) is tuple and len(e) == 2 for e in value)
+            else:
+                assert not holds_edges(value), slot

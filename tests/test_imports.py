@@ -69,6 +69,8 @@ def test_the_check_sees_a_third_party_import():
 UNREFERENCED_BY_DESIGN = {
     # the package reads the neighbour masks themselves
     "BipartiteGraph.neighbors": "the public view of a vertex's neighbours",
+    # the package reads U as the mask u_mask
+    "BipartiteGraph.u_side": "the public view of the procedure's U side",
     "is_enumeratively_konig_egervary": "the paper's enumerative property",
     # the walk tests K(M) as a mask, with the helpers this verdict runs
     "is_minimal_cover": "the minimality verdict for a set given from "

@@ -191,6 +191,8 @@ def test_is_vertex_cover(p4):
     assert is_vertex_cover(p4, p4.vertices)  # the whole vertex set is known
     with pytest.raises(UnknownVertex):
         is_vertex_cover(p4, {99})
+    with pytest.raises(UnknownVertex):  # 2.0 == 2, but no vertex id
+        is_vertex_cover(p4, {2.0, 1})
 
 
 def test_is_minimal_cover_requires_a_cover(p4):

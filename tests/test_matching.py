@@ -26,8 +26,13 @@ from conftest import (count_searches, flip, graphs, matching_by_labels,
 def test_matching_rejects_non_edges(p4):
     with pytest.raises(InvalidMatching):
         Matching(p4, [(0, 3)])  # 1-4 is not an edge
-    with pytest.raises(InvalidMatching):
-        Matching(p4, [(0, 99)])
+    # an endpoint that is no vertex id (absent, negative, not an int,
+    # past every id) names no edge, even where it equals one: 2.0 == 2,
+    # and 0-2 is an edge
+    for edge in [(0, 99), (0, -1), (-1, 2), (0, "x"), (0, 2.0), (2.0, 0),
+                 (2, 0.0), (0, 2 ** 70)]:
+        with pytest.raises(InvalidMatching):
+            Matching(p4, [edge])
 
 
 def test_matching_rejects_shared_endpoints(p4):
@@ -60,6 +65,12 @@ def test_alternating_path_validation(p4):
     assert is_augmenting_path(m, (0, 2, 1, 0)) is False  # 0 twice
     assert is_augmenting_path(m, ([0], 2)) is False  # [0] is no vertex
     empty = Matching(p4, ())
+    # -1 and 2.0 are no vertex ids, though 2.0 == 2 and 0-2 augments
+    assert is_augmenting_path(empty, (0, 2))
+    assert is_augmenting_path(empty, (0, -1)) is False
+    assert is_augmenting_path(empty, (0, 2.0)) is False
+    assert is_augmenting_path(empty, (3, 1))
+    assert is_augmenting_path(empty, (3, 1.0)) is False
     # two non-matching edges in a row
     assert is_augmenting_path(empty, (0, 2, 1)) is False
     # 3-4 augments the matching {1-2}, but not m, which saturates 3

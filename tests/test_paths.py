@@ -360,7 +360,8 @@ def test_classification_and_the_sweep_build_no_graphs(monkeypatch, fork,
     def no_graphs(*args, **kwargs):
         raise AssertionError("a structure graph was built")
 
-    monkeypatch.setattr(BipartiteGraph, "__init__", no_graphs)
+    # every build, by the constructor or from masks, stores its masks
+    monkeypatch.setattr(BipartiteGraph, "_store", no_graphs)
     assert not classify_matching(fork_matching).is_minimum
     assert verify.sweep_path_structure_properties(6).ok
     assert verify.sweep_classification(6).ok

@@ -341,7 +341,8 @@ def test_splitting_and_reversing_build_no_graphs(monkeypatch, fork):
     def no_graphs(*args, **kwargs):
         raise AssertionError("an up-part graph was built")
 
-    monkeypatch.setattr(BipartiteGraph, "__init__", no_graphs)
+    # every build, by the constructor or from masks, stores its masks
+    monkeypatch.setattr(BipartiteGraph, "_store", no_graphs)
     assert verify.sweep_reverse_round_trip(7, jobs=1).ok
     split = split_by_cover(fork, labeled(fork, "b1", "c1"))
     assert konig_vertices(reverse_konig(split)) == split.cover

@@ -177,13 +177,14 @@ def test_the_witness_search_needs_a_minimum_cover(p4):
 def test_the_star_studded_sweep_builds_no_up_part_graph(monkeypatch):
     cached_corpus(5)  # the base graphs, built before the count
     builds = []
-    real_init = BipartiteGraph.__init__
+    real_store = BipartiteGraph._store
 
-    def counting_init(self, *args):
+    def counting_store(self, *args):
         builds.append(self)
-        real_init(self, *args)
+        real_store(self, *args)
 
-    monkeypatch.setattr(BipartiteGraph, "__init__", counting_init)
+    # every build, by the constructor or from masks, stores its masks
+    monkeypatch.setattr(BipartiteGraph, "_store", counting_store)
     assert verify.sweep_star_studded(5).ok
     # 10 studded graphs and the 23 components of their covers' up parts;
     # building each up part too, before splitting it, made 48
