@@ -1,14 +1,20 @@
 """Randomized trials: how often does a random maximal matching on a
 random bipartite graph yield a minimum vertex cover?
 
-A trial's maximal matching is the greedy one over a seeded random edge
-order (``random_maximal_matching``).  The hit rate is reported, never
-asserted; there is no theoretical value to compare against.  Trials are
-exactly reproducible from the seed, and the minimum-cover size comes
-from the maximum matching cardinality so runs scale to hundreds of
-vertices.  That maximum matching is grown from the trial's maximal
-matching, which has at least half as many edges, so the one search a
-trial graph gets runs few augmentations.
+A trial's graph is drawn as neighbour masks (see ``graph``) and judged
+by a vertex mask.  ``random_bipartite`` draws the graph straight into
+its masks, the graph ``build_graph`` would make of the same draws as an
+edge list.  A trial's maximal matching is the greedy one over a seeded random edge
+order (``random_maximal_matching``), scanned against a table of free
+flags indexed by vertex id.  The minimum-cover size is the maximum
+matching cardinality, so runs scale to hundreds of vertices; that
+maximum matching is grown from the trial's maximal matching, which has
+at least half as many edges, so the one search a trial graph gets runs
+few augmentations.  The verdict reads K(M)'s vertex mask: its popcount
+is the cover size, and the trial hits when it covers every edge and
+its size is ν.  The hit rate is reported, never asserted; there is no
+theoretical value to compare against.  Trials are exactly reproducible
+from the seed.
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ from dataclasses import dataclass, field
 from typing import IO
 
 from .errors import BudgetExceeded
-from .graph import MAX_VERTICES, BipartiteGraph, _edge_list, build_graph
-from .konig import konig_cover
+from .graph import MAX_VERTICES, BipartiteGraph, _covers, _edge_list
+from .konig import _konig_mask
 from .matching import Matching, maximum_matching
 
 CSV_COLUMNS = ["seed", "n_left", "n_right", "p", "trial_index",
@@ -59,6 +65,8 @@ class TrialConfig:
             raise BudgetExceeded(
                 f"expected edges times trials is {work:.4g}, over the "
                 f"budget of {MAX_EDGE_TRIALS}")
+        # random_bipartite hands its masks to the graph unchecked, so
+        # this is the vertex budget's one guard on a trial graph
         if self.n_left + self.n_right > MAX_VERTICES:
             raise BudgetExceeded(
                 f"n_left + n_right is {self.n_left + self.n_right}, over "
@@ -86,34 +94,59 @@ class TrialReport:
 
 def random_bipartite(cfg: TrialConfig, rng: random.Random) -> BipartiteGraph:
     """Each potential (left, right) edge included independently with the
-    configured probability."""
+    configured probability, drawn straight into the neighbour masks.
+
+    The draws run over the left indices and, within each, the right
+    ones, one ``rng.random()`` each.  The graph is the one ``build_graph``
+    makes of the drawn index pairs: left ids ``0 .. n_left-1``, right ids
+    ``n_left .. n_left+n_right-1``, and the side roles swapped when the
+    left side is the larger.  ``TrialConfig`` has checked the vertex
+    budget, so the masks go to the graph unchecked."""
+    nl, nr = cfg.n_left, cfg.n_right
     p = cfg.edge_probability
-    edges = [(i, j)
-             for i in range(cfg.n_left)
-             for j in range(cfg.n_right)
-             if rng.random() < p]
-    return build_graph(cfg.n_left, cfg.n_right, edges)
+    draw = rng.random
+    rows = []
+    columns = [0] * nr
+    for i in range(nl):
+        bit = 1 << i
+        row = 0
+        for j in range(nr):
+            if draw() < p:
+                row |= 1 << nl + j
+                columns[j] |= bit
+        rows.append(row)
+    adjacency = dict(enumerate(rows + columns))
+    left_mask = (1 << nl) - 1
+    if nl > nr:
+        left_mask ^= (1 << nl + nr) - 1
+    return BipartiteGraph._from_masks(adjacency, left_mask, None)
 
 
 def random_maximal_matching(g: BipartiteGraph,
                             rng: random.Random) -> Matching:
     """Greedy maximal matching under a uniformly random edge permutation:
     one scan of the shuffled edges adds each edge whose endpoints are
-    free."""
+    free, read from a table of flags indexed by vertex id.  The result
+    is a validated ``Matching``."""
     order = _edge_list(g)  # ascending
     rng.shuffle(order)
-    used: set[int] = set()
+    # a list index is cheaper than a set lookup, and than a vertex mask,
+    # whose shifts allocate an int for each edge
+    free = [True] * (max(g._adjacency, default=-1) + 1)
     chosen = []
     for u, v in order:
-        if u not in used and v not in used:
+        if free[u] and free[v]:
             chosen.append((u, v))
-            used.add(u)
-            used.add(v)
+            free[u] = free[v] = False
     return Matching(g, chosen)
 
 
 def run_trials(cfg: TrialConfig, csv_out: IO[str] | None = None) -> TrialReport:
-    """Run the configured trials, optionally streaming one CSV row each."""
+    """Run the configured trials, optionally streaming one CSV row each.
+
+    A trial's verdict is read off K(M)'s vertex mask: the cover size is
+    its popcount, and it is a hit when the mask covers every edge and
+    its size is ν."""
     rng = random.Random(cfg.rng_seed)
     report = TrialReport(cfg)
     writer = None
@@ -123,11 +156,12 @@ def run_trials(cfg: TrialConfig, csv_out: IO[str] | None = None) -> TrialReport:
     for index in range(cfg.trials):
         g = random_bipartite(cfg, rng)
         m = random_maximal_matching(g, rng)
-        # the graph's one search, grown from m; konig_cover reads its size
+        # the graph's one search, grown from m
         min_size = len(maximum_matching(g, m))
-        cover = konig_cover(m)
-        excess = len(cover.vertices) - min_size
-        hit = cover.is_minimum
+        k = _konig_mask(m)
+        size = k.bit_count()
+        excess = size - min_size
+        hit = _covers(g, k) and size == min_size
         report.trials_run += 1
         report.minimum_hits += int(hit)
         report.cover_excess_total += excess
@@ -136,6 +170,5 @@ def run_trials(cfg: TrialConfig, csv_out: IO[str] | None = None) -> TrialReport:
         if writer is not None:
             writer.writerow([cfg.rng_seed, cfg.n_left, cfg.n_right,
                              cfg.edge_probability, index, len(m),
-                             len(cover.vertices), min_size,
-                             int(hit)])
+                             size, min_size, int(hit)])
     return report

@@ -239,16 +239,14 @@ def build_graph(
     so the given left vertices form the result's ``right``.  A graph
     given no labels keeps none and reads ``str(v)`` for vertex ``v``; a
     side given none, beside one given labels, is labeled so too.
+
+    The edge indices are checked as the constructor reads them, so an
+    index out of range is raised after any label error and the vertex
+    budget's ``BudgetExceeded``.
     """
     if left_count < 0 or right_count < 0:
         raise IndexOutOfRange("vertex counts must be non-negative")
-    edge_ids = []
-    for i, j in edges:
-        if not (0 <= i < left_count):
-            raise IndexOutOfRange(f"left index {i} out of range")
-        if not (0 <= j < right_count):
-            raise IndexOutOfRange(f"right index {j} out of range")
-        edge_ids.append((i, left_count + j))
+    edge_ids = _edge_ids(left_count, right_count, edges)
     left_ids = range(left_count)
     right_ids = range(left_count, left_count + right_count)
     labels = None
@@ -267,6 +265,19 @@ def build_graph(
     if left_count > right_count:
         return BipartiteGraph(right_ids, left_ids, edge_ids, labels)
     return BipartiteGraph(left_ids, right_ids, edge_ids, labels)
+
+
+def _edge_ids(left_count: int, right_count: int,
+              edges: Iterable[tuple[int, int]]) -> Iterator[Edge]:
+    """Each index pair ``(i, j)`` of ``edges`` as the id pair ``(i,
+    left_count + j)``, checked as the constructor consumes it, so no
+    list of the ids is built."""
+    for i, j in edges:
+        if not (0 <= i < left_count):
+            raise IndexOutOfRange(f"left index {i} out of range")
+        if not (0 <= j < right_count):
+            raise IndexOutOfRange(f"right index {j} out of range")
+        yield i, left_count + j
 
 
 def induced_subgraph(g: BipartiteGraph,
@@ -296,7 +307,9 @@ def _known_mask(g: BipartiteGraph, vertices: Iterable[int]) -> int:
         else:
             unknown.append(v)
     if unknown:
-        raise UnknownVertex(f"vertices not in graph: {sorted(unknown)}")
+        # by repr, as the unknown elements may not be comparable
+        raise UnknownVertex(
+            f"vertices not in graph: {sorted(unknown, key=repr)}")
     return mask
 
 

@@ -45,7 +45,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .errors import NotMaximal, PathExplosion
+from .errors import NotMaximal, PathExplosion, UnknownVertex
 from .graph import _bits, _covers, _edge, _mask
 from .konig import (
     _alternating_closure,
@@ -315,17 +315,21 @@ def verify_classification_witness(m: Matching,
     duality: |K(M)| − |M| vertex-disjoint augmenting paths of ``m`` grow
     it to |K(M)| edges, so the cover K(M) is minimum; a smaller cover
     shows it is not.  Every path is judged by ``is_augmenting_path``.  A
-    witness of the wrong shape (a cover that is not a frozenset, paths
-    that are not a tuple of tuples) is answered False, not raised on.
+    witness of the wrong shape (a cover that is not a frozenset of vertex
+    ids, paths that are not a tuple of tuples) is answered False, not
+    raised on.
     """
     g = m.graph
     k = _konig_mask(m)
     witness = verdict.witness
     if not verdict.is_minimum:
-        return (isinstance(witness, frozenset)
-                and witness <= g._adjacency.keys()
-                and is_vertex_cover(g, witness)
-                and len(witness) < k.bit_count())
+        if not isinstance(witness, frozenset):
+            return False
+        try:
+            return (is_vertex_cover(g, witness)
+                    and len(witness) < k.bit_count())
+        except UnknownVertex:  # an element that is no vertex id, as 2.0
+            return False
     if not isinstance(witness, tuple):
         return False
     used: set[int] = set()

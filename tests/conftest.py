@@ -265,6 +265,18 @@ def reference_reverse_up(split, visit_order=None):
     return Matching(up, partner.items())
 
 
+def reference_random_bipartite(cfg, rng):
+    """The trials' graph drawn as an edge list: one ``rng.random()`` per
+    potential (left, right) edge, left index outer, and the kept index
+    pairs handed to ``build_graph``."""
+    p = cfg.edge_probability
+    edges = [(i, j)
+             for i in range(cfg.n_left)
+             for j in range(cfg.n_right)
+             if rng.random() < p]
+    return build_graph(cfg.n_left, cfg.n_right, edges)
+
+
 def reference_greedy_maximal(g, edge_order):
     """One scan of ``edge_order``, a permutation of the graph's edges,
     adding each edge whose endpoints are free."""

@@ -17,7 +17,8 @@ from konigmatch.experiments import (
 )
 from konigmatch.oracle import all_minimum_covers
 
-from conftest import count_searches, reference_greedy_maximal
+from conftest import (count_searches, reference_greedy_maximal,
+                      reference_random_bipartite)
 
 
 def test_config_validation():
@@ -127,6 +128,28 @@ def test_hits_agree_with_the_brute_force_oracle():
         oracle_size = len(next(iter(all_minimum_covers(g))))
         hits += int(cover.is_cover and len(cover.vertices) == oracle_size)
     assert hits == report.minimum_hits
+
+
+def test_random_bipartite_is_the_reference_edge_list_build():
+    # the masks are drawn directly; the reference draws the same numbers
+    # into an edge list and builds the graph from it
+    swapped = 0
+    for seed in range(200):
+        setup = random.Random(seed)
+        nl, nr = setup.randint(1, 20), setup.randint(1, 20)
+        p = (0.0, 1.0, setup.random())[seed % 3]
+        cfg = TrialConfig(nl, nr, p, trials=1)
+        # a stream apart from setup's, so no draw repeats p
+        draws, reference = (random.Random(1000 + seed),
+                            random.Random(1000 + seed))
+        g = random_bipartite(cfg, draws)
+        want = reference_random_bipartite(cfg, reference)
+        assert g._adjacency == want._adjacency
+        assert (g.left_mask, g.u_mask) == (want.left_mask, want.u_mask)
+        assert g._labels is None
+        assert draws.getstate() == reference.getstate()
+        swapped += nl > nr
+    assert 50 < swapped < 150  # either side is the larger often
 
 
 def test_random_maximal_matching_is_the_reference_greedy_scan():

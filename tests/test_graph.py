@@ -57,6 +57,31 @@ def test_build_graph_rejects_wrong_label_counts():
         build_graph(2, 1, [(0, 0)], ["only-one"], ["r"])
 
 
+def test_build_graph_checks_labels_and_the_budget_before_edge_indices():
+    # the index pairs are checked as the constructor reads them, so the
+    # label and budget errors come first
+    with pytest.raises(DuplicateVertex):
+        build_graph(1, 1, [(5, 0)], ["x"], ["x"])
+    with pytest.raises(IndexOutOfRange, match="label sequences"):
+        build_graph(2, 1, [(5, 0)], ["only-one"], ["r"])
+    with pytest.raises(BudgetExceeded):
+        build_graph(1, MAX_VERTICES, [(5, 0)])
+
+
+def test_build_graph_copies_no_edge_list():
+    # a complete 300+300 graph: a list of its 90,000 id pairs peaked at
+    # 8.4 MiB, while the graph holds about 0.1 MiB of masks
+    edges = [(i, j) for i in range(300) for j in range(300)]
+    tracemalloc.start()
+    try:
+        g = build_graph(300, 300, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g._adjacency[0] == ((1 << 300) - 1) << 300
+    assert peak < 2 ** 20
+
+
 @pytest.mark.parametrize("left, right, edges", [
     ({-1}, {0}, [(-1, 0)]),
     ({0}, {-5}, []),

@@ -193,6 +193,9 @@ def test_is_vertex_cover(p4):
         is_vertex_cover(p4, {99})
     with pytest.raises(UnknownVertex):  # 2.0 == 2, but no vertex id
         is_vertex_cover(p4, {2.0, 1})
+    # unknown elements that do not compare are named all the same
+    with pytest.raises(UnknownVertex, match="'a'"):
+        is_vertex_cover(p4, {"a", None, 1})
 
 
 def test_is_minimal_cover_requires_a_cover(p4):

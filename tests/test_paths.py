@@ -189,6 +189,27 @@ def test_forged_classification_witnesses_are_rejected(fork, fork_matching):
             fork_matching, ClassificationVerdict(False, forged))
 
 
+@pytest.mark.parametrize("stranger", [2.0, "a", -1, None],
+                         ids=["float", "string", "negative", "none"])
+def test_a_cover_witness_with_no_vertex_id_is_answered_false(p4, stranger):
+    # 2.0 equals the id 2, but no vertex id is a float; {1, 2} covers p4,
+    # and "z" beside the stranger is one more element that is no id
+    m = matching_by_labels(p4, [("2", "3")])
+    for cover in [frozenset({stranger}), frozenset({1, stranger}),
+                  frozenset({1, 2, stranger}), frozenset({"z", stranger})]:
+        assert verify_classification_witness(
+            m, ClassificationVerdict(False, cover)) is False
+
+
+def test_a_float_id_in_a_smaller_cover_is_answered_false(fork, fork_matching):
+    # {b1, c1} proves K(M) not minimum; c1's id as a float proves nothing
+    b1, c1 = fork.vertex_by_label("b1"), fork.vertex_by_label("c1")
+    assert verify_classification_witness(fork_matching, ClassificationVerdict(
+        False, frozenset({b1, c1})))
+    assert verify_classification_witness(fork_matching, ClassificationVerdict(
+        False, frozenset({b1, float(c1)}))) is False
+
+
 def test_the_witness_check_judges_every_path(p4):
     # the README's path graph: K(M) = {2, 4} is minimum, proved by the
     # one path 1-2-3-4
