@@ -239,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nr", type=int, required=True, help="right vertices")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--trials", type=int, required=True,
-                   help="trials to run; the expected edges of a trial "
-                        "(nl * nr * p) times the trials may be at most "
+                   help="trials to run; nl * nr (one draw per potential "
+                        "edge) times the trials may be at most "
                         f"{MAX_EDGE_TRIALS:,} (exit 1 above it)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-")

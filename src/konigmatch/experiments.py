@@ -35,9 +35,9 @@ CSV_COLUMNS = ["seed", "n_left", "n_right", "p", "trial_index",
 # largest n_left * n_right a trial may draw edges over: ``random_bipartite``
 # draws one number per potential edge and may keep them all
 MAX_POTENTIAL_EDGES = 10 ** 7
-# largest expected edges (n_left * n_right * p) times trials a run may
-# ask for: the work budget of a whole run, checked before anything is
-# drawn; one trial at the potential-edge cap and p = 1 is refused
+# largest draws (n_left * n_right a trial, whatever p is) times trials a
+# run may ask for: the work budget of a whole run, checked before
+# anything is drawn; one trial at the potential-edge cap is refused
 MAX_EDGE_TRIALS = 5 * 10 ** 6
 
 
@@ -59,11 +59,10 @@ class TrialConfig:
         if self.n_left * self.n_right > MAX_POTENTIAL_EDGES:
             raise ValueError(
                 f"n_left * n_right must be at most {MAX_POTENTIAL_EDGES}")
-        work = (self.n_left * self.n_right * self.edge_probability
-                * self.trials)
+        work = self.n_left * self.n_right * self.trials
         if work > MAX_EDGE_TRIALS:
             raise BudgetExceeded(
-                f"expected edges times trials is {work:.4g}, over the "
+                f"potential edges times trials is {work:.4g}, over the "
                 f"budget of {MAX_EDGE_TRIALS}")
         # random_bipartite hands its masks to the graph unchecked, so
         # this is the vertex budget's one guard on a trial graph

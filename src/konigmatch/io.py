@@ -15,6 +15,7 @@ Matchings and covers serialize as JSON arrays of external labels.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from collections.abc import Iterable
 
@@ -35,6 +36,8 @@ def graph_from_json_dict(data: dict) -> BipartiteGraph:
     for lab in labels:
         if not isinstance(lab, (str, int, float)):
             raise InputError(f"vertex label {lab!r} is not a string or number")
+        if isinstance(lab, float) and not math.isfinite(lab):
+            raise InputError(f"vertex label {lab!r} is not a finite number")
     # output sorts labels and keys objects by them, where 1 and "1" collide
     if len({isinstance(lab, str) for lab in labels}) > 1:
         raise InputError("vertex labels mix strings and numbers")

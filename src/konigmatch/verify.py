@@ -1,51 +1,41 @@
-"""Corpus-wide invariant sweeps, run as per-graph checks over one walk.
+"""Invariant sweeps, run as named per-graph checks over one walk.
 
 Each check tests one theorem-backed invariant on one graph's
-``GraphRecord`` against the brute-force oracle.  ``corpus_verify`` walks
-the exhaustive connected-bipartite corpus once and runs every check on
-each graph; a ``sweep_*`` runs its one check over the same walk.  The
-record computes, once per graph, what several checks read, and is
+``GraphRecord`` against the brute-force oracle.  ``_walk`` takes a
+sequence of graphs and a table of named checks and runs every check on
+each graph.  ``corpus_verify`` walks the exhaustive connected-bipartite
+corpus once with the eight corpus checks; a ``sweep_*`` walks it with
+its one check.  The star-studded sweep is one more check, walked in the
+calling process over base graphs of at most 7 vertices: it studs each
+and checks the studded graph under its own oracle budget.  The CLI and
+acceptance tests wrap these.
+
+The record computes, once per graph, what several checks read, and is
 dropped before the next graph: ``minimum_covers`` (the oracle's),
-``matchings`` (every matching) and ``maximal_matchings``.  The graph
-itself keeps the edges of its one maximum matching, searched from the
-empty matching when the corpus is built, so the checks that read it
-call ``maximum_matching(record.graph)``, and classification reads it
-through ``classify_matching``.  A check reads K(M) as a vertex mask
-(an int with bit v for vertex v) with ``konig._konig_mask(m)``, which a
-matching computes once and keeps, so checks that share a matching share
-its K(M), and a check reads it only where it compares it.  The checks
-compare masks: surjectivity holds the reached K(M) against the oracle's
-covers as masks, the cycle fibers and the reverse round trip compare
-K(M) masks, the one-endpoint check tests each matched edge (u, v) as
-``(k >> u ^ k >> v) & 1``, and minimality runs the mask tests of
-``konig`` on K(M).  A check with one case per element
-(a matched edge, a vertex outside a structure, a pair of meeting paths)
-counts its elements without a ``SweepResult.check`` call each and builds
-a message only for an element that fails.  The path-structure check
-derives no structure itself: it reads each path, the structure,
-Z(M △ P), the single-root substructure, the stranded set and the hat
-from the mask table of ``paths``, as vertex masks, and only compares
-them.  It holds K(M) and K(M △ P) as
-vertex masks and each path's edges as an edge mask; it compares
-cardinalities by popcount, counts the vertices outside a structure as
-the vertex count less the structure's popcount, and walks a mask's bits
-only to name a failing vertex.  The CLI and acceptance tests wrap these.
+``matchings`` and ``maximal_matchings``.  The graph keeps its maximum
+matching, searched from the empty matching when the corpus is built.
+A check reads K(M) as a vertex mask (bit v for vertex v) with
+``konig._konig_mask(m)``, which a matching computes once and keeps, and
+compares masks; the path-structure check reads its paths, structures
+and stranded sets as masks from the table of ``paths``.  A check with
+one case per element (a matched edge, a vertex outside a structure, a
+pair of meeting paths) counts its elements at once and builds a message
+only for one that fails.
 
 The walk is split into ``jobs`` shards, shard k holding every jobs-th
 graph from the k-th.  The calling process walks shard 0 and ``os.fork``
-children walk the others.  A corpus graph comes with its U side and
-its maximum matching, so the children inherit both and the walk
-searches no graph.  The children send back,
-through a pipe, each check's case count and the violations of each
-graph that has any.  These are merged in corpus order, so a sweep's
-result is the same for every ``jobs``.
-``jobs=None`` means the CPUs this process may run on
-(``available_cpus``); ``jobs=1``, or a platform without ``os.fork``,
-walks in-process and starts no process.  Each graph draws its reverse
-visit orders from the seed and its corpus index alone, so every shard
-draws the orders the serial walk draws.  A test that monkeypatches the
-package to count calls sees only what the calling process runs, so a
-per-graph count needs ``jobs=1``.
+children walk the others; the caller builds the graphs first, so a
+corpus above the cap raises before any process starts.  A corpus graph
+comes with its U side and its maximum matching, so the children inherit
+both and the walk searches no graph.  Each child sends back, through a
+pipe, each check's case count and the violations of each graph that has
+any.  These are merged in the order of the graphs, so a result is the
+same for every ``jobs``.  ``jobs=None`` means the CPUs this process may
+run on (``available_cpus``); ``jobs=1``, or a platform without
+``os.fork``, starts no process.  Each graph draws its reverse visit
+orders from the seed and its index alone, so every shard draws what the
+serial walk draws.  A test that counts calls by monkeypatching sees
+only the calling process, so a per-graph count needs ``jobs=1``.
 """
 
 from __future__ import annotations
@@ -54,7 +44,7 @@ import os
 import pickle
 import random
 import signal
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from operator import itemgetter
@@ -109,7 +99,7 @@ class SweepResult:
 
 @dataclass
 class GraphRecord:
-    """One corpus graph, its index in the corpus, and what more than one
+    """One walked graph, its index in the walk, and what more than one
     check reads of it."""
 
     graph: BipartiteGraph
@@ -139,34 +129,19 @@ def available_cpus() -> int:
 _Tally = list[tuple[int, list[tuple[int, list[str]]]]]
 
 
-def _walk(max_vertices: int, names: list[str] | None = None,
-          seed: int = 0, jobs: int | None = None) -> list[SweepResult]:
-    """Run the named checks (all eight if None) in one walk of the corpus,
-    in ``jobs`` shards (see the module docstring); ``seed`` draws the
-    reverse round trip's visit orders."""
-    checks = {
-        "konig-equality": _konig_equality,
-        "reverse-round-trip": partial(_reverse_round_trip, seed),
-        "surjectivity": _surjectivity,
-        "cycle-fibers": _cycle_fibers,
-        "one-endpoint-and-minimal": _one_endpoint_and_minimal,
-        "classification": _classification,
-        "path-structure-properties": _path_structure_properties,
-        "hall-consistency": _hall_consistency,
-    }
-    names = list(names or checks)
-    # built before any fork: above the cap this raises and starts nothing
-    corpus = cached_corpus(max_vertices)
+def _walk(graphs: Sequence[BipartiteGraph], checks: dict[str, Callable],
+          jobs: int | None = None) -> list[SweepResult]:
+    """Run each named check on every graph in one walk, in ``jobs``
+    shards (see the module docstring); one result per check, in order."""
     if jobs is None:
         jobs = available_cpus()
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if not hasattr(os, "fork"):
         jobs = 1
-    # one shard at least, so an empty corpus walks to empty tallies
-    jobs = max(1, min(jobs, len(corpus)))
-    walk_shard = partial(_walk_shard, corpus, jobs,
-                         [checks[name] for name in names])
+    # one shard at least, so no graphs walk to empty tallies
+    jobs = max(1, min(jobs, len(graphs)))
+    walk_shard = partial(_walk_shard, graphs, jobs, list(checks.values()))
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
     try:
         for k in range(1, jobs):
@@ -180,7 +155,7 @@ def _walk(max_vertices: int, names: list[str] | None = None,
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     results = []
-    for name, shards in zip(names, zip(*tallies)):
+    for name, shards in zip(checks, zip(*tallies)):
         result = SweepResult(name, sum(cases for cases, _ in shards))
         for _, violations in sorted((hit for _, hits in shards
                                      for hit in hits), key=itemgetter(0)):
@@ -189,14 +164,14 @@ def _walk(max_vertices: int, names: list[str] | None = None,
     return results
 
 
-def _walk_shard(corpus: tuple[BipartiteGraph, ...], jobs: int,
+def _walk_shard(graphs: Sequence[BipartiteGraph], jobs: int,
                 checks: list[Callable], k: int) -> _Tally:
-    """Walk ``corpus[k::jobs]``: per check, its case count and the
+    """Walk ``graphs[k::jobs]``: per check, its case count and the
     ``(graph index, violations)`` of each graph that has violations."""
     cases = [0] * len(checks)
     hits: list[list] = [[] for _ in checks]
-    for index in range(k, len(corpus), jobs):
-        record = GraphRecord(corpus[index], index)
+    for index in range(k, len(graphs), jobs):
+        record = GraphRecord(graphs[index], index)
         for i, check in enumerate(checks):
             result = SweepResult("")
             check(record, result)
@@ -204,6 +179,13 @@ def _walk_shard(corpus: tuple[BipartiteGraph, ...], jobs: int,
             if result.violations:
                 hits[i].append((index, result.violations))
     return list(zip(cases, hits))
+
+
+def _sweep(max_vertices: int, name: str, jobs: int | None,
+           check: Callable | None = None) -> SweepResult:
+    """Walk the corpus with ``check``, or with the corpus check ``name``."""
+    return _walk(cached_corpus(max_vertices),
+                 {name: check or _CHECKS[name]}, jobs)[0]
 
 
 def _fork_shard(walk_shard: Callable[[int], _Tally],
@@ -260,7 +242,7 @@ def sweep_konig_equality(max_vertices: int = 8,
                          jobs: int | None = None) -> SweepResult:
     """Maximum matching size equals oracle minimum-cover size, and the
     procedure's cover from a maximum matching is minimum."""
-    return _walk(max_vertices, ["konig-equality"], jobs=jobs)[0]
+    return _sweep(max_vertices, "konig-equality", jobs)
 
 
 def _konig_equality(record: GraphRecord, result: SweepResult) -> None:
@@ -285,7 +267,8 @@ def sweep_reverse_round_trip(max_vertices: int = 8, seed: int = 0,
     a cover whose split fails is tried again, and reported, per order.
     A graph's sampled orders depend on ``seed`` and its corpus index alone.
     """
-    return _walk(max_vertices, ["reverse-round-trip"], seed, jobs)[0]
+    return _sweep(max_vertices, "reverse-round-trip", jobs,
+                  partial(_reverse_round_trip, seed))
 
 
 def _reverse_round_trip(seed: int, record: GraphRecord,
@@ -321,7 +304,7 @@ def sweep_surjectivity(max_vertices: int = 8,
                        jobs: int | None = None) -> SweepResult:
     """Kőnig's procedure over all matchings reaches exactly the oracle's
     minimum covers."""
-    return _walk(max_vertices, ["surjectivity"], jobs=jobs)[0]
+    return _sweep(max_vertices, "surjectivity", jobs)
 
 
 def _surjectivity(record: GraphRecord, result: SweepResult) -> None:
@@ -352,7 +335,7 @@ def sweep_cycle_fibers(max_vertices: int = 8,
     a vertex of such a cycle union is saturated by both, and every
     other vertex is met by the same edge in both or by none.
     """
-    return _walk(max_vertices, ["cycle-fibers"], jobs=jobs)[0]
+    return _sweep(max_vertices, "cycle-fibers", jobs)
 
 
 def _cycle_fibers(record: GraphRecord, result: SweepResult) -> None:
@@ -376,7 +359,7 @@ def sweep_one_endpoint_and_minimal(max_vertices: int = 8,
                                    jobs: int | None = None) -> SweepResult:
     """Every matched edge has exactly one endpoint in the cover; for
     maximal matchings the result is a minimal vertex cover."""
-    return _walk(max_vertices, ["one-endpoint-and-minimal"], jobs=jobs)[0]
+    return _sweep(max_vertices, "one-endpoint-and-minimal", jobs)
 
 
 def _one_endpoint_and_minimal(record: GraphRecord,
@@ -401,7 +384,7 @@ def sweep_classification(max_vertices: int = 8,
                          jobs: int | None = None) -> SweepResult:
     """The classification agrees with the direct minimum-cover check for
     every maximal matching, and its witness proves its verdict."""
-    return _walk(max_vertices, ["classification"], jobs=jobs)[0]
+    return _sweep(max_vertices, "classification", jobs)
 
 
 def _classification(record: GraphRecord, result: SweepResult) -> None:
@@ -420,7 +403,7 @@ def sweep_path_structure_properties(max_vertices: int = 8,
     """Pair-level localization outside the structure, restricted cover
     cardinality over the single-root substructure, strict decrease
     exactly when two V-endpoints are stranded, and the hat reduction."""
-    return _walk(max_vertices, ["path-structure-properties"], jobs=jobs)[0]
+    return _sweep(max_vertices, "path-structure-properties", jobs)
 
 
 def _path_structure_properties(record: GraphRecord,
@@ -540,7 +523,7 @@ def _where(g: BipartiteGraph, m: Matching, p: tuple[int, ...]) -> str:
 def sweep_hall_consistency(max_vertices: int = 8,
                            jobs: int | None = None) -> SweepResult:
     """Hall's condition on a side holds iff a maximum matching saturates it."""
-    return _walk(max_vertices, ["hall-consistency"], jobs=jobs)[0]
+    return _sweep(max_vertices, "hall-consistency", jobs)
 
 
 def _hall_consistency(record: GraphRecord, result: SweepResult) -> None:
@@ -559,27 +542,43 @@ def sweep_star_studded(max_vertices: int = 7) -> SweepResult:
     matching, and restriction reaches every base cover.
 
     Each minimum cover is reached when ``maximal_witness`` finds a
-    maximal matching for it from the cover's own split.
+    maximal matching for it from the cover's own split.  The check walks
+    the base graphs in this process, under a budget for their studs.
     """
-    result = SweepResult("star-studded")
     budget = OracleBudget(max_vertices=5 * max_vertices + 1,
                           max_subsets=2 ** 21)
-    for h in cached_corpus(max_vertices):
-        ssg = star_stud(h)
-        wanted = all_minimum_covers(ssg.full, budget)
-        reached = {c for c in wanted
-                   if maximal_witness(ssg.full, c, budget) is not None}
-        result.check(wanted <= reached,
-                     lambda: f"St({_describe(h)}) is not enumeratively "
-                             "reachable")
-        base_covers = all_minimum_covers(h, budget)
-        restricted = {restrict_cover(ssg, c) for c in reached}
-        result.check(base_covers <= restricted,
-                     lambda: f"St({_describe(h)}): base covers "
-                             f"{sorted(map(sorted, base_covers - restricted))}"
-                             " not reached after restriction")
-    return result
+    return _sweep(max_vertices, "star-studded", 1,
+                  partial(_star_studded, budget))
 
+
+def _star_studded(budget: OracleBudget, record: GraphRecord,
+                  result: SweepResult) -> None:
+    h = record.graph
+    ssg = star_stud(h)
+    wanted = all_minimum_covers(ssg.full, budget)
+    reached = {c for c in wanted
+               if maximal_witness(ssg.full, c, budget) is not None}
+    result.check(wanted <= reached,
+                 lambda: f"St({_describe(h)}) is not enumeratively "
+                         "reachable")
+    base_covers = all_minimum_covers(h, budget)
+    restricted = {restrict_cover(ssg, c) for c in reached}
+    result.check(base_covers <= restricted,
+                 lambda: f"St({_describe(h)}): base covers "
+                         f"{sorted(map(sorted, base_covers - restricted))}"
+                         " not reached after restriction")
+
+
+_CHECKS = {
+    "konig-equality": _konig_equality,
+    "reverse-round-trip": partial(_reverse_round_trip, 0),
+    "surjectivity": _surjectivity,
+    "cycle-fibers": _cycle_fibers,
+    "one-endpoint-and-minimal": _one_endpoint_and_minimal,
+    "classification": _classification,
+    "path-structure-properties": _path_structure_properties,
+    "hall-consistency": _hall_consistency,
+}
 
 ALL_SWEEPS = [
     sweep_konig_equality,
@@ -595,10 +594,9 @@ ALL_SWEEPS = [
 
 def corpus_verify(max_vertices: int = 8,
                   jobs: int | None = None) -> list[SweepResult]:
-    """Run the eight checks in one walk of the corpus in ``jobs`` shards,
-    sharing each graph's record among them, then the star-studded sweep
-    on at most 7 base vertices in this process; the corpus raises
-    ``BudgetExceeded`` above ``MAX_CORPUS_VERTICES`` before any check
-    runs or any process starts."""
-    return _walk(max_vertices, jobs=jobs) + [
+    """Walk the corpus once in ``jobs`` shards with the eight checks,
+    then the star-studded sweep on at most 7 base vertices.  The corpus
+    raises ``BudgetExceeded`` above ``MAX_CORPUS_VERTICES`` before any
+    check runs or any process starts."""
+    return _walk(cached_corpus(max_vertices), _CHECKS, jobs) + [
         sweep_star_studded(min(max_vertices, 7))]

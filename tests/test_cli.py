@@ -291,6 +291,11 @@ EXPERIMENT = ["experiment", "--nl", "4", "--nr", "4", "--seed", "1"]
     pytest.param(["match", "--graph"], '{"left": "a", "right": "b", '
                  '"edges": [["a", "b"]]}', id="string-sides"),
     pytest.param(["match", "--graph"], b"\xff\xfe a b\n", id="not-utf8"),
+    # JSON parsers that follow RFC 8259 cannot read these labels back
+    pytest.param(["match", "--graph"], '{"left": [NaN, 2], "right": [1], '
+                 '"edges": [[NaN, 1], [2, 1]]}', id="nan-label"),
+    pytest.param(["match", "--graph"], '{"left": [2], "right": [1, Infinity], '
+                 '"edges": [[2, 1], [2, Infinity]]}', id="infinity-label"),
     pytest.param(["match", "--graph"], DEEP, id="deep-graph"),
     pytest.param(["cover", "--graph", FORK, "--matching"], DEEP,
                  id="deep-matching"),
@@ -333,16 +338,17 @@ def test_bad_input_exits_2(argv, content, tmp_path, capsys):
 def test_an_experiment_over_the_work_budget_exits_1(monkeypatch, tmp_path,
                                                     capsys):
     # refused when the config is built: no graph is drawn and the output
-    # file is never opened
+    # file is never opened; p = 0 draws as many numbers as any other p
     monkeypatch.setattr("konigmatch.experiments.random_bipartite",
                         lambda cfg, rng: pytest.fail("a graph was drawn"))
     out = tmp_path / "exp.csv"
-    assert run(["experiment", "--nl", "1000", "--nr", "1000", "--p", "1",
-                "--trials", "6", "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and not out.exists()
-    (line,) = captured.err.splitlines()
-    assert line.startswith("error: ") and "5000000" in line
+    for nl, p, trials in (("1000", "1", "6"), ("20", "0", "1000000000000")):
+        assert run(["experiment", "--nl", nl, "--nr", nl, "--p", p,
+                    "--trials", trials, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "5000000" in line
 
 
 def test_the_experiment_help_names_the_work_budget(capsys):

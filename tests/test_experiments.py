@@ -32,8 +32,10 @@ def test_config_validation():
 
 def test_config_refuses_graphs_above_the_edge_cap():
     # building a config draws nothing, so the cap is probed at its edge,
-    # with sides inside the vertex budget
-    TrialConfig(MAX_POTENTIAL_EDGES // 5000, 5000, 0.5, trials=1)
+    # with sides inside the vertex budget: a single trial at the cap is
+    # over the work budget (exit 1), and one above it is bad input (exit 2)
+    with pytest.raises(BudgetExceeded):
+        TrialConfig(MAX_POTENTIAL_EDGES // 5000, 5000, 0.5, trials=1)
     with pytest.raises(ValueError):
         TrialConfig(MAX_POTENTIAL_EDGES // 5000 + 1, 5000, 0.5, trials=1)
     with pytest.raises(ValueError):
@@ -45,10 +47,14 @@ def test_config_refuses_runs_above_the_work_budget(monkeypatch):
     # ever drawn for a refused run
     monkeypatch.setattr("konigmatch.experiments.random_bipartite",
                         lambda cfg, rng: pytest.fail("a graph was drawn"))
-    # expected edges 1000 * 1000 * 1.0 per trial: five trials fit exactly
+    # 1000 * 1000 draws per trial: five trials fit exactly
     TrialConfig(1000, 1000, 1.0, trials=5)
     with pytest.raises(BudgetExceeded, match=str(MAX_EDGE_TRIALS)):
         TrialConfig(1000, 1000, 1.0, trials=6)
+    # a trial draws a number per potential edge whatever p is, so p = 0
+    # costs as much as any other p
+    with pytest.raises(BudgetExceeded, match=str(MAX_EDGE_TRIALS)):
+        TrialConfig(20, 20, 0.0, trials=10 ** 12)
     # one trial at the potential-edge cap with every edge drawn
     with pytest.raises(BudgetExceeded):
         TrialConfig(MAX_POTENTIAL_EDGES // 10, 10, 1.0, trials=1)

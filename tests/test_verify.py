@@ -19,6 +19,7 @@ from konigmatch.corpus import cached_corpus, connected_bipartite_graphs
 from konigmatch.graph import _mask
 from konigmatch.konig import _konig_mask
 from konigmatch.oracle import all_maximal_matchings, all_minimum_covers
+from konigmatch.stars import star_stud
 
 import conftest
 from conftest import rebuilt, reference_one_endpoint_and_minimal
@@ -333,6 +334,34 @@ def test_a_failing_corpus_verify_exits_1_and_prints_ten_violations_a_sweep(
     # 10 + 1 + 10: each sweep prints its first ten
     assert len(err.splitlines()) == 21
     assert all(line.startswith("  G(") for line in err.splitlines())
+
+
+def test_the_star_sweep_reports_a_base_graph_whose_witnesses_fail(
+        monkeypatch):
+    # no maximal witness on the studded graph of one base graph: neither
+    # its covers nor, after restriction, the base graph's are reached
+    h = cached_corpus(5)[3]
+    studded = star_stud(h).full
+    real = verify.maximal_witness
+
+    def failing(g, cover, budget=None):
+        return None if g == studded else real(g, cover, budget)
+
+    monkeypatch.setattr(verify, "maximal_witness", failing)
+    # the star sweep walks in this process, whatever the CPU count
+    real_fork = verify._fork_shard
+    _no_fork(monkeypatch)
+    result = verify.sweep_star_studded(5)
+    monkeypatch.setattr(verify, "_fork_shard", real_fork)
+    base_covers = sorted(map(sorted, all_minimum_covers(h)))
+    assert (result.name, result.cases) == ("star-studded", 20)
+    assert result.violations == [
+        f"St({verify._describe(h)}) is not enumeratively reachable",
+        f"St({verify._describe(h)}): base covers {base_covers} not reached "
+        "after restriction"]
+    # the walk of every check reports the same star line for any jobs
+    for jobs in (1, 2):
+        assert verify.corpus_verify(5, jobs=jobs)[-1] == result
 
 
 class _TrackedList(list):
