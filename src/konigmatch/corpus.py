@@ -151,7 +151,8 @@ def connected_bipartite_graphs(max_vertices: int) -> list[BipartiteGraph]:
 @lru_cache(maxsize=4)
 def cached_corpus(max_vertices: int) -> tuple[BipartiteGraph, ...]:
     """Memoized corpus, so the sweeps of one process share one build;
-    each graph's M* is searched here, from the empty matching."""
+    each graph's M* is searched here, so a walk's forked workers inherit
+    it."""
     corpus = tuple(connected_bipartite_graphs(max_vertices))
     for g in corpus:
         maximum_matching(g)

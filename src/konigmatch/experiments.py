@@ -8,13 +8,13 @@ edge list.  A trial's maximal matching is the greedy one over a seeded random ed
 order (``random_maximal_matching``), scanned against a table of free
 flags indexed by vertex id.  The minimum-cover size is the maximum
 matching cardinality, so runs scale to hundreds of vertices; that
-maximum matching is grown from the trial's maximal matching, which has
-at least half as many edges, so the one search a trial graph gets runs
-few augmentations.  The verdict reads K(M)'s vertex mask: its popcount
-is the cover size, and the trial hits when it covers every edge and
-its size is ν.  The hit rate is reported, never asserted; there is no
-theoretical value to compare against.  Trials are exactly reproducible
-from the seed.
+maximum matching is grown by ``maximize`` from the trial's maximal
+matching, which has at least half as many edges, so a trial's one
+search runs few augmentations.  The verdict reads K(M)'s vertex mask:
+its popcount is the cover size, and the trial hits when it covers every
+edge and its size is ν.  The hit rate is reported, never asserted; there
+is no theoretical value to compare against.  Trials are exactly
+reproducible from the seed.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import IO
 from .errors import BudgetExceeded
 from .graph import MAX_VERTICES, BipartiteGraph, _covers, _edge_list
 from .konig import _konig_mask
-from .matching import Matching, maximum_matching
+from .matching import Matching, maximize
 
 CSV_COLUMNS = ["seed", "n_left", "n_right", "p", "trial_index",
                "matching_size", "cover_size", "min_cover_size", "is_minimum"]
@@ -155,8 +155,8 @@ def run_trials(cfg: TrialConfig, csv_out: IO[str] | None = None) -> TrialReport:
     for index in range(cfg.trials):
         g = random_bipartite(cfg, rng)
         m = random_maximal_matching(g, rng)
-        # the graph's one search, grown from m
-        min_size = len(maximum_matching(g, m))
+        # ν, grown from m; the graph is thrown away, so it keeps no M*
+        min_size = len(maximize(m))
         k = _konig_mask(m)
         size = k.bit_count()
         excess = size - min_size

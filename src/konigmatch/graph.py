@@ -62,7 +62,9 @@ class BipartiteGraph:
     Stored: ``_adjacency``, each vertex's neighbour mask (its keys are
     the vertices); ``left_mask`` and ``u_mask``, the left side and the U
     side of Kőnig's procedure (see the module docstring) as vertex
-    masks; and ``_labels``, the labels the caller gave, or None.
+    masks; and ``_labels``, the labels the caller gave, one to a vertex,
+    or None (a vertex with no label raises ``IndexOutOfRange``, and a
+    label given twice ``DuplicateVertex``).
     Derived on every read, in O(n + E): ``left``, ``right``,
     ``vertices``, ``u_side`` and ``edges`` (``(u, v)`` pairs with ``u``
     on the left side) as frozensets, and ``labels``, the given labels
@@ -103,6 +105,13 @@ class BipartiteGraph:
             adjacency[v] = 0
         if vertices:
             _check_budget(max(vertices))
+        if labels is not None:
+            try:
+                labels = {v: labels[v] for v in adjacency}
+            except KeyError as exc:
+                raise IndexOutOfRange(f"vertex {exc} has no label") from None
+            if len(set(labels.values())) != len(labels):
+                raise DuplicateVertex("vertex labels must be unique")
         for a, b in edges:
             if b in left_set and a in right_set:
                 a, b = b, a
@@ -114,8 +123,6 @@ class BipartiteGraph:
                 raise UnknownVertex(f"edge ({a}, {b}) uses unknown vertices")
             adjacency[a] |= 1 << b
             adjacency[b] |= 1 << a
-        if labels is not None:
-            labels = {v: labels[v] for v in adjacency}
         self._store(adjacency, _mask(left_set), labels)
 
     @classmethod
@@ -186,9 +193,7 @@ class BipartiteGraph:
         try:
             by_label = self._by_label
         except AttributeError:
-            by_label = {}
-            for v, lab in self.labels.items():
-                by_label.setdefault(lab, v)  # the first vertex wins
+            by_label = {lab: v for v, lab in self.labels.items()}
             self._by_label = by_label
         try:
             return by_label[label]
@@ -258,10 +263,7 @@ def build_graph(
         if len(left_labels) != left_count or \
                 len(right_labels) != right_count:
             raise IndexOutOfRange("label sequences must match vertex counts")
-        all_labels = list(left_labels) + list(right_labels)
-        if len(set(all_labels)) != len(all_labels):
-            raise DuplicateVertex("vertex labels must be unique")
-        labels = dict(enumerate(all_labels))
+        labels = dict(enumerate([*left_labels, *right_labels]))
     if left_count > right_count:
         return BipartiteGraph(right_ids, left_ids, edge_ids, labels)
     return BipartiteGraph(left_ids, right_ids, edge_ids, labels)

@@ -24,6 +24,14 @@ from .graph import BipartiteGraph, build_graph
 from .matching import Matching
 
 
+def _label(lab):
+    """``lab``, refused if it is JSON ``true`` or ``false``: no label,
+    though Python reads them as bools equal to 1 and 0."""
+    if isinstance(lab, bool):
+        raise InputError(f"vertex label {lab!r} is not a string or number")
+    return lab
+
+
 def graph_from_json_dict(data: dict) -> BipartiteGraph:
     try:
         left, right, edges = data["left"], data["right"], data["edges"]
@@ -33,7 +41,7 @@ def graph_from_json_dict(data: dict) -> BipartiteGraph:
         if not isinstance(value, list):
             raise InputError(f"graph JSON {key!r} must be an array")
     labels = left + right
-    for lab in labels:
+    for lab in map(_label, labels):
         if not isinstance(lab, (str, int, float)):
             raise InputError(f"vertex label {lab!r} is not a string or number")
         if isinstance(lab, float) and not math.isfinite(lab):
@@ -51,8 +59,8 @@ def graph_from_json_dict(data: dict) -> BipartiteGraph:
             raise InputError(f"edge {edge!r} is not a pair of labels")
         a, b = edge
         try:
-            sa, ia = label_to_index[a]
-            sb, ib = label_to_index[b]
+            sa, ia = label_to_index[_label(a)]
+            sb, ib = label_to_index[_label(b)]
         except (KeyError, TypeError):
             raise InputError(f"edge ({a!r}, {b!r}) uses unknown labels") \
                 from None
@@ -141,7 +149,8 @@ def matching_from_json(g: BipartiteGraph, data: list) -> Matching:
     for pair in data:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise InputError(f"matching entry {pair!r} is not a pair")
-        edges.append((g.vertex_by_label(pair[0]), g.vertex_by_label(pair[1])))
+        a, b = map(_label, pair)
+        edges.append((g.vertex_by_label(a), g.vertex_by_label(b)))
     return Matching(g, edges)
 
 
@@ -167,7 +176,7 @@ def matching_to_json(m: Matching) -> list:
 
 def load_vertex_set(g: BipartiteGraph, path: str) -> frozenset[int]:
     data = _load_json_array(path, "vertex-set")
-    return frozenset(g.vertex_by_label(lab) for lab in data)
+    return frozenset(g.vertex_by_label(_label(lab)) for lab in data)
 
 
 def vertex_set_to_json(g: BipartiteGraph, vertices: Iterable[int]) -> list:

@@ -18,13 +18,9 @@ held, as a vertex mask, in the ``_konig`` slot, which both constructors
 set to None.  ``is_maximal`` asks whether the saturated vertices cover
 every edge (``graph._covers``), and ``maximize`` walks the graph's
 neighbour masks.  A graph keeps its maximum matching's edges likewise, so
-``maximum_matching`` searches once per graph.  That search grows the
-matching its caller already holds, when there is one (a trial's maximal
-matching, a matching to classify), so it reaches ν with fewer
-augmentations than from the empty matching; ``maximize`` itself writes
-nothing into the graph.  Which maximum matching a fresh graph keeps
-thus depends on its first caller (``corpus.cached_corpus`` searches its
-graphs from the empty matching); ν, and every verdict, does not.
+``maximum_matching`` searches once per graph, from the empty matching,
+and the matching it returns depends on the graph alone; ``maximize``
+grows any given matching and writes nothing into the graph.
 """
 
 from __future__ import annotations
@@ -175,20 +171,14 @@ def maximize(m: Matching) -> Matching:
     return m
 
 
-def maximum_matching(g: BipartiteGraph,
-                     start: Matching | None = None) -> Matching:
-    """A maximum-cardinality matching, searched once per graph: ``maximize``
-    grows ``start``, a matching of ``g`` the caller holds, or the empty
-    matching, and the graph keeps the result's edges.  Once they are kept,
-    ``start`` is ignored and the matching is rebuilt from them."""
+def maximum_matching(g: BipartiteGraph) -> Matching:
+    """A maximum-cardinality matching, searched once per graph:
+    ``maximize`` grows the empty matching, and the graph keeps the
+    result's edges, from which later calls rebuild it."""
     try:
         edges = g._maximum
     except AttributeError:
-        if start is None:
-            start = Matching(g, ())
-        elif start.graph is not g:
-            raise InvalidMatching("start is a matching of another graph")
-        m = maximize(start)
+        m = maximize(Matching(g, ()))
         g._maximum = tuple(m.edges)
         return m
     return Matching._unchecked(g, edges)

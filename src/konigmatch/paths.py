@@ -10,7 +10,7 @@ longer reach once P has been augmented.
 
 A path is a tuple of vertex ids, from one unsaturated end to the
 other.  ``is_augmenting_path`` judges a path given from outside; the
-enumerator's depth-first search finds only augmenting paths, so its
+enumerator's depth-first walk finds only augmenting paths, so its
 paths are not judged again.
 
 ``path_structures(m)`` enumerates the augmenting paths of ``m`` once
@@ -35,9 +35,9 @@ masks and only compares them, counting its cases by popcount.
 
 ``classify_matching`` enumerates no paths: it reads the augmenting
 paths of M off M △ M*, where M* is the graph's one maximum matching
-(``maximum_matching`` grows it from M when the graph keeps none yet),
-and ``verify_classification_witness`` checks its witness, every path
-included.  Both read |K(M)| off the matching's kept K(M) mask.
+(``maximum_matching``), and ``verify_classification_witness`` checks its
+witness, every path included.  Both read |K(M)| off the matching's kept
+K(M) mask.
 """
 
 from __future__ import annotations
@@ -283,17 +283,16 @@ def classify_matching(m: Matching) -> ClassificationVerdict:
     """Decide whether Kőnig's procedure on the maximal matching ``m``
     yields a minimum vertex cover, with a witness.
 
-    M* is the graph's one maximum matching: kept already, or grown from
-    ``m`` by ``maximum_matching``.  If it is smaller than K(M), its Kőnig
-    cover is the witness.  Otherwise the witness is the augmenting paths
-    of ``m`` among the components of M △ M*, walked from the left
-    vertices ``m`` leaves free; a walk that ends at a vertex M* leaves
-    free is an even path, not an augmenting one, and is skipped.  By
-    Berge, ν − |M| paths remain.
+    M* is the graph's one maximum matching, ``maximum_matching``.  If it
+    is smaller than K(M), its Kőnig cover is the witness.  Otherwise the
+    witness is the augmenting paths of ``m`` among the components of
+    M △ M*, walked from the left vertices ``m`` leaves free; a walk that
+    ends at a vertex M* leaves free is an even path, not an augmenting
+    one, and is skipped.  By Berge, ν − |M| paths remain.
     """
     if not is_maximal(m):
         raise NotMaximal("classification applies to maximal matchings only")
-    star = maximum_matching(m.graph, m)
+    star = maximum_matching(m.graph)
     if len(star) < _konig_mask(m).bit_count():
         return ClassificationVerdict(False, konig_vertices(star))
     paths = []

@@ -57,8 +57,7 @@ def split_by_cover(g: BipartiteGraph,
 
     U here is ``g.u_mask`` (the smaller side per component), matching
     the convention ``konig_cover`` uses, so the round trip is consistent.
-    A cover that is not minimum raises ``NotMinimumCover``.  ``m_down``
-    follows ``g``'s kept M*, empty-start on a ``cached_corpus`` graph.
+    A cover that is not minimum raises ``NotMinimumCover``.
     """
     cset = frozenset(c)
     if not is_minimum_cover(g, cset):
@@ -94,9 +93,7 @@ def reverse_konig(split: CoverSplit,
     many visit orders can share one split.  The round trip is verified
     against the split's cover before returning; a mismatch raises
     ``RoundTripFailed`` (a defect, or a split whose parts belong to
-    another cover).  Through ``split.m_down`` a fresh graph's matching can
-    depend on its first search (see ``split_by_cover``); its cover never
-    does, and the CLI loads a fresh graph per command.
+    another cover).
     """
     adjacency = split.graph._adjacency
     roots = split.up_roots

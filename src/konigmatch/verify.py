@@ -13,7 +13,7 @@ acceptance tests wrap these.
 The record computes, once per graph, what several checks read, and is
 dropped before the next graph: ``minimum_covers`` (the oracle's),
 ``matchings`` and ``maximal_matchings``.  The graph keeps its maximum
-matching, searched from the empty matching when the corpus is built.
+matching, searched when the corpus is built.
 A check reads K(M) as a vertex mask (bit v for vertex v) with
 ``konig._konig_mask(m)``, which a matching computes once and keeps, and
 compares masks; the path-structure check reads its paths, structures

@@ -20,8 +20,8 @@ from konigmatch import (
     is_minimal_cover,
     is_minimum_cover,
     konig_vertices,
+    maximize,
 )
-from konigmatch import matching as matching_module
 from konigmatch import paths as paths_module
 from konigmatch.corpus import _is_connected
 from konigmatch.errors import BudgetExceeded, NotMinimumCover
@@ -166,23 +166,32 @@ def _edges(g, path):
 
 def rebuilt(g):
     """A copy of ``g`` that keeps no maximum matching yet, so the next
-    ``maximum_matching`` call on it searches, from its caller's start.
-    A ``cached_corpus`` graph keeps the empty-start one from the moment
-    it is built; a fresh graph keeps the one its first caller grew."""
+    ``maximum_matching`` call on it searches.  A ``cached_corpus`` graph
+    keeps its one from the moment it is built."""
     return BipartiteGraph(g.left, g.right, g.edges, g.labels)
 
 
-def count_searches(monkeypatch):
-    """The list of starts ``matching.maximize`` is called with from here
-    on, in call order: one per maximum-matching search."""
+def keeping(g, edges):
+    """A copy of ``g`` that keeps, as its maximum matching, the one
+    ``maximize`` grows from the matching ``edges``.  The library keeps
+    the search from the empty matching; the paper's procedures hold for
+    any maximum matching, and this reaches the others."""
+    h = rebuilt(g)
+    h._maximum = tuple(maximize(Matching(h, edges)).edges)
+    return h
+
+
+def count_searches(monkeypatch, module):
+    """The list of starts ``maximize`` is called with from here on, in
+    call order, through ``module``'s name for it: one per search."""
     starts = []
-    real_maximize = matching_module.maximize
+    real_maximize = module.maximize
 
     def counting_maximize(m):
         starts.append(m)
         return real_maximize(m)
 
-    monkeypatch.setattr(matching_module, "maximize", counting_maximize)
+    monkeypatch.setattr(module, "maximize", counting_maximize)
     return starts
 
 

@@ -24,6 +24,7 @@ from conftest import FIXTURES, ladder
 
 P4 = str(FIXTURES / "p4.json")
 FORK = str(FIXTURES / "fork.json")
+NUMBERS = str(FIXTURES / "numbers.json")
 
 
 # "$ konigmatch <args>" lines, each followed by that command's stdout
@@ -296,6 +297,15 @@ EXPERIMENT = ["experiment", "--nl", "4", "--nr", "4", "--seed", "1"]
                  '"edges": [[NaN, 1], [2, 1]]}', id="nan-label"),
     pytest.param(["match", "--graph"], '{"left": [2], "right": [1, Infinity], '
                  '"edges": [[2, 1], [2, Infinity]]}', id="infinity-label"),
+    # JSON true and false are no labels, though Python's True == 1
+    pytest.param(["match", "--graph"], '{"left": [true], "right": [2], '
+                 '"edges": [[true, 2]]}', id="bool-label"),
+    pytest.param(["match", "--graph"], '{"left": [1], "right": [2], '
+                 '"edges": [[true, 2]]}', id="bool-endpoint"),
+    pytest.param(["cover", "--graph", NUMBERS, "--matching"], "[[true, 2]]",
+                 id="bool-matching"),
+    pytest.param(["reverse", "--graph", NUMBERS, "--cover"], "[true]",
+                 id="bool-cover"),
     pytest.param(["match", "--graph"], DEEP, id="deep-graph"),
     pytest.param(["cover", "--graph", FORK, "--matching"], DEEP,
                  id="deep-matching"),

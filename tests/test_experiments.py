@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from konigmatch import TrialConfig, TrialReport, konig_cover, run_trials
+from konigmatch import (TrialConfig, TrialReport, experiments, konig_cover,
+                        run_trials)
 from konigmatch.errors import BudgetExceeded
 from konigmatch.graph import MAX_VERTICES
 from konigmatch.experiments import (
@@ -176,7 +177,7 @@ def test_random_maximal_matching_is_the_reference_greedy_scan():
 @pytest.mark.parametrize("seed", [1, 2])
 def test_each_trial_graph_is_searched_once_from_its_maximal_matching(
         monkeypatch, seed):
-    starts = count_searches(monkeypatch)
+    starts = count_searches(monkeypatch, experiments)
     cfg = TrialConfig(20, 20, 0.3, 25, seed)
     run_trials(cfg)
     # replay the rng stream: each search starts from that trial's matching

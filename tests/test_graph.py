@@ -57,6 +57,22 @@ def test_build_graph_rejects_wrong_label_counts():
         build_graph(2, 1, [(0, 0)], ["only-one"], ["r"])
 
 
+def test_the_constructor_refuses_a_vertex_without_a_label():
+    with pytest.raises(IndexOutOfRange, match="vertex 1 has no label"):
+        BipartiteGraph({0}, {1}, [(0, 1)], {0: "a"})
+    # a label for no vertex is ignored
+    g = BipartiteGraph({0}, {1}, [(0, 1)], {0: "a", 1: "b", 7: "c"})
+    assert g.labels == {0: "a", 1: "b"}
+
+
+def test_the_constructor_refuses_a_label_given_twice():
+    # so a label names one vertex, and no lookup picks between two
+    with pytest.raises(DuplicateVertex):
+        BipartiteGraph({0}, {1}, [(0, 1)], {0: "a", 1: "a"})
+    with pytest.raises(DuplicateVertex):
+        BipartiteGraph({0, 2}, {1}, [], {0: "a", 1: "b", 2: "a"})
+
+
 def test_build_graph_checks_labels_and_the_budget_before_edge_indices():
     # the index pairs are checked as the constructor reads them, so the
     # label and budget errors come first
@@ -241,7 +257,7 @@ def inputs(draw, structure):
         st.none(),
         st.builds(lambda tags: dict(zip(sorted(left | right), tags)),
                   st.lists(st.text(max_size=2), min_size=6,
-                           max_size=6))))
+                           max_size=6, unique=True))))
     return (draw(st.permutations(sorted(left))),
             draw(st.permutations(sorted(right))), pairs, labels)
 

@@ -20,7 +20,7 @@ from konigmatch import (
     is_vertex_cover,
     konig_cover,
     konig_vertices,
-    maximum_matching,
+    maximize,
     z_set,
 )
 from konigmatch.experiments import random_maximal_matching
@@ -113,7 +113,7 @@ def test_the_masks_agree_with_the_sets_on_a_5000_vertex_path():
     rng = random.Random(5000)
     maximal = random_maximal_matching(g, rng)
     check(g, given_build(*args), [shifted, maximal,
-                                  maximum_matching(g, maximal),
+                                  maximize(maximal),
                                   Matching(g, ())], rng)
 
 
@@ -125,4 +125,4 @@ def test_the_masks_agree_with_the_sets_on_a_sparse_1000_vertex_side():
     g = build_graph(*args)
     maximal = random_maximal_matching(g, rng)
     check(g, given_build(*args),
-          [maximal, maximum_matching(g, maximal), Matching(g, ())], rng)
+          [maximal, maximize(maximal), Matching(g, ())], rng)

@@ -6,19 +6,22 @@ from hypothesis import given, strategies as st
 from konigmatch import (
     Matching,
     build_graph,
+    classify_matching,
     enumerate_augmenting_paths,
     is_augmenting_path,
     is_maximal,
+    konig_vertices,
     matching_number,
     maximize,
     maximum_matching,
+    split_by_cover,
 )
 from konigmatch.errors import InvalidMatching
 from konigmatch.corpus import cached_corpus
 from konigmatch.experiments import random_maximal_matching
 from konigmatch.oracle import all_matchings
 
-from conftest import (count_searches, flip, graphs, matching_by_labels,
+from conftest import (flip, graphs, matching_by_labels,
                       maximum_matching_size_brute_force, rebuilt,
                       reference_maximize)
 
@@ -151,33 +154,22 @@ def test_maximize_is_the_reference_search_from_every_matching():
             assert maximize(m).edges == reference_maximize(m).edges
 
 
-def test_maximum_matching_grows_the_start_once(monkeypatch, p4):
-    starts = count_searches(monkeypatch)
-    m = matching_by_labels(p4, [("2", "3")])
-    grown = maximum_matching(p4, m)
-    assert starts == [m]
-    assert grown.edges == reference_maximize(m).edges
-    assert len(grown) == matching_number(p4) == 2
-    # once the graph keeps its maximum matching, a start is ignored
-    other = Matching(p4, [(0, 2)])
-    assert maximum_matching(p4, other).edges == grown.edges
-    assert maximum_matching(p4).edges == grown.edges
-    assert starts == [m]
-
-
-def test_maximum_matching_refuses_a_start_of_another_graph(monkeypatch,
-                                                            p4, fork):
-    starts = count_searches(monkeypatch)
-    # an equal graph is another graph too: the result would not be p4's
-    twin = build_graph(2, 2, [(0, 0), (1, 0), (1, 1)])
-    assert twin == p4 and twin is not p4
-    for start in (Matching(fork, ()), Matching(twin, [(0, 2)])):
-        with pytest.raises(InvalidMatching):
-            maximum_matching(p4, start)
-    assert starts == []
-    # a refused start keeps nothing: the next call searches from empty
-    assert len(maximum_matching(p4)) == 2
-    assert starts == [Matching(p4, ())]
+@given(graphs(), st.randoms(use_true_random=False),
+       st.permutations(["maximize", "classify", "split"]))
+def test_the_kept_maximum_matching_is_the_empty_start_search(g, rng, calls):
+    # maximize writes nothing into the graph, and classification and the
+    # cover split read its M*: in any order, the graph keeps the search
+    # from the empty matching
+    expected = maximize(Matching(g, ())).edges
+    m = random_maximal_matching(g, rng)
+    for call in calls:
+        if call == "maximize":
+            maximize(m)
+        elif call == "classify":
+            classify_matching(m)
+        else:
+            split_by_cover(g, konig_vertices(maximize(m)))
+    assert maximum_matching(g).edges == expected
 
 
 @given(graphs())

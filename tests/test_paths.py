@@ -25,8 +25,8 @@ from konigmatch.oracle import all_maximal_matchings
 from konigmatch.paths import ClassificationVerdict
 
 import conftest
-from conftest import (flip, labeled, ladder, matching_by_labels, rebuilt,
-                      reference_path_structure_properties)
+from conftest import (flip, keeping, labeled, ladder, matching_by_labels,
+                      rebuilt, reference_path_structure_properties)
 
 
 @pytest.fixture
@@ -320,15 +320,16 @@ def test_classification_skips_an_even_component_of_the_kept_matching():
 
 
 def test_classification_reads_the_kept_matching_as_it_grows_its_own():
-    # M* kept from the empty search, or grown from M on a rebuilt graph
-    # that keeps none: the same verdict, and each witness proves it
+    # M* kept from the empty search, or grown from M on a copy of the
+    # graph that keeps that one: the same verdict, and each witness
+    # proves it
     matchings = minimum = even = 0
     for g in cached_corpus(8):
         kept = rebuilt(g)
         star = maximum_matching(kept)
         for m in all_maximal_matchings(kept):
             even += bool(_even_walks(m, star))
-            fresh = Matching(rebuilt(g), m.edges)
+            fresh = Matching(keeping(g, m.edges), m.edges)
             a, b = classify_matching(m), classify_matching(fresh)
             assert a.is_minimum == b.is_minimum
             assert verify_classification_witness(m, a)

@@ -24,6 +24,7 @@ from konigmatch.oracle import (
 )
 
 from conftest import (
+    keeping,
     labeled,
     matching_by_labels,
     rebuilt,
@@ -349,11 +350,11 @@ def test_splitting_and_reversing_build_no_graphs(monkeypatch, fork):
 
 
 def test_the_kept_maximum_matching_moves_the_matching_but_not_its_cover():
-    # a graph keeps the maximum matching M* its first search grew, and
-    # the down matching follows it: grown from each maximal matching M,
-    # the split's down matching lies in that M*, and every cover still
-    # round-trips, though the matching often differs from the one a
-    # search from the empty matching leads to
+    # the down matching follows the graph's kept maximum matching M*:
+    # with M* grown from each maximal matching M, the split's down
+    # matching lies in that M*, and every cover still round-trips, though
+    # the matching often differs from the one the graph's own M*, the
+    # search from the empty matching, leads to
     pairs = moved = 0
     graphs_moved = set()
     for index, g in enumerate(cached_corpus(8)):
@@ -362,8 +363,8 @@ def test_the_kept_maximum_matching_moves_the_matching_but_not_its_cover():
         from_empty = [reverse_konig(split_by_cover(empty_start, c)).edges
                       for c in covers]
         for m in all_maximal_matchings(g):
-            rg = rebuilt(g)
-            m_star = maximum_matching(rg, Matching(rg, m.edges))
+            rg = keeping(g, m.edges)
+            m_star = maximum_matching(rg)
             for cover, edges in zip(covers, from_empty):
                 split = split_by_cover(rg, cover)
                 assert split.m_down.edges <= m_star.edges

@@ -304,8 +304,8 @@ def test_each_graph_is_searched_once_for_any_jobs(monkeypatch, jobs):
 
 def test_corpus_graphs_keep_the_empty_start_matching_whatever_ran_first(
         monkeypatch):
-    # a fresh corpus walked by classification alone, which would grow M*
-    # from a maximal matching on a graph that kept none yet
+    # a fresh corpus walked by classification alone, which reads each
+    # graph's M* from a maximal matching
     graphs = cached_corpus.__wrapped__(8)
     monkeypatch.setattr(verify, "cached_corpus", lambda n: graphs)
     assert verify.sweep_classification(8, jobs=1).ok
