@@ -13,14 +13,8 @@ import random
 import sys
 
 from . import io as gio
-from .errors import DomainError, InputError
-from .experiments import (
-    MAX_EDGE_TRIALS,
-    TrialConfig,
-    random_maximal_matching,
-    run_trials,
-)
-from .graph import MAX_VERTICES
+from .errors import InputError, KonigmatchError, Limit, exit_code
+from .experiments import TrialConfig, random_maximal_matching, run_trials
 from .konig import konig_cover
 from .matching import maximum_matching
 from .oracle import (
@@ -41,6 +35,12 @@ def _at_least(flag: str, value: int, low: int) -> int:
     if value < low:
         raise InputError(f"{flag} must be at least {low}, got {value}")
     return value
+
+
+def _limit(row: Limit, what: str) -> str:
+    """Help text for ``what``, which the limit ``row`` bounds."""
+    return (f"{what} at most {row.value:,} {row.counts} "
+            f"(exit {exit_code(row.error)} above it)")
 
 
 def _emit(data) -> None:
@@ -183,8 +183,7 @@ def _cmd_corpus_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    graph_help = (f"JSON or edge-list graph file of at most "
-                  f"{MAX_VERTICES:,} vertices (exit 1 above it)")
+    graph_help = _limit(Limit.VERTICES, "JSON or edge-list graph file;")
     parser = argparse.ArgumentParser(
         prog="konigmatch",
         description="Bipartite matchings, vertex covers, and the "
@@ -219,29 +218,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("starstud", help="attach a 3-leaf star to every vertex")
     p.add_argument("--graph", required=True,
-                   help=f"graph file; the studded graph has five times its "
-                        f"vertices and at most {MAX_VERTICES:,} (exit 1 "
-                        f"above it)")
+                   help=_limit(Limit.VERTICES, "graph file; the studded "
+                               "graph has five times its vertices,"))
     p.set_defaults(func=_cmd_starstud)
 
     p = sub.add_parser("enumerate", help="brute-force oracle enumerations")
     p.add_argument("--graph", required=True, help=graph_help)
     p.add_argument("--oracle", required=True,
                    choices=["min-covers", "matchings", "maximal-matchings",
-                            "hall"])
-    p.add_argument("--max-vertices", type=int, default=16)
+                            "hall"],
+                   help=_limit(Limit.ORACLE_STEPS, "the enumeration to run;"))
+    p.add_argument("--max-vertices", type=int,
+                   default=Limit.ORACLE_VERTICES.value,
+                   help=_limit(Limit.ORACLE_VERTICES,
+                               "the oracle's vertex budget; by default"))
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("experiment", help="randomized hit-rate trials")
     p.add_argument("--nl", type=int, required=True,
-                   help=f"left vertices; --nl + --nr may be at most "
-                        f"{MAX_VERTICES:,} (exit 1 above it)")
-    p.add_argument("--nr", type=int, required=True, help="right vertices")
+                   help=_limit(Limit.VERTICES, "left vertices; --nl + --nr:"))
+    p.add_argument("--nr", type=int, required=True,
+                   help=_limit(Limit.POTENTIAL_EDGES,
+                               "right vertices; --nl * --nr:"))
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--trials", type=int, required=True,
-                   help="trials to run; nl * nr (one draw per potential "
-                        "edge) times the trials may be at most "
-                        f"{MAX_EDGE_TRIALS:,} (exit 1 above it)")
+                   help=_limit(Limit.EDGE_DRAWS, "trials to run, one draw "
+                               "per potential edge each;"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_experiment)
@@ -249,7 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus-verify",
                        help="run every invariant sweep over the exhaustive "
                             "small-graph corpus")
-    p.add_argument("--max-vertices", type=int, default=8)
+    p.add_argument("--max-vertices", type=int, default=8,
+                   help=_limit(Limit.CORPUS_VERTICES,
+                               "vertices of the largest graphs;"))
     p.add_argument("--jobs", type=int, default=None,
                    help="processes that walk the corpus (default: the "
                         "available CPUs); the output is the same for any")
@@ -262,12 +266,9 @@ def run(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, OSError) as exc:
+    except (KonigmatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exit_code(type(exc))
 
 
 def main() -> None:

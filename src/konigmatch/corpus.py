@@ -27,8 +27,9 @@ beat make the next level.  Zero columns are allowed until the last row,
 where a tuple is kept only if it is connected (so it has no zero column)
 and, when nl == nr, is not beaten by its transpose under the same
 search.  A block lists its graphs by increasing edge mask, that is, by
-their rows read from the top.  Sizes above ``MAX_CORPUS_VERTICES`` are
-refused.  ``cached_corpus`` hands out each graph with its U and M* set.
+their rows read from the top.  Sizes above the corpus limit
+(``errors.Limit.CORPUS_VERTICES``) are refused.  ``cached_corpus`` hands
+out each graph with its U and M* set.
 """
 
 from __future__ import annotations
@@ -37,11 +38,9 @@ from collections.abc import Sequence
 from functools import lru_cache
 from itertools import groupby, product
 
-from .errors import BudgetExceeded
+from .errors import Limit
 from .graph import BipartiteGraph, build_graph
 from .matching import maximum_matching
-
-MAX_CORPUS_VERTICES = 11
 
 
 def _is_connected(cols: tuple[int, ...], full: int) -> bool:
@@ -137,12 +136,10 @@ def connected_bipartite_graphs(max_vertices: int) -> list[BipartiteGraph]:
     """All connected bipartite graphs with 2..max_vertices vertices, one
     representative per isomorphism class (bipartition swap included).
 
-    Raises ``BudgetExceeded`` above ``MAX_CORPUS_VERTICES``.
+    Raises ``BudgetExceeded`` above ``Limit.CORPUS_VERTICES``.
     """
-    if max_vertices > MAX_CORPUS_VERTICES:
-        raise BudgetExceeded(
-            f"max_vertices {max_vertices} exceeds the corpus limit "
-            f"{MAX_CORPUS_VERTICES}")
+    if max_vertices > Limit.CORPUS_VERTICES.value:
+        raise Limit.CORPUS_VERTICES.refusal(max_vertices)
     return [g for nl in range(1, max_vertices)
             for nr in range(nl, max_vertices - nl + 1)
             for g in _block(nl, nr)]

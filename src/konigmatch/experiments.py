@@ -1,19 +1,20 @@
 """Randomized trials: how often does a random maximal matching on a
 random bipartite graph yield a minimum vertex cover?
 
-A trial's graph is drawn as neighbour masks (see ``graph``) and judged
-by a vertex mask.  ``random_bipartite`` draws the graph straight into
-its masks, the graph ``build_graph`` would make of the same draws as an
-edge list.  A trial's maximal matching is the greedy one over a seeded random edge
-order (``random_maximal_matching``), scanned against a table of free
-flags indexed by vertex id.  The minimum-cover size is the maximum
+A trial's graph is drawn as neighbour masks (see ``graph``), once
+``TrialConfig`` has checked its limits (``errors.Limit``), and judged by
+a vertex mask.  ``random_bipartite`` draws the graph straight into its
+masks, the graph ``build_graph`` would make of the same draws as an edge
+list.  A trial's maximal matching is the greedy one over a seeded random
+edge order (``random_maximal_matching``), scanned against a table of
+free flags indexed by vertex id.  The minimum-cover size is the maximum
 matching cardinality, so runs scale to hundreds of vertices; that
 maximum matching is grown by ``maximize`` from the trial's maximal
-matching, which has at least half as many edges, so a trial's one
-search runs few augmentations.  The verdict reads K(M)'s vertex mask:
-its popcount is the cover size, and the trial hits when it covers every
-edge and its size is ν.  The hit rate is reported, never asserted; there
-is no theoretical value to compare against.  Trials are exactly
+matching, which has at least half as many edges, so a trial's one search
+runs few augmentations.  The verdict reads K(M)'s vertex mask: its
+popcount is the cover size, and the trial hits when it covers every edge
+and its size is ν.  The hit rate is reported, never asserted; there is
+no theoretical value to compare against.  Trials are exactly
 reproducible from the seed.
 """
 
@@ -24,21 +25,13 @@ import random
 from dataclasses import dataclass, field
 from typing import IO
 
-from .errors import BudgetExceeded
-from .graph import MAX_VERTICES, BipartiteGraph, _covers, _edge_list
+from .errors import Limit
+from .graph import BipartiteGraph, _covers, _edge_list
 from .konig import _konig_mask
 from .matching import Matching, maximize
 
 CSV_COLUMNS = ["seed", "n_left", "n_right", "p", "trial_index",
                "matching_size", "cover_size", "min_cover_size", "is_minimum"]
-
-# largest n_left * n_right a trial may draw edges over: ``random_bipartite``
-# draws one number per potential edge and may keep them all
-MAX_POTENTIAL_EDGES = 10 ** 7
-# largest draws (n_left * n_right a trial, whatever p is) times trials a
-# run may ask for: the work budget of a whole run, checked before
-# anything is drawn; one trial at the potential-edge cap is refused
-MAX_EDGE_TRIALS = 5 * 10 ** 6
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,20 +49,12 @@ class TrialConfig:
             raise ValueError("edge_probability must be in [0, 1]")
         if self.n_left <= 0 or self.n_right <= 0:
             raise ValueError("side sizes must be positive")
-        if self.n_left * self.n_right > MAX_POTENTIAL_EDGES:
-            raise ValueError(
-                f"n_left * n_right must be at most {MAX_POTENTIAL_EDGES}")
-        work = self.n_left * self.n_right * self.trials
-        if work > MAX_EDGE_TRIALS:
-            raise BudgetExceeded(
-                f"potential edges times trials is {work:.4g}, over the "
-                f"budget of {MAX_EDGE_TRIALS}")
-        # random_bipartite hands its masks to the graph unchecked, so
-        # this is the vertex budget's one guard on a trial graph
-        if self.n_left + self.n_right > MAX_VERTICES:
-            raise BudgetExceeded(
-                f"n_left + n_right is {self.n_left + self.n_right}, over "
-                f"the budget of {MAX_VERTICES} vertices a graph")
+        potential = self.n_left * self.n_right
+        for row, found in ((Limit.POTENTIAL_EDGES, potential),
+                           (Limit.EDGE_DRAWS, potential * self.trials),
+                           (Limit.VERTICES, self.n_left + self.n_right)):
+            if found > row.value:
+                raise row.refusal(found)
 
 
 @dataclass(slots=True)
@@ -100,7 +85,7 @@ def random_bipartite(cfg: TrialConfig, rng: random.Random) -> BipartiteGraph:
     makes of the drawn index pairs: left ids ``0 .. n_left-1``, right ids
     ``n_left .. n_left+n_right-1``, and the side roles swapped when the
     left side is the larger.  ``TrialConfig`` has checked the vertex
-    budget, so the masks go to the graph unchecked."""
+    limit, so the masks go to the graph unchecked."""
     nl, nr = cfg.n_left, cfg.n_right
     p = cfg.edge_probability
     draw = rng.random

@@ -6,32 +6,25 @@ holds vertex sets as *vertex masks*, ints with bit v for vertex v
 (``_mask`` builds one, ``_bits`` lists one in ascending order).  A
 vertex's neighbour mask is as wide as its highest neighbour id, so a
 graph of n vertices may hold about n²/8 bytes of masks even when it is
-sparse; the constructor refuses an id of ``MAX_VERTICES`` or more with
-``BudgetExceeded``, before it builds any mask, which bounds the masks of
-any graph at ``MAX_VERTICES``²/8 bytes (50 MB) and the loaders' graphs,
-whose ids run from 0, at ``MAX_VERTICES`` vertices.  A graph
-keeps a designated *left* side, which holds an endpoint of every edge,
-and a *right* side.  ``build_graph`` normalizes inputs so that the left
-side is never larger than the right side; induced subgraphs keep their
-parent's vertex ids and side designation.
+sparse; the constructor refuses an id at or over the vertex limit
+(``errors.Limit.VERTICES``) before it builds any mask, which bounds
+every graph's masks and the loaders' graphs, whose ids run from 0.  A
+graph keeps a designated *left* side, which holds an endpoint of every
+edge, and a *right* side.  ``build_graph`` normalizes inputs so that the
+left side is never larger than the right side; induced subgraphs keep
+their parent's vertex ids and side designation.
 
-The neighbour masks are the graph.  It stores one map from each vertex
-to its neighbour mask, the left side and U (below) as vertex masks, and
-the labels only when its caller gives them; everything else is derived.
-``left``, ``right``, ``vertices``, ``edges``, ``u_side`` and the default
-labels (``str(v)``) are views, sets built from the masks on every read,
-so each read costs O(n + E); they are for callers outside the package,
-which reads the masks themselves, as ``neighbors(v)`` is.  ``_edge_list``
-lists the edges in ascending order and ``_edge`` tests one vertex pair,
+The neighbour masks are the graph, which never changes:
+``BipartiteGraph`` lists what it stores, the views it builds on every
+read for callers outside the package (which reads the masks
+themselves), and what it computes once and keeps.  ``_edge_list`` lists
+the edges in ascending order and ``_edge`` tests one vertex pair,
 through a side table indexed by vertex id (``_sides``).  Kőnig's
 procedure searches from U: in each connected component the smaller
 side, ties keeping the left side; V, the other vertices, is never
-stored.  A graph never changes: ``__init__`` computes U as the vertex
-mask ``u_mask``, and the other data derived from the graph (the edges
-of a maximum matching, the hash, the side table, the label index) is
-computed on first use and kept.  ``_covers`` and ``_irredundant`` test
-a vertex mask against the neighbour masks: it covers every edge, and
-none of its vertices has its whole neighborhood inside it.
+stored.  ``_covers`` and ``_irredundant`` test a vertex mask against the
+neighbour masks: it covers every edge, and none of its vertices has its
+whole neighborhood inside it.
 """
 
 from __future__ import annotations
@@ -39,21 +32,14 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
-    BudgetExceeded,
     DuplicateVertex,
     IndexOutOfRange,
+    Limit,
     SameSideEdge,
     UnknownVertex,
 )
 
 Edge = tuple[int, int]
-
-# every vertex id is below this, so a graph's neighbour masks, each as
-# wide as its highest neighbour id, take at most MAX_VERTICES**2 / 8
-# bytes (50 MB); `match` on a 20,000-vertex path file peaks at 64 MiB
-# and `reverse` at 97 MiB, and a 40,000-vertex path holds 119 MiB of
-# masks
-MAX_VERTICES = 20_000
 
 
 class BipartiteGraph:
@@ -64,7 +50,7 @@ class BipartiteGraph:
     side of Kőnig's procedure (see the module docstring) as vertex
     masks; and ``_labels``, the labels the caller gave, one to a vertex,
     or None (a vertex with no label raises ``IndexOutOfRange``, and a
-    label given twice ``DuplicateVertex``).
+    label given twice or unhashable ``DuplicateVertex``).
     Derived on every read, in O(n + E): ``left``, ``right``,
     ``vertices``, ``u_side`` and ``edges`` (``(u, v)`` pairs with ``u``
     on the left side) as frozensets, and ``labels``, the given labels
@@ -103,15 +89,19 @@ class BipartiteGraph:
                 raise IndexOutOfRange(
                     f"vertex id {v!r} is not a non-negative integer")
             adjacency[v] = 0
-        if vertices:
-            _check_budget(max(vertices))
+        if vertices and max(vertices) >= Limit.VERTICES.value:
+            raise Limit.VERTICES.refusal(max(vertices) + 1)
         if labels is not None:
             try:
                 labels = {v: labels[v] for v in adjacency}
             except KeyError as exc:
                 raise IndexOutOfRange(f"vertex {exc} has no label") from None
-            if len(set(labels.values())) != len(labels):
-                raise DuplicateVertex("vertex labels must be unique")
+            try:
+                unique = len(set(labels.values())) == len(labels)
+            except TypeError:  # an unhashable label
+                unique = False
+            if not unique:
+                raise DuplicateVertex("labels must be unique and hashable")
         for a, b in edges:
             if b in left_set and a in right_set:
                 a, b = b, a
@@ -219,15 +209,6 @@ class BipartiteGraph:
                 f"|right|={len(self.right)}, |edges|={len(self.edges)})")
 
 
-def _check_budget(top: int) -> None:
-    """Refuse a graph whose highest vertex id is ``top`` or more than the
-    vertex budget allows."""
-    if top >= MAX_VERTICES:
-        raise BudgetExceeded(
-            f"a graph has at most {MAX_VERTICES:,} vertices, ids 0 to "
-            f"{MAX_VERTICES - 1}; this one has id {top}")
-
-
 def build_graph(
     left_count: int,
     right_count: int,
@@ -247,7 +228,7 @@ def build_graph(
 
     The edge indices are checked as the constructor reads them, so an
     index out of range is raised after any label error and the vertex
-    budget's ``BudgetExceeded``.
+    limit's ``BudgetExceeded``.
     """
     if left_count < 0 or right_count < 0:
         raise IndexOutOfRange("vertex counts must be non-negative")

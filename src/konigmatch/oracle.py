@@ -2,11 +2,12 @@
 
 Everything here enumerates exhaustively and independently of the
 polynomial procedures, so the clever code paths can be checked against
-it.  Enumeration aborts cleanly once a budget is exceeded.  The searches
-keep their state on explicit stacks, not in self-referencing closures, so
-their results are freed by reference counting once the caller drops them.
-The searches read the graph's neighbour masks (``graph``) and build no
-adjacency of their own.
+it.  Enumeration aborts cleanly once its ``OracleBudget``, whose
+defaults are rows of ``errors.Limit``, is exceeded.  The searches keep
+their state on explicit stacks, not in self-referencing closures, so
+their results are freed by reference counting once the caller drops
+them.  The searches read the graph's neighbour masks (``graph``) and
+build no adjacency of their own.
 
 Minimum covers are found by branching on vertices over bitmasks: at the
 first uncovered edge, its endpoint x of larger degree is in the cover, or
@@ -34,22 +35,24 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, combinations
 
-from .errors import BudgetExceeded
+from .errors import Limit
 from .graph import BipartiteGraph, _bits, _edge_list, _mask
 from .matching import Matching
 
 
 @dataclass(frozen=True)
 class OracleBudget:
-    max_vertices: int = 16
-    # K7,7's 130,922 matchings fit; K8,8's 1,441,729 are refused early
-    max_subsets: int = 2 ** 17
+    max_vertices: int = Limit.ORACLE_VERTICES.value
+    max_subsets: int = Limit.ORACLE_STEPS.value
 
 
-def _check_vertex_budget(g: BipartiteGraph, b: OracleBudget) -> None:
+def _budget(g: BipartiteGraph, b: OracleBudget | None) -> OracleBudget:
+    """``b``, or the default budget, once ``g`` is within its vertices."""
+    b = b or OracleBudget()
     n = len(g._adjacency)
     if n > b.max_vertices:
-        raise BudgetExceeded(f"{n} vertices exceeds budget {b.max_vertices}")
+        raise Limit.ORACLE_VERTICES.refusal(n, b.max_vertices)
+    return b
 
 
 def all_minimum_covers(g: BipartiteGraph,
@@ -73,8 +76,7 @@ def all_minimum_covers(g: BipartiteGraph,
     A budget step is one search node taken off the stack, counted over
     all levels; ``BudgetExceeded`` is raised past ``b.max_subsets`` steps.
     """
-    b = b or OracleBudget()
-    _check_vertex_budget(g, b)
+    b = _budget(g, b)
     near = g._adjacency
     # per edge: its endpoints' bitmask, and the branching endpoint's bit
     # and neighbour bitmask
@@ -90,6 +92,7 @@ def all_minimum_covers(g: BipartiteGraph,
             k += 1
     n = len(plan)
     steps = 0
+    max_steps = b.max_subsets
     while True:
         out: set[int] = set()
         # (chosen bitmask, its size, next edge to scan)
@@ -97,9 +100,8 @@ def all_minimum_covers(g: BipartiteGraph,
         while stack:
             chosen, size, i = stack.pop()
             steps += 1
-            if steps > b.max_subsets:
-                raise BudgetExceeded(
-                    "cover enumeration exceeded subset budget")
+            if steps > max_steps:
+                raise Limit.ORACLE_STEPS.refusal(steps, max_steps)
             while i < n and chosen & plan[i][0]:
                 i += 1
             if i == n:
@@ -163,8 +165,7 @@ def _maximal_matchings(g: BipartiteGraph,
             yield Matching._unchecked(g, chosen)
         steps += i - start + 1
         if steps > max_steps:
-            raise BudgetExceeded("maximal-matching enumeration exceeded "
-                                 "budget")
+            raise Limit.ORACLE_STEPS.refusal(steps, max_steps)
 
 
 def all_matchings(g: BipartiteGraph,
@@ -182,8 +183,7 @@ def all_matchings(g: BipartiteGraph,
     the skip-before-take order.  Raises ``BudgetExceeded`` before building
     matching ``b.max_subsets + 1``.
     """
-    b = b or OracleBudget()
-    _check_vertex_budget(g, b)
+    b = _budget(g, b)
     edges = _edge_list(g)
     every = (1 << len(edges)) - 1
     incident = dict.fromkeys(g._adjacency, 0)  # vertex -> its edges' bits
@@ -195,12 +195,13 @@ def all_matchings(g: BipartiteGraph,
     plan = {1 << i: ((u, v), every & ~(incident[u] | incident[v]))
             for i, (u, v) in enumerate(edges)}
     found: list[Matching] = []
+    max_steps = b.max_subsets
     # (chosen edges, bitmask of the later edges that can still be added)
     stack: list[tuple] = [((), every)]
     while stack:
         chosen, addable = stack.pop()
-        if len(found) == b.max_subsets:
-            raise BudgetExceeded("matching enumeration exceeded budget")
+        if len(found) == max_steps:
+            raise Limit.ORACLE_STEPS.refusal(max_steps + 1, max_steps)
         found.append(Matching._unchecked(g, chosen))
         while addable:
             bit = addable & -addable
@@ -225,8 +226,7 @@ def iter_maximal_matchings(g: BipartiteGraph,
     walk visits more than ``64 * b.max_subsets`` nodes, so a caller that
     stops drawing early never pays for the rest of the walk.
     """
-    b = b or OracleBudget()
-    _check_vertex_budget(g, b)
+    b = _budget(g, b)
     return _maximal_matchings(g, 64 * b.max_subsets)
 
 
@@ -242,15 +242,14 @@ def hall_condition(g: BipartiteGraph,
     """Whether |W| ≤ |N(W)| for every subset W of the left side, and of
     the right side, in that order.  The vertex budget is checked first,
     and each side's subset budget before that side is scanned."""
-    b = b or OracleBudget()
-    _check_vertex_budget(g, b)
+    b = _budget(g, b)
     verdicts = []
     adjacency = g._adjacency
     left = g.left_mask
     for side in (left, _mask(adjacency) ^ left):
         near = [adjacency[x] for x in _bits(side)]
         if 2 ** len(near) > b.max_subsets:
-            raise BudgetExceeded("Hall subset scan exceeds budget")
+            raise Limit.ORACLE_STEPS.refusal(2 ** len(near), b.max_subsets)
         for w in chain.from_iterable(combinations(near, size)
                                      for size in range(1, len(near) + 1)):
             neighborhood = 0

@@ -13,14 +13,15 @@ other.  ``is_augmenting_path`` judges a path given from outside; the
 enumerator's depth-first walk finds only augmenting paths, so its
 paths are not judged again.
 
-``path_structures(m)`` enumerates the augmenting paths of ``m`` once
-and builds every structure from that one list, lazily.  A structure
-stores its matching, its base path, its family, their vertex union and
-Z(M △ P), so K(M △ P) = U △ Z needs no second augmentation, and with
-them the stranded set, the hat's cut vertex and the hat, each computed
-once, as the structure is built.  Structures are vertex sets only: no
-graph is built for them, and no matching either, since Z(M △ P) is
-walked over M's partner map with P's edges flipped, by the one
+``path_structures(m)`` enumerates the augmenting paths of ``m`` once and
+builds every structure from that one list, lazily; more paths than the
+path limit (``errors.Limit.PATHS``) raise ``PathExplosion``.  A
+structure stores its matching, its base path, its family, their vertex
+union and Z(M △ P), so K(M △ P) = U △ Z needs no second augmentation,
+and with them the stranded set, the hat's cut vertex and the hat, each
+computed once, as the structure is built.  Structures are vertex sets
+only: no graph is built for them, and no matching either, since Z(M △ P)
+is walked over M's partner map with P's edges flipped, by the one
 alternating closure of ``konig``, from a root mask to a vertex mask
 (``_z_after``).
 
@@ -45,7 +46,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .errors import NotMaximal, PathExplosion, UnknownVertex
+from .errors import Limit, NotMaximal, UnknownVertex
 from .graph import _bits, _covers, _edge, _mask
 from .konig import (
     _alternating_closure,
@@ -54,10 +55,6 @@ from .konig import (
     konig_vertices,
 )
 from .matching import Matching, is_maximal, maximum_matching
-
-# building structures is quadratic in the path count; the corpus has at
-# most 64 paths per maximal matching at 10 vertices and 128 at 11
-DEFAULT_PATH_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -133,8 +130,9 @@ def enumerate_augmenting_paths(m: Matching) -> list[tuple[int, ...]]:
     Roots and neighbours are taken in ascending order and a path is never
     extended past an unsaturated vertex, so each path is emitted once, in
     lexicographic vertex-sequence order.  More than
-    ``DEFAULT_PATH_LIMIT`` paths raises ``PathExplosion``.
+    ``Limit.PATHS`` paths raises ``PathExplosion``.
     """
+    limit = Limit.PATHS.value
     adjacency = m.graph._adjacency
     partner = m._partner
     found: list[tuple[int, ...]] = []
@@ -154,9 +152,8 @@ def enumerate_augmenting_paths(m: Matching) -> list[tuple[int, ...]]:
                 z = partner.get(y)
                 if z is None:
                     found.append((*path, y))
-                    if len(found) > DEFAULT_PATH_LIMIT:
-                        raise PathExplosion(f"more than {DEFAULT_PATH_LIMIT}"
-                                            " augmenting paths")
+                    if len(found) > limit:
+                        raise Limit.PATHS.refusal(len(found))
                     continue
                 # z is never on the path: the root is free, and every
                 # other U-vertex on it is the partner of a V-vertex on it,

@@ -30,13 +30,13 @@ from dataclasses import dataclass
 from .errors import (
     DuplicateVertex,
     EmptyGraph,
+    Limit,
     NotMinimumCover,
     RoundTripFailed,
 )
 from .graph import (
     BipartiteGraph,
     _bits,
-    _check_budget,
     _mask,
     _sides,
     connected_components,
@@ -78,7 +78,8 @@ def star_stud(h: BipartiteGraph) -> StarStuddedGraph:
     if not left_mask or left_mask == _mask(base):
         raise EmptyGraph("base graph needs both sides nonempty")
     next_id = max(base) + 1
-    _check_budget(next_id + 4 * len(base) - 1)
+    if next_id + 4 * len(base) > Limit.VERTICES.value:
+        raise Limit.VERTICES.refusal(next_id + 4 * len(base))
     adjacency = dict(base)
     labels = dict(h.labels)
     taken = set(labels.values())

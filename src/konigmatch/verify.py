@@ -595,8 +595,6 @@ ALL_SWEEPS = [
 def corpus_verify(max_vertices: int = 8,
                   jobs: int | None = None) -> list[SweepResult]:
     """Walk the corpus once in ``jobs`` shards with the eight checks,
-    then the star-studded sweep on at most 7 base vertices.  The corpus
-    raises ``BudgetExceeded`` above ``MAX_CORPUS_VERTICES`` before any
-    check runs or any process starts."""
+    then the star-studded sweep on at most 7 base vertices."""
     return _walk(cached_corpus(max_vertices), _CHECKS, jobs) + [
         sweep_star_studded(min(max_vertices, 7))]

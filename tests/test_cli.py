@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from konigmatch import BipartiteGraph, build_graph, cli
 from konigmatch.cli import run
-from konigmatch.graph import MAX_VERTICES
+from konigmatch.errors import Limit, exit_code
 from konigmatch.io import (
     graph_from_json_dict,
     graph_to_json_dict,
@@ -160,7 +160,8 @@ def test_enumerate_hall(capsys):
 def test_enumerate_budget_exceeded(oracle, capsys):
     assert run(["enumerate", "--graph", FORK, "--oracle", oracle,
                 "--max-vertices", "2"]) == 1
-    assert "7 vertices exceeds budget 2" in capsys.readouterr().err
+    assert "at most 2 vertices in an oracle's graph; got 7" in \
+        capsys.readouterr().err
 
 
 def test_enumerate_refuses_the_matchings_of_k88(tmp_path, capsys):
@@ -171,7 +172,8 @@ def test_enumerate_refuses_the_matchings_of_k88(tmp_path, capsys):
         8, 8, [(i, j) for i in range(8) for j in range(8)]))))
     assert run(["enumerate", "--graph", str(k88), "--oracle",
                 "matchings"]) == 1
-    assert "matching enumeration exceeded budget" in capsys.readouterr().err
+    assert "steps of an oracle's search; got 131,073" in \
+        capsys.readouterr().err
 
 
 def test_experiment_writes_csv(tmp_path, capsys):
@@ -358,7 +360,7 @@ def test_an_experiment_over_the_work_budget_exits_1(monkeypatch, tmp_path,
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
         (line,) = captured.err.splitlines()
-        assert line.startswith("error: ") and "5000000" in line
+        assert line.startswith("error: ") and "5,000,000" in line
 
 
 def test_the_experiment_help_names_the_work_budget(capsys):
@@ -387,7 +389,7 @@ def _path_file(tmp_path, vertices, fmt):
 def test_a_graph_file_over_the_vertex_budget_exits_1(fmt, tmp_path, capsys):
     # a path one vertex over the budget: every command that reads a graph
     # refuses it when the graph is built, before its masks are
-    graph = _path_file(tmp_path, MAX_VERTICES + 1, fmt)
+    graph = _path_file(tmp_path, Limit.VERTICES.value + 1, fmt)
     for argv in (["match", "--graph", graph],
                  ["cover", "--graph", graph, "--matching", "unread.json"],
                  ["reverse", "--graph", graph, "--cover", "unread.json"],
@@ -402,13 +404,14 @@ def test_a_graph_file_over_the_vertex_budget_exits_1(fmt, tmp_path, capsys):
 
 
 def test_a_graph_file_at_the_vertex_budget_loads(tmp_path):
-    g = cli.gio.load_graph(_path_file(tmp_path, MAX_VERTICES, "json"))
-    assert len(g.vertices) == MAX_VERTICES and len(g.edges) == MAX_VERTICES - 1
+    top = Limit.VERTICES.value
+    g = cli.gio.load_graph(_path_file(tmp_path, top, "json"))
+    assert len(g.vertices) == top and len(g.edges) == top - 1
 
 
 def test_a_studded_graph_over_the_vertex_budget_exits_1(tmp_path, capsys):
     # the studded graph has five times the base's vertices
-    graph = _path_file(tmp_path, MAX_VERTICES // 5 + 1, "json")
+    graph = _path_file(tmp_path, Limit.VERTICES.value // 5 + 1, "json")
     assert run(["starstud", "--graph", graph]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "20,000 vertices" in captured.err
@@ -417,18 +420,35 @@ def test_a_studded_graph_over_the_vertex_budget_exits_1(tmp_path, capsys):
 def test_an_experiment_over_the_vertex_budget_exits_1(monkeypatch, capsys):
     monkeypatch.setattr("konigmatch.experiments.random_bipartite",
                         lambda cfg, rng: pytest.fail("a graph was drawn"))
-    assert run(["experiment", "--nl", "1", "--nr", str(MAX_VERTICES),
-                "--p", "0.5", "--trials", "1"]) == 1
+    top = Limit.VERTICES.value
+    assert run(["experiment", "--nl", "1", "--nr", str(top), "--p", "0.5",
+                "--trials", "1"]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and "20000 vertices" in captured.err
+    assert captured.out == "" and "20,000 vertices" in captured.err
 
 
-@pytest.mark.parametrize("command", ["match", "cover", "reverse", "classify",
-                                     "starstud", "enumerate", "experiment"])
+# the limits each command's help names: every command that reads a graph
+# file names the vertex limit
+HELP_LIMITS = {
+    **dict.fromkeys(["match", "cover", "reverse", "classify", "starstud"],
+                    [Limit.VERTICES]),
+    "enumerate": [Limit.VERTICES, Limit.ORACLE_STEPS, Limit.ORACLE_VERTICES],
+    "experiment": [Limit.VERTICES, Limit.POTENTIAL_EDGES, Limit.EDGE_DRAWS],
+    "corpus-verify": [Limit.CORPUS_VERTICES],
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_LIMITS))
 def test_the_help_names_the_vertex_budget(command, capsys):
+    # each limit as the table formats it, with its exit code
     with pytest.raises(SystemExit):
         run([command, "--help"])
-    assert "20,000" in " ".join(capsys.readouterr().out.split())
+    text = " ".join(capsys.readouterr().out.split())
+    rows = HELP_LIMITS[command]
+    assert ("20,000" in text) == (Limit.VERTICES in rows)
+    for row in rows:
+        assert (f"at most {row.value:,} {row.counts} "
+                f"(exit {exit_code(row.error)} above it)") in text
 
 
 def test_a_graph_with_a_negative_vertex_id_exits_2(monkeypatch, capsys):

@@ -7,12 +7,9 @@ import pytest
 
 from konigmatch import (TrialConfig, TrialReport, experiments, konig_cover,
                         run_trials)
-from konigmatch.errors import BudgetExceeded
-from konigmatch.graph import MAX_VERTICES
+from konigmatch.errors import BudgetExceeded, Limit
 from konigmatch.experiments import (
     CSV_COLUMNS,
-    MAX_EDGE_TRIALS,
-    MAX_POTENTIAL_EDGES,
     random_bipartite,
     random_maximal_matching,
 )
@@ -35,10 +32,11 @@ def test_config_refuses_graphs_above_the_edge_cap():
     # building a config draws nothing, so the cap is probed at its edge,
     # with sides inside the vertex budget: a single trial at the cap is
     # over the work budget (exit 1), and one above it is bad input (exit 2)
+    cap = Limit.POTENTIAL_EDGES.value
     with pytest.raises(BudgetExceeded):
-        TrialConfig(MAX_POTENTIAL_EDGES // 5000, 5000, 0.5, trials=1)
+        TrialConfig(cap // 5000, 5000, 0.5, trials=1)
     with pytest.raises(ValueError):
-        TrialConfig(MAX_POTENTIAL_EDGES // 5000 + 1, 5000, 0.5, trials=1)
+        TrialConfig(cap // 5000 + 1, 5000, 0.5, trials=1)
     with pytest.raises(ValueError):
         TrialConfig(100_000, 100_000, 0.5, trials=1)
 
@@ -49,29 +47,31 @@ def test_config_refuses_runs_above_the_work_budget(monkeypatch):
     monkeypatch.setattr("konigmatch.experiments.random_bipartite",
                         lambda cfg, rng: pytest.fail("a graph was drawn"))
     # 1000 * 1000 draws per trial: five trials fit exactly
+    budget = Limit.EDGE_DRAWS.value
     TrialConfig(1000, 1000, 1.0, trials=5)
-    with pytest.raises(BudgetExceeded, match=str(MAX_EDGE_TRIALS)):
+    with pytest.raises(BudgetExceeded, match=f"{budget:,}"):
         TrialConfig(1000, 1000, 1.0, trials=6)
     # a trial draws a number per potential edge whatever p is, so p = 0
     # costs as much as any other p
-    with pytest.raises(BudgetExceeded, match=str(MAX_EDGE_TRIALS)):
+    with pytest.raises(BudgetExceeded, match=f"{budget:,}"):
         TrialConfig(20, 20, 0.0, trials=10 ** 12)
     # one trial at the potential-edge cap with every edge drawn
     with pytest.raises(BudgetExceeded):
-        TrialConfig(MAX_POTENTIAL_EDGES // 10, 10, 1.0, trials=1)
+        TrialConfig(Limit.POTENTIAL_EDGES.value // 10, 10, 1.0, trials=1)
     # the pinned CLI run, 10^4 trials at 20 * 20 * 0.3, fits
     TrialConfig(20, 20, 0.3, trials=10_000)
     with pytest.raises(BudgetExceeded):
         TrialConfig(20, 20, 0.3, trials=10 ** 9)
-    assert MAX_EDGE_TRIALS == 5 * 10 ** 6
+    assert budget == 5 * 10 ** 6
 
 
 def test_config_refuses_graphs_above_the_vertex_budget(monkeypatch):
     monkeypatch.setattr("konigmatch.experiments.random_bipartite",
                         lambda cfg, rng: pytest.fail("a graph was drawn"))
-    TrialConfig(1, MAX_VERTICES - 1, 0.5, trials=1)
-    with pytest.raises(BudgetExceeded, match=str(MAX_VERTICES)):
-        TrialConfig(1, MAX_VERTICES, 0.5, trials=1)
+    top = Limit.VERTICES.value
+    TrialConfig(1, top - 1, 0.5, trials=1)
+    with pytest.raises(BudgetExceeded, match=f"{top:,}"):
+        TrialConfig(1, top, 0.5, trials=1)
 
 
 def test_trials_are_reproducible():

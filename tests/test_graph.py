@@ -10,12 +10,12 @@ from konigmatch import (
     induced_subgraph,
 )
 from konigmatch.corpus import connected_bipartite_graphs
-from konigmatch.graph import MAX_VERTICES
 from konigmatch.matching import maximum_matching
 from konigmatch.errors import (
     BudgetExceeded,
     DuplicateVertex,
     IndexOutOfRange,
+    Limit,
     SameSideEdge,
     UnknownVertex,
 )
@@ -73,6 +73,14 @@ def test_the_constructor_refuses_a_label_given_twice():
         BipartiteGraph({0, 2}, {1}, [], {0: "a", 1: "b", 2: "a"})
 
 
+def test_the_constructor_refuses_an_unhashable_label():
+    # an unhashable label cannot be checked for uniqueness, nor looked up
+    with pytest.raises(DuplicateVertex, match="hashable"):
+        BipartiteGraph({0}, {1}, [(0, 1)], {0: ["a"], 1: "b"})
+    with pytest.raises(DuplicateVertex, match="hashable"):
+        build_graph(1, 1, [(0, 0)], [["a"]], ["b"])
+
+
 def test_build_graph_checks_labels_and_the_budget_before_edge_indices():
     # the index pairs are checked as the constructor reads them, so the
     # label and budget errors come first
@@ -81,7 +89,7 @@ def test_build_graph_checks_labels_and_the_budget_before_edge_indices():
     with pytest.raises(IndexOutOfRange, match="label sequences"):
         build_graph(2, 1, [(5, 0)], ["only-one"], ["r"])
     with pytest.raises(BudgetExceeded):
-        build_graph(1, MAX_VERTICES, [(5, 0)])
+        build_graph(1, Limit.VERTICES.value, [(5, 0)])
 
 
 def test_build_graph_copies_no_edge_list():
@@ -114,13 +122,14 @@ def test_vertex_ids_must_be_non_negative_integers(left, right, edges):
 def test_vertex_ids_must_lie_below_the_vertex_budget():
     # a neighbour mask is as wide as the highest neighbour id, so the
     # budget bounds every mask; the highest id allowed builds
-    g = BipartiteGraph({0}, {MAX_VERTICES - 1}, [(0, MAX_VERTICES - 1)])
-    assert g.neighbors(0) == {MAX_VERTICES - 1}
-    with pytest.raises(BudgetExceeded, match=f"{MAX_VERTICES:,} vertices"):
-        BipartiteGraph({0}, {MAX_VERTICES}, [(0, MAX_VERTICES)])
+    top = Limit.VERTICES.value
+    g = BipartiteGraph({0}, {top - 1}, [(0, top - 1)])
+    assert g.neighbors(0) == {top - 1}
+    with pytest.raises(BudgetExceeded, match=f"{top:,} vertices"):
+        BipartiteGraph({0}, {top}, [(0, top)])
     with pytest.raises(BudgetExceeded):
-        build_graph(1, MAX_VERTICES, [])
-    assert MAX_VERTICES == 20_000
+        build_graph(1, top, [])
+    assert top == 20_000
 
 
 def test_same_side_edge_rejected():

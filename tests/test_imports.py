@@ -65,6 +65,49 @@ def test_the_check_sees_a_third_party_import():
     assert _non_stdlib_imports(source) == ["networkx.algorithms", "numpy"]
 
 
+def _stray_limits(source: str) -> list[str]:
+    """Each construction of ``BudgetExceeded`` or ``PathExplosion``, and
+    each module-level name ``MAX_*`` or ``*_LIMIT`` bound: outside
+    ``errors.py``, a limit is a row of ``errors.Limit`` and a refusal is
+    built by that row's ``refusal``."""
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", ""))
+            if name in ("BudgetExceeded", "PathExplosion"):
+                found.append(f"line {node.lineno}: {name}(...)")
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.asname or alias.name for alias in node.names]
+        else:
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            names = [n.id for target in targets if target is not None
+                     for n in ast.walk(target) if isinstance(n, ast.Name)]
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if name.startswith("MAX_") or name.endswith("_LIMIT")]
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "errors.py"],
+    ids=lambda p: p.name)
+def test_every_limit_is_defined_and_refused_in_the_table(path):
+    assert _stray_limits(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_a_stray_limit():
+    source = ("from .graph import MAX_VERTICES\nDEFAULT_PATH_LIMIT = 4096\n"
+              "MAX_A, b = 1, 2\nMAX_B: int = 3\nlimit = 5\n"
+              "def f(n):\n    MAX_LOCAL = 1\n"
+              "    raise BudgetExceeded(f'{n}')\n"
+              "def g():\n    raise errors.PathExplosion('x')\n")
+    assert _stray_limits(source) == [
+        "line 8: BudgetExceeded(...)", "line 10: PathExplosion(...)",
+        "line 1: MAX_VERTICES", "line 2: DEFAULT_PATH_LIMIT",
+        "line 3: MAX_A", "line 4: MAX_B"]
+
+
 # Public definitions nothing else in the package uses, kept on purpose.
 UNREFERENCED_BY_DESIGN = {
     # the package reads the neighbour masks themselves

@@ -1,5 +1,6 @@
 """The README's quick tour runs as written and gives the values its
-comments state, and its command-line lines parse."""
+comments state, its command-line lines parse, and its list of limits
+mirrors the table."""
 
 import ast
 import io
@@ -9,6 +10,7 @@ import tokenize
 from pathlib import Path
 
 from konigmatch.cli import build_parser
+from konigmatch.errors import Limit, exit_code
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -56,3 +58,18 @@ def test_every_documented_command_line_parses():
         # argparse exits on an unknown flag or a missing argument
         parser.parse_args(argv)
     assert len(commands) == 9
+
+
+def test_the_limits_list_mirrors_the_table():
+    section = README.read_text("utf-8").split("\n## Limits\n")[1]
+    section = section.split("\n## ")[0]
+    # each item "- `NAME`: value what it counts; `Error`, exit n", its
+    # wrapped lines joined
+    items = dict(re.findall(r"^- `(\w+)`: (.*?)(?=^- |^$)",
+                            section + "\n", re.M | re.S))
+    assert list(items) == [row.name for row in Limit]
+    for row in Limit:
+        item = " ".join(items[row.name].split())
+        assert item.startswith(f"{row.value:,} {row.counts}; "
+                               f"`{row.error.__name__}`, "
+                               f"exit {exit_code(row.error)}"), row.name
